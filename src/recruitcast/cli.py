@@ -280,11 +280,8 @@ def _load_trial(args) -> TrialData:
 
 def _fit_payload(data: TrialData, fit) -> dict:
     open_exposures = data.exposures[data.exposures > 0]
-    equal = (open_exposures.size > 0
-             and open_exposures.max() - open_exposures.min()
-             <= 1e-12 * open_exposures.max())
     pooled_rate = (data.total_count / (open_exposures.size * open_exposures.mean())
-                   if equal else None)
+                   if fit.equal_exposures else None)
     return {
         "alpha_hat": fit.alpha_hat,
         "beta_hat": fit.beta_hat,
@@ -301,7 +298,7 @@ def _fit_payload(data: TrialData, fit) -> dict:
         "ratio_check": {
             "alpha_over_beta": fit.alpha_hat / fit.beta_hat,
             "pooled_event_rate": pooled_rate,
-            "equal_exposures": bool(equal),
+            "equal_exposures": fit.equal_exposures,
         },
     }
 
@@ -328,6 +325,9 @@ def _interval_payload(interval) -> dict:
 def _cmd_predict(args) -> int:
     data = _load_trial(args)
     fit = fit_mle(data)
+    if not fit.converged:
+        print(f"fit did not converge after {fit.iterations} steps", file=sys.stderr)
+        return EXIT_DEGENERATE
     pool = pool_centres(data, fit)
     request = PredictionRequest(objective=args.objective, horizon=args.horizon,
                                 level=args.level, adjusted=False)

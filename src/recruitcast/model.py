@@ -11,7 +11,8 @@ up to terms free of (a, b).  Centres with zero exposure (and hence zero
 count) contribute exactly nothing.  When every open centre shares one
 exposure t the ratio of the estimates is pinned at a/b = n/(C t), which
 reduces the maximization to one dimension along that ray; otherwise the
-fit runs in two dimensions over (log a, log b).
+fit runs in two dimensions over (log a, log b).  Both searches are damped
+Newton with analytic derivatives, started from a method-of-moments guess.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from functools import cached_property
 from typing import Sequence
 
 import numpy as np
-from scipy import optimize, special
+from scipy import special
 
 __all__ = [
     "CentreRecord",
@@ -41,9 +42,12 @@ __all__ = [
 # the likelihood keeps rising toward the constant-ratio boundary.
 _MAX_LOG_ALPHA = 30.0
 _RELATIVE_EXPOSURE_TOL = 1e-12
-# Below this gradient the Newton polish is locally contracting and skips
-# its objective-based line search, whose floor comparison turns into noise.
+# Below this gradient Newton is locally contracting and skips its
+# objective-based line search, whose floor comparison turns into noise.
 _SAFE_GRADIENT = 1e-4
+# Leading terms of digamma(a + n) - digamma(a) = sum_{j < n} 1 / (a + j)
+# that the score sums one by one; digamma takes only what lies beyond.
+_EXACT_RISE_TERMS = 1 << 16
 
 
 class ModelError(Exception):
@@ -133,7 +137,12 @@ class TrialData:
 
 @dataclass(frozen=True)
 class ModelFit:
-    """Fitted shape/rate pair with optimizer diagnostics."""
+    """Fitted shape/rate pair with optimizer diagnostics.
+
+    ``iterations`` counts Newton steps; ``equal_exposures`` records that
+    the open centres shared one exposure, so the fit ran along the ray
+    alpha/beta = n/(C t).
+    """
 
     alpha_hat: float
     beta_hat: float
@@ -141,6 +150,7 @@ class ModelFit:
     converged: bool
     iterations: int
     degenerate: bool = False
+    equal_exposures: bool = False
 
 
 @dataclass(frozen=True)
@@ -148,10 +158,7 @@ class FitOptions:
     """Optimizer settings; the defaults suit the simulation harness."""
 
     max_log_alpha: float = _MAX_LOG_ALPHA
-    xatol: float = 1e-6
-    fatol: float = 1e-10
-    max_iterations: int = 2000
-    polish_steps: int = 120
+    max_steps: int = 120
     gradient_target: float = 1e-10
 
 
@@ -161,15 +168,7 @@ def log_likelihood(alpha: float, beta: float, data: TrialData) -> float:
         raise ValueError(f"alpha must be positive and finite, got {alpha}")
     if not (beta > 0 and math.isfinite(beta)):
         raise ValueError(f"beta must be positive and finite, got {beta}")
-    opened = data.exposures > 0
-    # closed centres hold zero counts, so their terms cancel exactly
-    counts = data.counts[opened]
-    exposures = data.exposures[opened]
-    c = int(opened.sum())
-    return float(c * alpha * math.log(beta)
-                 - np.sum((alpha + counts) * np.log(beta + exposures))
-                 - c * special.gammaln(alpha)
-                 + np.sum(special.gammaln(alpha + counts)))
+    return float(_Workspace(data).loglik(alpha, beta))
 
 
 class _Workspace:
@@ -191,39 +190,56 @@ class _Workspace:
         values, mult = np.unique(counts, return_counts=True)
         self.count_values = values.astype(float)
         self.count_mult = mult.astype(float)
+        # weight of 1 / (a + j) in the score: the number of centres counting
+        # past j, up to the exact-sum limit
+        tally = np.bincount(np.minimum(counts, _EXACT_RISE_TERMS))
+        self.rise_weights = (self.num_open - np.cumsum(tally[:-1])).astype(float)
+        self.rise_offsets = np.arange(self.rise_weights.size, dtype=float)
+        beyond = self.count_values > _EXACT_RISE_TERMS
+        self.beyond_values = self.count_values[beyond]
+        self.beyond_mult = self.count_mult[beyond]
         self.total_exposure = float(self.exposures.sum())
         self.sum_count_exposure = float(np.dot(self.counts, self.exposures))
         self.sum_exposure_sq = float(np.dot(self.exposures, self.exposures))
 
-        self.equal_exposures = (
+        self.equal_exposures = bool(
             self.num_open > 0
             and (self.exposures.max() - self.exposures.min())
             <= _RELATIVE_EXPOSURE_TOL * self.exposures.max())
         self.common_exposure = float(self.exposures.mean()) if self.equal_exposures else None
 
+    # The likelihood and its score are sums of per-centre differences such
+    # as log(b + t) - log(b) = log1p(t / b), not differences of sums: on a
+    # near-flat ridge alpha and beta grow together, the sums grow with them
+    # and their difference would sink into rounding.  The score's zero is
+    # the estimate, so its digamma differences are exact sums as well.
+
     def loglik(self, alpha: float, beta: float) -> float:
-        log_b_t = np.log(beta + self.exposures)
-        return (self.num_open * alpha * math.log(beta)
-                - alpha * log_b_t.sum() - float(np.dot(self.counts, log_b_t))
-                - self.num_open * float(special.gammaln(alpha))
-                + float(np.dot(self.count_mult, special.gammaln(alpha + self.count_values))))
+        return (float(np.dot(self.count_mult, special.gammaln(alpha + self.count_values)
+                             - special.gammaln(alpha)))
+                - alpha * float(np.log1p(self.exposures / beta).sum())
+                - float(np.dot(self.counts, np.log(beta + self.exposures))))
 
     def grad(self, alpha: float, beta: float) -> np.ndarray:
         """Score in natural (alpha, beta) coordinates."""
-        b_t = beta + self.exposures
-        d_alpha = (self.num_open * math.log(beta) - float(np.log(b_t).sum())
-                   - self.num_open * float(special.digamma(alpha))
-                   + float(np.dot(self.count_mult, special.digamma(alpha + self.count_values))))
-        d_beta = (self.num_open * alpha / beta
-                  - float(((alpha + self.counts) / b_t).sum()))
+        d_alpha = (float(np.dot(self.rise_weights, 1.0 / (alpha + self.rise_offsets)))
+                   - float(np.log1p(self.exposures / beta).sum()))
+        if self.beyond_values.size:
+            d_alpha += float(np.dot(self.beyond_mult,
+                                    special.digamma(alpha + self.beyond_values)
+                                    - special.digamma(alpha + _EXACT_RISE_TERMS)))
+        d_beta = float(((alpha * self.exposures / beta - self.counts)
+                        / (beta + self.exposures)).sum())
         return np.array([d_alpha, d_beta])
 
     def hess(self, alpha: float, beta: float) -> np.ndarray:
         """Hessian in natural (alpha, beta) coordinates."""
         b_t = beta + self.exposures
         inv = 1.0 / b_t
-        h_aa = (-self.num_open * float(special.polygamma(1, alpha))
-                + float(np.dot(self.count_mult, special.polygamma(1, alpha + self.count_values))))
+        # trigamma as the Hurwitz zeta(2, .), which is what polygamma(1, .)
+        # evaluates after its Python-level dispatch
+        h_aa = (-self.num_open * float(special.zeta(2, alpha))
+                + float(np.dot(self.count_mult, special.zeta(2, alpha + self.count_values))))
         h_ab = self.num_open / beta - float(inv.sum())
         h_bb = (-self.num_open * alpha / beta**2
                 + float(((alpha + self.counts) * inv * inv).sum()))
@@ -234,11 +250,13 @@ class _Workspace:
         g = self.grad(alpha, beta)
         return np.array([alpha, beta]) * g
 
-    def hess_log_scale(self, log_alpha: float, log_beta: float) -> np.ndarray:
+    def hess_log_scale(self, log_alpha: float, log_beta: float,
+                       score: np.ndarray) -> np.ndarray:
+        """Hessian in (log alpha, log beta), given the score there."""
         alpha, beta = math.exp(log_alpha), math.exp(log_beta)
         scale = np.array([alpha, beta])
         h = self.hess(alpha, beta) * np.outer(scale, scale)
-        h[np.diag_indices(2)] += scale * self.grad(alpha, beta)
+        h[np.diag_indices(2)] += score
         return h
 
     def profile_loglik(self, log_alpha: float, ratio: float) -> float:
@@ -246,11 +264,10 @@ class _Workspace:
         alpha = math.exp(log_alpha)
         beta = alpha / ratio
         t = self.common_exposure
-        return (self.num_open * alpha * math.log(beta)
-                - (self.num_open * alpha + self.total_count) * math.log(beta + t)
-                - self.num_open * float(special.gammaln(alpha))
-                + float(np.dot(self.count_mult,
-                               special.gammaln(alpha + self.count_values))))
+        return (float(np.dot(self.count_mult, special.gammaln(alpha + self.count_values)
+                             - special.gammaln(alpha)))
+                - self.num_open * alpha * math.log1p(t / beta)
+                - self.total_count * math.log(beta + t))
 
     def boundary_loglik(self, ratio: float) -> float:
         """Limit of the likelihood as alpha -> inf with alpha/beta = ratio."""
@@ -291,12 +308,12 @@ def _moment_start(ws: _Workspace) -> tuple[float, float]:
     return math.log(alpha0), math.log(beta0)
 
 
-def _polish_1d(ws: _Workspace, log_alpha: float, ratio: float,
+def _newton_1d(ws: _Workspace, log_alpha: float, ratio: float,
                options: FitOptions) -> tuple[float, int]:
-    """Newton steps on the profiled likelihood in log alpha."""
+    """Damped Newton on the profiled likelihood in log alpha."""
     la = log_alpha
     steps = 0
-    for _ in range(options.polish_steps):
+    for _ in range(options.max_steps):
         alpha = math.exp(la)
         beta = alpha / ratio
         g = ws.grad(alpha, beta)
@@ -306,9 +323,9 @@ def _polish_1d(ws: _Workspace, log_alpha: float, ratio: float,
         h = ws.hess(alpha, beta)
         curve = h[0, 0] + 2.0 * h[0, 1] / ratio + h[1, 1] / ratio**2
         d2 = alpha**2 * curve + d1
-        if d2 >= 0:
-            break
-        step = -d1 / d2
+        # the Newton step where the profile is concave; off it (the convex
+        # tail toward the constant-ratio boundary) the same length uphill
+        step = d1 / max(abs(d2), 1e-12)
         step = max(min(step, 1.0), -1.0)
         new_la = min(la + step, options.max_log_alpha)
         if abs(d1) > _SAFE_GRADIENT:
@@ -328,25 +345,32 @@ def _polish_1d(ws: _Workspace, log_alpha: float, ratio: float,
     return la, steps
 
 
-def _polish_2d(ws: _Workspace, x: np.ndarray, options: FitOptions) -> tuple[np.ndarray, int]:
-    """Damped Newton steps in (log alpha, log beta)."""
+def _newton_2d(ws: _Workspace, x: np.ndarray, options: FitOptions) -> tuple[np.ndarray, int]:
+    """Damped Newton in (log alpha, log beta)."""
     x = x.copy()
     steps = 0
-    for _ in range(options.polish_steps):
+    for _ in range(options.max_steps):
         g = ws.grad_log_scale(x[0], x[1])
-        if float(np.abs(g).max()) <= options.gradient_target:
+        slope = float(np.abs(g).max())
+        if slope <= options.gradient_target:
             break
-        h = ws.hess_log_scale(x[0], x[1])
+        h = ws.hess_log_scale(x[0], x[1], g)
         det = h[0, 0] * h[1, 1] - h[0, 1] * h[1, 0]
-        if not (det > 0 and h[0, 0] < 0):  # needs a locally concave point
-            break
-        step = np.linalg.solve(h, -g)
+        if det > 0 and h[0, 0] < 0:
+            step = np.array([h[0, 1] * g[1] - h[1, 1] * g[0],
+                             h[1, 0] * g[0] - h[0, 0] * g[1]]) / det
+        else:
+            # not locally concave, so Newton would head for a saddle or a
+            # minimum: go uphill along each curvature axis by |slope /
+            # curvature|; a plain gradient step zigzags on near-flat ridges
+            curvature, axes = np.linalg.eigh(h)
+            step = axes @ ((axes.T @ g) / np.maximum(np.abs(curvature), 1e-12))
         norm = float(np.abs(step).max())
         if norm > 2.0:
             step *= 2.0 / norm
         new_x = x + step
         new_x[0] = min(new_x[0], options.max_log_alpha)
-        if float(np.abs(g).max()) > _SAFE_GRADIENT:
+        if slope > _SAFE_GRADIENT:
             # same overshoot guard and float-noise exemption as the 1-d case
             value = ws.loglik(math.exp(x[0]), math.exp(x[1]))
             floor = value - 1e-10 * max(1.0, abs(value))
@@ -361,11 +385,13 @@ def _polish_2d(ws: _Workspace, x: np.ndarray, options: FitOptions) -> tuple[np.n
     return x, steps
 
 
-def _raise_degenerate(ws: _Workspace, ratio: float, iterations: int):
-    boundary_alpha = math.exp(_MAX_LOG_ALPHA)
+def _raise_degenerate(ws: _Workspace, ratio: float, iterations: int,
+                      options: FitOptions):
+    boundary_alpha = math.exp(options.max_log_alpha)
     fit = ModelFit(alpha_hat=boundary_alpha, beta_hat=boundary_alpha / ratio,
                    log_lik=ws.boundary_loglik(ratio), converged=False,
-                   iterations=iterations, degenerate=True)
+                   iterations=iterations, degenerate=True,
+                   equal_exposures=ws.equal_exposures)
     raise DegenerateLikelihood(
         f"likelihood keeps increasing along alpha/beta = {ratio:.6g}; "
         "counts show no over-dispersion", fit=fit)
@@ -374,11 +400,15 @@ def _raise_degenerate(ws: _Workspace, ratio: float, iterations: int):
 def fit_mle(data: TrialData, options: FitOptions = FitOptions()) -> ModelFit:
     """Maximize the marginal likelihood over (alpha, beta).
 
-    Equal exposures across all open centres pin alpha/beta at n/(C t)
-    and the search runs in one dimension along that ray (Brent); unequal
-    exposures use Nelder-Mead over (log alpha, log beta) from a
-    method-of-moments start.  Either way a short Newton polish with
-    analytic derivatives drives the score below ``gradient_target``.
+    Damped Newton with analytic derivatives runs from a method-of-moments
+    start until the score falls below ``gradient_target``.  Equal
+    exposures across all open centres pin alpha/beta at n/(C t), so the
+    search runs in log alpha along that ray; unequal exposures search
+    over (log alpha, log beta).  Steps are capped and, while the score is
+    large, backtracked until the likelihood does not fall.  Where the
+    likelihood is not locally concave the step goes uphill instead, along
+    each curvature axis by |slope / curvature|.  ``iterations`` counts the
+    steps taken.
 
     Raises
     ------
@@ -397,47 +427,29 @@ def fit_mle(data: TrialData, options: FitOptions = FitOptions()) -> ModelFit:
 
     boundary_ratio = ws.total_count / ws.total_exposure
     if ws.tail_statistic() <= 0:
-        _raise_degenerate(ws, boundary_ratio, iterations=0)
+        _raise_degenerate(ws, boundary_ratio, 0, options)
 
+    start = _moment_start(ws)
     if ws.equal_exposures:
         ratio = ws.total_count / (ws.num_open * ws.common_exposure)
-        result = optimize.minimize_scalar(
-            lambda la: -ws.profile_loglik(la, ratio),
-            bounds=(-30.0, options.max_log_alpha), method="bounded",
-            options={"xatol": options.xatol})
-        la, polish_steps = _polish_1d(ws, float(result.x), ratio, options)
-        iterations = int(result.nfev) + polish_steps
+        la, iterations = _newton_1d(ws, start[0], ratio, options)
         alpha_hat = math.exp(la)
         beta_hat = alpha_hat / ratio
-        at_bound = la >= options.max_log_alpha - 0.1
     else:
-        x0 = np.array(_moment_start(ws))
-        simplex = np.array([x0, x0 + [0.25, 0.0], x0 + [0.0, 0.25]])
-
-        def objective(x):
-            if x[0] > options.max_log_alpha or abs(x[1]) > 45.0:
-                return math.inf
-            return -ws.loglik(math.exp(x[0]), math.exp(x[1]))
-
-        result = optimize.minimize(
-            objective, x0, method="Nelder-Mead",
-            options={"xatol": options.xatol, "fatol": options.fatol,
-                     "maxiter": options.max_iterations, "initial_simplex": simplex})
-        x, polish_steps = _polish_2d(ws, np.asarray(result.x, dtype=float), options)
-        iterations = int(result.nit) + polish_steps
+        x, iterations = _newton_2d(ws, np.array(start), options)
+        la = x[0]
         alpha_hat = math.exp(x[0])
         beta_hat = math.exp(x[1])
-        at_bound = x[0] >= options.max_log_alpha - 0.1
 
-    if at_bound:
-        _raise_degenerate(ws, boundary_ratio, iterations)
+    if la >= options.max_log_alpha - 0.1:
+        _raise_degenerate(ws, boundary_ratio, iterations, options)
 
     log_lik = ws.loglik(alpha_hat, beta_hat)
     grad = ws.grad_log_scale(math.log(alpha_hat), math.log(beta_hat))
     converged = float(np.abs(grad).max()) <= 1e-8
     return ModelFit(alpha_hat=float(alpha_hat), beta_hat=float(beta_hat),
                     log_lik=float(log_lik), converged=converged,
-                    iterations=iterations)
+                    iterations=iterations, equal_exposures=ws.equal_exposures)
 
 
 def posterior_rate_moments(data: TrialData, fit: ModelFit) -> tuple[float, float]:

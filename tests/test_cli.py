@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from recruitcast import TrialData, fit_mle, pool_centres, predictive_count_law
+from recruitcast import ModelFit, TrialData, cli, fit_mle, pool_centres, predictive_count_law
 from recruitcast.asymptotics import count_limit_law
 from recruitcast.cli import main, parse_centre_csv
 from recruitcast.datasets import (
@@ -212,6 +212,18 @@ def test_exit_codes_for_data_problems(tmp_path, capsys):
     write_summary(degenerate, [("A", 0, 3), ("B", 0, 3), ("C", 0, 3)])
     code, _, err = run(capsys, "fit", "--input", str(degenerate), "--census", "1")
     assert code == 3 and "degenerate" in err
+
+
+def test_predict_refuses_a_fit_that_did_not_converge(monkeypatch, capsys):
+    stalled = ModelFit(alpha_hat=2.0, beta_hat=0.1, log_lik=0.0,
+                       converged=False, iterations=120)
+    monkeypatch.setattr(cli, "fit_mle", lambda data: stalled)
+    code, out, err = run(capsys, "predict", "--input", str(demo_summary_path()),
+                         "--census", str(DEMO_SUMMARY_CENSUS),
+                         "--objective", "count", "--horizon", "0.5")
+    assert code == 3
+    assert "fit did not converge" in err
+    assert out == ""
 
 
 def test_summary_validation_points_at_lines(tmp_path, capsys):

@@ -1,21 +1,35 @@
 """Likelihood, MLE, and posterior moments of the hierarchical count model."""
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy import special
 
 import oracles
 from recruitcast import (
     CentreRecord,
     DegenerateLikelihood,
+    FitOptions,
     InsufficientData,
     ModelFit,
     TrialData,
     fit_mle,
+    generate_trial,
     log_likelihood,
     posterior_rate_moments,
+    replication_rng,
 )
+from recruitcast.cli import parse_centre_csv
+from recruitcast.datasets import DEMO_SUMMARY_CENSUS, demo_summary_path
+from recruitcast.model import _Workspace
+from recruitcast.reproduce import reproduction_table
+
+GOLDEN_FIT = Path(__file__).parent / "data" / "fit_demo_summary.json"
 
 
 def _trial(census, exposures, counts):
@@ -67,6 +81,19 @@ def test_log_likelihood_matches_quadrature_oracle():
         assert abs(log_likelihood(alpha, beta, data) - exact) < 1e-6
 
 
+def test_score_matches_its_digamma_form():
+    # counts past the exact-sum limit take the digamma branch of the score;
+    # the closed centre adds nothing
+    exposures, counts = [9.0, 4.0, 2.5, 7.0], [0, 3, 70000, 200000]
+    ws = _Workspace(_trial(9.0, exposures + [0.0], counts + [0]))
+    for alpha, beta in ((0.7, 0.02), (3.0, 1.5), (40.0, 11.0)):
+        d_alpha = sum(math.log(beta / (beta + t)) + special.digamma(alpha + n)
+                      - special.digamma(alpha) for t, n in zip(exposures, counts))
+        d_beta = sum(alpha / beta - (alpha + n) / (beta + t)
+                     for t, n in zip(exposures, counts))
+        assert np.allclose(ws.grad(alpha, beta), [d_alpha, d_beta], rtol=1e-12, atol=0)
+
+
 def test_equal_exposure_ratio_identity():
     rng = np.random.default_rng(32)
     fitted = 0
@@ -99,6 +126,13 @@ def test_under_dispersed_counts_degenerate():
     assert not fit.converged
     ratio = 3.0 / 4.0
     assert abs(fit.alpha_hat / fit.beta_hat - ratio) < 1e-9 * ratio
+
+
+def test_degenerate_fit_sits_on_the_requested_bound():
+    data = _trial(4.0, np.full(30, 4.0), np.full(30, 3))
+    with pytest.raises(DegenerateLikelihood) as info:
+        fit_mle(data, FitOptions(max_log_alpha=20.0))
+    assert info.value.fit.alpha_hat == math.exp(20.0)
 
 
 def test_insufficient_data():
@@ -216,3 +250,124 @@ def test_trial_data_summaries():
     assert data.total_count == 6
     assert np.array_equal(data.exposures, [4.0, 2.0, 0.0])
     assert np.array_equal(data.counts, [5, 1, 0])
+
+
+def _score(data, alpha, beta):
+    ws = _Workspace(data)
+    return float(np.abs(ws.grad_log_scale(math.log(alpha), math.log(beta))).max())
+
+
+def test_demo_golden_is_at_least_as_good_as_the_previous_optimum():
+    # the golden demo fit was recorded by a derivative-free search plus a
+    # Newton polish; the Newton-only fitter must land on the same optimum
+    # with a score no larger
+    old_alpha, old_beta = 2.161483063610766, 0.08196424115157645
+    with open(GOLDEN_FIT) as fh:
+        golden = json.load(fh)
+    data = parse_centre_csv(str(demo_summary_path()), "summary", DEMO_SUMMARY_CENSUS)
+    fit = fit_mle(data)
+    assert (fit.alpha_hat, fit.beta_hat) == (golden["alpha_hat"], golden["beta_hat"])
+    assert _score(data, fit.alpha_hat, fit.beta_hat) <= _score(data, old_alpha, old_beta)
+    assert abs(fit.alpha_hat - old_alpha) <= 1e-12 * old_alpha
+    assert abs(fit.beta_hat - old_beta) <= 1e-12 * old_beta
+
+
+@pytest.mark.parametrize("census, exposures, counts, alpha, beta", [
+    # each start sits where the likelihood is not locally concave; the
+    # references are the earlier Brent and Nelder-Mead fits of these data
+    (5.0, [5.0] * 5, [0, 5, 5, 6, 4], 15.667877914024189, 19.584847392530236),
+    (5.0, [3.189, 1.877, 3.828, 0.23, 2.289, 1.922, 2.438, 0.725],
+     [3, 1, 4, 0, 0, 0, 1, 3], 3.4000110158151333, 4.56747196478692),
+    (5.0, [0.315, 1.361, 0.852, 2.121, 4.171], [9, 20, 18, 60, 103],
+     61.61189518213602, 2.63266894278158),
+])
+def test_fit_recovers_from_a_start_off_the_concave_region(census, exposures,
+                                                           counts, alpha, beta):
+    fit = fit_mle(_trial(census, exposures, counts))
+    assert fit.converged
+    assert fit.iterations <= 10
+    assert abs(fit.alpha_hat - alpha) < 1e-8 * alpha
+    assert abs(fit.beta_hat - beta) < 1e-8 * beta
+
+
+def _replications(table_id, per_row):
+    for _, config in reproduction_table(table_id).rows:
+        for index in range(per_row):
+            yield generate_trial(config, replication_rng(config.seed, index))[1]
+
+
+@pytest.mark.parametrize("table_id, equal", [("2", True), ("3", False), ("F1", False)])
+def test_interior_fits_take_few_newton_steps(table_id, equal):
+    interior = 0
+    for data in _replications(table_id, 30):
+        try:
+            fit = fit_mle(data)
+        except DegenerateLikelihood:
+            continue
+        assert fit.equal_exposures is equal
+        assert fit.converged
+        assert fit.iterations <= 10
+        interior += 1
+    assert interior >= 150
+
+
+def test_near_ridge_replication_converges():
+    # table 3, first row, replication 252: the likelihood is nearly flat
+    # along one direction and the Hessian nearly singular
+    config = reproduction_table("3").rows[0][1]
+    assert config.seed == 97
+    _, data = generate_trial(config, replication_rng(config.seed, 252))
+    fit = fit_mle(data)
+    assert fit.converged
+    assert _score(data, fit.alpha_hat, fit.beta_hat) <= 1e-8
+
+
+def _drawn_trial(seed, centres, equal):
+    """A trial from the model near the paper's design: counts of a few to
+    a few dozen per centre, shape between 1 and 4."""
+    rng = np.random.default_rng(seed)
+    exposures = np.full(centres, 10.0) if equal else rng.uniform(0.5, 10.0, centres)
+    shape = rng.uniform(1.0, 4.0)
+    mean_rate = rng.uniform(0.3, 3.0)
+    rates = rng.gamma(shape, mean_rate / shape, centres)
+    return exposures, rng.poisson(rates * exposures)
+
+
+def _fit_or_none(census, exposures, counts):
+    try:
+        return fit_mle(_trial(census, exposures, counts))
+    except DegenerateLikelihood:
+        return None
+
+
+_PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+
+
+@pytest.mark.parametrize("equal", [True, False])
+@_PROPERTY
+@given(seed=st.integers(0, 2**32 - 1), centres=st.integers(10, 150),
+       scale=st.floats(1e-3, 1e3))
+def test_rescaling_time_rescales_beta(equal, seed, centres, scale):
+    exposures, counts = _drawn_trial(seed, centres, equal)
+    base = _fit_or_none(10.0, exposures, counts)
+    scaled = _fit_or_none(10.0 * scale, exposures * scale, counts)
+    assert (base is None) == (scaled is None)
+    assume(base is not None)
+    assert base.equal_exposures is scaled.equal_exposures is equal
+    assert abs(scaled.alpha_hat - base.alpha_hat) <= 1e-8 * base.alpha_hat
+    assert abs(scaled.beta_hat - scale * base.beta_hat) <= 1e-8 * scale * base.beta_hat
+
+
+@pytest.mark.parametrize("equal", [True, False])
+@_PROPERTY
+@given(seed=st.integers(0, 2**32 - 1), centres=st.integers(10, 150),
+       order_seed=st.integers(0, 2**32 - 1))
+def test_permuting_centres_leaves_the_fit_unchanged(equal, seed, centres, order_seed):
+    exposures, counts = _drawn_trial(seed, centres, equal)
+    order = np.random.default_rng(order_seed).permutation(centres)
+    base = _fit_or_none(10.0, exposures, counts)
+    permuted = _fit_or_none(10.0, exposures[order], counts[order])
+    assert (base is None) == (permuted is None)
+    assume(base is not None)
+    assert abs(permuted.alpha_hat - base.alpha_hat) <= 1e-8 * base.alpha_hat
+    assert abs(permuted.beta_hat - base.beta_hat) <= 1e-8 * base.beta_hat
