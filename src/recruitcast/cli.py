@@ -26,7 +26,6 @@ import numpy as np
 from . import __version__
 from .distributions import NegBinParams, nb_quantile
 from .model import (
-    CentreRecord,
     DegenerateLikelihood,
     InsufficientData,
     TrialData,
@@ -182,6 +181,14 @@ def _read_events(path: str, census_time: float) -> dict[str, tuple[float, list[f
     return centres
 
 
+def _events_trial(centres: dict[str, tuple[float, list[float]]],
+                  census_time: float) -> TrialData:
+    """Trial snapshot from ``_read_events`` output: count = events logged."""
+    return TrialData(census_time,
+                     [census_time - opened for opened, _ in centres.values()],
+                     [len(offsets) for _, offsets in centres.values()], tuple(centres))
+
+
 def parse_centre_csv(path: str, fmt: str, census_time: float) -> TrialData:
     """Load a trial snapshot from a summary or events CSV.
 
@@ -193,7 +200,7 @@ def parse_centre_csv(path: str, fmt: str, census_time: float) -> TrialData:
     if not census_time > 0:
         raise ConfigError(f"census time must be positive, got {census_time}")
     if fmt == "summary":
-        records = []
+        ids, exposures, counts = [], [], []
         seen = set()
         for line, row in _read_rows(path, ("centre_id", "open_time", "count")):
             centre = (row["centre_id"] or "").strip()
@@ -218,16 +225,14 @@ def parse_centre_csv(path: str, fmt: str, census_time: float) -> TrialData:
             if exposure == 0 and count > 0:
                 raise MalformedRow(
                     line, f"centre {centre!r} recruited {count} with zero exposure")
-            records.append(CentreRecord(centre, exposure, count))
-        if not records:
+            ids.append(centre)
+            exposures.append(exposure)
+            counts.append(count)
+        if not ids:
             raise DataError(f"{path} holds no centres")
-        return TrialData(census_time=census_time, centres=tuple(records))
+        return TrialData(census_time, exposures, counts, tuple(ids))
     if fmt == "events":
-        centres = _read_events(path, census_time)
-        records = tuple(
-            CentreRecord(centre, census_time - open_time, len(offsets))
-            for centre, (open_time, offsets) in centres.items())
-        return TrialData(census_time=census_time, centres=records)
+        return _events_trial(_read_events(path, census_time), census_time)
     raise ConfigError(f"unknown format {fmt!r}; expected summary or events")
 
 
@@ -543,10 +548,7 @@ def _cmd_diagnose_qq(args) -> int:
     m = len(window_counts)
     if m < 5:
         raise DataError(f"only {m} centres exposed for the full window; need 5")
-    records = tuple(CentreRecord(cid, args.census - opened, len(offsets))
-                    for cid, (opened, offsets) in centres.items())
-    data = TrialData(census_time=args.census, centres=records)
-    fit = fit_mle(data)
+    fit = fit_mle(_events_trial(centres, args.census))
     law = NegBinParams(size=fit.alpha_hat,
                        prob=args.window / (fit.beta_hat + args.window))
     rows = []
@@ -560,6 +562,16 @@ def _cmd_diagnose_qq(args) -> int:
     _emit_csv(["theoretical_quantile", "empirical_quantile"], rows,
               manifest, args.out)
     return EXIT_OK
+
+
+def _worker_count(raw: str) -> int:
+    try:
+        value = int(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {raw!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _add_input_arguments(parser) -> None:
@@ -599,8 +611,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--seed", type=int, default=None)
     p_sim.add_argument("--reps", type=int, default=None,
                        help="replications per row (default 2000)")
-    p_sim.add_argument("--threads", type=int, default=1,
-                       help="worker processes; results do not depend on this")
+    p_sim.add_argument("--threads", type=_worker_count, default=1,
+                       help="worker processes, at most one per CPU; "
+                       "results do not depend on this")
     p_sim.add_argument("--out", default=None)
     p_sim.set_defaults(func=_cmd_simulate)
 
@@ -613,7 +626,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="replications for the empirical density (default 20000)")
     p_cur.add_argument("--seed", type=int, default=None)
     p_cur.add_argument("--grid", type=int, default=401, help="grid points on (0, 1)")
-    p_cur.add_argument("--threads", type=int, default=1)
+    p_cur.add_argument("--threads", type=_worker_count, default=1,
+                       help="worker processes, at most one per CPU")
     p_cur.add_argument("--out", default=None)
     p_cur.set_defaults(func=_cmd_curves)
 

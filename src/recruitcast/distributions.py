@@ -4,7 +4,8 @@ Covers the four families the rest of the package needs: gamma and Poisson
 for the data-generating process, negative binomial with real-valued size
 for predicted counts, and Pearson type VI for predicted waiting times.
 CDFs are built on the regularized incomplete beta/gamma functions;
-discrete quantiles invert the CDF by bracketing and bisection.
+discrete quantiles invert the CDF by bracketing from the normal
+approximation and bisecting.
 """
 
 from __future__ import annotations
@@ -41,6 +42,10 @@ _TINY_SIZE = 1e-3
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise ValueError(message)
+
+
+def _require_level(q: float) -> None:
+    _require(0.0 < q < 1.0, f"quantile level must lie in (0, 1), got {q}")
 
 
 @dataclass(frozen=True)
@@ -165,22 +170,40 @@ def nb_cdf(k: float, params: NegBinParams) -> float:
 
 
 def nb_quantile(q: float, params: NegBinParams) -> int:
-    """Smallest integer k with nb_cdf(k) >= q, for q in (0, 1).
+    """Smallest integer k with nb_cdf(k) >= q, for q in (0, 1)."""
+    _require_level(q)
+    return _discrete_quantile(lambda k: nb_cdf(k, params), q,
+                              params.mean, math.sqrt(params.variance))
 
-    Brackets exponentially starting from the mean, then bisects.
+
+def _discrete_quantile(cdf, q: float, mean: float, sd: float) -> int:
+    """Smallest integer k >= 0 with cdf(k) >= q, for a non-decreasing cdf.
+
+    Starts from the normal approximation floor(mean + sd invPhi(q)),
+    brackets the answer with steps of ceil(sd / 2) that double each time
+    they fall short, then bisects.
     """
-    if not 0.0 < q < 1.0:
-        raise ValueError(f"quantile level must lie in (0, 1), got {q}")
-    if nb_cdf(0, params) >= q:
-        return 0
-    lo = 0  # invariant: cdf(lo) < q
-    hi = max(1, math.ceil(params.mean))
-    while nb_cdf(hi, params) < q:
-        lo = hi
-        hi *= 2
+    start = max(0, math.floor(mean + sd * special.ndtri(q)))
+    width = max(1, math.ceil(sd / 2.0))
+    # bracket so that cdf(lo) < q <= cdf(hi), taking cdf(-1) = 0
+    if cdf(start) >= q:
+        hi = start
+        lo = hi - width
+        while lo >= 0 and cdf(lo) >= q:
+            hi = lo
+            width *= 2
+            lo = hi - width
+        lo = max(lo, -1)
+    else:
+        lo = start
+        hi = lo + width
+        while cdf(hi) < q:
+            lo = hi
+            width *= 2
+            hi = lo + width
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if nb_cdf(mid, params) >= q:
+        if cdf(mid) >= q:
             hi = mid
         else:
             lo = mid
@@ -197,8 +220,7 @@ def pearson6_cdf(x: float, params: Pearson6Params) -> float:
 
 def pearson6_quantile(q: float, params: Pearson6Params) -> float:
     """Inverse of pearson6_cdf on (0, 1)."""
-    if not 0.0 < q < 1.0:
-        raise ValueError(f"quantile level must lie in (0, 1), got {q}")
+    _require_level(q)
     z = float(special.betaincinv(params.shape_num, params.shape_den, q))
     return params.scale * z / (1.0 - z)
 
@@ -212,8 +234,7 @@ def gamma_cdf(x: float, params: GammaParams) -> float:
 
 def gamma_quantile(q: float, params: GammaParams) -> float:
     """Inverse of gamma_cdf on (0, 1)."""
-    if not 0.0 < q < 1.0:
-        raise ValueError(f"quantile level must lie in (0, 1), got {q}")
+    _require_level(q)
     return float(special.gammaincinv(params.shape, q)) / params.rate
 
 
@@ -229,22 +250,10 @@ def poisson_cdf(k: float, mean: float) -> float:
 
 def poisson_quantile(q: float, mean: float) -> int:
     """Smallest integer k with poisson_cdf(k) >= q, for q in (0, 1)."""
-    if not 0.0 < q < 1.0:
-        raise ValueError(f"quantile level must lie in (0, 1), got {q}")
-    if poisson_cdf(0, mean) >= q:
-        return 0
-    lo = 0  # invariant: cdf(lo) < q
-    hi = max(1, math.ceil(mean))
-    while poisson_cdf(hi, mean) < q:
-        lo = hi
-        hi *= 2
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if poisson_cdf(mid, mean) >= q:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    _require_level(q)
+    _require(mean > 0 and math.isfinite(mean),
+             f"Poisson mean must be positive and finite, got {mean}")
+    return _discrete_quantile(lambda k: poisson_cdf(k, mean), q, mean, math.sqrt(mean))
 
 
 def sample_gamma(params: GammaParams, rng: np.random.Generator, size=None):

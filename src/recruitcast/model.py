@@ -1,5 +1,9 @@
 """Trial data containers and maximum-likelihood fitting.
 
+A trial snapshot, ``TrialData``, holds validated read-only arrays of
+per-centre exposures and counts, with optional centre ids;
+``CentreRecord`` is the one-centre view of it.
+
 Centre c holds a gamma(alpha, beta) recruitment rate (shape/rate); its
 count over an exposure window t_c is Poisson(rate * t_c).  Integrating the
 rates out gives the marginal log-likelihood
@@ -19,7 +23,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -48,6 +51,7 @@ _SAFE_GRADIENT = 1e-4
 # Leading terms of digamma(a + n) - digamma(a) = sum_{j < n} 1 / (a + j)
 # that the score sums one by one; digamma takes only what lies beyond.
 _EXACT_RISE_TERMS = 1 << 16
+_EPS = float(np.finfo(float).eps)
 
 
 class ModelError(Exception):
@@ -90,45 +94,80 @@ class CentreRecord:
                 f"centre {self.centre_id!r} has count {self.count} with zero exposure")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TrialData:
-    """Snapshot of a multi-centre trial at its census time."""
+    """Snapshot of a multi-centre trial at its census time.
+
+    ``exposures`` (float64) and ``counts`` (int64) hold one entry per
+    centre, as read-only copies of what the caller passed, so later
+    changes to the caller's arrays never reach the snapshot.  ``ids`` is
+    an optional tuple of centre names; without it the centres are named
+    ``centre_1``, ``centre_2``, ... in ``centres``.  Construction checks
+    every centre at once: exposures finite and non-negative and at most
+    the census time, counts non-negative integers, no count without
+    exposure, matching lengths and at least one centre.
+    """
 
     census_time: float
-    centres: tuple[CentreRecord, ...]
+    exposures: np.ndarray
+    counts: np.ndarray
+    ids: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "centres", tuple(self.centres))
-        if not (math.isfinite(self.census_time) and self.census_time > 0):
-            raise ValueError(f"census_time must be positive, got {self.census_time}")
-        if len(self.centres) == 0:
+        census_time = float(self.census_time)
+        if not (math.isfinite(census_time) and census_time > 0):
+            raise ValueError(f"census_time must be positive, got {census_time}")
+        exposures = np.array(self.exposures, dtype=float)
+        counts = np.asarray(self.counts)
+        ids = None if self.ids is None else tuple(str(cid) for cid in self.ids)
+        if exposures.ndim != 1 or counts.shape != exposures.shape:
+            raise ValueError(f"exposures and counts must be 1-d and of equal length, "
+                             f"got shapes {exposures.shape} and {counts.shape}")
+        if ids is not None and len(ids) != exposures.size:
+            raise ValueError(f"{len(ids)} ids for {exposures.size} centres")
+        if exposures.size == 0:
             raise ValueError("at least one centre is required")
-        for rec in self.centres:
-            if rec.exposure > self.census_time:
-                raise ValueError(
-                    f"centre {rec.centre_id!r} exposure {rec.exposure} exceeds "
-                    f"census time {self.census_time}")
+
+        def reject(bad: np.ndarray, rule: str, values: np.ndarray) -> None:
+            if bad.any():
+                i = int(np.argmax(bad))
+                name = ids[i] if ids is not None else f"centre_{i + 1}"
+                raise ValueError(f"centre {name!r}: {rule}, got {values[i]}")
+
+        reject(~(np.isfinite(exposures) & (exposures >= 0)),
+               "exposure must be finite and >= 0", exposures)
+        if counts.dtype.kind == "f":
+            reject(~np.isfinite(counts) | (counts != np.floor(counts)),
+                   "count must be an integer", counts)
+        elif counts.dtype.kind not in "biu":
+            raise ValueError(f"counts must be integers, got dtype {counts.dtype}")
+        counts = counts.astype(np.int64)
+        reject(counts < 0, "count must be non-negative", counts)
+        reject((exposures == 0) & (counts != 0), "positive count at zero exposure", counts)
+        reject(exposures > census_time, f"exposure exceeds census time {census_time}",
+               exposures)
+        exposures.flags.writeable = False
+        counts.flags.writeable = False
+        object.__setattr__(self, "census_time", census_time)
+        object.__setattr__(self, "exposures", exposures)
+        object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "ids", ids)
 
     @classmethod
     def from_arrays(cls, census_time: float, exposures: Sequence[float],
                     counts: Sequence[int], ids: Sequence[str] | None = None) -> "TrialData":
-        if ids is None:
-            ids = [f"centre_{i + 1}" for i in range(len(exposures))]
-        records = tuple(CentreRecord(str(cid), float(t), int(n))
-                        for cid, t, n in zip(ids, exposures, counts, strict=True))
-        return cls(census_time=float(census_time), centres=records)
+        return cls(census_time, exposures, counts, ids)
 
     @property
     def num_centres(self) -> int:
-        return len(self.centres)
+        return self.exposures.size
 
-    @cached_property
-    def exposures(self) -> np.ndarray:
-        return np.array([rec.exposure for rec in self.centres], dtype=float)
-
-    @cached_property
-    def counts(self) -> np.ndarray:
-        return np.array([rec.count for rec in self.centres], dtype=np.int64)
+    @property
+    def centres(self) -> tuple[CentreRecord, ...]:
+        """One record per centre, built on each access."""
+        ids = self.ids or [f"centre_{i + 1}" for i in range(self.num_centres)]
+        return tuple(CentreRecord(cid, float(t), int(n))
+                     for cid, t, n in zip(ids, self.exposures, self.counts))
 
     @property
     def total_count(self) -> int:
@@ -182,19 +221,33 @@ class _Workspace:
         opened = data.exposures > 0
         # closed centres hold zero counts, so every likelihood term they
         # would add cancels exactly; drop them once here
-        self.num_open = int(opened.sum())
+        self.num_open = int(np.count_nonzero(opened))
         self.exposures = data.exposures[opened]
         counts = data.counts[opened]
         self.counts = counts.astype(float)
-        self.total_count = int(data.counts.sum())
-        values, mult = np.unique(counts, return_counts=True)
+        self.total_count = int(counts.sum())
+        # one tally of the counts, with everything past the exact-sum limit
+        # in its last bin: the distinct values and their multiplicities,
+        # the sum of squared counts, and the weight of 1 / (a + j) in the
+        # score, which is the number of centres counting past j
+        tally = np.bincount(np.minimum(counts, _EXACT_RISE_TERMS + 1))
+        exact = tally[:_EXACT_RISE_TERMS + 1]
+        values = np.flatnonzero(exact)
+        mult = exact[values]
+        # v^2 m stays far inside int64 below the limit; Python integers
+        # take the rare counts past it
+        self.sum_count_sq = int(np.dot(values * values, mult))
+        if tally.size > _EXACT_RISE_TERMS + 1:
+            big, big_mult = np.unique(counts[counts > _EXACT_RISE_TERMS],
+                                      return_counts=True)
+            self.sum_count_sq += sum(int(v) ** 2 * int(m) for v, m in zip(big, big_mult))
+            values = np.concatenate([values, big])
+            mult = np.concatenate([mult, big_mult])
         self.count_values = values.astype(float)
         self.count_mult = mult.astype(float)
-        # weight of 1 / (a + j) in the score: the number of centres counting
-        # past j, up to the exact-sum limit
-        tally = np.bincount(np.minimum(counts, _EXACT_RISE_TERMS))
-        self.rise_weights = (self.num_open - np.cumsum(tally[:-1])).astype(float)
-        self.rise_offsets = np.arange(self.rise_weights.size, dtype=float)
+        rises = min(tally.size - 1, _EXACT_RISE_TERMS)
+        self.rise_weights = (self.num_open - np.cumsum(tally[:rises])).astype(float)
+        self.rise_offsets = np.arange(rises, dtype=float)
         beyond = self.count_values > _EXACT_RISE_TERMS
         self.beyond_values = self.count_values[beyond]
         self.beyond_mult = self.count_mult[beyond]
@@ -206,7 +259,8 @@ class _Workspace:
             self.num_open > 0
             and (self.exposures.max() - self.exposures.min())
             <= _RELATIVE_EXPOSURE_TOL * self.exposures.max())
-        self.common_exposure = float(self.exposures.mean()) if self.equal_exposures else None
+        self.common_exposure = (self.total_exposure / self.num_open
+                                if self.equal_exposures else None)
 
     # The likelihood and its score are sums of per-centre differences such
     # as log(b + t) - log(b) = log1p(t / b), not differences of sums: on a
@@ -285,12 +339,23 @@ class _Workspace:
         finite bound, i.e. the counts show no over-dispersion and the fit
         degenerates.  Evaluating K from the data sidesteps the float
         cancellation that swamps direct likelihood comparisons at huge
-        alpha.
+        alpha.  K can be exactly zero, and then its float value is a
+        rounding residue of either sign.  With C equal exposures the sign
+        of K is that of the integer C sum(n^2) - n^2 - C n, evaluated
+        exactly; otherwise a K no larger than the rounding error of its
+        three terms counts as zero.
         """
-        ratio = self.total_count / self.total_exposure
-        pair_terms = float(np.dot(self.counts, self.counts - 1.0)) / 2.0
-        return (ratio**2 * self.sum_exposure_sq / 2.0
-                - ratio * self.sum_count_exposure + pair_terms)
+        n = self.total_count
+        if self.equal_exposures:
+            c = self.num_open
+            return (c * self.sum_count_sq - n * n - c * n) / (2.0 * c)
+        ratio = n / self.total_exposure
+        terms = (ratio**2 * self.sum_exposure_sq / 2.0,
+                 -ratio * self.sum_count_exposure,
+                 (self.sum_count_sq - n) / 2.0)
+        k = terms[0] + terms[1] + terms[2]
+        rounding = (self.num_open + 2) * _EPS * sum(abs(term) for term in terms)
+        return 0.0 if abs(k) <= rounding else k
 
 
 def _moment_start(ws: _Workspace) -> tuple[float, float]:

@@ -12,6 +12,7 @@ processes; aggregation always runs in replication order.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
@@ -360,9 +361,20 @@ def _chunk_bounds(total: int, workers: int) -> list[tuple[int, int]]:
     return [(start, min(start + size, total)) for start in range(0, total, size)]
 
 
-def _run_replications(chunk_fn, total: int, workers: int) -> list:
+def _worker_plan(total: int, requested: int) -> tuple[int, list[tuple[int, int]]]:
+    """Processes to start and the replication chunks they share.
+
+    No more processes than requested, than CPUs, or than chunks, however
+    large the request: a worker count must never fork the machine to death.
+    """
+    workers = max(1, min(requested, os.cpu_count() or 1))
     bounds = _chunk_bounds(total, workers)
-    if workers <= 1 or len(bounds) <= 1:
+    return min(workers, len(bounds)), bounds
+
+
+def _run_replications(chunk_fn, total: int, workers: int) -> list:
+    workers, bounds = _worker_plan(total, workers)
+    if workers == 1:
         results = []
         for b in bounds:
             results.extend(chunk_fn(b))

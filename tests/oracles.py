@@ -5,6 +5,8 @@ adaptive quadrature, everything in extended precision via mpmath.  Nothing
 here imports the package under test.
 """
 
+import math
+
 import mpmath as mp
 
 mp.mp.dps = 40
@@ -97,3 +99,23 @@ def marginal_log_likelihood(alpha, beta, exposures, counts):
         marginal = mp.quad(integrand, [0, mode, mp.inf])
         total += mp.log(marginal) - n * mp.log(t) + mp.log(mp.factorial(n))
     return total
+
+
+def exponential_bracket_quantile(cdf, q, mean):
+    """Smallest integer k with cdf(k) >= q: the search the package used
+    before its normal-started bracket.  Doubles an upper end from the
+    mean, then bisects; ``cdf`` is passed in by the caller."""
+    if cdf(0) >= q:
+        return 0
+    lo = 0  # invariant: cdf(lo) < q
+    hi = max(1, math.ceil(mean))
+    while cdf(hi) < q:
+        lo = hi
+        hi *= 2
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if cdf(mid) >= q:
+            hi = mid
+        else:
+            lo = mid
+    return hi

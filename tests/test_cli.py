@@ -2,6 +2,7 @@
 
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -387,6 +388,26 @@ def test_simulate_threads_do_not_change_bytes(tmp_path, capsys):
     assert run(capsys, "simulate", "--config", str(config), "--threads", "2",
                "--out", str(threaded))[0] == 0
     assert serial.read_bytes() == threaded.read_bytes()
+
+
+@pytest.mark.parametrize("table_id", ["2", "3", "4", "D4"])
+def test_simulate_table_matches_golden_bytes(capsys, table_id):
+    # 1-D and 2-D fit paths, closed centres (table 4), a time objective
+    # (D4) and boundary intervals (a degenerate fit in each first row)
+    golden = Path(__file__).parent / "data" / f"simulate_table_{table_id}_reps20_seed5.csv"
+    code, out, _ = run(capsys, "simulate", "--table", table_id,
+                       "--reps", "20", "--seed", "5")
+    assert code == 0
+    assert out == golden.read_text()
+
+
+@pytest.mark.parametrize("threads", ["0", "-3", "two"])
+def test_simulate_rejects_a_thread_count_below_one(capsys, threads):
+    code, out, err = run(capsys, "simulate", "--table", "2", "--reps", "2",
+                         "--threads", threads)
+    assert code == 4
+    assert out == ""
+    assert "--threads" in err
 
 
 def test_repeat_runs_byte_identical_on_stdout(capsys):

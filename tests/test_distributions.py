@@ -4,8 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
+from recruitcast import distributions
 from recruitcast import (
     GammaParams,
     NegBinParams,
@@ -196,6 +199,83 @@ def test_poisson_quantile_is_smallest_k_reaching_q():
     for bad in (0.0, 1.0):
         with pytest.raises(ValueError):
             poisson_quantile(bad, 5.0)
+
+
+_SEARCH = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+
+# levels spread over (0, 1) and pressed against both ends
+_LEVELS = st.one_of(
+    st.floats(1e-6, 1.0 - 1e-6),
+    st.floats(1e-300, 1e-6),
+    st.floats(1e-15, 1e-6).map(lambda gap: 1.0 - gap),
+)
+
+
+def _log_uniform(low, high):
+    return st.floats(math.log10(low), math.log10(high)).map(lambda x: 10.0 ** x)
+
+
+@_SEARCH
+@given(q=_LEVELS, mean=_log_uniform(1e-6, 1e4))
+def test_poisson_quantile_equals_the_exponential_bracket_search(q, mean):
+    expected = oracles.exponential_bracket_quantile(
+        lambda k: poisson_cdf(k, mean), q, mean)
+    assert poisson_quantile(q, mean) == expected
+
+
+_BETAINC_LAWS = st.builds(
+    NegBinParams, _log_uniform(1e-3, 1e4),
+    st.one_of(_log_uniform(1e-12, 1e-3), st.floats(1e-3, 0.999),
+              _log_uniform(1e-10, 1e-3).map(lambda gap: 1.0 - gap)))
+# Size below 1e-3 takes the pmf-sum branch, whose cost grows with the
+# quantile; prob up to 0.999 keeps that below a few tens of thousands.
+# Its summed cdf is resolved only to about 1e-14 near 1: closer to 1 the
+# smallest k reaching q depends on the order k is probed in, and a level
+# the sum never reaches sends any search doubling without end.
+_PMF_SUM_LAWS = st.builds(NegBinParams, _log_uniform(1e-6, 9.99e-4),
+                          st.floats(1e-12, 0.999))
+_PMF_SUM_LEVELS = st.one_of(st.floats(1e-300, 1.0 - 1e-6),
+                            st.floats(1e-12, 1e-6).map(lambda gap: 1.0 - gap))
+
+
+_NB_CASES = st.one_of(st.tuples(_LEVELS, _BETAINC_LAWS),
+                      st.tuples(_PMF_SUM_LEVELS, _PMF_SUM_LAWS))
+
+
+@_SEARCH
+@given(case=_NB_CASES)
+def test_nb_quantile_equals_the_exponential_bracket_search(case):
+    q, law = case
+    expected = oracles.exponential_bracket_quantile(
+        lambda k: nb_cdf(k, law), q, law.mean)
+    assert nb_quantile(q, law) == expected
+
+
+@_SEARCH
+@given(case=_NB_CASES)
+def test_nb_quantile_lands_where_the_cdf_crosses_q(case):
+    q, law = case
+    k = nb_quantile(q, law)
+    assert nb_cdf(k, law) >= q
+    assert k == 0 or nb_cdf(k - 1, law) < q
+
+
+def test_nb_quantile_reads_nb_cdf_from_the_module_a_few_times(monkeypatch):
+    calls = []
+
+    def counted(k, params):
+        calls.append(k)
+        return cdf(k, params)
+
+    cdf = distributions.nb_cdf
+    monkeypatch.setattr(distributions, "nb_cdf", counted)
+    # a pooled law like the tables', then a heavy tail far from normal
+    for law, q, most in ((NegBinParams(302.0, 200.0 / 550.0), 0.95, 8),
+                         (NegBinParams(0.05, 1.0 - 1e-6), 1.0 - 1e-9, 80)):
+        calls.clear()
+        k = nb_quantile(q, law)
+        assert cdf(k, law) >= q > cdf(k - 1, law)
+        assert 0 < len(calls) <= most
 
 
 def test_randomized_cdfs_match_oracles():

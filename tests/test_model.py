@@ -26,7 +26,7 @@ from recruitcast import (
 )
 from recruitcast.cli import parse_centre_csv
 from recruitcast.datasets import DEMO_SUMMARY_CENSUS, demo_summary_path
-from recruitcast.model import _Workspace
+from recruitcast.model import _EXACT_RISE_TERMS, _Workspace
 from recruitcast.reproduce import reproduction_table
 
 GOLDEN_FIT = Path(__file__).parent / "data" / "fit_demo_summary.json"
@@ -186,8 +186,7 @@ def test_posterior_rate_moments():
     assert abs(mean - 1.75) < 1e-12
     assert abs(variance - 0.8125) < 1e-12
 
-    prior_only = TrialData(census_time=1.0,
-                           centres=(CentreRecord("a", 0.0, 0),))
+    prior_only = TrialData.from_arrays(1.0, [0.0], [0], ["a"])
     fit = ModelFit(alpha_hat=1.3, beta_hat=0.9, log_lik=0.0, converged=True,
                    iterations=1)
     mean, variance = posterior_rate_moments(prior_only, fit)
@@ -235,9 +234,9 @@ def test_record_validation():
     with pytest.raises(ValueError):
         CentreRecord("a", 1.0, -1)
     with pytest.raises(ValueError):
-        TrialData(census_time=0.0, centres=(CentreRecord("a", 0.0, 0),))
+        TrialData.from_arrays(0.0, [0.0], [0], ["a"])
     with pytest.raises(ValueError):
-        TrialData(census_time=1.0, centres=())
+        TrialData.from_arrays(1.0, [], [])
     with pytest.raises(ValueError):
         _trial(1.0, [2.0], [1])  # exposure beyond census
     with pytest.raises(ValueError):
@@ -371,3 +370,136 @@ def test_permuting_centres_leaves_the_fit_unchanged(equal, seed, centres, order_
     assume(base is not None)
     assert abs(permuted.alpha_hat - base.alpha_hat) <= 1e-8 * base.alpha_hat
     assert abs(permuted.beta_hat - base.beta_hat) <= 1e-8 * base.beta_hat
+
+
+@pytest.mark.parametrize("equal", [True, False])
+@_PROPERTY
+@given(seed=st.integers(0, 2**32 - 1), centres=st.integers(2, 150),
+       closed=st.integers(1, 20), place_seed=st.integers(0, 2**32 - 1))
+def test_closed_centres_leave_the_fit_bit_identical(equal, seed, centres, closed,
+                                                     place_seed):
+    exposures, counts = _drawn_trial(seed, centres, equal)
+    # closed centres slotted in anywhere, open centres kept in order
+    slots = np.sort(np.random.default_rng(place_seed).integers(0, centres + 1, closed))
+    padded_exposures = np.insert(exposures, slots, 0.0)
+    padded_counts = np.insert(counts, slots, 0)
+
+    def outcome(e, n):
+        try:
+            return fit_mle(_trial(10.0, e, n))
+        except (DegenerateLikelihood, InsufficientData) as exc:
+            return type(exc), getattr(exc, "fit", None)
+
+    assert outcome(padded_exposures, padded_counts) == outcome(exposures, counts)
+
+
+def _bad_trials():
+    good_exposures, good_counts = [4.0, 2.0, 0.0], [3, 1, 0]
+    for name, value in (("census", 0.0), ("census", -1.0), ("census", math.nan),
+                        ("census", math.inf)):
+        yield name, value, good_exposures, good_counts
+    for bad in (-1.0, math.nan, math.inf, -math.inf, 4.5):
+        yield "exposure", bad, [4.0, bad, 0.0], good_counts
+    for bad in (-1, 1.5, math.nan, math.inf, "2"):
+        yield "count", bad, good_exposures, [3, bad, 0]
+    yield "count at zero exposure", None, good_exposures, [3, 1, 2]
+    yield "lengths", None, good_exposures, [3, 1]
+    yield "lengths", None, [4.0, 2.0], good_counts
+    yield "no centres", None, [], []
+    yield "2-d", None, [good_exposures], [good_counts]
+
+
+@pytest.mark.parametrize("what, value, exposures, counts", list(_bad_trials()))
+def test_trial_data_rejects_bad_input(what, value, exposures, counts):
+    census = value if what == "census" else 4.0
+    with pytest.raises(ValueError):
+        TrialData.from_arrays(census, exposures, counts)
+
+
+def test_trial_data_rejects_ids_of_the_wrong_length():
+    with pytest.raises(ValueError):
+        TrialData.from_arrays(4.0, [4.0, 2.0], [3, 1], ["a"])
+
+
+@_PROPERTY
+@given(exposures=st.lists(st.floats(0.0, 10.0), min_size=1, max_size=30),
+       data=st.data())
+def test_trial_data_snapshot_ignores_later_changes_to_its_inputs(exposures, data):
+    counts = [0 if t == 0 else data.draw(st.integers(0, 50)) for t in exposures]
+    exposure_array = np.array(exposures)
+    count_array = np.array(counts)
+    trial = TrialData.from_arrays(10.0, exposure_array, count_array)
+    exposure_array[:] = 99.0
+    count_array[:] = -5
+    assert trial.exposures.tolist() == exposures
+    assert trial.counts.tolist() == counts
+    assert trial.exposures.dtype == np.float64 and trial.counts.dtype == np.int64
+    with pytest.raises(ValueError):
+        trial.exposures[0] = 1.0
+    with pytest.raises(ValueError):
+        trial.counts[0] = 1
+
+
+def test_centre_records_are_a_view_of_the_arrays():
+    named = TrialData.from_arrays(4.0, [4.0, 0.0], [3, 0], ["north", "south"])
+    assert named.centres == (CentreRecord("north", 4.0, 3), CentreRecord("south", 0.0, 0))
+    unnamed = TrialData.from_arrays(4.0, np.array([4.0, 2.0]), np.array([3, 1]))
+    assert [c.centre_id for c in unnamed.centres] == ["centre_1", "centre_2"]
+    assert all(type(c.exposure) is float and type(c.count) is int
+               for c in unnamed.centres)
+
+
+def test_workspace_tally_matches_unique_and_bincount():
+    # reference: distinct values from np.unique, rise weights from a
+    # bincount clipped at the exact-sum limit
+    limit = _EXACT_RISE_TERMS
+    rng = np.random.default_rng(37)
+    for scale, edge in ((0.5, []), (3.0, []), (40.0, [limit - 1, limit]),
+                        (1e5, [limit - 1, limit, limit + 1])):
+        counts = rng.poisson(rng.gamma(1.0, scale, 60))
+        counts[:len(edge)] = edge
+        exposures = rng.uniform(0.5, 10.0, 60)
+        exposures[counts == 0] = 0.0
+        ws = _Workspace(_trial(10.0, exposures, counts))
+        opened = counts[exposures > 0]
+        values, mult = np.unique(opened, return_counts=True)
+        tally = np.bincount(np.minimum(opened, limit))
+        weights = (opened.size - np.cumsum(tally[:-1])).astype(float)
+        for got, want in ((ws.count_values, values.astype(float)),
+                          (ws.count_mult, mult.astype(float)),
+                          (ws.rise_weights, weights),
+                          (ws.rise_offsets, np.arange(weights.size, dtype=float))):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert ws.sum_count_sq == sum(int(n) ** 2 for n in opened)
+
+
+def test_equal_exposure_tail_statistic_is_exact():
+    # C sum(n^2) - n^2 - C n = 3 with counts near 1e10, so K = 3 / (2 C);
+    # the three float terms are near 1e20 and their rounding near 1e4
+    spread = 200001
+    total = (spread * spread - 3) // 2
+    counts = [(total + spread) // 2, (total - spread) // 2]
+    ws = _Workspace(_trial(10.0, [5.0, 5.0], counts))
+    assert ws.tail_statistic() == 0.75
+
+
+@pytest.mark.parametrize("exposures, counts", [
+    # K = 0 exactly; in floats it reads 2e-16, 4e-15 and 1.4e-14
+    ([5.0, 5.0], [2, 0]),
+    ([5.0, 5.0], [6, 2]),
+    ([2.5, 10.0, 10.0], [5, 5, 8]),
+])
+def test_exactly_zero_tail_statistic_is_degenerate(exposures, counts):
+    with pytest.raises(DegenerateLikelihood):
+        fit_mle(_trial(10.0, exposures, counts))
+
+
+@pytest.mark.parametrize("exposures, counts", [
+    ([5.0, 5.0], [9, 1]),
+    ([2.5, 10.0, 10.0], [9, 1, 8]),
+])
+def test_over_dispersed_pair_stays_interior(exposures, counts):
+    fit = fit_mle(_trial(10.0, exposures, counts))
+    assert fit.converged
+    assert not fit.degenerate
+    assert fit.alpha_hat < 1e3

@@ -1,6 +1,7 @@
 """Trial generation, exact coverage, and the repeated-sampling studies."""
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -33,6 +34,7 @@ from recruitcast import (
     quantile_probability_study,
     replication_rng,
 )
+from recruitcast.simulate import _worker_plan
 
 
 def _config(**overrides):
@@ -214,6 +216,18 @@ def test_coverage_study_parallel_bit_identical():
     config = _config(centres=30, census_time=50.0, horizon=50.0,
                      schedule=UniformOnCensus(), replications=24, seed=106)
     assert coverage_study(config, workers=1) == coverage_study(config, workers=3)
+
+
+def test_worker_plan_caps_a_huge_request():
+    # the plan is pure arithmetic: no process starts here
+    cpus = os.cpu_count() or 1
+    for total in (1, 3, 2000):
+        workers, bounds = _worker_plan(total, 10**12)
+        assert 1 <= workers <= min(cpus, total)
+        assert workers <= len(bounds)
+        assert [i for start, stop in bounds for i in range(start, stop)] == list(range(total))
+    assert _worker_plan(2000, 1) == (1, [(0, 2000)])
+    assert _worker_plan(2000, 0)[0] == 1
 
 
 def test_coverage_study_counts_degenerate_fits():
