@@ -25,21 +25,15 @@ from .distributions import (
     Pearson6Params,
     gamma_cdf,
     gamma_quantile,
-    log_gamma,
     nb_cdf,
-    nb_pmf,
     nb_quantile,
     pearson6_cdf,
     pearson6_quantile,
     poisson_cdf,
     poisson_quantile,
-    sample_gamma,
-    sample_poisson,
 )
 from .model import (
-    CentreRecord,
     DegenerateLikelihood,
-    FitOptions,
     InsufficientData,
     ModelError,
     ModelFit,

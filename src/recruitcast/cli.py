@@ -18,6 +18,7 @@ import csv
 import io
 import json
 import sys
+from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -318,6 +319,11 @@ def _cmd_fit(args) -> int:
     return EXIT_OK
 
 
+def _refuse_stalled_fit(fit) -> int:
+    print(f"fit did not converge after {fit.iterations} steps", file=sys.stderr)
+    return EXIT_DEGENERATE
+
+
 def _interval_payload(interval) -> dict:
     return {
         "lower": interval.lower,
@@ -331,12 +337,11 @@ def _cmd_predict(args) -> int:
     data = _load_trial(args)
     fit = fit_mle(data)
     if not fit.converged:
-        print(f"fit did not converge after {fit.iterations} steps", file=sys.stderr)
-        return EXIT_DEGENERATE
+        return _refuse_stalled_fit(fit)
     pool = pool_centres(data, fit)
     request = PredictionRequest(objective=args.objective, horizon=args.horizon,
                                 level=args.level, adjusted=False)
-    plain = prediction_interval(data, fit, request)
+    plain = prediction_interval(pool, fit, request)
     if args.objective == COUNT:
         law = predictive_count_law(pool, args.horizon)
         law_payload = {"family": "negative_binomial", "size": law.size, "prob": law.prob}
@@ -361,9 +366,7 @@ def _cmd_predict(args) -> int:
         "adjusted": None,
     }
     if args.adjusted:
-        widened = prediction_interval(data, fit, PredictionRequest(
-            objective=args.objective, horizon=args.horizon,
-            level=args.level, adjusted=True))
+        widened = prediction_interval(pool, fit, replace(request, adjusted=True))
         payload["adjusted"] = _interval_payload(widened)
     payload["manifest"] = _manifest("predict", {
         "input": args.input, "format": args.format, "census": args.census,
@@ -549,6 +552,8 @@ def _cmd_diagnose_qq(args) -> int:
     if m < 5:
         raise DataError(f"only {m} centres exposed for the full window; need 5")
     fit = fit_mle(_events_trial(centres, args.census))
+    if not fit.converged:
+        return _refuse_stalled_fit(fit)
     law = NegBinParams(size=fit.alpha_hat,
                        prob=args.window / (fit.beta_hat + args.window))
     rows = []

@@ -20,8 +20,6 @@ __all__ = [
     "GammaParams",
     "NegBinParams",
     "Pearson6Params",
-    "log_gamma",
-    "nb_pmf",
     "nb_cdf",
     "nb_quantile",
     "pearson6_cdf",
@@ -30,8 +28,6 @@ __all__ = [
     "gamma_quantile",
     "poisson_cdf",
     "poisson_quantile",
-    "sample_gamma",
-    "sample_poisson",
 ]
 
 # Below this size the betainc route loses accuracy (its first parameter is
@@ -130,25 +126,6 @@ class Pearson6Params:
         return self.scale**2 * a * (a + b - 1.0) / ((b - 1.0) ** 2 * (b - 2.0))
 
 
-def log_gamma(x: float) -> float:
-    """Natural log of the gamma function; requires x > 0."""
-    if not (x > 0 and math.isfinite(x)):
-        raise ValueError(f"log_gamma requires finite x > 0, got {x}")
-    return float(special.gammaln(x))
-
-
-def nb_pmf(k: int, params: NegBinParams) -> float:
-    """Probability mass at integer k (0 for negative k)."""
-    k = math.floor(k)
-    if k < 0:
-        return 0.0
-    log_mass = (special.gammaln(params.size + k) - special.gammaln(params.size)
-                - special.gammaln(k + 1.0)
-                + k * math.log(params.prob)
-                + params.size * math.log1p(-params.prob))
-    return float(math.exp(log_mass))
-
-
 def nb_cdf(k: float, params: NegBinParams) -> float:
     """P(X <= floor(k)) for X negative binomial; 0 for k < 0.
 
@@ -160,12 +137,17 @@ def nb_cdf(k: float, params: NegBinParams) -> float:
     if k < 0:
         return 0.0
     if params.size < _TINY_SIZE:
-        j = np.arange(k + 1, dtype=float)
+        # Such a law puts all but a few per cent of its mass at 0, so the
+        # cdf is 1 - (P(X > 0) - pmf(1..k)), with P(X > 0) from expm1.
+        # Summed up from pmf(0) instead, it stalls a few ulps short of 1
+        # and a quantile search for a level above the stall never ends.
+        log_zero = params.size * math.log1p(-params.prob)
+        j = np.arange(1, k + 1, dtype=float)
         logs = (special.gammaln(params.size + j) - special.gammaln(params.size)
                 - special.gammaln(j + 1.0)
                 + j * math.log(params.prob)
-                + params.size * math.log1p(-params.prob))
-        return float(min(1.0, np.exp(logs).sum()))
+                + log_zero)
+        return float(min(1.0, 1.0 + (math.expm1(log_zero) + np.exp(logs).sum())))
     return float(special.betainc(params.size, k + 1.0, 1.0 - params.prob))
 
 
@@ -254,17 +236,3 @@ def poisson_quantile(q: float, mean: float) -> int:
     _require(mean > 0 and math.isfinite(mean),
              f"Poisson mean must be positive and finite, got {mean}")
     return _discrete_quantile(lambda k: poisson_cdf(k, mean), q, mean, math.sqrt(mean))
-
-
-def sample_gamma(params: GammaParams, rng: np.random.Generator, size=None):
-    """Draw from the gamma law; scalar float when size is None."""
-    draw = rng.gamma(params.shape, 1.0 / params.rate, size)
-    return float(draw) if size is None else draw
-
-
-def sample_poisson(mean, rng: np.random.Generator, size=None):
-    """Draw Poisson counts; mean may be a scalar or array (zeros allowed)."""
-    if np.any(np.asarray(mean) < 0):
-        raise ValueError("Poisson mean must be non-negative")
-    draw = rng.poisson(mean, size)
-    return int(draw) if np.isscalar(mean) and size is None else draw

@@ -1,8 +1,7 @@
 """Trial data containers and maximum-likelihood fitting.
 
 A trial snapshot, ``TrialData``, holds validated read-only arrays of
-per-centre exposures and counts, with optional centre ids;
-``CentreRecord`` is the one-centre view of it.
+per-centre exposures and counts, with optional centre ids.
 
 Centre c holds a gamma(alpha, beta) recruitment rate (shape/rate); its
 count over an exposure window t_c is Poisson(rate * t_c).  Integrating the
@@ -29,10 +28,8 @@ import numpy as np
 from scipy import special
 
 __all__ = [
-    "CentreRecord",
     "TrialData",
     "ModelFit",
-    "FitOptions",
     "ModelError",
     "InsufficientData",
     "DegenerateLikelihood",
@@ -44,6 +41,10 @@ __all__ = [
 # Upper optimization bound on log(alpha); estimates pushed against it mean
 # the likelihood keeps rising toward the constant-ratio boundary.
 _MAX_LOG_ALPHA = 30.0
+# Newton stops after this many steps, or once the score in log
+# coordinates is this small.
+_MAX_STEPS = 120
+_GRADIENT_TARGET = 1e-10
 _RELATIVE_EXPOSURE_TOL = 1e-12
 # Below this gradient Newton is locally contracting and skips its
 # objective-based line search, whose floor comparison turns into noise.
@@ -76,24 +77,6 @@ class DegenerateLikelihood(ModelError):
         self.fit = fit
 
 
-@dataclass(frozen=True)
-class CentreRecord:
-    """One centre: identifier, exposure up to census, and recruit count."""
-
-    centre_id: str
-    exposure: float
-    count: int
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.exposure) and self.exposure >= 0):
-            raise ValueError(f"exposure must be finite and >= 0, got {self.exposure}")
-        if self.count < 0 or self.count != int(self.count):
-            raise ValueError(f"count must be a non-negative integer, got {self.count}")
-        if self.exposure == 0 and self.count != 0:
-            raise ValueError(
-                f"centre {self.centre_id!r} has count {self.count} with zero exposure")
-
-
 @dataclass(frozen=True, eq=False)
 class TrialData:
     """Snapshot of a multi-centre trial at its census time.
@@ -101,8 +84,8 @@ class TrialData:
     ``exposures`` (float64) and ``counts`` (int64) hold one entry per
     centre, as read-only copies of what the caller passed, so later
     changes to the caller's arrays never reach the snapshot.  ``ids`` is
-    an optional tuple of centre names; without it the centres are named
-    ``centre_1``, ``centre_2``, ... in ``centres``.  Construction checks
+    an optional tuple of centre names; without it error messages name the
+    centres ``centre_1``, ``centre_2``, ...  Construction checks
     every centre at once: exposures finite and non-negative and at most
     the census time, counts non-negative integers, no count without
     exposure, matching lengths and at least one centre.
@@ -163,13 +146,6 @@ class TrialData:
         return self.exposures.size
 
     @property
-    def centres(self) -> tuple[CentreRecord, ...]:
-        """One record per centre, built on each access."""
-        ids = self.ids or [f"centre_{i + 1}" for i in range(self.num_centres)]
-        return tuple(CentreRecord(cid, float(t), int(n))
-                     for cid, t, n in zip(ids, self.exposures, self.counts))
-
-    @property
     def total_count(self) -> int:
         return int(self.counts.sum())
 
@@ -190,15 +166,6 @@ class ModelFit:
     iterations: int
     degenerate: bool = False
     equal_exposures: bool = False
-
-
-@dataclass(frozen=True)
-class FitOptions:
-    """Optimizer settings; the defaults suit the simulation harness."""
-
-    max_log_alpha: float = _MAX_LOG_ALPHA
-    max_steps: int = 120
-    gradient_target: float = 1e-10
 
 
 def log_likelihood(alpha: float, beta: float, data: TrialData) -> float:
@@ -373,17 +340,16 @@ def _moment_start(ws: _Workspace) -> tuple[float, float]:
     return math.log(alpha0), math.log(beta0)
 
 
-def _newton_1d(ws: _Workspace, log_alpha: float, ratio: float,
-               options: FitOptions) -> tuple[float, int]:
+def _newton_1d(ws: _Workspace, log_alpha: float, ratio: float) -> tuple[float, int]:
     """Damped Newton on the profiled likelihood in log alpha."""
     la = log_alpha
     steps = 0
-    for _ in range(options.max_steps):
+    for _ in range(_MAX_STEPS):
         alpha = math.exp(la)
         beta = alpha / ratio
         g = ws.grad(alpha, beta)
         d1 = alpha * (g[0] + g[1] / ratio)
-        if abs(d1) <= options.gradient_target:
+        if abs(d1) <= _GRADIENT_TARGET:
             break
         h = ws.hess(alpha, beta)
         curve = h[0, 0] + 2.0 * h[0, 1] / ratio + h[1, 1] / ratio**2
@@ -392,7 +358,7 @@ def _newton_1d(ws: _Workspace, log_alpha: float, ratio: float,
         # tail toward the constant-ratio boundary) the same length uphill
         step = d1 / max(abs(d2), 1e-12)
         step = max(min(step, 1.0), -1.0)
-        new_la = min(la + step, options.max_log_alpha)
+        new_la = min(la + step, _MAX_LOG_ALPHA)
         if abs(d1) > _SAFE_GRADIENT:
             # far out, guard against overshoot; near the optimum the
             # objective moves below float resolution and the comparison
@@ -410,14 +376,14 @@ def _newton_1d(ws: _Workspace, log_alpha: float, ratio: float,
     return la, steps
 
 
-def _newton_2d(ws: _Workspace, x: np.ndarray, options: FitOptions) -> tuple[np.ndarray, int]:
+def _newton_2d(ws: _Workspace, x: np.ndarray) -> tuple[np.ndarray, int]:
     """Damped Newton in (log alpha, log beta)."""
     x = x.copy()
     steps = 0
-    for _ in range(options.max_steps):
+    for _ in range(_MAX_STEPS):
         g = ws.grad_log_scale(x[0], x[1])
         slope = float(np.abs(g).max())
-        if slope <= options.gradient_target:
+        if slope <= _GRADIENT_TARGET:
             break
         h = ws.hess_log_scale(x[0], x[1], g)
         det = h[0, 0] * h[1, 1] - h[0, 1] * h[1, 0]
@@ -434,7 +400,7 @@ def _newton_2d(ws: _Workspace, x: np.ndarray, options: FitOptions) -> tuple[np.n
         if norm > 2.0:
             step *= 2.0 / norm
         new_x = x + step
-        new_x[0] = min(new_x[0], options.max_log_alpha)
+        new_x[0] = min(new_x[0], _MAX_LOG_ALPHA)
         if slope > _SAFE_GRADIENT:
             # same overshoot guard and float-noise exemption as the 1-d case
             value = ws.loglik(math.exp(x[0]), math.exp(x[1]))
@@ -450,9 +416,8 @@ def _newton_2d(ws: _Workspace, x: np.ndarray, options: FitOptions) -> tuple[np.n
     return x, steps
 
 
-def _raise_degenerate(ws: _Workspace, ratio: float, iterations: int,
-                      options: FitOptions):
-    boundary_alpha = math.exp(options.max_log_alpha)
+def _raise_degenerate(ws: _Workspace, ratio: float, iterations: int):
+    boundary_alpha = math.exp(_MAX_LOG_ALPHA)
     fit = ModelFit(alpha_hat=boundary_alpha, beta_hat=boundary_alpha / ratio,
                    log_lik=ws.boundary_loglik(ratio), converged=False,
                    iterations=iterations, degenerate=True,
@@ -462,11 +427,11 @@ def _raise_degenerate(ws: _Workspace, ratio: float, iterations: int,
         "counts show no over-dispersion", fit=fit)
 
 
-def fit_mle(data: TrialData, options: FitOptions = FitOptions()) -> ModelFit:
+def fit_mle(data: TrialData) -> ModelFit:
     """Maximize the marginal likelihood over (alpha, beta).
 
     Damped Newton with analytic derivatives runs from a method-of-moments
-    start until the score falls below ``gradient_target``.  Equal
+    start until the score falls below 1e-10, for at most 120 steps.  Equal
     exposures across all open centres pin alpha/beta at n/(C t), so the
     search runs in log alpha along that ray; unequal exposures search
     over (log alpha, log beta).  Steps are capped and, while the score is
@@ -480,7 +445,7 @@ def fit_mle(data: TrialData, options: FitOptions = FitOptions()) -> ModelFit:
     InsufficientData
         If no centre has positive exposure or the total count is zero.
     DegenerateLikelihood
-        If the likelihood is still rising at log alpha = max_log_alpha,
+        If the likelihood is still rising at log alpha = 30,
         i.e. the boundary value along the best fixed-ratio ray is not
         beaten by any interior point.
     """
@@ -492,22 +457,22 @@ def fit_mle(data: TrialData, options: FitOptions = FitOptions()) -> ModelFit:
 
     boundary_ratio = ws.total_count / ws.total_exposure
     if ws.tail_statistic() <= 0:
-        _raise_degenerate(ws, boundary_ratio, 0, options)
+        _raise_degenerate(ws, boundary_ratio, 0)
 
     start = _moment_start(ws)
     if ws.equal_exposures:
         ratio = ws.total_count / (ws.num_open * ws.common_exposure)
-        la, iterations = _newton_1d(ws, start[0], ratio, options)
+        la, iterations = _newton_1d(ws, start[0], ratio)
         alpha_hat = math.exp(la)
         beta_hat = alpha_hat / ratio
     else:
-        x, iterations = _newton_2d(ws, np.array(start), options)
+        x, iterations = _newton_2d(ws, np.array(start))
         la = x[0]
         alpha_hat = math.exp(x[0])
         beta_hat = math.exp(x[1])
 
-    if la >= options.max_log_alpha - 0.1:
-        _raise_degenerate(ws, boundary_ratio, iterations, options)
+    if la >= _MAX_LOG_ALPHA - 0.1:
+        _raise_degenerate(ws, boundary_ratio, iterations)
 
     log_lik = ws.loglik(alpha_hat, beta_hat)
     grad = ws.grad_log_scale(math.log(alpha_hat), math.log(beta_hat))

@@ -49,14 +49,15 @@ class PooledPosterior:
 
     ``shape``/``rate`` are the gamma parameters; ``t_star`` = rate - beta
     is the effective common exposure and ``n_star`` = shape - C alpha the
-    effective total count.  With equal exposures these reduce to the
-    actual exposure and count.
+    effective total count, with C = ``centres``.  With equal exposures
+    these reduce to the actual exposure and count.
     """
 
     n_star: float
     t_star: float
     shape: float
     rate: float
+    centres: int
 
 
 @dataclass(frozen=True)
@@ -97,6 +98,7 @@ def pool_centres(data: TrialData, fit: ModelFit) -> PooledPosterior:
         t_star=rate - fit.beta_hat,
         shape=shape,
         rate=rate,
+        centres=data.num_centres,
     )
 
 
@@ -160,15 +162,16 @@ def adjust_probability_time(p: float, alpha: float, beta: float,
     return float(special.ndtr(math.sqrt((1.0 + c_sq) / s_sq) * special.ndtri(p)))
 
 
-def prediction_interval(data: TrialData, fit: ModelFit,
+def prediction_interval(pool: PooledPosterior, fit: ModelFit,
                         request: PredictionRequest) -> PredictionInterval:
     """Equal-tailed prediction interval at the requested level.
 
-    Counts give an integer interval [lower, upper] inclusive of both ends;
-    times give a real interval.  With ``request.adjusted`` the tail
-    probabilities are widened before the quantiles are read off.
+    ``pool`` is ``pool_centres(data, fit)``, computed once and shared by
+    every interval read off the same fit.  Counts give an integer interval
+    [lower, upper] inclusive of both ends; times give a real interval.
+    With ``request.adjusted`` the tail probabilities are widened before
+    the quantiles are read off.
     """
-    pool = pool_centres(data, fit)
     p_lo = (1.0 - request.level) / 2.0
     p_hi = 1.0 - p_lo
     if request.adjusted:
@@ -176,7 +179,7 @@ def prediction_interval(data: TrialData, fit: ModelFit,
             p_lo = adjust_probability_count(p_lo, fit.beta_hat, pool.t_star, request.horizon)
             p_hi = adjust_probability_count(p_hi, fit.beta_hat, pool.t_star, request.horizon)
         else:
-            mean_target = request.horizon / data.num_centres
+            mean_target = request.horizon / pool.centres
             p_lo = adjust_probability_time(p_lo, fit.alpha_hat, fit.beta_hat,
                                            pool.t_star, mean_target)
             p_hi = adjust_probability_time(p_hi, fit.alpha_hat, fit.beta_hat,

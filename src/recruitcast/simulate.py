@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from typing import Union
 
@@ -39,7 +39,6 @@ from .model import (
 )
 from .predict import (
     COUNT,
-    TIME,
     PredictionInterval,
     PredictionRequest,
     pool_centres,
@@ -171,21 +170,14 @@ class SimConfig:
     level: float
     replications: int
     seed: int
-    p_grid: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
-        if self.objective not in (COUNT, TIME):
-            raise ValueError(f"objective must be {COUNT!r} or {TIME!r}")
+        # objective, horizon and level follow the interval request's rules
+        PredictionRequest(self.objective, self.horizon, self.level)
         if self.centres < 1:
             raise ValueError("at least one centre is required")
         if not self.census_time > 0:
             raise ValueError("census_time must be positive")
-        if not self.horizon > 0:
-            raise ValueError("horizon must be positive")
-        if self.objective == TIME and self.horizon != int(self.horizon):
-            raise ValueError("a time objective needs an integer target count")
-        if not 0.0 < self.level < 1.0:
-            raise ValueError("level must lie in (0, 1)")
         if self.replications < 1:
             raise ValueError("at least one replication is required")
         if self.seed < 0:
@@ -308,13 +300,10 @@ def _coverage_replication(config: SimConfig, index: int):
         t_star = float(data.exposures.mean())
         ratios = (1.0, 1.0)
     else:
-        plain = prediction_interval(data, fit, PredictionRequest(
-            objective=config.objective, horizon=config.horizon,
-            level=config.level, adjusted=False))
-        widened = prediction_interval(data, fit, PredictionRequest(
-            objective=config.objective, horizon=config.horizon,
-            level=config.level, adjusted=True))
         pool = pool_centres(data, fit)
+        request = PredictionRequest(config.objective, config.horizon, config.level)
+        plain = prediction_interval(pool, fit, request)
+        widened = prediction_interval(pool, fit, replace(request, adjusted=True))
         open_mean = float(data.exposures.mean())
         t_star = pool.t_star
         ratios = (pool.t_star / open_mean, pool.n_star / data.total_count)
@@ -328,10 +317,6 @@ def _coverage_replication(config: SimConfig, index: int):
         ratios[1],
         1.0 if boundary else 0.0,
     )
-
-
-def _coverage_chunk(config: SimConfig, bounds: tuple[int, int]) -> list:
-    return [_coverage_replication(config, i) for i in range(*bounds)]
 
 
 def _quantile_replication(config: SimConfig, p: float, index: int):
@@ -352,8 +337,9 @@ def _quantile_replication(config: SimConfig, p: float, index: int):
     return gamma_cdf(quantile, GammaParams(shape=float(config.horizon), rate=total_rate))
 
 
-def _quantile_chunk(config: SimConfig, p: float, bounds: tuple[int, int]) -> list:
-    return [_quantile_replication(config, p, i) for i in range(*bounds)]
+def _chunk(replicate, bounds: tuple[int, int]) -> list:
+    """Replications ``bounds[0]`` up to ``bounds[1]``, in order."""
+    return [replicate(i) for i in range(*bounds)]
 
 
 def _chunk_bounds(total: int, workers: int) -> list[tuple[int, int]]:
@@ -392,7 +378,7 @@ def coverage_study(config: SimConfig, workers: int = 1) -> CoverageReport:
     trial that recruits nobody carries no information at all and is
     dropped (also tallied).
     """
-    rows = _run_replications(partial(_coverage_chunk, config),
+    rows = _run_replications(partial(_chunk, partial(_coverage_replication, config)),
                              config.replications, workers)
     kept = np.array([r for r in rows if r is not None], dtype=float)
     dropped = sum(1 for r in rows if r is None)
@@ -423,7 +409,7 @@ def quantile_probability_study(config: SimConfig, p: float,
     """
     if not 0.0 < p < 1.0:
         raise ValueError(f"p must lie in (0, 1), got {p}")
-    rows = _run_replications(partial(_quantile_chunk, config, p),
+    rows = _run_replications(partial(_chunk, partial(_quantile_replication, config, p)),
                              config.replications, workers)
     kept = np.array([r for r in rows if r is not None], dtype=float)
     dropped = sum(1 for r in rows if r is None)

@@ -12,10 +12,6 @@ import mpmath as mp
 mp.mp.dps = 40
 
 
-def log_gamma(x):
-    return mp.loggamma(mp.mpf(x))
-
-
 def normal_cdf(x):
     return mp.ncdf(mp.mpf(x))
 

@@ -18,6 +18,7 @@ from recruitcast.datasets import (
 )
 
 GOLDEN_FIT = "tests/data/fit_demo_summary.json"
+DATA = Path(__file__).parent / "data"
 
 
 def run(capsys, *args):
@@ -134,11 +135,9 @@ def test_events_truncated_at_interim_matches_summary(tmp_path):
 
     from_events = parse_centre_csv(str(path), "events", interim)
     from_summary = parse_centre_csv(str(demo_summary_path()), "summary", interim)
-    events_records = [(c.centre_id, c.exposure, c.count)
-                      for c in from_events.centres]
-    summary_records = [(c.centre_id, c.exposure, c.count)
-                       for c in from_summary.centres]
-    assert events_records == summary_records
+    assert from_events.ids == from_summary.ids
+    assert from_events.exposures.tolist() == from_summary.exposures.tolist()
+    assert from_events.counts.tolist() == from_summary.counts.tolist()
     assert fit_mle(from_events).alpha_hat == fit_mle(from_summary).alpha_hat
 
 
@@ -227,6 +226,17 @@ def test_predict_refuses_a_fit_that_did_not_converge(monkeypatch, capsys):
     assert out == ""
 
 
+def test_diagnose_qq_refuses_a_fit_that_did_not_converge(monkeypatch, capsys):
+    stalled = ModelFit(alpha_hat=2.0, beta_hat=0.1, log_lik=0.0,
+                       converged=False, iterations=120)
+    monkeypatch.setattr(cli, "fit_mle", lambda data: stalled)
+    code, out, err = run(capsys, "diagnose", "qq", "--input", str(demo_events_path()),
+                         "--census", str(DEMO_EVENTS_CENSUS), "--window", "0.5")
+    assert code == 3
+    assert "fit did not converge" in err
+    assert out == ""
+
+
 def test_summary_validation_points_at_lines(tmp_path, capsys):
     cases = [
         ([("A", 0, 2), ("A", 0, 3)], "line 3", "duplicate"),
@@ -267,8 +277,9 @@ def test_events_blank_rows_register_quiet_centres(tmp_path):
     write_events(path, [("A", 0.0, 0.25), ("A", 0.0, 0.75),
                         ("B", 0.25, ""), ("C", 0.0, 0.5)])
     data = parse_centre_csv(str(path), "events", 1.0)
-    records = {c.centre_id: (c.exposure, c.count) for c in data.centres}
-    assert records == {"A": (1.0, 2), "B": (0.75, 0), "C": (1.0, 1)}
+    assert data.ids == ("A", "B", "C")
+    assert data.exposures.tolist() == [1.0, 0.75, 1.0]
+    assert data.counts.tolist() == [2, 0, 1]
 
 
 def test_simulate_table_layout(tmp_path, capsys):
@@ -399,6 +410,32 @@ def test_simulate_table_matches_golden_bytes(capsys, table_id):
                        "--reps", "20", "--seed", "5")
     assert code == 0
     assert out == golden.read_text()
+
+
+@pytest.mark.parametrize("golden, figure", [
+    ("curves_fig2_centres20_reps300_seed5_grid21.csv", ("fig2", "--centres", "20")),
+    ("curves_figD1_reps300_seed5_grid21.csv", ("figD1",)),
+], ids=["fig2", "figD1"])
+def test_curves_match_golden_bytes(capsys, golden, figure):
+    # the count and the time quantile-content studies
+    code, out, _ = run(capsys, "curves", "--figure", *figure,
+                       "--reps", "300", "--seed", "5", "--grid", "21")
+    assert code == 0
+    assert out == (DATA / golden).read_text()
+
+
+@pytest.mark.parametrize("objective, horizon", [("count", "0.875"), ("time", "300")])
+def test_predict_demo_matches_golden_bytes(monkeypatch, capsys, objective, horizon):
+    # run beside the demo file so the manifest records a path that is the
+    # same on every machine; the timestamp is the one varying field
+    monkeypatch.chdir(demo_summary_path().parent)
+    code, out, _ = run(capsys, "predict", "--input", demo_summary_path().name,
+                       "--census", str(DEMO_SUMMARY_CENSUS), "--objective", objective,
+                       "--horizon", horizon, "--adjusted")
+    assert code == 0
+    stable = "".join(line for line in out.splitlines(keepends=True)
+                     if '"created_utc": ' not in line)
+    assert stable == (DATA / f"predict_demo_{objective}_{horizon}_adjusted.json").read_text()
 
 
 @pytest.mark.parametrize("threads", ["0", "-3", "two"])

@@ -159,8 +159,9 @@ def test_prediction_interval_count():
     counts = rng.poisson(rng.gamma(2.0, 1.0 / 150.0, size=150) * 200.0)
     data = TrialData.from_arrays(200.0, np.full(150, 200.0), counts)
     fit = fit_mle(data)
+    pool = pool_centres(data, fit)
 
-    plain = prediction_interval(data, fit, PredictionRequest(
+    plain = prediction_interval(pool, fit, PredictionRequest(
         objective=COUNT, horizon=200.0, level=0.9))
     assert abs(plain.probs_used[0] - 0.05) < 1e-12
     assert abs(plain.probs_used[1] - 0.95) < 1e-12
@@ -168,13 +169,13 @@ def test_prediction_interval_count():
     assert plain.lower <= plain.upper
     assert plain.nominal_level == 0.9
 
-    wide = prediction_interval(data, fit, PredictionRequest(
+    wide = prediction_interval(pool, fit, PredictionRequest(
         objective=COUNT, horizon=200.0, level=0.9, adjusted=True))
     assert wide.probs_used[0] < 0.05 and wide.probs_used[1] > 0.95
     assert wide.upper - wide.lower >= plain.upper - plain.lower
     assert wide.lower <= plain.lower and wide.upper >= plain.upper
 
-    nested = prediction_interval(data, fit, PredictionRequest(
+    nested = prediction_interval(pool, fit, PredictionRequest(
         objective=COUNT, horizon=200.0, level=0.95))
     assert nested.lower <= plain.lower and nested.upper >= plain.upper
 
@@ -184,10 +185,11 @@ def test_prediction_interval_time():
     counts = rng.poisson(rng.gamma(2.0, 1.0 / 150.0, size=150) * 200.0)
     data = TrialData.from_arrays(200.0, np.full(150, 200.0), counts)
     fit = fit_mle(data)
+    pool = pool_centres(data, fit)
 
-    plain = prediction_interval(data, fit, PredictionRequest(
+    plain = prediction_interval(pool, fit, PredictionRequest(
         objective=TIME, horizon=200, level=0.9))
-    wide = prediction_interval(data, fit, PredictionRequest(
+    wide = prediction_interval(pool, fit, PredictionRequest(
         objective=TIME, horizon=200, level=0.9, adjusted=True))
     assert 0.0 < plain.lower < plain.upper
     assert wide.upper - wide.lower >= plain.upper - plain.lower

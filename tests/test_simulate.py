@@ -30,6 +30,7 @@ from recruitcast import (
     generate_trial,
     kernel_density,
     poisson_cdf,
+    pool_centres,
     prediction_interval,
     quantile_probability_study,
     replication_rng,
@@ -257,13 +258,14 @@ def test_boundary_replication_matches_limiting_interior_fit():
     big = 1e8
     ray = ModelFit(alpha_hat=big * data.total_count / float(data.exposures.sum()),
                    beta_hat=big, log_lik=0.0, converged=True, iterations=0)
+    pool = pool_centres(data, ray)
     for objective, horizon in ((COUNT, 4.0), (TIME, 3.0)):
         report = coverage_study(SimConfig(**base, objective=objective,
                                           horizon=horizon))
         assert report.degenerate_fits == 1
-        plain = prediction_interval(data, ray, PredictionRequest(
+        plain = prediction_interval(pool, ray, PredictionRequest(
             objective=objective, horizon=horizon, level=0.9, adjusted=False))
-        widened = prediction_interval(data, ray, PredictionRequest(
+        widened = prediction_interval(pool, ray, PredictionRequest(
             objective=objective, horizon=horizon, level=0.9, adjusted=True))
         want_cu = 100.0 * exact_coverage(rates, plain, objective, horizon)
         want_ca = 100.0 * exact_coverage(rates, widened, objective, horizon)
