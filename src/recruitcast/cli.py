@@ -444,7 +444,8 @@ def _load_sim_config(path: str, args) -> SimConfig:
             objective=str(raw["objective"]),
             horizon=float(raw["horizon"]),
             level=float(raw.get("level", 0.9)),
-            replications=int(args.reps or raw.get("replications", 2000)),
+            replications=int(raw.get("replications", 2000) if args.reps is None
+                             else args.reps),
             seed=int(args.seed if args.seed is not None else raw.get("seed", DEFAULT_SEED)),
         )
     except (KeyError, TypeError, ValueError) as exc:
@@ -474,7 +475,7 @@ def _cmd_simulate(args) -> int:
             raise ConfigError(
                 f"unknown table {args.table!r}; expected one of {', '.join(TABLE_IDS)}")
         layout = reproduction_table(
-            args.table, replications=args.reps or 2000,
+            args.table, replications=2000 if args.reps is None else args.reps,
             base_seed=args.seed if args.seed is not None else DEFAULT_SEED)
         manifest = _manifest("simulate", {
             "table": args.table,
@@ -507,7 +508,7 @@ def _cmd_curves(args) -> int:
             f"unknown figure {args.figure!r}; expected one of {', '.join(FIGURE_IDS)}")
     try:
         curve = figure_curve(args.figure, t=args.t, centres=args.centres,
-                             replications=args.reps or 20000,
+                             replications=20000 if args.reps is None else args.reps,
                              seed=args.seed if args.seed is not None else DEFAULT_SEED,
                              grid_size=args.grid)
     except ValueError as exc:

@@ -201,10 +201,21 @@ def pearson6_cdf(x: float, params: Pearson6Params) -> float:
 
 
 def pearson6_quantile(q: float, params: Pearson6Params) -> float:
-    """Inverse of pearson6_cdf on (0, 1)."""
+    """Inverse of pearson6_cdf on (0, 1).
+
+    Raises ValueError when the quantile lies beyond the float range.
+    """
     _require_level(q)
     z = float(special.betaincinv(params.shape_num, params.shape_den, q))
-    return params.scale * z / (1.0 - z)
+    if z < 1.0:
+        return params.scale * z / (1.0 - z)
+    # z rounded to 1: read 1 - z off the complementary inverse instead
+    tail = float(special.betaincinv(params.shape_den, params.shape_num, 1.0 - q))
+    x = params.scale * (1.0 - tail) / tail if tail > 0 else math.inf
+    _require(math.isfinite(x),
+             f"the level-{q:g} quantile of the time to {params.shape_num:g} recruits "
+             "is beyond the float range; choose a smaller horizon")
+    return x
 
 
 def gamma_cdf(x: float, params: GammaParams) -> float:

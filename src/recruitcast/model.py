@@ -13,9 +13,10 @@ rates out gives the marginal log-likelihood
 up to terms free of (a, b).  Centres with zero exposure (and hence zero
 count) contribute exactly nothing.  When every open centre shares one
 exposure t the ratio of the estimates is pinned at a/b = n/(C t), which
-reduces the maximization to one dimension along that ray; otherwise the
-fit runs in two dimensions over (log a, log b).  Both searches are damped
-Newton with analytic derivatives, started from a method-of-moments guess.
+reduces the maximization to one dimension along that ray, where the
+per-centre sums over b + t have closed forms; otherwise the fit runs in
+two dimensions over (log a, log b).  Both searches are damped Newton with
+analytic derivatives, started from a method-of-moments guess.
 """
 
 from __future__ import annotations
@@ -53,6 +54,7 @@ _SAFE_GRADIENT = 1e-4
 # that the score sums one by one; digamma takes only what lies beyond.
 _EXACT_RISE_TERMS = 1 << 16
 _EPS = float(np.finfo(float).eps)
+_NO_VALUES = np.empty(0)
 
 
 class ModelError(Exception):
@@ -185,12 +187,14 @@ class _Workspace:
     """
 
     def __init__(self, data: TrialData):
-        opened = data.exposures > 0
-        # closed centres hold zero counts, so every likelihood term they
-        # would add cancels exactly; drop them once here
-        self.num_open = int(np.count_nonzero(opened))
-        self.exposures = data.exposures[opened]
-        counts = data.counts[opened]
+        exposures, counts = data.exposures, data.counts
+        if np.count_nonzero(exposures) < exposures.size:
+            # closed centres hold zero counts, so every likelihood term they
+            # would add cancels exactly; drop them once here
+            opened = exposures > 0
+            exposures, counts = exposures[opened], counts[opened]
+        self.num_open = exposures.size
+        self.exposures = exposures
         self.counts = counts.astype(float)
         self.total_count = int(counts.sum())
         # one tally of the counts, with everything past the exact-sum limit
@@ -199,35 +203,35 @@ class _Workspace:
         # score, which is the number of centres counting past j
         tally = np.bincount(np.minimum(counts, _EXACT_RISE_TERMS + 1))
         exact = tally[:_EXACT_RISE_TERMS + 1]
-        values = np.flatnonzero(exact)
+        values = exact.nonzero()[0]
         mult = exact[values]
         # v^2 m stays far inside int64 below the limit; Python integers
         # take the rare counts past it
         self.sum_count_sq = int(np.dot(values * values, mult))
+        self.beyond_values = self.beyond_mult = _NO_VALUES
         if tally.size > _EXACT_RISE_TERMS + 1:
             big, big_mult = np.unique(counts[counts > _EXACT_RISE_TERMS],
                                       return_counts=True)
             self.sum_count_sq += sum(int(v) ** 2 * int(m) for v, m in zip(big, big_mult))
+            self.beyond_values = big.astype(float)
+            self.beyond_mult = big_mult.astype(float)
             values = np.concatenate([values, big])
             mult = np.concatenate([mult, big_mult])
         self.count_values = values.astype(float)
         self.count_mult = mult.astype(float)
         rises = min(tally.size - 1, _EXACT_RISE_TERMS)
-        self.rise_weights = (self.num_open - np.cumsum(tally[:rises])).astype(float)
+        self.rise_weights = (self.num_open - tally[:rises].cumsum()).astype(float)
         self.rise_offsets = np.arange(rises, dtype=float)
-        beyond = self.count_values > _EXACT_RISE_TERMS
-        self.beyond_values = self.count_values[beyond]
-        self.beyond_mult = self.count_mult[beyond]
-        self.total_exposure = float(self.exposures.sum())
-        self.sum_count_exposure = float(np.dot(self.counts, self.exposures))
-        self.sum_exposure_sq = float(np.dot(self.exposures, self.exposures))
+        self.total_exposure = float(exposures.sum())
+        self.sum_exposure_sq = float(np.dot(exposures, exposures))
 
-        self.equal_exposures = bool(
-            self.num_open > 0
-            and (self.exposures.max() - self.exposures.min())
-            <= _RELATIVE_EXPOSURE_TOL * self.exposures.max())
-        self.common_exposure = (self.total_exposure / self.num_open
-                                if self.equal_exposures else None)
+        self.equal_exposures = False
+        self.common_exposure = None
+        if self.num_open:
+            longest = exposures.max()
+            if longest - exposures.min() <= _RELATIVE_EXPOSURE_TOL * longest:
+                self.equal_exposures = True
+                self.common_exposure = self.total_exposure / self.num_open
 
     # The likelihood and its score are sums of per-centre differences such
     # as log(b + t) - log(b) = log1p(t / b), not differences of sums: on a
@@ -241,44 +245,58 @@ class _Workspace:
                 - alpha * float(np.log1p(self.exposures / beta).sum())
                 - float(np.dot(self.counts, np.log(beta + self.exposures))))
 
-    def grad(self, alpha: float, beta: float) -> np.ndarray:
-        """Score in natural (alpha, beta) coordinates."""
-        d_alpha = (float(np.dot(self.rise_weights, 1.0 / (alpha + self.rise_offsets)))
-                   - float(np.log1p(self.exposures / beta).sum()))
-        if self.beyond_values.size:
-            d_alpha += float(np.dot(self.beyond_mult,
-                                    special.digamma(alpha + self.beyond_values)
-                                    - special.digamma(alpha + _EXACT_RISE_TERMS)))
-        d_beta = float(((alpha * self.exposures / beta - self.counts)
-                        / (beta + self.exposures)).sum())
-        return np.array([d_alpha, d_beta])
+    def _count_terms(self, alpha: float) -> tuple[float, float, float]:
+        """The parts of the derivatives that depend on the counts alone.
 
-    def hess(self, alpha: float, beta: float) -> np.ndarray:
-        """Hessian in natural (alpha, beta) coordinates."""
-        b_t = beta + self.exposures
-        inv = 1.0 / b_t
+        The score's sum of digamma(a + n_c) - digamma(a) comes in two
+        pieces, the exact sums of 1 / (a + j) and the digamma tail past
+        the exact-sum limit; the third value is h_aa, its trigamma
+        counterpart in the Hessian.
+        """
+        rises = float(np.dot(self.rise_weights, 1.0 / (alpha + self.rise_offsets)))
+        beyond = 0.0
+        if self.beyond_values.size:
+            beyond = float(np.dot(self.beyond_mult,
+                                  special.digamma(alpha + self.beyond_values)
+                                  - special.digamma(alpha + _EXACT_RISE_TERMS)))
         # trigamma as the Hurwitz zeta(2, .), which is what polygamma(1, .)
         # evaluates after its Python-level dispatch
         h_aa = (-self.num_open * float(special.zeta(2, alpha))
                 + float(np.dot(self.count_mult, special.zeta(2, alpha + self.count_values))))
+        return rises, beyond, h_aa
+
+    def derivatives(self, alpha: float, beta: float
+                    ) -> tuple[float, float, float, float, float]:
+        """Score and Hessian in natural (alpha, beta) coordinates.
+
+        Returns (d_alpha, d_beta, h_aa, h_ab, h_bb), each summed centre by
+        centre from one shared pass over b + t_c and its inverse.
+        """
+        rises, beyond, h_aa = self._count_terms(alpha)
+        b_t = beta + self.exposures
+        inv = 1.0 / b_t
+        d_alpha = rises - float(np.log1p(self.exposures / beta).sum()) + beyond
+        d_beta = float(((alpha * self.exposures / beta - self.counts) / b_t).sum())
         h_ab = self.num_open / beta - float(inv.sum())
         h_bb = (-self.num_open * alpha / beta**2
                 + float(((alpha + self.counts) * inv * inv).sum()))
-        return np.array([[h_aa, h_ab], [h_ab, h_bb]])
+        return d_alpha, d_beta, h_aa, h_ab, h_bb
 
-    def grad_log_scale(self, log_alpha: float, log_beta: float) -> np.ndarray:
-        alpha, beta = math.exp(log_alpha), math.exp(log_beta)
-        g = self.grad(alpha, beta)
-        return np.array([alpha, beta]) * g
+    def ray_derivatives(self, alpha: float, beta: float
+                        ) -> tuple[float, float, float, float, float]:
+        """``derivatives`` when the C open centres share one exposure t.
 
-    def hess_log_scale(self, log_alpha: float, log_beta: float,
-                       score: np.ndarray) -> np.ndarray:
-        """Hessian in (log alpha, log beta), given the score there."""
-        alpha, beta = math.exp(log_alpha), math.exp(log_beta)
-        scale = np.array([alpha, beta])
-        h = self.hess(alpha, beta) * np.outer(scale, scale)
-        h[np.diag_indices(2)] += score
-        return h
+        The per-centre sums over b + t collapse to closed forms in C, the
+        total count N and t, so only the count terms stay arrays.
+        """
+        c, n, t = self.num_open, self.total_count, self.common_exposure
+        rises, beyond, h_aa = self._count_terms(alpha)
+        b_t = beta + t
+        d_alpha = rises - c * math.log1p(t / beta) + beyond
+        d_beta = (c * alpha * t / beta - n) / b_t
+        h_ab = c / beta - c / b_t
+        h_bb = -c * alpha / beta**2 + (c * alpha + n) / b_t**2
+        return d_alpha, d_beta, h_aa, h_ab, h_bb
 
     def profile_loglik(self, log_alpha: float, ratio: float) -> float:
         """Likelihood along beta = alpha / ratio, open centres only."""
@@ -318,7 +336,7 @@ class _Workspace:
             return (c * self.sum_count_sq - n * n - c * n) / (2.0 * c)
         ratio = n / self.total_exposure
         terms = (ratio**2 * self.sum_exposure_sq / 2.0,
-                 -ratio * self.sum_count_exposure,
+                 -ratio * float(np.dot(self.counts, self.exposures)),
                  (self.sum_count_sq - n) / 2.0)
         k = terms[0] + terms[1] + terms[2]
         rounding = (self.num_open + 2) * _EPS * sum(abs(term) for term in terms)
@@ -343,77 +361,92 @@ def _moment_start(ws: _Workspace) -> tuple[float, float]:
 def _newton_1d(ws: _Workspace, log_alpha: float, ratio: float) -> tuple[float, int]:
     """Damped Newton on the profiled likelihood in log alpha."""
     la = log_alpha
+    value = None  # profile likelihood at la, when a line search computed it
     steps = 0
     for _ in range(_MAX_STEPS):
         alpha = math.exp(la)
         beta = alpha / ratio
-        g = ws.grad(alpha, beta)
-        d1 = alpha * (g[0] + g[1] / ratio)
+        d_alpha, d_beta, h_aa, h_ab, h_bb = ws.ray_derivatives(alpha, beta)
+        d1 = alpha * (d_alpha + d_beta / ratio)
         if abs(d1) <= _GRADIENT_TARGET:
             break
-        h = ws.hess(alpha, beta)
-        curve = h[0, 0] + 2.0 * h[0, 1] / ratio + h[1, 1] / ratio**2
+        curve = h_aa + 2.0 * h_ab / ratio + h_bb / ratio**2
         d2 = alpha**2 * curve + d1
         # the Newton step where the profile is concave; off it (the convex
         # tail toward the constant-ratio boundary) the same length uphill
         step = d1 / max(abs(d2), 1e-12)
         step = max(min(step, 1.0), -1.0)
         new_la = min(la + step, _MAX_LOG_ALPHA)
+        new_value = None
         if abs(d1) > _SAFE_GRADIENT:
             # far out, guard against overshoot; near the optimum the
             # objective moves below float resolution and the comparison
             # would reject perfectly good steps, so Newton runs unchecked
-            value = ws.profile_loglik(la, ratio)
+            if value is None:
+                value = ws.profile_loglik(la, ratio)
             floor = value - 1e-10 * max(1.0, abs(value))
             for _ in range(10):
-                if ws.profile_loglik(new_la, ratio) >= floor:
+                new_value = ws.profile_loglik(new_la, ratio)
+                if new_value >= floor:
                     break
                 new_la = la + 0.5 * (new_la - la)
             else:
                 break
-        la = new_la
+        la, value = new_la, new_value
         steps += 1
     return la, steps
 
 
-def _newton_2d(ws: _Workspace, x: np.ndarray) -> tuple[np.ndarray, int]:
+def _newton_2d(ws: _Workspace, la: float, lb: float) -> tuple[float, float, int]:
     """Damped Newton in (log alpha, log beta)."""
-    x = x.copy()
+    value = None  # likelihood at (la, lb), when a line search computed it
     steps = 0
     for _ in range(_MAX_STEPS):
-        g = ws.grad_log_scale(x[0], x[1])
-        slope = float(np.abs(g).max())
+        alpha, beta = math.exp(la), math.exp(lb)
+        d_alpha, d_beta, h_aa, h_ab, h_bb = ws.derivatives(alpha, beta)
+        # score and Hessian in (log alpha, log beta)
+        g_a, g_b = alpha * d_alpha, beta * d_beta
+        slope = max(abs(g_a), abs(g_b))
         if slope <= _GRADIENT_TARGET:
             break
-        h = ws.hess_log_scale(x[0], x[1], g)
-        det = h[0, 0] * h[1, 1] - h[0, 1] * h[1, 0]
-        if det > 0 and h[0, 0] < 0:
-            step = np.array([h[0, 1] * g[1] - h[1, 1] * g[0],
-                             h[1, 0] * g[0] - h[0, 0] * g[1]]) / det
+        h_11 = h_aa * (alpha * alpha) + g_a
+        h_12 = h_ab * (alpha * beta)
+        h_22 = h_bb * (beta * beta) + g_b
+        det = h_11 * h_22 - h_12 * h_12
+        if det > 0 and h_11 < 0:
+            s_a = (h_12 * g_b - h_22 * g_a) / det
+            s_b = (h_12 * g_a - h_11 * g_b) / det
         else:
             # not locally concave, so Newton would head for a saddle or a
             # minimum: go uphill along each curvature axis by |slope /
             # curvature|; a plain gradient step zigzags on near-flat ridges
-            curvature, axes = np.linalg.eigh(h)
-            step = axes @ ((axes.T @ g) / np.maximum(np.abs(curvature), 1e-12))
-        norm = float(np.abs(step).max())
+            curvature, axes = np.linalg.eigh(np.array([[h_11, h_12], [h_12, h_22]]))
+            step = axes @ ((axes.T @ np.array([g_a, g_b]))
+                           / np.maximum(np.abs(curvature), 1e-12))
+            s_a, s_b = float(step[0]), float(step[1])
+        norm = max(abs(s_a), abs(s_b))
         if norm > 2.0:
-            step *= 2.0 / norm
-        new_x = x + step
-        new_x[0] = min(new_x[0], _MAX_LOG_ALPHA)
+            shrink = 2.0 / norm
+            s_a *= shrink
+            s_b *= shrink
+        new_la, new_lb = min(la + s_a, _MAX_LOG_ALPHA), lb + s_b
+        new_value = None
         if slope > _SAFE_GRADIENT:
             # same overshoot guard and float-noise exemption as the 1-d case
-            value = ws.loglik(math.exp(x[0]), math.exp(x[1]))
+            if value is None:
+                value = ws.loglik(alpha, beta)
             floor = value - 1e-10 * max(1.0, abs(value))
             for _ in range(10):
-                if ws.loglik(math.exp(new_x[0]), math.exp(new_x[1])) >= floor:
+                new_value = ws.loglik(math.exp(new_la), math.exp(new_lb))
+                if new_value >= floor:
                     break
-                new_x = x + 0.5 * (new_x - x)
+                new_la = la + 0.5 * (new_la - la)
+                new_lb = lb + 0.5 * (new_lb - lb)
             else:
                 break
-        x = new_x
+        la, lb, value = new_la, new_lb, new_value
         steps += 1
-    return x, steps
+    return la, lb, steps
 
 
 def _raise_degenerate(ws: _Workspace, ratio: float, iterations: int):
@@ -466,17 +499,17 @@ def fit_mle(data: TrialData) -> ModelFit:
         alpha_hat = math.exp(la)
         beta_hat = alpha_hat / ratio
     else:
-        x, iterations = _newton_2d(ws, np.array(start))
-        la = x[0]
-        alpha_hat = math.exp(x[0])
-        beta_hat = math.exp(x[1])
+        la, lb, iterations = _newton_2d(ws, *start)
+        alpha_hat = math.exp(la)
+        beta_hat = math.exp(lb)
 
     if la >= _MAX_LOG_ALPHA - 0.1:
         _raise_degenerate(ws, boundary_ratio, iterations)
 
     log_lik = ws.loglik(alpha_hat, beta_hat)
-    grad = ws.grad_log_scale(math.log(alpha_hat), math.log(beta_hat))
-    converged = float(np.abs(grad).max()) <= 1e-8
+    # the per-centre score certifies either path's optimum
+    d_alpha, d_beta = ws.derivatives(alpha_hat, beta_hat)[:2]
+    converged = max(abs(alpha_hat * d_alpha), abs(beta_hat * d_beta)) <= 1e-8
     return ModelFit(alpha_hat=float(alpha_hat), beta_hat=float(beta_hat),
                     log_lik=float(log_lik), converged=converged,
                     iterations=iterations, equal_exposures=ws.equal_exposures)

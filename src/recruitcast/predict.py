@@ -82,6 +82,13 @@ class PredictionRequest:
 
 @dataclass(frozen=True)
 class PredictionInterval:
+    """An equal-tailed interval for the count or the time.
+
+    A count interval is half-open: it traps the counts N with
+    lower <= N < upper, that is [lower, upper).  A time interval is the
+    real interval from lower to upper.
+    """
+
     lower: float
     upper: float
     nominal_level: float
@@ -167,8 +174,9 @@ def prediction_interval(pool: PooledPosterior, fit: ModelFit,
     """Equal-tailed prediction interval at the requested level.
 
     ``pool`` is ``pool_centres(data, fit)``, computed once and shared by
-    every interval read off the same fit.  Counts give an integer interval
-    [lower, upper] inclusive of both ends; times give a real interval.
+    every interval read off the same fit.  Counts give integer bounds,
+    read under the half-open convention of ``PredictionInterval``; times
+    give a real interval.
     With ``request.adjusted`` the tail probabilities are widened before
     the quantiles are read off.
     """

@@ -235,7 +235,7 @@ def exact_coverage(rates: np.ndarray, interval: PredictionInterval,
 
     Conditional on the summed rate L, the future count over horizon s is
     Poisson(L s) and the time to an integer target n is gamma(n, L).
-    Count intervals are scored half-open, lower <= N < upper.
+    Count intervals are scored as ``PredictionInterval`` defines them.
     """
     total_rate = float(np.sum(rates))
     if objective == COUNT:

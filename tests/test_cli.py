@@ -193,6 +193,25 @@ def test_predict_time_demo(capsys):
     assert 0 < payload["unadjusted"]["lower"] < payload["unadjusted"]["upper"]
 
 
+def test_predict_time_past_the_float_resolution_of_z(tmp_path, capsys):
+    # an over-dispersed 5-centre trial; at a target of 1e19 recruits the
+    # quantile's z = x / (x + scale) rounds to 1, at 1e300 the quantile
+    # itself leaves the float range
+    path = tmp_path / "five.csv"
+    write_summary(path, [("A", 0, 1), ("B", 0, 40), ("C", 0.5, 2), ("D", 0.2, 30),
+                         ("E", 0.1, 0)])
+    args = ("predict", "--input", str(path), "--census", "1.0", "--objective", "time")
+    code, out, _ = run(capsys, *args, "--horizon", "1e19", "--adjusted")
+    assert code == 0
+    payload = json.loads(out)
+    for kind in ("unadjusted", "adjusted"):
+        assert 0 < payload[kind]["lower"] < payload[kind]["upper"] < float("inf")
+    code, out, err = run(capsys, *args, "--horizon", "1e300")
+    assert code == 4
+    assert out == ""
+    assert len(err.splitlines()) == 1 and "horizon" in err
+
+
 def test_exit_codes_for_data_problems(tmp_path, capsys):
     code, _, err = run(capsys, "fit", "--input", str(tmp_path / "nope.csv"),
                        "--census", "1")
@@ -445,6 +464,28 @@ def test_simulate_rejects_a_thread_count_below_one(capsys, threads):
     assert code == 4
     assert out == ""
     assert "--threads" in err
+
+
+@pytest.mark.parametrize("command", ["table", "config", "curves"])
+def test_zero_replications_are_rejected(tmp_path, monkeypatch, capsys, command):
+    # --reps 0 is a count, not an absent option: it must meet the "at least
+    # one replication" rule instead of falling back to the default
+    def no_study(*args, **kwargs):
+        raise AssertionError("a study ran")
+
+    monkeypatch.setattr(cli, "coverage_study", no_study)
+    monkeypatch.setattr(cli, "quantile_probability_study", no_study)
+    config = tmp_path / "cell.json"
+    config.write_text(json.dumps({
+        "prior": {"alpha": 2.0, "beta": 1.0}, "centres": 5, "census_time": 1.0,
+        "objective": "count", "horizon": 0.5, "replications": 3}))
+    args = {"table": ("simulate", "--table", "2"),
+            "config": ("simulate", "--config", str(config)),
+            "curves": ("curves", "--figure", "fig2", "--grid", "5")}[command]
+    code, out, err = run(capsys, *args, "--reps", "0", "--threads", "1")
+    assert code == 4
+    assert out == ""
+    assert "at least one replication" in err
 
 
 def test_repeat_runs_byte_identical_on_stdout(capsys):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special
 
 import oracles
 from recruitcast import distributions
@@ -104,6 +105,21 @@ def test_pearson6_quantile_round_trip():
                              scale=float(np.exp(rng.uniform(-1, 3))))
         for q in (0.05, 0.5, 0.95):
             assert abs(pearson6_cdf(pearson6_quantile(q, law), law) - q) < 1e-9
+
+
+def test_pearson6_quantile_where_z_rounds_to_one():
+    # z = x / (x + scale) rounds to 1 at these quantiles, so they come off
+    # the complementary inverse; for a huge shape_num the law is close to
+    # scale * shape_num / G with G gamma(shape_den)
+    law = Pearson6Params(shape_num=1e19, shape_den=73.0, scale=0.88)
+    lower, upper = (pearson6_quantile(q, law) for q in (0.05, 0.95))
+    assert 0 < lower < upper < math.inf
+    for q, x in ((0.05, lower), (0.95, upper)):
+        limit = law.scale * law.shape_num / special.gammaincinv(law.shape_den, 1 - q)
+        assert abs(x - limit) < 1e-9 * limit
+    with pytest.raises(ValueError, match="horizon"):
+        pearson6_quantile(0.05, Pearson6Params(shape_num=1e300, shape_den=73.0,
+                                               scale=0.88))
 
 
 def test_pearson6_quantile_monotone():

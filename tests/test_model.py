@@ -1,5 +1,6 @@
 """Likelihood, MLE, and posterior moments of the hierarchical count model."""
 
+import itertools
 import json
 import math
 from pathlib import Path
@@ -89,7 +90,41 @@ def test_score_matches_its_digamma_form():
                       - special.digamma(alpha) for t, n in zip(exposures, counts))
         d_beta = sum(alpha / beta - (alpha + n) / (beta + t)
                      for t, n in zip(exposures, counts))
-        assert np.allclose(ws.grad(alpha, beta), [d_alpha, d_beta], rtol=1e-12, atol=0)
+        derivatives = ws.derivatives(alpha, beta)
+        assert np.allclose(derivatives[:2], [d_alpha, d_beta], rtol=1e-12, atol=0)
+        h_aa = sum(special.polygamma(1, alpha + n) - special.polygamma(1, alpha)
+                   for n in counts)
+        h_ab = sum(1.0 / beta - 1.0 / (beta + t) for t in exposures)
+        h_bb = sum(-alpha / beta**2 + (alpha + n) / (beta + t) ** 2
+                   for t, n in zip(exposures, counts))
+        assert np.allclose(derivatives[2:], [h_aa, h_ab, h_bb], rtol=1e-12, atol=0)
+
+
+def test_ray_derivatives_match_the_per_centre_form():
+    # with one shared exposure the per-centre sums have closed forms in C,
+    # the total count and t; closed centres stay out of C
+    rng = np.random.default_rng(61)
+    for _ in range(200):
+        centres = int(rng.integers(1, 200))
+        t = float(rng.uniform(0.05, 50.0))
+        counts = rng.poisson(rng.gamma(rng.uniform(0.3, 5.0), rng.uniform(0.1, 20.0),
+                                       centres))
+        closed = int(rng.integers(0, 3))
+        ws = _Workspace(_trial(t, [t] * centres + [0.0] * closed,
+                               list(counts) + [0] * closed))
+        assert ws.equal_exposures and ws.num_open == centres
+        # away from the ray alpha / beta = n / (C t), on which the
+        # beta-score cancels to rounding noise
+        ratio = max(counts.sum(), 1) / (centres * t) * rng.choice([0.3, 0.6, 1.7, 3.0])
+        alpha = float(np.exp(rng.uniform(-2.0, 6.0)))
+        beta = alpha / ratio
+        if beta > 5.0 * t:
+            # 1 / b - 1 / (b + t) cancels; the per-centre sum keeps its
+            # rounding from the terms of size 1 / b
+            continue
+        closed_form = ws.ray_derivatives(alpha, beta)
+        general = ws.derivatives(alpha, beta)
+        assert np.allclose(closed_form, general, rtol=1e-13, atol=0)
 
 
 def test_equal_exposure_ratio_identity():
@@ -244,8 +279,8 @@ def test_trial_data_summaries():
 
 
 def _score(data, alpha, beta):
-    ws = _Workspace(data)
-    return float(np.abs(ws.grad_log_scale(math.log(alpha), math.log(beta))).max())
+    d_alpha, d_beta = _Workspace(data).derivatives(alpha, beta)[:2]
+    return max(abs(alpha * d_alpha), abs(beta * d_beta))
 
 
 def test_demo_golden_is_at_least_as_good_as_the_previous_optimum():
@@ -300,6 +335,46 @@ def test_interior_fits_take_few_newton_steps(table_id, equal):
         assert fit.iterations <= 10
         interior += 1
     assert interior >= 150
+
+
+def test_per_centre_score_certifies_every_equal_exposure_optimum():
+    # the 1-d search runs on the closed-form ray; the general per-centre
+    # score must still read the optimum as stationary
+    fits = 0
+    for data in itertools.islice(_replications("2", 43), 300):
+        try:
+            fit = fit_mle(data)
+        except DegenerateLikelihood:
+            continue
+        assert fit.equal_exposures
+        assert _score(data, fit.alpha_hat, fit.beta_hat) <= 1e-8
+        fits += 1
+    assert fits >= 250
+
+
+@pytest.mark.parametrize("equal", [True, False])
+def test_line_searches_evaluate_each_point_once(monkeypatch, equal):
+    # the accepted point's objective value carries into the next line
+    # search instead of being computed again
+    calls = []
+
+    def spy(method):
+        def recorded(self, *args):
+            calls.append(args)
+            return method(self, *args)
+        return recorded
+
+    monkeypatch.setattr(_Workspace, "loglik", spy(_Workspace.loglik))
+    monkeypatch.setattr(_Workspace, "profile_loglik", spy(_Workspace.profile_loglik))
+    searched = 0
+    for seed in range(20):
+        calls.clear()
+        fit = _fit_or_none(10.0, *_drawn_trial(seed, 60, equal))
+        if fit is not None:
+            calls.pop()  # fit_mle's own log_lik at the optimum
+        assert len(calls) == len(set(calls))
+        searched += len(calls)
+    assert searched >= 40
 
 
 def test_near_ridge_replication_converges():
