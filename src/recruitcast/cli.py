@@ -44,7 +44,9 @@ from .predict import (
 from .reproduce import (
     DEFAULT_SEED,
     FIGURE_IDS,
+    MAX_GRID_SIZE,
     TABLE_IDS,
+    check_grid_size,
     figure_curve,
     reproduction_table,
 )
@@ -76,6 +78,9 @@ EXIT_OK = 0
 EXIT_DATA = 2
 EXIT_DEGENERATE = 3
 EXIT_CONFIG = 4
+
+# TrialData stores counts, and sums them, in int64
+_MAX_COUNT = int(np.iinfo(np.int64).max)
 
 
 class DataError(Exception):
@@ -203,6 +208,7 @@ def parse_centre_csv(path: str, fmt: str, census_time: float) -> TrialData:
     if fmt == "summary":
         ids, exposures, counts = [], [], []
         seen = set()
+        total = 0
         for line, row in _read_rows(path, ("centre_id", "open_time", "count")):
             centre = (row["centre_id"] or "").strip()
             if not centre:
@@ -222,6 +228,10 @@ def parse_centre_csv(path: str, fmt: str, census_time: float) -> TrialData:
                 raise MalformedRow(line, f"cannot parse count {raw_count!r}") from None
             if count < 0:
                 raise MalformedRow(line, f"negative count {count}")
+            total += count
+            if total > _MAX_COUNT:
+                raise MalformedRow(line, f"count {count} takes the total past the "
+                                   f"int64 maximum {_MAX_COUNT}")
             exposure = census_time - open_time
             if exposure == 0 and count > 0:
                 raise MalformedRow(
@@ -428,6 +438,16 @@ def _parse_schedule(raw):
     return kinds[kind]()
 
 
+def _config_integer(raw: dict, field: str, default=None) -> int:
+    """An integer field of a config file; 2.0 passes, 2.7, true and "2" do not."""
+    value = raw[field] if default is None else raw.get(field, default)
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"config field {field!r} must be an integer, got {value!r}")
+    return value
+
+
 def _load_sim_config(path: str, args) -> SimConfig:
     try:
         raw = json.loads(Path(path).read_text())
@@ -438,15 +458,16 @@ def _load_sim_config(path: str, args) -> SimConfig:
     try:
         config = SimConfig(
             prior=_parse_prior(raw["prior"]),
-            centres=int(raw["centres"]),
+            centres=_config_integer(raw, "centres"),
             census_time=float(raw["census_time"]),
             schedule=_parse_schedule(raw.get("schedule", "simultaneous")),
             objective=str(raw["objective"]),
             horizon=float(raw["horizon"]),
             level=float(raw.get("level", 0.9)),
-            replications=int(raw.get("replications", 2000) if args.reps is None
-                             else args.reps),
-            seed=int(args.seed if args.seed is not None else raw.get("seed", DEFAULT_SEED)),
+            replications=(_config_integer(raw, "replications", 2000) if args.reps is None
+                          else args.reps),
+            seed=(_config_integer(raw, "seed", DEFAULT_SEED) if args.seed is None
+                  else args.seed),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad simulation config: {exc}") from None
@@ -570,14 +591,25 @@ def _cmd_diagnose_qq(args) -> int:
     return EXIT_OK
 
 
-def _worker_count(raw: str) -> int:
+def _integer(raw: str) -> int:
     try:
-        value = int(raw)
+        return int(raw)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected an integer, got {raw!r}") from None
+
+
+def _worker_count(raw: str) -> int:
+    value = _integer(raw)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
+
+
+def _grid_size(raw: str) -> int:
+    try:
+        return check_grid_size(_integer(raw))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _add_input_arguments(parser) -> None:
@@ -631,7 +663,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_cur.add_argument("--reps", type=int, default=None,
                        help="replications for the empirical density (default 20000)")
     p_cur.add_argument("--seed", type=int, default=None)
-    p_cur.add_argument("--grid", type=int, default=401, help="grid points on (0, 1)")
+    p_cur.add_argument("--grid", type=_grid_size, default=401,
+                       help=f"grid points on (0, 1), 2 to {MAX_GRID_SIZE}")
     p_cur.add_argument("--threads", type=_worker_count, default=1,
                        help="worker processes, at most one per CPU")
     p_cur.add_argument("--out", default=None)

@@ -4,8 +4,9 @@ Covers the four families the rest of the package needs: gamma and Poisson
 for the data-generating process, negative binomial with real-valued size
 for predicted counts, and Pearson type VI for predicted waiting times.
 CDFs are built on the regularized incomplete beta/gamma functions;
-discrete quantiles invert the CDF by bracketing from the normal
-approximation and bisecting.
+discrete quantiles invert the CDF from a skew-corrected (Cornish-Fisher)
+start, bracketing the answer with doubling steps and then bisecting, so
+that a typical quantile reads the CDF twice.
 """
 
 from __future__ import annotations
@@ -154,19 +155,30 @@ def nb_cdf(k: float, params: NegBinParams) -> float:
 def nb_quantile(q: float, params: NegBinParams) -> int:
     """Smallest integer k with nb_cdf(k) >= q, for q in (0, 1)."""
     _require_level(q)
+    # sqrt(size) sqrt(prob) stays positive where size * prob would underflow
+    skewness = (1.0 + params.prob) / (math.sqrt(params.size) * math.sqrt(params.prob))
     return _discrete_quantile(lambda k: nb_cdf(k, params), q,
-                              params.mean, math.sqrt(params.variance))
+                              params.mean, math.sqrt(params.variance), skewness)
 
 
-def _discrete_quantile(cdf, q: float, mean: float, sd: float) -> int:
+def _discrete_quantile(cdf, q: float, mean: float, sd: float, skewness: float) -> int:
     """Smallest integer k >= 0 with cdf(k) >= q, for a non-decreasing cdf.
 
-    Starts from the normal approximation floor(mean + sd invPhi(q)),
-    brackets the answer with steps of ceil(sd / 2) that double each time
-    they fall short, then bisects.
+    Starts from the Cornish-Fisher quantile with a continuity correction,
+    ceil(mean + sd (z + skewness (z^2 - 1) / 6) - 1/2) with z = invPhi(q).
+    The skew term is clipped to one sd either way, so a heavily skewed law
+    starts at most that far from the normal approximation.  For the
+    tables' laws the start is the answer or next to it, so two reads of
+    the cdf settle most quantiles.  From the start the search brackets the
+    answer with steps of 1 that double each time they fall short, then
+    bisects.
     """
-    start = max(0, math.floor(mean + sd * special.ndtri(q)))
-    width = max(1, math.ceil(sd / 2.0))
+    z = float(special.ndtri(q))
+    bend = (z * z - 1.0) / 6.0
+    # a zero bend keeps an infinite skewness from turning the start into NaN
+    shift = min(max(skewness * bend, -1.0), 1.0) if bend else 0.0
+    start = max(0, math.ceil(mean + sd * (z + shift) - 0.5))
+    width = 1
     # bracket so that cdf(lo) < q <= cdf(hi), taking cdf(-1) = 0
     if cdf(start) >= q:
         hi = start
@@ -246,4 +258,5 @@ def poisson_quantile(q: float, mean: float) -> int:
     _require_level(q)
     _require(mean > 0 and math.isfinite(mean),
              f"Poisson mean must be positive and finite, got {mean}")
-    return _discrete_quantile(lambda k: poisson_cdf(k, mean), q, mean, math.sqrt(mean))
+    return _discrete_quantile(lambda k: poisson_cdf(k, mean), q, mean, math.sqrt(mean),
+                              1.0 / math.sqrt(mean))

@@ -219,6 +219,9 @@ class _Workspace:
             mult = np.concatenate([mult, big_mult])
         self.count_values = values.astype(float)
         self.count_mult = mult.astype(float)
+        # the distinct counts, then 0: alpha plus these takes every
+        # logGamma and trigamma value of one point in a single call
+        self.count_offsets = np.append(self.count_values, 0.0)
         rises = min(tally.size - 1, _EXACT_RISE_TERMS)
         self.rise_weights = (self.num_open - tally[:rises].cumsum()).astype(float)
         self.rise_offsets = np.arange(rises, dtype=float)
@@ -233,37 +236,75 @@ class _Workspace:
                 self.equal_exposures = True
                 self.common_exposure = self.total_exposure / self.num_open
 
+        # the argument each one-point cache below last saw, and its values
+        self._beta = self._alpha = self._point = None
+        self._beta_values = self._rise_values = self._score = None
+
     # The likelihood and its score are sums of per-centre differences such
     # as log(b + t) - log(b) = log1p(t / b), not differences of sums: on a
     # near-flat ridge alpha and beta grow together, the sums grow with them
     # and their difference would sink into rounding.  The score's zero is
     # the estimate, so its digamma differences are exact sums as well.
+    #
+    # Each point's values are computed once.  A Newton line search takes
+    # the likelihood at the point that the next step differentiates, and
+    # fit_mle certifies the point that Newton stopped at, so the terms of
+    # beta, the rise sums of alpha and the score keep the values of the
+    # last argument they were asked for.
+
+    def _beta_terms(self, beta: float) -> tuple[np.ndarray, float]:
+        """b + t_c per centre and sum_c log1p(t_c / b)."""
+        if beta != self._beta:
+            self._beta_values = (beta + self.exposures,
+                                 float(np.log1p(self.exposures / beta).sum()))
+            self._beta = beta
+        return self._beta_values
+
+    def _rise_terms(self, alpha: float) -> tuple[float, float]:
+        """sum_c digamma(a + n_c) - digamma(a) in two pieces.
+
+        The exact sums of 1 / (a + j), and the digamma tail past the
+        exact-sum limit.
+        """
+        if alpha != self._alpha:
+            rises = float(np.dot(self.rise_weights, 1.0 / (alpha + self.rise_offsets)))
+            beyond = 0.0
+            if self.beyond_values.size:
+                beyond = float(np.dot(self.beyond_mult,
+                                      special.digamma(alpha + self.beyond_values)
+                                      - special.digamma(alpha + _EXACT_RISE_TERMS)))
+            self._rise_values = (rises, beyond)
+            self._alpha = alpha
+        return self._rise_values
+
+    def _log_gamma_sum(self, alpha: float) -> float:
+        """sum_c logGamma(a + n_c) - logGamma(a)."""
+        log_gamma = special.gammaln(alpha + self.count_offsets)
+        return float(np.dot(self.count_mult, log_gamma[:-1] - log_gamma[-1]))
+
+    def _trigamma_sum(self, alpha: float) -> float:
+        """h_aa = sum_c trigamma(a + n_c) - trigamma(a).
+
+        Trigamma as the Hurwitz zeta(2, .), which is what polygamma(1, .)
+        evaluates after its Python-level dispatch.
+        """
+        zeta = special.zeta(2, alpha + self.count_offsets)
+        return -self.num_open * float(zeta[-1]) + float(np.dot(self.count_mult, zeta[:-1]))
 
     def loglik(self, alpha: float, beta: float) -> float:
-        return (float(np.dot(self.count_mult, special.gammaln(alpha + self.count_values)
-                             - special.gammaln(alpha)))
-                - alpha * float(np.log1p(self.exposures / beta).sum())
-                - float(np.dot(self.counts, np.log(beta + self.exposures))))
+        b_t, log_ratio = self._beta_terms(beta)
+        return (self._log_gamma_sum(alpha) - alpha * log_ratio
+                - float(np.dot(self.counts, np.log(b_t))))
 
-    def _count_terms(self, alpha: float) -> tuple[float, float, float]:
-        """The parts of the derivatives that depend on the counts alone.
-
-        The score's sum of digamma(a + n_c) - digamma(a) comes in two
-        pieces, the exact sums of 1 / (a + j) and the digamma tail past
-        the exact-sum limit; the third value is h_aa, its trigamma
-        counterpart in the Hessian.
-        """
-        rises = float(np.dot(self.rise_weights, 1.0 / (alpha + self.rise_offsets)))
-        beyond = 0.0
-        if self.beyond_values.size:
-            beyond = float(np.dot(self.beyond_mult,
-                                  special.digamma(alpha + self.beyond_values)
-                                  - special.digamma(alpha + _EXACT_RISE_TERMS)))
-        # trigamma as the Hurwitz zeta(2, .), which is what polygamma(1, .)
-        # evaluates after its Python-level dispatch
-        h_aa = (-self.num_open * float(special.zeta(2, alpha))
-                + float(np.dot(self.count_mult, special.zeta(2, alpha + self.count_values))))
-        return rises, beyond, h_aa
+    def score(self, alpha: float, beta: float) -> tuple[float, float]:
+        """(d_alpha, d_beta), summed centre by centre."""
+        if (alpha, beta) != self._point:
+            rises, beyond = self._rise_terms(alpha)
+            b_t, log_ratio = self._beta_terms(beta)
+            self._score = (rises - log_ratio + beyond,
+                           float(((alpha * self.exposures / beta - self.counts) / b_t).sum()))
+            self._point = (alpha, beta)
+        return self._score
 
     def derivatives(self, alpha: float, beta: float
                     ) -> tuple[float, float, float, float, float]:
@@ -272,15 +313,12 @@ class _Workspace:
         Returns (d_alpha, d_beta, h_aa, h_ab, h_bb), each summed centre by
         centre from one shared pass over b + t_c and its inverse.
         """
-        rises, beyond, h_aa = self._count_terms(alpha)
-        b_t = beta + self.exposures
-        inv = 1.0 / b_t
-        d_alpha = rises - float(np.log1p(self.exposures / beta).sum()) + beyond
-        d_beta = float(((alpha * self.exposures / beta - self.counts) / b_t).sum())
+        d_alpha, d_beta = self.score(alpha, beta)
+        inv = 1.0 / self._beta_terms(beta)[0]
         h_ab = self.num_open / beta - float(inv.sum())
         h_bb = (-self.num_open * alpha / beta**2
                 + float(((alpha + self.counts) * inv * inv).sum()))
-        return d_alpha, d_beta, h_aa, h_ab, h_bb
+        return d_alpha, d_beta, self._trigamma_sum(alpha), h_ab, h_bb
 
     def ray_derivatives(self, alpha: float, beta: float
                         ) -> tuple[float, float, float, float, float]:
@@ -290,21 +328,20 @@ class _Workspace:
         total count N and t, so only the count terms stay arrays.
         """
         c, n, t = self.num_open, self.total_count, self.common_exposure
-        rises, beyond, h_aa = self._count_terms(alpha)
+        rises, beyond = self._rise_terms(alpha)
         b_t = beta + t
         d_alpha = rises - c * math.log1p(t / beta) + beyond
         d_beta = (c * alpha * t / beta - n) / b_t
         h_ab = c / beta - c / b_t
         h_bb = -c * alpha / beta**2 + (c * alpha + n) / b_t**2
-        return d_alpha, d_beta, h_aa, h_ab, h_bb
+        return d_alpha, d_beta, self._trigamma_sum(alpha), h_ab, h_bb
 
     def profile_loglik(self, log_alpha: float, ratio: float) -> float:
         """Likelihood along beta = alpha / ratio, open centres only."""
         alpha = math.exp(log_alpha)
         beta = alpha / ratio
         t = self.common_exposure
-        return (float(np.dot(self.count_mult, special.gammaln(alpha + self.count_values)
-                             - special.gammaln(alpha)))
+        return (self._log_gamma_sum(alpha)
                 - self.num_open * alpha * math.log1p(t / beta)
                 - self.total_count * math.log(beta + t))
 
@@ -507,8 +544,9 @@ def fit_mle(data: TrialData) -> ModelFit:
         _raise_degenerate(ws, boundary_ratio, iterations)
 
     log_lik = ws.loglik(alpha_hat, beta_hat)
-    # the per-centre score certifies either path's optimum
-    d_alpha, d_beta = ws.derivatives(alpha_hat, beta_hat)[:2]
+    # the per-centre score certifies either path's optimum; on the 2-d
+    # path it is the score of Newton's last step
+    d_alpha, d_beta = ws.score(alpha_hat, beta_hat)
     converged = max(abs(alpha_hat * d_alpha), abs(beta_hat * d_beta)) <= 1e-8
     return ModelFit(alpha_hat=float(alpha_hat), beta_hat=float(beta_hat),
                     log_lik=float(log_lik), converged=converged,

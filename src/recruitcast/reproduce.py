@@ -35,6 +35,8 @@ __all__ = [
     "FigureCurve",
     "reproduction_table",
     "figure_curve",
+    "MAX_GRID_SIZE",
+    "check_grid_size",
 ]
 
 DEFAULT_SEED = 97
@@ -45,6 +47,9 @@ TOTAL_TIME = 400.0  # census + horizon for every count table
 TIME_TARGET = 200
 CENSUS_GRID_COUNT = (50.0, 100.0, 150.0, 200.0, 250.0, 300.0, 350.0)
 CENSUS_GRID_TIME = (50.0, 100.0, 150.0, 200.0, 300.0, 500.0, 1000.0)
+# Grid points of a figure curve: far more than a plot resolves, and a
+# bound on the time and memory of the curve and its kernel density.
+MAX_GRID_SIZE = 100_000
 
 TABLE_IDS = ("2", "3", "4", "D1", "D2", "D3", "D4", "D5", "F1", "F2")
 FIGURE_IDS = ("fig1", "fig2", "fig3", "fig4", "figD1", "figD2", "figD3")
@@ -159,6 +164,13 @@ _FIGURES: dict[str, tuple[str, float, tuple[str, ...], bool, bool]] = {
 }
 
 
+def check_grid_size(grid_size: int) -> int:
+    """``grid_size`` if a figure curve can take that many points, else ValueError."""
+    if not 2 <= grid_size <= MAX_GRID_SIZE:
+        raise ValueError(f"grid size must lie in [2, {MAX_GRID_SIZE}], got {grid_size}")
+    return grid_size
+
+
 def figure_curve(figure_id: str, *, t: float | None = None,
                  centres: int | None = None, replications: int = 20000,
                  seed: int = DEFAULT_SEED, grid_size: int = 401) -> FigureCurve:
@@ -201,9 +213,7 @@ def figure_curve(figure_id: str, *, t: float | None = None,
         law = time_limit_law(p, DEFAULT_ALPHA, beta, census,
                              TIME_TARGET / num_centres)
 
-    if grid_size < 2:
-        raise ValueError("grid needs at least two points")
-    grid = np.linspace(0.0, 1.0, grid_size + 2)[1:-1]
+    grid = np.linspace(0.0, 1.0, check_grid_size(grid_size) + 2)[1:-1]
     theoretical = limit_prob_density(grid, law)
 
     config = None

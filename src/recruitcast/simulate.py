@@ -67,6 +67,11 @@ __all__ = [
     "kernel_density",
 ]
 
+# kernel_density works in blocks of grid points by samples, so each
+# temporary holds 512 x 4096 doubles (16 MB) whatever the input sizes
+_KDE_GRID_BLOCK = 512
+_KDE_SAMPLE_BLOCK = 4096
+
 
 @dataclass(frozen=True)
 class SingleGamma:
@@ -436,9 +441,12 @@ def kernel_density(samples: np.ndarray, grid: np.ndarray) -> np.ndarray:
         raise ValueError("degenerate sample: zero bandwidth")
     norm = 1.0 / (n * bandwidth * math.sqrt(2.0 * math.pi))
     density = np.zeros_like(grid)
-    for start in range(0, n, 4096):
-        block = samples[start:start + 4096]
-        for centers in (block, -block, 2.0 - block):
-            z = (grid[:, None] - centers[None, :]) / bandwidth
-            density += np.exp(-0.5 * z * z).sum(axis=1)
+    for row in range(0, grid.size, _KDE_GRID_BLOCK):
+        points = grid[row:row + _KDE_GRID_BLOCK, None]
+        sums = density[row:row + _KDE_GRID_BLOCK]
+        for start in range(0, n, _KDE_SAMPLE_BLOCK):
+            block = samples[start:start + _KDE_SAMPLE_BLOCK]
+            for centers in (block, -block, 2.0 - block):
+                z = (points - centers[None, :]) / bandwidth
+                sums += np.exp(-0.5 * z * z).sum(axis=1)
     return norm * density

@@ -16,6 +16,7 @@ from recruitcast.datasets import (
     demo_events_path,
     demo_summary_path,
 )
+from recruitcast.reproduce import MAX_GRID_SIZE
 
 GOLDEN_FIT = "tests/data/fit_demo_summary.json"
 DATA = Path(__file__).parent / "data"
@@ -264,6 +265,9 @@ def test_summary_validation_points_at_lines(tmp_path, capsys):
         ([("A", 0.5, 2), ("B", 2.0, 1)], "line 3", "after census"),
         ([("A", 1.0, 4)], "line 2", "zero exposure"),
         ([("", 0, 1)], "line 2", "blank centre_id"),
+        ([("A", 0, 3), ("B", 0, 10**20)], "line 3", "int64 maximum"),
+        # each count fits int64, their sum does not
+        ([("A", 0, 3), ("B", 0, 2**63 - 1)], "line 3", "int64 maximum"),
     ]
     for rows, where, what in cases:
         path = tmp_path / "bad.csv"
@@ -486,6 +490,53 @@ def test_zero_replications_are_rejected(tmp_path, monkeypatch, capsys, command):
     assert code == 4
     assert out == ""
     assert "at least one replication" in err
+
+
+@pytest.mark.parametrize("field, value", [
+    ("centres", 2.7), ("centres", True), ("centres", "5"), ("centres", None),
+    ("replications", 2.5), ("replications", False), ("seed", 1.5), ("seed", True),
+])
+def test_config_integer_fields_must_be_integers(tmp_path, monkeypatch, capsys,
+                                                field, value):
+    def no_study(*args, **kwargs):
+        raise AssertionError("a study ran")
+
+    monkeypatch.setattr(cli, "coverage_study", no_study)
+    raw = {"prior": {"alpha": 2.0, "beta": 1.0}, "centres": 5, "census_time": 1.0,
+           "objective": "count", "horizon": 0.5, "replications": 3, "seed": 4}
+    config = tmp_path / "cell.json"
+    config.write_text(json.dumps({**raw, field: value}))
+    code, out, err = run(capsys, "simulate", "--config", str(config))
+    assert code == 4
+    assert out == ""
+    assert err.count("\n") == 1
+    assert repr(field) in err and "integer" in err
+
+
+def test_config_integer_fields_take_integral_floats(tmp_path, capsys):
+    raw = {"prior": {"alpha": 2.0, "beta": 1.0}, "centres": 5.0, "census_time": 1.0,
+           "objective": "count", "horizon": 0.5, "replications": 3.0, "seed": 4.0}
+    config = tmp_path / "cell.json"
+    config.write_text(json.dumps(raw))
+    code, out, _ = run(capsys, "simulate", "--config", str(config))
+    assert code == 0
+    cells = csv_body(out)[0]["config"]["config"]
+    assert (cells["centres"], cells["replications"], cells["seed"]) == (5, 3, 4)
+
+
+@pytest.mark.parametrize("grid", ["1000000000", str(MAX_GRID_SIZE + 1), "-5", "x"])
+def test_curves_grid_is_bounded_before_anything_runs(monkeypatch, capsys, grid):
+    # a grid of 1e9 points once ran out of memory; no size reaches the work
+    def nothing(*args, **kwargs):
+        raise AssertionError("the curve or its study ran")
+
+    monkeypatch.setattr(cli, "figure_curve", nothing)
+    monkeypatch.setattr(cli, "quantile_probability_study", nothing)
+    monkeypatch.setattr(cli, "kernel_density", nothing)
+    code, out, err = run(capsys, "curves", "--figure", "fig2", "--grid", grid)
+    assert code == 4
+    assert out == ""
+    assert err.count("\n") == 1 and "--grid" in err
 
 
 def test_repeat_runs_byte_identical_on_stdout(capsys):

@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 from scipy import special
 
 import oracles
-from recruitcast import distributions
+from recruitcast import distributions, predict
+from recruitcast.reproduce import reproduction_table
+from recruitcast.simulate import coverage_study
 from recruitcast import (
     GammaParams,
     NegBinParams,
@@ -249,6 +251,50 @@ def test_nb_quantile_reads_nb_cdf_from_the_module_a_few_times(monkeypatch):
         k = nb_quantile(q, law)
         assert cdf(k, law) >= q > cdf(k - 1, law)
         assert 0 < len(calls) <= most
+
+
+def test_table_quantiles_read_nb_cdf_at_most_two_and_a_half_times(monkeypatch):
+    # the skew-corrected start lands on the answer or next to it for the
+    # tables' pooled laws; the normal start took 5.4 reads per quantile
+    reads = {"cdf": 0, "quantile": 0}
+
+    def counted(function, key):
+        def wrapper(*args):
+            reads[key] += 1
+            return function(*args)
+        return wrapper
+
+    monkeypatch.setattr(distributions, "nb_cdf", counted(distributions.nb_cdf, "cdf"))
+    monkeypatch.setattr(predict, "nb_quantile", counted(predict.nb_quantile, "quantile"))
+    for table in ("2", "3"):
+        for _, config in reproduction_table(table, replications=15, base_seed=29).rows:
+            coverage_study(config)
+    assert reads["quantile"] >= 300
+    assert reads["cdf"] <= 2.5 * reads["quantile"]
+
+
+def test_skewed_start_is_clipped_to_one_sd_from_the_normal_start(monkeypatch):
+    # skewness 89: unclipped, the start for q = 0.999 would lie 127 sd
+    # out, a pmf sum of 2.8 million terms on this branch; clipped, the
+    # first read is within one sd of the normal start, and every read
+    # stays at or below the larger of that read and twice the answer
+    calls = []
+
+    def counted(k, params):
+        calls.append(k)
+        return cdf(k, params)
+
+    cdf = distributions.nb_cdf
+    monkeypatch.setattr(distributions, "nb_cdf", counted)
+    law = NegBinParams(5e-4, 1.0 - 1e-6)
+    sd = math.sqrt(law.variance)
+    for q in (0.5, 0.99, 0.995, 0.999):
+        calls.clear()
+        k = nb_quantile(q, law)
+        assert cdf(k, law) >= q and (k == 0 or cdf(k - 1, law) < q)
+        normal = law.mean + sd * special.ndtri(q)
+        assert abs(calls[0] - normal) <= sd + 1.0
+        assert max(calls) <= max(calls[0], 2 * k + 1)
 
 
 def test_nb_quantile_reaches_a_level_next_to_one_on_the_pmf_sum_branch(monkeypatch):

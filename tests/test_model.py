@@ -377,6 +377,41 @@ def test_line_searches_evaluate_each_point_once(monkeypatch, equal):
     assert searched >= 40
 
 
+# tiny trials: up to five centres, perhaps a closed one, perhaps one count
+# past the exact-sum limit, and either one shared exposure or drawn ones
+_TINY_TRIALS = st.tuples(
+    st.lists(st.integers(0, 40), min_size=1, max_size=5),
+    st.one_of(st.just(None), st.lists(st.floats(0.5, 10.0), min_size=5, max_size=5)),
+    st.booleans(), st.booleans())
+_CACHED_CALLS = st.lists(
+    st.tuples(st.sampled_from(("loglik", "score", "derivatives", "ray_derivatives")),
+              st.integers(0, 2), st.integers(0, 2)),
+    min_size=1, max_size=16)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(trial=_TINY_TRIALS, calls=_CACHED_CALLS,
+       alphas=st.lists(st.floats(0.05, 50.0), min_size=3, max_size=3),
+       betas=st.lists(st.floats(0.01, 100.0), min_size=3, max_size=3))
+def test_one_point_caches_match_a_fresh_workspace(trial, calls, alphas, betas):
+    # calls interleave over three alphas and three betas, so points repeat,
+    # share one coordinate, or follow another method's call at the same
+    # point; each value must be the bits a fresh workspace computes
+    counts, drawn, closed, huge = trial
+    exposures = drawn[:len(counts)] if drawn else [4.0] * len(counts)
+    if huge:
+        counts = [_EXACT_RISE_TERMS + 5] + counts[1:]
+    if closed:
+        exposures, counts = exposures + [0.0], counts + [0]
+    data = _trial(10.0, exposures, counts)
+    ws = _Workspace(data)
+    for method, i, j in calls:
+        if method == "ray_derivatives" and not ws.equal_exposures:
+            continue
+        got = getattr(ws, method)(alphas[i], betas[j])
+        assert got == getattr(_Workspace(data), method)(alphas[i], betas[j])
+
+
 def test_near_ridge_replication_converges():
     # table 3, first row, replication 252: the likelihood is nearly flat
     # along one direction and the Hessian nearly singular

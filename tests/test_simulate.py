@@ -299,6 +299,25 @@ def test_kernel_density_uniform_sample():
     assert abs(float(trapezoid(density, grid)) - 1.0) < 0.01
 
 
+def test_kernel_density_blocks_change_no_bit():
+    # 1,300 grid points by 9,000 samples span several blocks of each; every
+    # grid point still sums the same sample blocks in the same order
+    rng = np.random.default_rng(65)
+    samples = rng.beta(2.0, 3.0, 9_000)
+    grid = np.linspace(0.0, 1.0, 1_302)[1:-1]
+    density = kernel_density(samples, grid)
+    spread = min(samples.std(ddof=1), np.subtract(*np.percentile(samples, [75, 25])) / 1.34)
+    bandwidth = 0.9 * spread * samples.size ** (-0.2)
+    whole = np.zeros_like(grid)
+    for start in range(0, samples.size, 4096):
+        block = samples[start:start + 4096]
+        for centers in (block, -block, 2.0 - block):
+            z = (grid[:, None] - centers[None, :]) / bandwidth
+            whole += np.exp(-0.5 * z * z).sum(axis=1)
+    norm = 1.0 / (samples.size * bandwidth * math.sqrt(2.0 * math.pi))
+    assert density.tobytes() == (norm * whole).tobytes()
+
+
 def test_kernel_density_degenerate_and_small_samples():
     grid = np.linspace(0.0, 1.0, 11)
     with pytest.raises(ValueError):
