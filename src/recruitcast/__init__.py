@@ -51,6 +51,7 @@ from .predict import (
     adjust_probability_count,
     adjust_probability_time,
     pool_centres,
+    pool_moments,
     prediction_interval,
     predictive_count_law,
     predictive_time_law,

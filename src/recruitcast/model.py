@@ -55,6 +55,7 @@ _SAFE_GRADIENT = 1e-4
 _EXACT_RISE_TERMS = 1 << 16
 _EPS = float(np.finfo(float).eps)
 _NO_VALUES = np.empty(0)
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 class ModelError(Exception):
@@ -90,7 +91,8 @@ class TrialData:
     centres ``centre_1``, ``centre_2``, ...  Construction checks
     every centre at once: exposures finite and non-negative and at most
     the census time, counts non-negative integers, no count without
-    exposure, matching lengths and at least one centre.
+    exposure, matching lengths, at least one centre, and a total count
+    within the int64 range.
     """
 
     census_time: float
@@ -131,6 +133,11 @@ class TrialData:
         reject((exposures == 0) & (counts != 0), "positive count at zero exposure", counts)
         reject(exposures > census_time, f"exposure exceeds census time {census_time}",
                exposures)
+        if int(counts.max()) > _INT64_MAX // counts.size:
+            # the int64 sum may wrap; only then is it worth summing exactly
+            total = sum(counts.tolist())
+            if total > _INT64_MAX:
+                raise ValueError(f"counts sum to {total}, past the int64 maximum {_INT64_MAX}")
         exposures.flags.writeable = False
         counts.flags.writeable = False
         object.__setattr__(self, "census_time", census_time)

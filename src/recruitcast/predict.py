@@ -8,6 +8,10 @@ recruits is Pearson VI.  Plug-in intervals read quantiles straight off
 those laws; adjusted intervals first widen the quantile probabilities to
 undo the coverage loss from estimating (alpha, beta), using the limiting
 distribution of the interval's true content.
+
+Pooling, the adjustments and ``prediction_interval`` also take arrays,
+one entry per trial, so the simulation harness scores a batch of trials
+in one pass; a single forecast is the one-trial case of the same code.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from dataclasses import dataclass
 
 from scipy import special
 
+from ._elementwise import every, is_batch, some, sqrt, where
 from .distributions import (
     NegBinParams,
     Pearson6Params,
@@ -32,6 +37,7 @@ __all__ = [
     "PredictionRequest",
     "PredictionInterval",
     "pool_centres",
+    "pool_moments",
     "predictive_count_law",
     "predictive_time_law",
     "adjust_probability_count",
@@ -62,7 +68,12 @@ class PooledPosterior:
 
 @dataclass(frozen=True)
 class PredictionRequest:
-    """What to predict: a count over a time horizon, or a time to a count."""
+    """What to predict: a count over a time horizon, or a time to a count.
+
+    ``adjusted`` asks for the adjusted interval rather than the plug-in
+    one.  An array of booleans asks for a batch of both kinds at once,
+    broadcasting like the other batch inputs of ``prediction_interval``.
+    """
 
     objective: str
     horizon: float
@@ -98,14 +109,24 @@ class PredictionInterval:
 def pool_centres(data: TrialData, fit: ModelFit) -> PooledPosterior:
     """Collapse per-centre posteriors into one gamma by moment matching."""
     mean, variance = posterior_rate_moments(data, fit)
+    return pool_moments(mean, variance, data.num_centres, fit)
+
+
+def pool_moments(mean, variance, centres: int, fit: ModelFit) -> PooledPosterior:
+    """The gamma with the given mean and variance of the summed rates.
+
+    The moments were taken at the estimates of ``fit``.  Elementwise: the
+    moments and the estimates may be arrays, one entry per trial of a
+    batch of trials with ``centres`` centres each.
+    """
     rate = mean / variance
     shape = mean * mean / variance
     return PooledPosterior(
-        n_star=shape - data.num_centres * fit.alpha_hat,
+        n_star=shape - centres * fit.alpha_hat,
         t_star=rate - fit.beta_hat,
         shape=shape,
         rate=rate,
-        centres=data.num_centres,
+        centres=centres,
     )
 
 
@@ -123,29 +144,31 @@ def predictive_time_law(pool: PooledPosterior, target: int) -> Pearson6Params:
     return Pearson6Params(shape_num=float(target), shape_den=pool.shape, scale=pool.rate)
 
 
-def adjust_probability_count(p: float, beta: float, exposure: float, horizon: float) -> float:
+def _plain(values):
+    """A batch as a float array; a single value as a Python float."""
+    return values.astype(float) if is_batch(values) and values.ndim else float(values)
+
+
+def adjust_probability_count(p, beta, exposure, horizon):
     """Widened quantile probability for count intervals.
 
     Maps p through the limiting law of the plug-in interval's content:
     p* = Phi( sqrt((beta + t)(t + s) / (t (beta + t + s))) * invPhi(p) )
     with t the effective exposure and s the horizon.  At beta = 0 the
-    factor is one and p is returned unchanged.
+    factor is one and p is returned unchanged.  Elementwise over arrays.
     """
-    if not 0.0 < p < 1.0:
+    if not every((0.0 < p) & (p < 1.0)):
         raise ValueError(f"probability must lie in (0, 1), got {p}")
-    if beta < 0:
+    if some(beta < 0):
         raise ValueError(f"beta must be non-negative, got {beta}")
-    if not (exposure > 0 and horizon > 0):
+    if not every((exposure > 0) & (horizon > 0)):
         raise ValueError("exposure and horizon must be positive")
-    if beta == 0.0:
-        return float(p)
-    factor = math.sqrt((beta + exposure) * (exposure + horizon)
-                       / (exposure * (beta + exposure + horizon)))
-    return float(special.ndtr(factor * special.ndtri(p)))
+    factor = sqrt((beta + exposure) * (exposure + horizon)
+                  / (exposure * (beta + exposure + horizon)))
+    return _plain(where(beta == 0.0, p, special.ndtr(factor * special.ndtri(p))))
 
 
-def adjust_probability_time(p: float, alpha: float, beta: float,
-                            exposure: float, mean_target: float) -> float:
+def adjust_probability_time(p, alpha, beta, exposure, mean_target):
     """Widened quantile probability for time-to-target intervals.
 
     Same construction as the count case but driven by the time objective's
@@ -155,18 +178,18 @@ def adjust_probability_time(p: float, alpha: float, beta: float,
         p* = Phi( sqrt((1 + c^2) / s^2) * invPhi(p) ).
 
     At beta = 0 both c and the extra variance vanish and p is unchanged.
+    Elementwise over arrays.
     """
-    if not 0.0 < p < 1.0:
+    if not every((0.0 < p) & (p < 1.0)):
         raise ValueError(f"probability must lie in (0, 1), got {p}")
-    if not (alpha > 0 and mean_target > 0 and exposure > 0):
+    if not every((alpha > 0) & (mean_target > 0) & (exposure > 0)):
         raise ValueError("alpha, exposure and mean target must be positive")
-    if beta < 0:
+    if some(beta < 0):
         raise ValueError(f"beta must be non-negative, got {beta}")
-    if beta == 0.0:
-        return float(p)
     c_sq = mean_target * beta / (alpha * exposure)
     s_sq = 1.0 + (mean_target / alpha) * beta / (beta + exposure)
-    return float(special.ndtr(math.sqrt((1.0 + c_sq) / s_sq) * special.ndtri(p)))
+    widened = special.ndtr(sqrt((1.0 + c_sq) / s_sq) * special.ndtri(p))
+    return _plain(where(beta == 0.0, p, widened))
 
 
 def prediction_interval(pool: PooledPosterior, fit: ModelFit,
@@ -176,30 +199,33 @@ def prediction_interval(pool: PooledPosterior, fit: ModelFit,
     ``pool`` is ``pool_centres(data, fit)``, computed once and shared by
     every interval read off the same fit.  Counts give integer bounds,
     read under the half-open convention of ``PredictionInterval``; times
-    give a real interval.
-    With ``request.adjusted`` the tail probabilities are widened before
-    the quantiles are read off.
+    give a real interval.  Where ``request.adjusted`` holds, the tail
+    probabilities are widened before the quantiles are read off.
+
+    Elementwise: the pool's fields, the fit's estimates and
+    ``request.adjusted`` may be arrays, which broadcast together into a
+    batch of intervals.  The bounds are then float arrays, and so are
+    the probabilities wherever they vary across the batch.  With scalars
+    throughout, the same lines run on floats and give floats.
     """
+    alpha, beta, adjusted = fit.alpha_hat, fit.beta_hat, request.adjusted
     p_lo = (1.0 - request.level) / 2.0
     p_hi = 1.0 - p_lo
-    if request.adjusted:
+    if some(adjusted):
         if request.objective == COUNT:
-            p_lo = adjust_probability_count(p_lo, fit.beta_hat, pool.t_star, request.horizon)
-            p_hi = adjust_probability_count(p_hi, fit.beta_hat, pool.t_star, request.horizon)
+            def widen(p):
+                return adjust_probability_count(p, beta, pool.t_star, request.horizon)
         else:
-            mean_target = request.horizon / pool.centres
-            p_lo = adjust_probability_time(p_lo, fit.alpha_hat, fit.beta_hat,
-                                           pool.t_star, mean_target)
-            p_hi = adjust_probability_time(p_hi, fit.alpha_hat, fit.beta_hat,
-                                           pool.t_star, mean_target)
+            def widen(p):
+                return adjust_probability_time(p, alpha, beta, pool.t_star,
+                                               request.horizon / pool.centres)
+        p_lo, p_hi = where(adjusted, widen(p_lo), p_lo), where(adjusted, widen(p_hi), p_hi)
     if request.objective == COUNT:
         law = predictive_count_law(pool, request.horizon)
-        lower = float(nb_quantile(p_lo, law))
-        upper = float(nb_quantile(p_hi, law))
+        lower, upper = nb_quantile(p_lo, law), nb_quantile(p_hi, law)
     else:
         law = predictive_time_law(pool, int(request.horizon))
-        lower = pearson6_quantile(p_lo, law)
-        upper = pearson6_quantile(p_hi, law)
-    return PredictionInterval(lower=lower, upper=upper,
+        lower, upper = pearson6_quantile(p_lo, law), pearson6_quantile(p_hi, law)
+    return PredictionInterval(lower=_plain(lower), upper=_plain(upper),
                               nominal_level=request.level,
-                              probs_used=(p_lo, p_hi))
+                              probs_used=(_plain(p_lo), _plain(p_hi)))

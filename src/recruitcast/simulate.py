@@ -3,10 +3,24 @@
 Each replication draws a fresh trial from a known rate prior, fits the
 model, builds the plug-in and adjusted prediction intervals, and scores
 them against the exact conditional law of the target given the drawn
-rates (Poisson for counts, gamma for times).  Replication i always uses
-the random stream seeded by (config.seed, i), so results are bit-for-bit
-reproducible no matter how the replications are scheduled across
-processes; aggregation always runs in replication order.
+rates (Poisson for counts, gamma for times).
+
+The replications run in chunks, one per worker process, and a chunk runs
+in two phases.  First, one replication at a time, it draws the trial
+from the stream seeded by (config.seed, i), fits it, and keeps only the
+few numbers scoring reads: the outcome, the summed true rate, the summed
+exposure, the total count, the estimates and the posterior moments of
+the summed rate.  Then it scores all of its replications at once:
+pooling, the adjusted probabilities, every quantile and both exact
+coverages run as array operations, boundary replications through their
+limit laws beside the interior ones.
+
+Neither the chunk boundaries nor the number of processes can move a
+byte.  Each replication's numbers come from its own stream and its own
+fit; the array stage is elementwise, with no sum across replications,
+and its quantile search reads the same points for a law whatever shares
+its batch.  The only reduction across replications is the final average,
+which always runs in replication order over the concatenated chunks.
 """
 
 from __future__ import annotations
@@ -14,7 +28,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from typing import Union
 
@@ -34,14 +48,17 @@ from .distributions import (
 from .model import (
     DegenerateLikelihood,
     InsufficientData,
+    ModelFit,
     TrialData,
     fit_mle,
+    posterior_rate_moments,
 )
 from .predict import (
     COUNT,
+    PooledPosterior,
     PredictionInterval,
     PredictionRequest,
-    pool_centres,
+    pool_moments,
     prediction_interval,
     predictive_count_law,
     predictive_time_law,
@@ -145,18 +162,23 @@ class Explicit:
     opening_times: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "opening_times",
-                           tuple(float(t) for t in self.opening_times))
+        times = tuple(float(t) for t in self.opening_times)
+        if not all(math.isfinite(t) for t in times):
+            raise ValueError(f"opening times must be finite, got {times}")
+        object.__setattr__(self, "opening_times", times)
 
-    def sample_openings(self, rng: np.random.Generator, count: int,
-                        census_time: float) -> np.ndarray:
+    def check(self, count: int, census_time: float) -> None:
+        """Raise ValueError unless there is one time per centre, in [0, census]."""
         if len(self.opening_times) != count:
             raise ValueError(
                 f"{len(self.opening_times)} opening times for {count} centres")
-        openings = np.asarray(self.opening_times)
-        if np.any(openings < 0) or np.any(openings > census_time):
+        if not all(0.0 <= t <= census_time for t in self.opening_times):
             raise ValueError("opening times must lie in [0, census]")
-        return openings.copy()
+
+    def sample_openings(self, rng: np.random.Generator, count: int,
+                        census_time: float) -> np.ndarray:
+        self.check(count, census_time)
+        return np.array(self.opening_times)
 
 
 OpeningSchedule = Union[Simultaneous, UniformOnCensus, SplitHalf, Explicit]
@@ -187,6 +209,8 @@ class SimConfig:
             raise ValueError("at least one replication is required")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
+        if isinstance(self.schedule, Explicit):
+            self.schedule.check(self.centres, self.census_time)
 
 
 @dataclass(frozen=True)
@@ -241,110 +265,169 @@ def exact_coverage(rates: np.ndarray, interval: PredictionInterval,
     Conditional on the summed rate L, the future count over horizon s is
     Poisson(L s) and the time to an integer target n is gamma(n, L).
     Count intervals are scored as ``PredictionInterval`` defines them.
+    ``rates`` runs over centres along its last axis.  Leading axes, with
+    an interval whose bounds have their shape, score a batch of trials;
+    since only the summed rate matters, a batch may pass each trial's
+    summed rate as a one-centre row.
     """
-    total_rate = float(np.sum(rates))
+    total_rate = np.sum(rates, axis=-1)
     if objective == COUNT:
         mean = total_rate * horizon
-        return (poisson_cdf(interval.upper - 1, mean)
-                - poisson_cdf(interval.lower - 1, mean))
+        return (poisson_cdf(np.subtract(interval.upper, 1), mean)
+                - poisson_cdf(np.subtract(interval.lower, 1), mean))
     law = GammaParams(shape=float(horizon), rate=total_rate)
     return gamma_cdf(interval.upper, law) - gamma_cdf(interval.lower, law)
 
 
-def _boundary_intervals(data: TrialData, config: SimConfig
-                        ) -> tuple[PredictionInterval, PredictionInterval]:
+def _boundary_intervals(config: SimConfig, total_count: np.ndarray,
+                        exposure_sum: np.ndarray) -> PredictionInterval:
     """Plug-in and adjusted intervals at the monotone-likelihood limit.
 
     Along the ray alpha/beta = n/sum(t) the pooled pseudo-exposure tends
     to the mean exposure over centres and the pseudo-count to the total
     observed, so the predictive laws collapse to a Poisson count (or a
     gamma waiting time) at the overall rate, and the beta terms drop out
-    of the quantile adjustment factors.
+    of the quantile adjustment factors.  Elementwise over trials given
+    by their total counts and summed exposures; the bounds' first axis
+    holds the plug-in interval, then the adjusted one.
     """
-    rate = data.total_count / float(data.exposures.sum())
-    mean_exposure = float(data.exposures.mean())
-    pooled_rate = rate * data.num_centres
+    rate = total_count / exposure_sum
+    mean_exposure = exposure_sum / config.centres
+    pooled_rate = rate * config.centres
     p_lo = (1.0 - config.level) / 2.0
     p_hi = 1.0 - p_lo
     if config.objective == COUNT:
-        factor = math.sqrt((mean_exposure + config.horizon) / mean_exposure)
+        factor = np.sqrt((mean_exposure + config.horizon) / mean_exposure)
     else:
-        per_centre = config.horizon / data.num_centres
-        factor = math.sqrt(1.0 + per_centre / (rate * mean_exposure))
-    a_lo = float(ndtr(factor * ndtri(p_lo)))
-    a_hi = float(ndtr(factor * ndtri(p_hi)))
+        per_centre = config.horizon / config.centres
+        factor = np.sqrt(1.0 + per_centre / (rate * mean_exposure))
+    a_lo = ndtr(factor * ndtri(p_lo))
+    a_hi = ndtr(factor * ndtri(p_hi))
+    # (end, kind, trial): lower ends, then upper ends
+    ends = np.stack(np.broadcast_arrays(p_lo, a_lo, p_hi, a_hi)).reshape(2, 2, -1)
     if config.objective == COUNT:
-        mean = pooled_rate * config.horizon
-        points = [float(poisson_quantile(q, mean)) for q in (p_lo, p_hi, a_lo, a_hi)]
+        lower, upper = np.asarray(poisson_quantile(ends, pooled_rate * config.horizon),
+                                  dtype=float)
     else:
         law = GammaParams(shape=float(config.horizon), rate=pooled_rate)
-        points = [gamma_quantile(q, law) for q in (p_lo, p_hi, a_lo, a_hi)]
-    plain = PredictionInterval(lower=points[0], upper=points[1],
-                               nominal_level=config.level, probs_used=(p_lo, p_hi))
-    widened = PredictionInterval(lower=points[2], upper=points[3],
-                                 nominal_level=config.level, probs_used=(a_lo, a_hi))
-    return plain, widened
+        lower, upper = gamma_quantile(ends, law)
+    return PredictionInterval(lower=lower, upper=upper, nominal_level=config.level,
+                              probs_used=(ends[0], ends[1]))
 
 
-def _coverage_replication(config: SimConfig, index: int):
-    rng = replication_rng(config.seed, index)
-    rates, data = generate_trial(config, rng)
-    boundary = False
+# What a replication's fit leaves for scoring, one column each: the kind
+# of outcome, the summed true rate, the summed exposure and the total
+# count, then for an interior fit its estimates, log-likelihood and
+# Newton steps, and the posterior mean and variance of the summed rate.
+_FIT_COLUMNS = ("kind", "total_rate", "exposure_sum", "total_count", "alpha", "beta",
+                "log_lik", "iterations", "mean", "variance")
+_DROPPED, _BOUNDARY, _INTERIOR = 0.0, 1.0, 2.0
+# the plug-in interval, then the adjusted one, for every trial of a batch
+_BOTH_KINDS = np.array([[False], [True]])
+
+
+def _fit_replication(config: SimConfig, index: int) -> tuple[float, ...]:
+    """Draw and fit replication ``index``; keep the scalars scoring reads.
+
+    A trial that recruits nobody is dropped.  A monotone likelihood, or
+    an interior search that stalled on the near-boundary ridge, is a
+    boundary replication: its limit laws are indistinguishable from the
+    stalled fit's.
+    """
+    rates, data = generate_trial(config, replication_rng(config.seed, index))
+    total_rate = float(np.sum(rates))
     try:
         fit = fit_mle(data)
     except InsufficientData:
-        return None
+        return (_DROPPED, total_rate) + (math.nan,) * (len(_FIT_COLUMNS) - 2)
     except DegenerateLikelihood:
-        boundary = True
-    if not boundary and not fit.converged:
-        # interior search stalled on the near-boundary ridge; the limit
-        # laws are then indistinguishable from the stalled fit's
-        boundary = True
-    if boundary:
-        plain, widened = _boundary_intervals(data, config)
-        t_star = float(data.exposures.mean())
-        ratios = (1.0, 1.0)
-    else:
-        pool = pool_centres(data, fit)
-        request = PredictionRequest(config.objective, config.horizon, config.level)
-        plain = prediction_interval(pool, fit, request)
-        widened = prediction_interval(pool, fit, replace(request, adjusted=True))
-        open_mean = float(data.exposures.mean())
-        t_star = pool.t_star
-        ratios = (pool.t_star / open_mean, pool.n_star / data.total_count)
-    return (
-        exact_coverage(rates, plain, config.objective, config.horizon),
-        plain.upper - plain.lower,
-        exact_coverage(rates, widened, config.objective, config.horizon),
-        widened.upper - widened.lower,
-        t_star,
-        ratios[0],
-        ratios[1],
-        1.0 if boundary else 0.0,
-    )
+        fit = None
+    observed = (float(data.exposures.sum()), data.total_count)
+    if fit is None or not fit.converged:
+        return (_BOUNDARY, total_rate, *observed) + (math.nan,) * (len(_FIT_COLUMNS) - 4)
+    return (_INTERIOR, total_rate, *observed, fit.alpha_hat, fit.beta_hat, fit.log_lik,
+            fit.iterations, *posterior_rate_moments(data, fit))
 
 
-def _quantile_replication(config: SimConfig, p: float, index: int):
-    rng = replication_rng(config.seed, index)
-    rates, data = generate_trial(config, rng)
-    try:
-        fit = fit_mle(data)
-    except (DegenerateLikelihood, InsufficientData):
-        return None
-    if not fit.converged:
-        return None
-    pool = pool_centres(data, fit)
-    total_rate = float(np.sum(rates))
+def _fit_chunk(config: SimConfig, bounds: tuple[int, int]) -> dict[str, np.ndarray]:
+    """Fit replications ``bounds[0]`` up to ``bounds[1]``: each column of
+    ``_FIT_COLUMNS``, with one entry per replication in order."""
+    table = np.empty((bounds[1] - bounds[0], len(_FIT_COLUMNS)))
+    for row, index in enumerate(range(*bounds)):
+        table[row] = _fit_replication(config, index)
+    return dict(zip(_FIT_COLUMNS, table.T))
+
+
+def _interior_pool(config: SimConfig, fits: dict[str, np.ndarray], interior: np.ndarray
+                   ) -> tuple[PooledPosterior, ModelFit]:
+    """The interior replications' fits, as one batch, and their pools."""
+    fit = ModelFit(alpha_hat=fits["alpha"][interior], beta_hat=fits["beta"][interior],
+                   log_lik=fits["log_lik"][interior], converged=True,
+                   iterations=fits["iterations"][interior])
+    pool = pool_moments(fits["mean"][interior], fits["variance"][interior],
+                        config.centres, fit)
+    return pool, fit
+
+
+def _coverage_chunk(config: SimConfig, bounds: tuple[int, int]) -> np.ndarray:
+    """Score replications ``bounds[0]`` up to ``bounds[1]``, one row each.
+
+    A row holds the plug-in coverage and width, the adjusted coverage and
+    width, t*, the ratios t*/mean exposure and n*/total count, and 1 for
+    a boundary replication (0 otherwise).  A dropped replication's row is
+    NaN throughout.
+    """
+    fits = _fit_chunk(config, bounds)
+    rows = np.full((fits["kind"].size, 8), math.nan)
+    mean_exposure = fits["exposure_sum"] / config.centres
+    interior = np.flatnonzero(fits["kind"] == _INTERIOR)
+    boundary = np.flatnonzero(fits["kind"] == _BOUNDARY)
+    if interior.size:
+        pool, fit = _interior_pool(config, fits, interior)
+        request = PredictionRequest(config.objective, config.horizon, config.level,
+                                    adjusted=_BOTH_KINDS)
+        _score(rows, interior, prediction_interval(pool, fit, request), fits, config)
+        rows[interior, 4] = pool.t_star
+        rows[interior, 5] = pool.t_star / mean_exposure[interior]
+        rows[interior, 6] = pool.n_star / fits["total_count"][interior]
+        rows[interior, 7] = 0.0
+    if boundary.size:
+        both = _boundary_intervals(config, fits["total_count"][boundary],
+                                   fits["exposure_sum"][boundary])
+        _score(rows, boundary, both, fits, config)
+        rows[boundary, 4] = mean_exposure[boundary]
+        rows[boundary, 5:8] = 1.0
+    return rows
+
+
+def _score(rows: np.ndarray, which: np.ndarray, both: PredictionInterval,
+           fits: dict[str, np.ndarray], config: SimConfig) -> None:
+    """Write the coverage and width of the plug-in and adjusted intervals,
+    the first axis of ``both``, for the replications ``which``."""
+    coverage = exact_coverage(fits["total_rate"][which, None], both,
+                              config.objective, config.horizon)
+    rows[which, 0], rows[which, 2] = coverage
+    rows[which, 1], rows[which, 3] = both.upper - both.lower
+
+
+def _quantile_chunk(config: SimConfig, p: float, bounds: tuple[int, int]) -> np.ndarray:
+    """Exact contents of the fitted p-quantile for replications ``bounds[0]``
+    up to ``bounds[1]``, in order; NaN where the fit was not interior."""
+    fits = _fit_chunk(config, bounds)
+    contents = np.full(fits["kind"].size, math.nan)
+    interior = np.flatnonzero(fits["kind"] == _INTERIOR)
+    if interior.size == 0:
+        return contents
+    pool, _ = _interior_pool(config, fits, interior)
+    rate = fits["total_rate"][interior]
     if config.objective == COUNT:
         quantile = nb_quantile(p, predictive_count_law(pool, config.horizon))
-        return poisson_cdf(quantile, total_rate * config.horizon)
-    quantile = pearson6_quantile(p, predictive_time_law(pool, int(config.horizon)))
-    return gamma_cdf(quantile, GammaParams(shape=float(config.horizon), rate=total_rate))
-
-
-def _chunk(replicate, bounds: tuple[int, int]) -> list:
-    """Replications ``bounds[0]`` up to ``bounds[1]``, in order."""
-    return [replicate(i) for i in range(*bounds)]
+        contents[interior] = poisson_cdf(quantile, rate * config.horizon)
+    else:
+        quantile = pearson6_quantile(p, predictive_time_law(pool, int(config.horizon)))
+        contents[interior] = gamma_cdf(quantile, GammaParams(shape=float(config.horizon),
+                                                             rate=rate))
+    return contents
 
 
 def _chunk_bounds(total: int, workers: int) -> list[tuple[int, int]]:
@@ -363,16 +446,13 @@ def _worker_plan(total: int, requested: int) -> tuple[int, list[tuple[int, int]]
     return min(workers, len(bounds)), bounds
 
 
-def _run_replications(chunk_fn, total: int, workers: int) -> list:
+def _run_replications(chunk_fn, total: int, workers: int) -> np.ndarray:
+    """The chunks' rows for replications 0 up to ``total``, in order."""
     workers, bounds = _worker_plan(total, workers)
     if workers == 1:
-        results = []
-        for b in bounds:
-            results.extend(chunk_fn(b))
-        return results
+        return np.concatenate([chunk_fn(b) for b in bounds])
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        chunks = list(pool.map(chunk_fn, bounds))
-    return [row for chunk in chunks for row in chunk]
+        return np.concatenate(list(pool.map(chunk_fn, bounds)))
 
 
 def coverage_study(config: SimConfig, workers: int = 1) -> CoverageReport:
@@ -383,10 +463,9 @@ def coverage_study(config: SimConfig, workers: int = 1) -> CoverageReport:
     trial that recruits nobody carries no information at all and is
     dropped (also tallied).
     """
-    rows = _run_replications(partial(_chunk, partial(_coverage_replication, config)),
-                             config.replications, workers)
-    kept = np.array([r for r in rows if r is not None], dtype=float)
-    dropped = sum(1 for r in rows if r is None)
+    rows = _run_replications(partial(_coverage_chunk, config), config.replications, workers)
+    dropped = np.isnan(rows[:, 7])
+    kept = rows[~dropped]
     if kept.size == 0:
         raise DegenerateLikelihood("no replication produced usable data")
     means = kept[:, :7].mean(axis=0)
@@ -399,7 +478,7 @@ def coverage_study(config: SimConfig, workers: int = 1) -> CoverageReport:
         t_star_ratio=means[5],
         n_star_ratio=means[6],
         replications=kept.shape[0],
-        degenerate_fits=int(kept[:, 7].sum()) + dropped,
+        degenerate_fits=int(kept[:, 7].sum()) + int(dropped.sum()),
     )
 
 
@@ -414,11 +493,11 @@ def quantile_probability_study(config: SimConfig, p: float,
     """
     if not 0.0 < p < 1.0:
         raise ValueError(f"p must lie in (0, 1), got {p}")
-    rows = _run_replications(partial(_chunk, partial(_quantile_replication, config, p)),
-                             config.replications, workers)
-    kept = np.array([r for r in rows if r is not None], dtype=float)
-    dropped = sum(1 for r in rows if r is None)
-    return QuantileProbabilitySample(p=p, values=kept, degenerate_fits=dropped)
+    contents = _run_replications(partial(_quantile_chunk, config, p),
+                                 config.replications, workers)
+    dropped = np.isnan(contents)
+    return QuantileProbabilitySample(p=p, values=contents[~dropped],
+                                     degenerate_fits=int(dropped.sum()))
 
 
 def kernel_density(samples: np.ndarray, grid: np.ndarray) -> np.ndarray:

@@ -7,7 +7,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from recruitcast import ModelFit, TrialData, cli, fit_mle, pool_centres, predictive_count_law
+from recruitcast import (
+    ModelFit,
+    TrialData,
+    cli,
+    fit_mle,
+    pool_centres,
+    predictive_count_law,
+    simulate,
+)
 from recruitcast.asymptotics import count_limit_law
 from recruitcast.cli import main, parse_centre_csv
 from recruitcast.datasets import (
@@ -511,6 +519,26 @@ def test_config_integer_fields_must_be_integers(tmp_path, monkeypatch, capsys,
     assert out == ""
     assert err.count("\n") == 1
     assert repr(field) in err and "integer" in err
+
+
+@pytest.mark.parametrize("opening", [float("nan"), float("inf"), -float("inf"), 1.5, -0.5])
+def test_config_opening_times_fail_before_any_trial_is_drawn(tmp_path, monkeypatch,
+                                                             capsys, opening):
+    # a NaN opening once passed both range checks and surfaced mid-run as
+    # numpy's "lam value too large"
+    def no_trial(*args, **kwargs):
+        raise AssertionError("a trial was drawn")
+
+    monkeypatch.setattr(simulate, "generate_trial", no_trial)
+    raw = {"prior": {"alpha": 2.0, "beta": 1.0}, "centres": 3, "census_time": 1.0,
+           "schedule": {"opening_times": [0.0, 0.5, opening]},
+           "objective": "count", "horizon": 0.5, "replications": 3, "seed": 4}
+    config = tmp_path / "cell.json"
+    config.write_text(json.dumps(raw))
+    code, out, err = run(capsys, "simulate", "--config", str(config))
+    assert code == 4
+    assert out == ""
+    assert err.count("\n") == 1 and "opening times" in err
 
 
 def test_config_integer_fields_take_integral_floats(tmp_path, capsys):

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import special
 
@@ -44,6 +44,10 @@ def test_nb_cdf_oracle_case():
 def test_nb_cdf_shape():
     law = NegBinParams(size=7.25, prob=0.4)
     assert nb_cdf(-1, law) == 0.0
+    # every k below zero reads 0, one at a time or in a batch
+    assert nb_cdf(-5.5, law) == 0.0 and poisson_cdf(-5.5, 3.0) == 0.0
+    assert nb_cdf(np.array([-7.0, -1.0]), law).tolist() == [0.0, 0.0]
+    assert poisson_cdf(np.array([-7.0, -1.0]), 3.0).tolist() == [0.0, 0.0]
     assert nb_cdf(3.9, law) == nb_cdf(3, law)
     prev = 0.0
     for k in range(40):
@@ -226,6 +230,38 @@ def test_nb_quantile_equals_the_exponential_bracket_search(case):
     assert nb_quantile(q, law) == expected
 
 
+_BATCH = settings(max_examples=120, deadline=None, derandomize=True, database=None)
+
+
+@_BATCH
+@given(cases=st.lists(_NB_CASES, min_size=1, max_size=12))
+@example(cases=[(0.95, NegBinParams(302.0, 0.36))])
+@example(cases=[(1e-9, NegBinParams(5e-4, 0.6)), (0.5, NegBinParams(302.0, 0.36)),
+                (1.0 - 1e-12, NegBinParams(2e-4, 0.999)), (0.999, NegBinParams(40.0, 1e-5))])
+def test_batched_nb_quantiles_equal_the_exponential_bracket_search(cases):
+    # one batch mixes both cdf branches and both ends of (0, 1); each of
+    # its laws must get the answer a search of that law alone finds
+    levels = np.array([q for q, _ in cases])
+    laws = NegBinParams(np.array([law.size for _, law in cases]),
+                        np.array([law.prob for _, law in cases]))
+    got = nb_quantile(levels, laws)
+    assert got.shape == levels.shape
+    for k, (q, law) in zip(got.tolist(), cases):
+        assert k == oracles.exponential_bracket_quantile(
+            lambda j: nb_cdf(j, law), q, law.mean)
+
+
+@_BATCH
+@given(cases=st.lists(st.tuples(_LEVELS, _log_uniform(1e-6, 1e4)), min_size=1, max_size=12))
+def test_batched_poisson_quantiles_equal_the_exponential_bracket_search(cases):
+    levels, means = (np.array(column) for column in zip(*cases))
+    got = poisson_quantile(levels, means)
+    assert got.shape == levels.shape
+    for k, (q, mean) in zip(got.tolist(), cases):
+        assert k == oracles.exponential_bracket_quantile(
+            lambda j: poisson_cdf(j, mean), q, mean)
+
+
 @_SEARCH
 @given(case=_NB_CASES)
 def test_nb_quantile_lands_where_the_cdf_crosses_q(case):
@@ -255,13 +291,15 @@ def test_nb_quantile_reads_nb_cdf_from_the_module_a_few_times(monkeypatch):
 
 def test_table_quantiles_read_nb_cdf_at_most_two_and_a_half_times(monkeypatch):
     # the skew-corrected start lands on the answer or next to it for the
-    # tables' pooled laws; the normal start took 5.4 reads per quantile
+    # tables' pooled laws; the normal start took 5.4 reads per quantile.
+    # A chunk reads its quantiles in batches, so both sides count elements:
+    # one per quantile asked for, one per point the cdf is read at
     reads = {"cdf": 0, "quantile": 0}
 
     def counted(function, key):
-        def wrapper(*args):
-            reads[key] += 1
-            return function(*args)
+        def wrapper(points, params):
+            reads[key] += np.broadcast(points, params.size, params.prob).size
+            return function(points, params)
         return wrapper
 
     monkeypatch.setattr(distributions, "nb_cdf", counted(distributions.nb_cdf, "cdf"))

@@ -518,6 +518,14 @@ def test_trial_data_rejects_bad_input(what, value, exposures, counts):
         TrialData.from_arrays(census, exposures, counts)
 
 
+@pytest.mark.parametrize("counts", [[2**62, 2**62], [2**63 - 1, 1]])
+def test_trial_data_rejects_counts_whose_sum_passes_int64(counts):
+    # the int64 sum of either pair wraps to -2^63
+    with pytest.raises(ValueError, match=f"sum to {2**63}"):
+        TrialData(1.0, [1.0, 0.5], counts)
+    assert TrialData(1.0, [1.0, 0.5], [2**62, 2**62 - 1]).total_count == 2**63 - 1
+
+
 def test_trial_data_rejects_ids_of_the_wrong_length():
     with pytest.raises(ValueError):
         TrialData.from_arrays(4.0, [4.0, 2.0], [3, 1], ["a"])

@@ -10,6 +10,7 @@ from recruitcast import (
     COUNT,
     TIME,
     ModelFit,
+    PooledPosterior,
     PredictionRequest,
     TrialData,
     adjust_probability_count,
@@ -218,3 +219,35 @@ def test_adjust_domain_errors():
         adjust_probability_time(1.0, 2.0, 150.0, 200.0, 1.0)
     with pytest.raises(ValueError):
         adjust_probability_time(0.5, 0.0, 150.0, 200.0, 1.0)
+
+
+@pytest.mark.parametrize("objective, horizon", [(COUNT, 150.0), (TIME, 40.0)])
+def test_a_batch_of_intervals_is_bitwise_the_single_trial_calls(objective, horizon):
+    # one call over 30 trials and both kinds gives, entry by entry,
+    # exactly the floats of the 60 one-trial calls
+    rng = np.random.default_rng(47)
+    pools, fits = [], []
+    for _ in range(30):
+        exposures = rng.uniform(20.0, 200.0, 40)
+        counts = rng.poisson(rng.gamma(0.8, 1.0 / 60.0, 40) * exposures)
+        data = TrialData.from_arrays(200.0, exposures, counts)
+        fits.append(fit_mle(data))
+        pools.append(pool_centres(data, fits[-1]))
+
+    def stacked(records, names):
+        return {name: np.array([getattr(r, name) for r in records]) for name in names}
+
+    batch_pool = PooledPosterior(**stacked(pools, ("n_star", "t_star", "shape", "rate")),
+                                 centres=40)
+    batch_fit = ModelFit(**stacked(fits, ("alpha_hat", "beta_hat", "log_lik", "iterations")),
+                         converged=True)
+    both = prediction_interval(batch_pool, batch_fit, PredictionRequest(
+        objective, horizon, 0.9, adjusted=np.array([[False], [True]])))
+    assert both.lower.shape == both.upper.shape == (2, 30)
+    assert both.lower.dtype == both.upper.dtype == np.float64
+    for kind, adjusted in enumerate((False, True)):
+        for i, (pool, fit) in enumerate(zip(pools, fits)):
+            one = prediction_interval(pool, fit, PredictionRequest(objective, horizon, 0.9,
+                                                                   adjusted=adjusted))
+            assert (one.lower, one.upper) == (both.lower[kind, i], both.upper[kind, i])
+            assert one.probs_used == tuple(p[kind, i] for p in both.probs_used)

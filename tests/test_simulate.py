@@ -2,6 +2,8 @@
 
 import math
 import os
+from dataclasses import astuple
+from functools import partial
 
 import numpy as np
 import pytest
@@ -35,6 +37,8 @@ from recruitcast import (
     quantile_probability_study,
     replication_rng,
 )
+from recruitcast import simulate
+from recruitcast.reproduce import reproduction_table
 from recruitcast.simulate import _worker_plan
 
 
@@ -219,6 +223,43 @@ def test_coverage_study_parallel_bit_identical():
     assert coverage_study(config, workers=1) == coverage_study(config, workers=3)
 
 
+def _table_row(table_id, row):
+    return reproduction_table(table_id, replications=20, base_seed=31).rows[row][1]
+
+
+_CHUNKED_CELLS = {
+    "table 2": lambda: _table_row("2", 0),
+    "table 3": lambda: _table_row("3", 3),
+    "time objective": lambda: _table_row("D5", 1),
+    # six centres, half of them closed, with nearly equal rates and about
+    # three recruits: mostly boundary fits, a few interior and dropped
+    "boundary heavy": lambda: SimConfig(
+        prior=SingleGamma(alpha=20.0, beta=20.0), centres=6, census_time=1.0,
+        schedule=SplitHalf(), objective=COUNT, horizon=4.0, level=0.9,
+        replications=20, seed=300),
+}
+
+
+@pytest.mark.parametrize("cell", list(_CHUNKED_CELLS))
+def test_chunks_and_workers_change_no_byte(cell):
+    # each replication is scored from its own stream and fit, so neither
+    # where a chunk ends nor how many processes share them moves a bit
+    config = _CHUNKED_CELLS[cell]()
+    for chunk in (partial(simulate._coverage_chunk, config),
+                  partial(simulate._quantile_chunk, config, 0.25)):
+        whole = chunk((0, 20))
+        assert np.concatenate([chunk((0, 7)), chunk((7, 20))]).tobytes() == whole.tobytes()
+    if cell == "boundary heavy":
+        flags = simulate._coverage_chunk(config, (0, 20))[:, 7]
+        assert np.count_nonzero(flags == 1.0) > 10
+        assert np.count_nonzero(flags == 0.0) > 0 and np.count_nonzero(np.isnan(flags)) > 0
+    one, two = coverage_study(config, workers=1), coverage_study(config, workers=2)
+    assert np.array(astuple(one)).tobytes() == np.array(astuple(two)).tobytes()
+    one, two = (quantile_probability_study(config, 0.25, workers=w) for w in (1, 2))
+    assert one.values.tobytes() == two.values.tobytes()
+    assert one.degenerate_fits == two.degenerate_fits
+
+
 def test_worker_plan_caps_a_huge_request():
     # the plan is pure arithmetic: no process starts here
     cpus = os.cpu_count() or 1
@@ -336,6 +377,9 @@ def test_schedule_and_prior_validation():
         Explicit((0.0, 10.0)).sample_openings(rng, 3, 50.0)
     with pytest.raises(ValueError):
         Explicit((0.0, 60.0)).sample_openings(rng, 2, 50.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            Explicit((0.0, bad))
 
 
 def test_sim_config_validation():
@@ -349,6 +393,9 @@ def test_sim_config_validation():
         dict(level=1.0),
         dict(replications=0),
         dict(seed=-1),
+        # explicit openings are checked against the design up front
+        dict(centres=3, schedule=Explicit((0.0, 10.0))),
+        dict(centres=2, schedule=Explicit((0.0, 250.0))),
     ):
         with pytest.raises(ValueError):
             _config(**overrides)
