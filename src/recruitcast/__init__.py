@@ -10,12 +10,13 @@ from .asymptotics import (
     CumulantCheck,
     GammaCollection,
     LimitLaw,
+    content_limit,
     count_limit_law,
     limit_prob_cdf,
     limit_prob_density,
-    limit_tail_mass,
     moment_matched_gamma,
     sum_gamma_cumulant,
+    time_horizon,
     time_limit_law,
     verify_cumulant_ordering,
 )

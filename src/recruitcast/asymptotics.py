@@ -1,11 +1,28 @@
 """Limit laws for interval content and gamma-sum cumulant checks.
 
 As the number of centres grows, the true probability content of a
-plug-in prediction interval's quantile does not settle at its nominal p:
-it converges to W = Phi(c Z + d) for a standard normal Z, with (c, d)
-determined by the objective.  These laws justify the probability
-adjustment in :mod:`recruitcast.predict` and are reproduced empirically
-by the simulation harness.
+plug-in p-quantile does not settle at its nominal p: it converges to
+
+    W = Phi(c Z + g invPhi(p)),   Z standard normal.
+
+Both objectives share one form.  With t the effective exposure and x the
+horizon in time units (x = s for the count over a horizon s, and
+x = m beta / alpha for the time to m more recruits per centre),
+
+    c^2 = x / t,   g^2 = 1 + x / (beta + t).
+
+Since E[Phi(c Z + d)] = Phi(d / sqrt(1 + c^2)), the level whose
+limiting mean content is p is
+
+    p* = Phi(invPhi(p) sqrt(1 + c^2) / g)
+       = Phi(invPhi(p) sqrt((beta + t)(t + x) / (t (beta + t + x)))),
+
+the adjusted level of :mod:`recruitcast.predict`.  Where the likelihood
+is monotone, alpha and beta grow without bound at a fixed ratio; the
+same form then holds at beta = inf, with g = 1 and the factor
+sqrt((t + x) / t).  ``content_limit`` is the one place these closed
+forms are written; the limit laws, both probability adjustments and the
+simulation harness's boundary intervals all read them from there.
 
 The second half of the module handles sums of independent gamma
 variables: exact cumulants, the moment-matched gamma approximation, and
@@ -22,15 +39,19 @@ from typing import Iterable
 import numpy as np
 from scipy import special
 
+from ._elementwise import every, sqrt, where
+from .distributions import GammaParams
+
 __all__ = [
     "LimitLaw",
     "GammaCollection",
     "CumulantCheck",
+    "content_limit",
+    "time_horizon",
     "count_limit_law",
     "time_limit_law",
     "limit_prob_cdf",
     "limit_prob_density",
-    "limit_tail_mass",
     "sum_gamma_cumulant",
     "moment_matched_gamma",
     "verify_cumulant_ordering",
@@ -56,38 +77,52 @@ class LimitLaw:
             raise ValueError(f"shift d must be finite, got {self.d}")
 
 
-def count_limit_law(p: float, beta: float, exposure: float, horizon: float) -> LimitLaw:
-    """Limit law of the p-quantile's content for the count objective.
+def content_limit(p, x, beta, t):
+    """(c, d, p*): the p-quantile's content limit Phi(c Z + d) and the
+    adjusted level p*, as in the module docstring.
 
-    c = sqrt(horizon / exposure) and
-    d = invPhi(p) sqrt((beta + exposure + horizon) / (beta + exposure)).
+    ``x`` is the horizon in time units, ``beta`` the rate parameter (inf
+    at the boundary) and ``t`` the effective exposure; d = g invPhi(p).
+    At beta = 0 the adjustment is the identity and p* is p itself.
+    Elementwise over arrays.
     """
-    if not 0.0 < p < 1.0:
+    if not every((0.0 < p) & (p < 1.0)):
         raise ValueError(f"probability must lie in (0, 1), got {p}")
-    if not (exposure > 0 and horizon > 0):
-        raise ValueError("exposure and horizon must be positive")
-    if beta < 0:
+    if not every(beta >= 0):
         raise ValueError(f"beta must be non-negative, got {beta}")
-    c = math.sqrt(horizon / exposure)
-    d = float(special.ndtri(p)) * math.sqrt(1.0 + horizon / (beta + exposure))
-    return LimitLaw(c=c, d=d, objective="count")
+    if not every((t > 0) & (x >= 0)):
+        raise ValueError("exposure must be positive and the horizon non-negative")
+    z = special.ndtri(p)
+    c = sqrt(x / t)
+    d = z * sqrt(1.0 + x / (beta + t))
+    # the product form of (1 + c^2) / g^2 keeps the last bit best; at
+    # beta = inf its limit (t + x) / t stands in
+    finite = beta < math.inf
+    b = where(finite, beta, 0.0)
+    widening = where(finite, (b + t) * (t + x) / (t * (b + t + x)), (t + x) / t)
+    return c, d, where(beta == 0.0, p, special.ndtr(sqrt(widening) * z))
+
+
+def time_horizon(mean_target, alpha, beta):
+    """x for the time to ``mean_target`` more recruits per centre:
+    mean_target beta / alpha.  Elementwise over arrays."""
+    if not every((alpha > 0) & (mean_target > 0)):
+        raise ValueError("alpha and the mean target must be positive")
+    return mean_target * beta / alpha
+
+
+def count_limit_law(p: float, beta: float, exposure: float, horizon: float) -> LimitLaw:
+    """Limit law of the p-quantile's content for the count objective (x = horizon)."""
+    c, d, _ = content_limit(p, horizon, beta, exposure)
+    return LimitLaw(c=c, d=float(d), objective="count")
 
 
 def time_limit_law(p: float, alpha: float, beta: float,
                    exposure: float, mean_target: float) -> LimitLaw:
-    """Limit law of the p-quantile's content for the time objective.
-
-    With a the target count per centre, c = sqrt(a beta / (alpha exposure))
-    and d = invPhi(p) sqrt(1 + (a / alpha) beta / (beta + exposure)).
-    """
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"probability must lie in (0, 1), got {p}")
-    if not (alpha > 0 and beta > 0 and exposure > 0 and mean_target > 0):
-        raise ValueError("alpha, beta, exposure and mean target must be positive")
-    c = math.sqrt(mean_target * beta / (alpha * exposure))
-    d = float(special.ndtri(p)) * math.sqrt(
-        1.0 + (mean_target / alpha) * beta / (beta + exposure))
-    return LimitLaw(c=c, d=d, objective="time")
+    """Limit law of the p-quantile's content for the time objective, with
+    ``mean_target`` the target count per centre (x = mean_target beta / alpha)."""
+    c, d, _ = content_limit(p, time_horizon(mean_target, alpha, beta), beta, exposure)
+    return LimitLaw(c=c, d=float(d), objective="time")
 
 
 def limit_prob_cdf(w, law: LimitLaw):
@@ -111,18 +146,6 @@ def limit_prob_density(w, law: LimitLaw):
     log_density = 0.5 * (u * u - z * z) - math.log(law.c)
     out = np.exp(log_density)
     return float(out) if out.ndim == 0 else out
-
-
-def limit_tail_mass(p: float, beta: float, exposure: float) -> float:
-    """P(W <= p) in the count limit as the horizon grows without bound."""
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"probability must lie in (0, 1), got {p}")
-    if not exposure > 0:
-        raise ValueError(f"exposure must be positive, got {exposure}")
-    if beta < 0:
-        raise ValueError(f"beta must be non-negative, got {beta}")
-    return float(special.ndtr(math.sqrt(exposure / (beta + exposure))
-                              * float(special.ndtri(p))))
 
 
 @dataclass(frozen=True)
@@ -162,13 +185,10 @@ def sum_gamma_cumulant(order: int, collection: GammaCollection) -> float:
     return float(math.exp(special.gammaln(order) + special.logsumexp(log_terms)))
 
 
-def moment_matched_gamma(collection: GammaCollection):
-    """Gamma law sharing the sum's first two cumulants."""
-    from .distributions import GammaParams
-
-    k1 = sum_gamma_cumulant(1, collection)
-    k2 = sum_gamma_cumulant(2, collection)
-    return GammaParams(shape=k1 * k1 / k2, rate=k1 / k2)
+def moment_matched_gamma(mean, variance) -> GammaParams:
+    """The gamma law with the given mean and variance: shape
+    mean^2 / variance, rate mean / variance.  Elementwise over arrays."""
+    return GammaParams(shape=mean * mean / variance, rate=mean / variance)
 
 
 @dataclass(frozen=True)
@@ -189,7 +209,8 @@ def verify_cumulant_ordering(collection: GammaCollection,
     """
     if max_order < 3:
         raise ValueError(f"max_order must be at least 3, got {max_order}")
-    matched = moment_matched_gamma(collection)
+    matched = moment_matched_gamma(sum_gamma_cumulant(1, collection),
+                                   sum_gamma_cumulant(2, collection))
     single = GammaCollection(shapes=(matched.shape,), rates=(matched.rate,))
     checks = []
     for order in range(3, max_order + 1):

@@ -126,6 +126,8 @@ class TrialData:
         if counts.dtype.kind == "f":
             reject(~np.isfinite(counts) | (counts != np.floor(counts)),
                    "count must be an integer", counts)
+            # the cast below would wrap these
+            reject(np.abs(counts) >= 2.0**63, "count must lie in the int64 range", counts)
         elif counts.dtype.kind not in "biu":
             raise ValueError(f"counts must be integers, got dtype {counts.dtype}")
         counts = counts.astype(np.int64)

@@ -7,7 +7,9 @@ horizon is negative binomial, and the waiting time to a target number of
 recruits is Pearson VI.  Plug-in intervals read quantiles straight off
 those laws; adjusted intervals first widen the quantile probabilities to
 undo the coverage loss from estimating (alpha, beta), using the limiting
-distribution of the interval's true content.
+distribution of the interval's true content
+(:func:`recruitcast.asymptotics.content_limit`, whose module docstring
+derives the adjusted level for both objectives).
 
 Pooling, the adjustments and ``prediction_interval`` also take arrays,
 one entry per trial, so the simulation harness scores a batch of trials
@@ -19,9 +21,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy import special
-
-from ._elementwise import every, is_batch, some, sqrt, where
+from ._elementwise import is_batch, some, where
+from .asymptotics import content_limit, moment_matched_gamma, time_horizon
 from .distributions import (
     NegBinParams,
     Pearson6Params,
@@ -119,13 +120,12 @@ def pool_moments(mean, variance, centres: int, fit: ModelFit) -> PooledPosterior
     moments and the estimates may be arrays, one entry per trial of a
     batch of trials with ``centres`` centres each.
     """
-    rate = mean / variance
-    shape = mean * mean / variance
+    matched = moment_matched_gamma(mean, variance)
     return PooledPosterior(
-        n_star=shape - centres * fit.alpha_hat,
-        t_star=rate - fit.beta_hat,
-        shape=shape,
-        rate=rate,
+        n_star=matched.shape - centres * fit.alpha_hat,
+        t_star=matched.rate - fit.beta_hat,
+        shape=matched.shape,
+        rate=matched.rate,
         centres=centres,
     )
 
@@ -150,46 +150,21 @@ def _plain(values):
 
 
 def adjust_probability_count(p, beta, exposure, horizon):
-    """Widened quantile probability for count intervals.
-
-    Maps p through the limiting law of the plug-in interval's content:
-    p* = Phi( sqrt((beta + t)(t + s) / (t (beta + t + s))) * invPhi(p) )
-    with t the effective exposure and s the horizon.  At beta = 0 the
-    factor is one and p is returned unchanged.  Elementwise over arrays.
+    """Widened quantile probability for count intervals: the adjusted
+    level p* of ``content_limit`` with x = ``horizon`` and t the effective
+    exposure.  At beta = 0 p is returned unchanged.  Elementwise over arrays.
     """
-    if not every((0.0 < p) & (p < 1.0)):
-        raise ValueError(f"probability must lie in (0, 1), got {p}")
-    if some(beta < 0):
-        raise ValueError(f"beta must be non-negative, got {beta}")
-    if not every((exposure > 0) & (horizon > 0)):
-        raise ValueError("exposure and horizon must be positive")
-    factor = sqrt((beta + exposure) * (exposure + horizon)
-                  / (exposure * (beta + exposure + horizon)))
-    return _plain(where(beta == 0.0, p, special.ndtr(factor * special.ndtri(p))))
+    return _plain(content_limit(p, horizon, beta, exposure)[2])
 
 
 def adjust_probability_time(p, alpha, beta, exposure, mean_target):
-    """Widened quantile probability for time-to-target intervals.
-
-    Same construction as the count case but driven by the time objective's
-    limit law: with a = target / C,
-
-        c^2 = a beta / (alpha t),   s^2 = 1 + (a / alpha) beta / (beta + t),
-        p* = Phi( sqrt((1 + c^2) / s^2) * invPhi(p) ).
-
-    At beta = 0 both c and the extra variance vanish and p is unchanged.
-    Elementwise over arrays.
+    """Widened quantile probability for time-to-target intervals: the
+    adjusted level p* of ``content_limit`` with x = a beta / alpha, where
+    a = target / C is ``mean_target``.  At beta = 0 p is returned
+    unchanged.  Elementwise over arrays.
     """
-    if not every((0.0 < p) & (p < 1.0)):
-        raise ValueError(f"probability must lie in (0, 1), got {p}")
-    if not every((alpha > 0) & (mean_target > 0) & (exposure > 0)):
-        raise ValueError("alpha, exposure and mean target must be positive")
-    if some(beta < 0):
-        raise ValueError(f"beta must be non-negative, got {beta}")
-    c_sq = mean_target * beta / (alpha * exposure)
-    s_sq = 1.0 + (mean_target / alpha) * beta / (beta + exposure)
-    widened = special.ndtr(sqrt((1.0 + c_sq) / s_sq) * special.ndtri(p))
-    return _plain(where(beta == 0.0, p, widened))
+    x = time_horizon(mean_target, alpha, beta)
+    return _plain(content_limit(p, x, beta, exposure)[2])
 
 
 def prediction_interval(pool: PooledPosterior, fit: ModelFit,
@@ -200,7 +175,8 @@ def prediction_interval(pool: PooledPosterior, fit: ModelFit,
     every interval read off the same fit.  Counts give integer bounds,
     read under the half-open convention of ``PredictionInterval``; times
     give a real interval.  Where ``request.adjusted`` holds, the tail
-    probabilities are widened before the quantiles are read off.
+    probabilities are first widened to the adjusted levels of
+    ``content_limit``.
 
     Elementwise: the pool's fields, the fit's estimates and
     ``request.adjusted`` may be arrays, which broadcast together into a
@@ -212,14 +188,10 @@ def prediction_interval(pool: PooledPosterior, fit: ModelFit,
     p_lo = (1.0 - request.level) / 2.0
     p_hi = 1.0 - p_lo
     if some(adjusted):
-        if request.objective == COUNT:
-            def widen(p):
-                return adjust_probability_count(p, beta, pool.t_star, request.horizon)
-        else:
-            def widen(p):
-                return adjust_probability_time(p, alpha, beta, pool.t_star,
-                                               request.horizon / pool.centres)
-        p_lo, p_hi = where(adjusted, widen(p_lo), p_lo), where(adjusted, widen(p_hi), p_hi)
+        x = (request.horizon if request.objective == COUNT
+             else time_horizon(request.horizon / pool.centres, alpha, beta))
+        p_lo, p_hi = (where(adjusted, content_limit(p, x, beta, pool.t_star)[2], p)
+                      for p in (p_lo, p_hi))
     if request.objective == COUNT:
         law = predictive_count_law(pool, request.horizon)
         lower, upper = nb_quantile(p_lo, law), nb_quantile(p_hi, law)

@@ -34,8 +34,7 @@ from typing import Union
 
 import numpy as np
 
-from scipy.special import ndtr, ndtri
-
+from .asymptotics import content_limit
 from .distributions import (
     GammaParams,
     gamma_cdf,
@@ -203,8 +202,8 @@ class SimConfig:
         PredictionRequest(self.objective, self.horizon, self.level)
         if self.centres < 1:
             raise ValueError("at least one centre is required")
-        if not self.census_time > 0:
-            raise ValueError("census_time must be positive")
+        if not (math.isfinite(self.census_time) and self.census_time > 0):
+            raise ValueError(f"census_time must be positive and finite, got {self.census_time}")
         if self.replications < 1:
             raise ValueError("at least one replication is required")
         if self.seed < 0:
@@ -258,25 +257,31 @@ def generate_trial(config: SimConfig, rng: np.random.Generator
     return rates, data
 
 
+def _target_cdf(objective: str, horizon: float, total_rate):
+    """P(target <= x) given the summed rate L, as a function of x.
+
+    The future count over horizon s is Poisson(L s) and the time to an
+    integer target n is gamma(n, L).  Elementwise over ``total_rate``.
+    """
+    if objective == COUNT:
+        return partial(poisson_cdf, mean=total_rate * horizon)
+    return partial(gamma_cdf, params=GammaParams(shape=float(horizon), rate=total_rate))
+
+
 def exact_coverage(rates: np.ndarray, interval: PredictionInterval,
                    objective: str, horizon: float) -> float:
     """Probability the interval traps the target, given the true rates.
 
-    Conditional on the summed rate L, the future count over horizon s is
-    Poisson(L s) and the time to an integer target n is gamma(n, L).
     Count intervals are scored as ``PredictionInterval`` defines them.
     ``rates`` runs over centres along its last axis.  Leading axes, with
     an interval whose bounds have their shape, score a batch of trials;
     since only the summed rate matters, a batch may pass each trial's
     summed rate as a one-centre row.
     """
-    total_rate = np.sum(rates, axis=-1)
-    if objective == COUNT:
-        mean = total_rate * horizon
-        return (poisson_cdf(np.subtract(interval.upper, 1), mean)
-                - poisson_cdf(np.subtract(interval.lower, 1), mean))
-    law = GammaParams(shape=float(horizon), rate=total_rate)
-    return gamma_cdf(interval.upper, law) - gamma_cdf(interval.lower, law)
+    cdf = _target_cdf(objective, horizon, np.sum(rates, axis=-1))
+    # a count interval [lower, upper) traps lower <= N <= upper - 1
+    below = 1 if objective == COUNT else 0
+    return cdf(np.subtract(interval.upper, below)) - cdf(np.subtract(interval.lower, below))
 
 
 def _boundary_intervals(config: SimConfig, total_count: np.ndarray,
@@ -286,23 +291,19 @@ def _boundary_intervals(config: SimConfig, total_count: np.ndarray,
     Along the ray alpha/beta = n/sum(t) the pooled pseudo-exposure tends
     to the mean exposure over centres and the pseudo-count to the total
     observed, so the predictive laws collapse to a Poisson count (or a
-    gamma waiting time) at the overall rate, and the beta terms drop out
-    of the quantile adjustment factors.  Elementwise over trials given
-    by their total counts and summed exposures; the bounds' first axis
-    holds the plug-in interval, then the adjusted one.
+    gamma waiting time) at the overall rate, and the adjusted levels are
+    those of ``asymptotics.content_limit`` at beta = inf.  Elementwise
+    over trials given by their total counts and summed exposures; the
+    bounds' first axis holds the plug-in interval, then the adjusted one.
     """
     rate = total_count / exposure_sum
     mean_exposure = exposure_sum / config.centres
     pooled_rate = rate * config.centres
     p_lo = (1.0 - config.level) / 2.0
     p_hi = 1.0 - p_lo
-    if config.objective == COUNT:
-        factor = np.sqrt((mean_exposure + config.horizon) / mean_exposure)
-    else:
-        per_centre = config.horizon / config.centres
-        factor = np.sqrt(1.0 + per_centre / (rate * mean_exposure))
-    a_lo = ndtr(factor * ndtri(p_lo))
-    a_hi = ndtr(factor * ndtri(p_hi))
+    # for times x = m beta / alpha, and beta / alpha tends to 1 / rate
+    x = config.horizon if config.objective == COUNT else config.horizon / config.centres / rate
+    a_lo, a_hi = (content_limit(p, x, math.inf, mean_exposure)[2] for p in (p_lo, p_hi))
     # (end, kind, trial): lower ends, then upper ends
     ends = np.stack(np.broadcast_arrays(p_lo, a_lo, p_hi, a_hi)).reshape(2, 2, -1)
     if config.objective == COUNT:
@@ -419,14 +420,12 @@ def _quantile_chunk(config: SimConfig, p: float, bounds: tuple[int, int]) -> np.
     if interior.size == 0:
         return contents
     pool, _ = _interior_pool(config, fits, interior)
-    rate = fits["total_rate"][interior]
     if config.objective == COUNT:
         quantile = nb_quantile(p, predictive_count_law(pool, config.horizon))
-        contents[interior] = poisson_cdf(quantile, rate * config.horizon)
     else:
         quantile = pearson6_quantile(p, predictive_time_law(pool, int(config.horizon)))
-        contents[interior] = gamma_cdf(quantile, GammaParams(shape=float(config.horizon),
-                                                             rate=rate))
+    cdf = _target_cdf(config.objective, config.horizon, fits["total_rate"][interior])
+    contents[interior] = cdf(quantile)
     return contents
 
 

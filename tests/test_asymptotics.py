@@ -4,18 +4,23 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import ndtr, ndtri
 
 import oracles
 from recruitcast import (
     COUNT,
+    TIME,
     GammaCollection,
     LimitLaw,
+    adjust_probability_count,
+    adjust_probability_time,
+    content_limit,
     count_limit_law,
     limit_prob_cdf,
     limit_prob_density,
-    limit_tail_mass,
     moment_matched_gamma,
     sum_gamma_cumulant,
     time_limit_law,
@@ -55,6 +60,59 @@ def test_limit_law_validation():
         count_limit_law(0.5, -1.0, 200.0, 200.0)
     with pytest.raises(ValueError):
         time_limit_law(0.5, 2.0, 0.0, 200.0, 1.0)
+
+
+_IDENTITY = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+
+
+def _log_uniform(lo, hi):
+    return st.floats(math.log(lo), math.log(hi)).map(math.exp)
+
+
+# Levels in [0.01, 0.99] and x / t <= 3 keep p* more than 1e-6 from 0 and
+# 1; nearer, the float round trip through invPhi(p*) alone costs 1e-12.
+_LEVEL = st.floats(0.01, 0.99)
+_RATIO = _log_uniform(1e-3, 3.0)
+_EXPOSURE = _log_uniform(0.1, 100.0)
+_BETA = _log_uniform(1e-3, 1e6)
+
+
+def _mean_content(c, d):
+    """E[Phi(c Z + d)] for a standard normal Z."""
+    return float(ndtr(d / math.sqrt(1.0 + c * c)))
+
+
+@_IDENTITY
+@given(p=_LEVEL, beta=st.one_of(st.just(0.0), _BETA), t=_EXPOSURE, ratio=_RATIO)
+def test_adjusted_count_level_restores_the_limiting_mean_content(p, beta, t, ratio):
+    s = ratio * t
+    law = count_limit_law(adjust_probability_count(p, beta, t, s), beta, t, s)
+    assert abs(_mean_content(law.c, law.d) - p) < 1e-12
+
+
+@_IDENTITY
+@given(p=_LEVEL, alpha=_log_uniform(0.1, 100.0), beta=_BETA, t=_EXPOSURE, ratio=_RATIO)
+def test_adjusted_time_level_restores_the_limiting_mean_content(p, alpha, beta, t, ratio):
+    m = ratio * t * alpha / beta  # so that x = m beta / alpha is ratio * t
+    law = time_limit_law(adjust_probability_time(p, alpha, beta, t, m), alpha, beta, t, m)
+    assert abs(_mean_content(law.c, law.d) - p) < 1e-12
+
+
+@_IDENTITY
+@given(objective=st.sampled_from([COUNT, TIME]), p=_LEVEL, t=_EXPOSURE, ratio=_RATIO,
+       rate=_log_uniform(1e-3, 10.0))
+def test_boundary_level_restores_the_limiting_mean_content(objective, p, t, ratio, rate):
+    # at the boundary alpha and beta grow at the fixed ratio alpha / beta = rate
+    if objective == COUNT:
+        s = ratio * t
+        x, interior = s, adjust_probability_count(p, 1e12, t, s)
+    else:
+        m = ratio * t * rate
+        x, interior = m / rate, adjust_probability_time(p, rate * 1e12, 1e12, t, m)
+    _, _, p_star = content_limit(p, x, math.inf, t)
+    c, d, _ = content_limit(p_star, x, math.inf, t)
+    assert abs(_mean_content(c, d) - p) < 1e-12
+    assert abs(interior - p_star) < 1e-9
 
 
 def test_limit_cdf_uniform_case():
@@ -115,13 +173,6 @@ def test_limit_density_early_census_is_bimodal():
     assert limit_prob_density(0.97, law) > centre
 
 
-def test_limit_tail_mass():
-    assert limit_tail_mass(0.5, 150.0, 200.0) == 0.5
-    for p in (0.1, 0.25, 0.8):
-        assert abs(limit_tail_mass(p, 0.0, 200.0) - p) < 1e-12
-    assert abs(limit_tail_mass(0.25, 150.0, 200.0) - 0.3050725574220293) < 1e-9
-
-
 def test_sum_cumulant_values():
     single = GammaCollection(shapes=(2.0,), rates=(0.5,))
     for j in range(1, 7):
@@ -146,12 +197,14 @@ def test_moment_matched_gamma():
     rng = np.random.default_rng(52)
     shapes = tuple(float(x) for x in rng.uniform(0.5, 5.0, size=6))
     common = GammaCollection(shapes=shapes, rates=(2.0,) * 6)
-    matched = moment_matched_gamma(common)
+    matched = moment_matched_gamma(sum_gamma_cumulant(1, common),
+                                   sum_gamma_cumulant(2, common))
     assert abs(matched.shape - sum(shapes)) < 1e-12 * sum(shapes)
     assert abs(matched.rate - 2.0) < 1e-12
 
     mixture = GammaCollection(shapes=(1.0, 1.0), rates=(1.0, 3.0))
-    matched = moment_matched_gamma(mixture)
+    matched = moment_matched_gamma(sum_gamma_cumulant(1, mixture),
+                                   sum_gamma_cumulant(2, mixture))
     assert abs(matched.shape - 1.6) < 1e-12
     assert abs(matched.rate - 1.2) < 1e-12
     assert abs(matched.shape / matched.rate

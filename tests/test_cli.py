@@ -541,6 +541,25 @@ def test_config_opening_times_fail_before_any_trial_is_drawn(tmp_path, monkeypat
     assert err.count("\n") == 1 and "opening times" in err
 
 
+@pytest.mark.parametrize("census", [float("inf"), float("nan")])
+def test_config_census_time_must_be_finite_before_any_trial_is_drawn(tmp_path, monkeypatch,
+                                                                     capsys, census):
+    # an infinite census once drew trials and then failed inside numpy
+    def no_trial(*args, **kwargs):
+        raise AssertionError("a trial was drawn")
+
+    monkeypatch.setattr(simulate, "generate_trial", no_trial)
+    raw = {"prior": {"alpha": 2.0, "beta": 1.0}, "centres": 3, "census_time": census,
+           "objective": "count", "horizon": 0.5, "replications": 3, "seed": 4}
+    config = tmp_path / "cell.json"
+    config.write_text(json.dumps(raw))
+    assert ("Infinity" if census > 0 else "NaN") in config.read_text()
+    code, out, err = run(capsys, "simulate", "--config", str(config))
+    assert code == 4
+    assert out == ""
+    assert err.count("\n") == 1 and "census_time" in err
+
+
 def test_config_integer_fields_take_integral_floats(tmp_path, capsys):
     raw = {"prior": {"alpha": 2.0, "beta": 1.0}, "centres": 5.0, "census_time": 1.0,
            "objective": "count", "horizon": 0.5, "replications": 3.0, "seed": 4.0}

@@ -3,6 +3,8 @@
 import itertools
 import json
 import math
+import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -524,6 +526,16 @@ def test_trial_data_rejects_counts_whose_sum_passes_int64(counts):
     with pytest.raises(ValueError, match=f"sum to {2**63}"):
         TrialData(1.0, [1.0, 0.5], counts)
     assert TrialData(1.0, [1.0, 0.5], [2**62, 2**62 - 1]).total_count == 2**63 - 1
+
+
+@pytest.mark.parametrize("count", [1e20, 2.0**63, -1e20])
+def test_trial_data_rejects_float_counts_past_int64_before_the_cast(count):
+    # the cast once wrapped such a count to -2^63, with numpy's warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="'centre_1'.*" + re.escape(f"got {count!r}")):
+            TrialData(1.0, [1.0], [count])
+        assert TrialData(1.0, [1.0], [2.0**62]).total_count == 2**62
 
 
 def test_trial_data_rejects_ids_of_the_wrong_length():
