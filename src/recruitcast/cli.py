@@ -17,6 +17,8 @@ import argparse
 import csv
 import io
 import json
+import math
+import operator
 import sys
 from dataclasses import replace
 from datetime import datetime, timezone
@@ -122,56 +124,82 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _parse_float(line: int, raw: str, column: str) -> float:
+def _parse_float(line: int, raw: str | None, column: str) -> float:
+    if raw is None:
+        raise MalformedRow(line, f"missing {column}")
     try:
         value = float(raw)
     except ValueError:
         raise MalformedRow(line, f"cannot parse {column} {raw!r}") from None
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         raise MalformedRow(line, f"{column} must be finite, got {raw!r}")
     return value
 
 
 def _read_rows(path: str, columns: tuple[str, ...]):
+    """Yield (line number, fields) for each row of a UTF-8 centre CSV,
+    with ``fields`` the row's values of ``columns`` in that order.
+
+    The header's last mention of a column wins; other columns, extra
+    fields and empty lines are ignored.  A field past the end of a short
+    row reads as None.  Undecodable bytes and rows csv cannot split are
+    data errors.
+    """
     try:
-        handle = open(path, newline="")
+        handle = open(path, newline="", encoding="utf-8")
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from None
     with handle:
-        reader = csv.DictReader(handle)
-        if reader.fieldnames is None:
-            raise DataError(f"{path} is empty")
-        missing = [c for c in columns if c not in reader.fieldnames]
-        if missing:
-            raise DataError(f"{path} lacks columns: {', '.join(missing)}")
-        for row in reader:
-            yield reader.line_num, row
+        reader = csv.reader(handle)
+        try:
+            header = next(reader, None)
+            if header is None:
+                raise DataError(f"{path} is empty")
+            position = {name: i for i, name in enumerate(header)}
+            missing = [c for c in columns if c not in position]
+            if missing:
+                raise DataError(f"{path} lacks columns: {', '.join(missing)}")
+            indexes = [position[c] for c in columns]
+            select = operator.itemgetter(*indexes)
+            width = max(indexes) + 1
+            for row in reader:
+                if len(row) < width:
+                    if not row:
+                        continue
+                    row += [None] * (width - len(row))
+                yield reader.line_num, select(row)
+        except csv.Error as exc:
+            raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: {exc}") from None
 
 
 def _read_events(path: str, census_time: float) -> dict[str, tuple[float, list[float]]]:
     """Events CSV -> {centre: (open_time, sorted event offsets from opening)}.
 
-    A row with a blank event_time registers the centre without adding an
-    event, which is how centres that never recruited appear in a log.
+    A row with a blank or missing event_time registers the centre without
+    adding an event, which is how centres that never recruited appear in
+    a log.
     """
     centres: dict[str, tuple[float, list[float]]] = {}
-    for line, row in _read_rows(path, ("centre_id", "open_time", "event_time")):
-        centre = (row["centre_id"] or "").strip()
+    for line, (centre, raw_open, raw_event) in _read_rows(
+            path, ("centre_id", "open_time", "event_time")):
+        centre = (centre or "").strip()
         if not centre:
             raise MalformedRow(line, "blank centre_id")
-        open_time = _parse_float(line, row["open_time"], "open_time")
+        open_time = _parse_float(line, raw_open, "open_time")
         if open_time < 0:
             raise MalformedRow(line, f"negative open_time {open_time}")
         if open_time > census_time:
             raise OpeningAfterCensus(line, centre)
-        if centre in centres:
-            if centres[centre][0] != open_time:
-                raise MalformedRow(
-                    line, f"centre {centre!r} open_time changed from "
-                    f"{centres[centre][0]} to {open_time}")
-        else:
-            centres[centre] = (open_time, [])
-        raw_event = (row["event_time"] or "").strip()
+        entry = centres.get(centre)
+        if entry is None:
+            entry = centres[centre] = (open_time, [])
+        elif entry[0] != open_time:
+            raise MalformedRow(
+                line, f"centre {centre!r} open_time changed from "
+                f"{entry[0]} to {open_time}")
+        raw_event = (raw_event or "").strip()
         if raw_event == "":
             continue
         event_time = _parse_float(line, raw_event, "event_time")
@@ -179,7 +207,7 @@ def _read_events(path: str, census_time: float) -> dict[str, tuple[float, list[f
             raise EventBeforeOpening(line, centre)
         if event_time > census_time:
             raise EventAfterCensus(line, centre)
-        centres[centre][1].append(event_time - open_time)
+        entry[1].append(event_time - open_time)
     if not centres:
         raise DataError(f"{path} holds no centres")
     for open_time, offsets in centres.values():
@@ -201,7 +229,8 @@ def parse_centre_csv(path: str, fmt: str, census_time: float) -> TrialData:
     Summary format: one row per centre with centre_id, open_time, count.
     Events format: one row per recruit with centre_id, open_time,
     event_time; blank event_time rows register zero-count centres.
-    Exposure is census minus opening in both cases.
+    Exposure is census minus opening in both cases.  Either file is
+    UTF-8 with a header row; see ``_read_rows`` for how columns are found.
     """
     if not census_time > 0:
         raise ConfigError(f"census time must be positive, got {census_time}")
@@ -209,19 +238,20 @@ def parse_centre_csv(path: str, fmt: str, census_time: float) -> TrialData:
         ids, exposures, counts = [], [], []
         seen = set()
         total = 0
-        for line, row in _read_rows(path, ("centre_id", "open_time", "count")):
-            centre = (row["centre_id"] or "").strip()
+        for line, (centre, raw_open, raw_count) in _read_rows(
+                path, ("centre_id", "open_time", "count")):
+            centre = (centre or "").strip()
             if not centre:
                 raise MalformedRow(line, "blank centre_id")
             if centre in seen:
                 raise MalformedRow(line, f"duplicate centre {centre!r}")
             seen.add(centre)
-            open_time = _parse_float(line, row["open_time"], "open_time")
+            open_time = _parse_float(line, raw_open, "open_time")
             if open_time < 0:
                 raise MalformedRow(line, f"negative open_time {open_time}")
             if open_time > census_time:
                 raise OpeningAfterCensus(line, centre)
-            raw_count = (row["count"] or "").strip()
+            raw_count = (raw_count or "").strip()
             try:
                 count = int(raw_count)
             except ValueError:

@@ -128,7 +128,9 @@ class TrialData:
                    "count must be an integer", counts)
             # the cast below would wrap these
             reject(np.abs(counts) >= 2.0**63, "count must lie in the int64 range", counts)
-        elif counts.dtype.kind not in "biu":
+        elif counts.dtype.kind == "u":
+            reject(counts > _INT64_MAX, "count must lie in the int64 range", counts)
+        elif counts.dtype.kind not in "bi":
             raise ValueError(f"counts must be integers, got dtype {counts.dtype}")
         counts = counts.astype(np.int64)
         reject(counts < 0, "count must be non-negative", counts)

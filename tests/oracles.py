@@ -1,10 +1,13 @@
 """Slow, independent reference implementations used to pin expected values.
 
 Discrete CDFs are summed term by term, continuous CDFs are integrated by
-adaptive quadrature, everything in extended precision via mpmath.  Nothing
-here imports the package under test.
+adaptive quadrature, everything in extended precision via mpmath.  The
+centre CSV readers at the end are the csv.DictReader ones the CLI used
+before its single csv.reader pass.  Nothing here imports the package
+under test.
 """
 
+import csv
 import math
 
 import mpmath as mp
@@ -115,3 +118,141 @@ def exponential_bracket_quantile(cdf, q, mean):
         else:
             lo = mid
     return hi
+
+
+# --- the centre CSV reader the CLI used before its single csv.reader pass ---
+#
+# csv.DictReader, one row dict per record.  The exception classes mirror
+# the CLI's by name and message; callers compare ``type(exc).__name__``
+# and ``str(exc)``.  Two points differ from the code as it shipped: the
+# file is opened as UTF-8 (it used the locale's encoding), and line
+# numbers come from the underlying csv.reader, because DictReader.line_num
+# names the first of a run of blank lines, not the row that follows it.
+
+
+class DataError(Exception):
+    pass
+
+
+class MalformedRow(DataError):
+    def __init__(self, line, detail):
+        super().__init__(f"line {line}: {detail}")
+
+
+class EventBeforeOpening(DataError):
+    def __init__(self, line, centre):
+        super().__init__(f"line {line}: event precedes centre {centre!r} opening")
+
+
+class EventAfterCensus(DataError):
+    def __init__(self, line, centre):
+        super().__init__(f"line {line}: event after census for centre {centre!r}")
+
+
+class OpeningAfterCensus(DataError):
+    def __init__(self, line, centre):
+        super().__init__(f"line {line}: centre {centre!r} opens after census")
+
+
+_MAX_COUNT = 2**63 - 1
+
+
+def _parse_float(line, raw, column):
+    try:
+        value = float(raw)
+    except ValueError:
+        raise MalformedRow(line, f"cannot parse {column} {raw!r}") from None
+    if not math.isfinite(value):
+        raise MalformedRow(line, f"{column} must be finite, got {raw!r}")
+    return value
+
+
+def _read_rows(path, columns):
+    try:
+        handle = open(path, newline="", encoding="utf-8")
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc}") from None
+    with handle:
+        reader = csv.DictReader(handle)
+        if reader.fieldnames is None:
+            raise DataError(f"{path} is empty")
+        missing = [c for c in columns if c not in reader.fieldnames]
+        if missing:
+            raise DataError(f"{path} lacks columns: {', '.join(missing)}")
+        for row in reader:
+            yield reader.reader.line_num, row
+
+
+def read_events_csv(path, census_time):
+    """Events CSV -> {centre: (open_time, sorted event offsets from opening)}."""
+    centres = {}
+    for line, row in _read_rows(path, ("centre_id", "open_time", "event_time")):
+        centre = (row["centre_id"] or "").strip()
+        if not centre:
+            raise MalformedRow(line, "blank centre_id")
+        open_time = _parse_float(line, row["open_time"], "open_time")
+        if open_time < 0:
+            raise MalformedRow(line, f"negative open_time {open_time}")
+        if open_time > census_time:
+            raise OpeningAfterCensus(line, centre)
+        if centre in centres:
+            if centres[centre][0] != open_time:
+                raise MalformedRow(
+                    line, f"centre {centre!r} open_time changed from "
+                    f"{centres[centre][0]} to {open_time}")
+        else:
+            centres[centre] = (open_time, [])
+        raw_event = (row["event_time"] or "").strip()
+        if raw_event == "":
+            continue
+        event_time = _parse_float(line, raw_event, "event_time")
+        if event_time < open_time:
+            raise EventBeforeOpening(line, centre)
+        if event_time > census_time:
+            raise EventAfterCensus(line, centre)
+        centres[centre][1].append(event_time - open_time)
+    if not centres:
+        raise DataError(f"{path} holds no centres")
+    for open_time, offsets in centres.values():
+        offsets.sort()
+    return centres
+
+
+def read_summary_csv(path, census_time):
+    """Summary CSV -> (ids, exposures, counts), one entry per centre."""
+    ids, exposures, counts = [], [], []
+    seen = set()
+    total = 0
+    for line, row in _read_rows(path, ("centre_id", "open_time", "count")):
+        centre = (row["centre_id"] or "").strip()
+        if not centre:
+            raise MalformedRow(line, "blank centre_id")
+        if centre in seen:
+            raise MalformedRow(line, f"duplicate centre {centre!r}")
+        seen.add(centre)
+        open_time = _parse_float(line, row["open_time"], "open_time")
+        if open_time < 0:
+            raise MalformedRow(line, f"negative open_time {open_time}")
+        if open_time > census_time:
+            raise OpeningAfterCensus(line, centre)
+        raw_count = (row["count"] or "").strip()
+        try:
+            count = int(raw_count)
+        except ValueError:
+            raise MalformedRow(line, f"cannot parse count {raw_count!r}") from None
+        if count < 0:
+            raise MalformedRow(line, f"negative count {count}")
+        total += count
+        if total > _MAX_COUNT:
+            raise MalformedRow(line, f"count {count} takes the total past the "
+                               f"int64 maximum {_MAX_COUNT}")
+        exposure = census_time - open_time
+        if exposure == 0 and count > 0:
+            raise MalformedRow(
+                line, f"centre {centre!r} recruited {count} with zero exposure")
+        ids.append(centre)
+        exposures.append(exposure)
+        counts.append(count)
+    if not ids:
+        raise DataError(f"{path} holds no centres")
+    return ids, exposures, counts

@@ -1,11 +1,15 @@
 """Command-line surface: parsing, exit codes, and output formats."""
 
 import csv
+import io
 import json
 from pathlib import Path
 
 import numpy as np
+import oracles
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from recruitcast import (
     ModelFit,
@@ -276,6 +280,8 @@ def test_summary_validation_points_at_lines(tmp_path, capsys):
         ([("A", 0, 3), ("B", 0, 10**20)], "line 3", "int64 maximum"),
         # each count fits int64, their sum does not
         ([("A", 0, 3), ("B", 0, 2**63 - 1)], "line 3", "int64 maximum"),
+        ([("A", 0, 1), ("B",)], "line 3", "missing open_time"),
+        ([("A", 0, 1), ("B", 0)], "line 3", "cannot parse count ''"),
     ]
     for rows, where, what in cases:
         path = tmp_path / "bad.csv"
@@ -302,6 +308,11 @@ def test_events_validation(tmp_path, capsys):
                        "--census", "1")
     assert code == 2 and "open_time changed" in err
 
+    write_events(path, [("C01", 0, 0.1), ("C02",)])
+    code, _, err = run(capsys, "fit", "--input", str(path), "--format", "events",
+                       "--census", "1")
+    assert (code, err) == (2, "data error: line 3: missing open_time\n")
+
 
 def test_events_blank_rows_register_quiet_centres(tmp_path):
     path = tmp_path / "events.csv"
@@ -311,6 +322,199 @@ def test_events_blank_rows_register_quiet_centres(tmp_path):
     assert data.ids == ("A", "B", "C")
     assert data.exposures.tolist() == [1.0, 0.75, 1.0]
     assert data.counts.tolist() == [2, 0, 1]
+
+    # a row that ends before its event_time column is a quiet centre too
+    write_events(path, [("A", 0.0, 0.25), ("B", 0.25)])
+    data = parse_centre_csv(str(path), "events", 1.0)
+    assert data.ids == ("A", "B")
+    assert data.counts.tolist() == [1, 0]
+
+
+def test_rows_after_blank_lines_report_their_own_line(tmp_path, capsys):
+    path = tmp_path / "gaps.csv"
+    path.write_text("centre_id,open_time,count\nA,0,1\n\n\nB,x,1\n")
+    code, _, err = run(capsys, "fit", "--input", str(path), "--census", "1")
+    assert (code, err) == (2, "data error: line 5: cannot parse open_time 'x'\n")
+
+
+@pytest.mark.parametrize("fmt", ["summary", "events"])
+def test_unreadable_csvs_are_data_errors(tmp_path, capsys, fmt):
+    last = "count" if fmt == "summary" else "event_time"
+    huge = tmp_path / "huge.csv"
+    huge.write_text(f"centre_id,open_time,{last}\nA,0,1\nB,0,{'1' * 131073}\n")
+    code, out, err = run(capsys, "fit", "--input", str(huge), "--format", fmt,
+                         "--census", "2")
+    assert (code, out) == (2, "")
+    assert err == (f"data error: {huge}: line 3: field larger than field limit "
+                   "(131072)\n")
+
+    latin = tmp_path / "latin.csv"
+    latin.write_bytes(f"centre_id,open_time,{last}\nA,0,1\nZ\xfcrich,0,1\n"
+                      .encode("latin-1"))
+    code, out, err = run(capsys, "fit", "--input", str(latin), "--format", fmt,
+                         "--census", "2")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"data error: {latin}: 'utf-8' codec can't decode byte 0xfc")
+    assert len(err.splitlines()) == 1
+
+
+_CSV_PROPERTY = settings(max_examples=300, deadline=None, derandomize=True,
+                         database=None)
+_CENSUS = 1.0
+_HEADERS = {"summary": ("centre_id", "open_time", "count"),
+            "events": ("centre_id", "open_time", "event_time")}
+_EVENT_CENTRES = {"A": "0", "B": "0.25", " C ": "0.5", "Zü": "1e-1"}  # id: opening
+_VALID = {"open_time": ["0", "0.25", "0.5", " 0.25", "1e-1"],
+          "count": ["0", "1", "2", "17", " 4 "],
+          "event_time": ["0.5", "0.75", "1", " 0.6 ", "", " "]}
+_HOSTILE = {"centre_id": ["", "S0"],  # S0 repeats a summary's first centre
+            "open_time": ["-0.5", "1", "1.5", "nan", "inf", "x", "", "0.3"],
+            "count": ["-1", "1.5", " x ", "", str(2**63 - 1)],
+            "event_time": ["0.05", "1.25", "nan", "-inf", " y "],
+            "site": ["x", "", "two,\nlines"]}
+
+
+@st.composite
+def _centre_csv(draw, fmt):
+    """CSV text for ``fmt``, valid or hostile: shuffled, duplicated,
+    missing and extra header columns, short and long rows, blank lines
+    and quoted fields, and values just past each check."""
+    # hypothesis draws the ends of a range far more often than its middle
+    def one_in(n):
+        return draw(st.integers(0, n - 1)) == n // 2
+
+    def pick(pool):
+        return pool[draw(st.integers(0, 5 * len(pool) - 1)) % len(pool)]
+
+    columns = list(_HEADERS[fmt])
+    last = columns[-1]
+    header = draw(st.permutations(
+        columns + draw(st.lists(st.sampled_from(columns + ["site"]), max_size=2))))
+    if one_in(10):
+        header.remove(draw(st.sampled_from(columns)))
+    rarity = draw(st.sampled_from([0, 8, 3]))  # 1 in rarity rows is hostile
+    lines = [header]
+    for k in range(draw(st.integers(1, 7))):
+        if one_in(8):
+            lines.append([])
+            continue
+        hostile = pick(header) if rarity and one_in(rarity) else None
+        centre = pick(list(_EVENT_CENTRES)) if fmt == "events" else f"S{k}"
+        valid = {"centre_id": centre,
+                 "open_time": (_EVENT_CENTRES[centre] if fmt == "events"
+                               else pick(_VALID["open_time"])),
+                 last: pick(_VALID[last])}
+        row = [pick(_HOSTILE[name]) if name in (hostile, "site")
+               else valid[name] for name in header]
+        if one_in(20):
+            row = row[:draw(st.integers(1, len(row) - 1))]
+        elif one_in(20):
+            row.append("extra")
+        lines.append(row)
+    buffer = io.StringIO()
+    quoting = draw(st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_ALL]))
+    csv.writer(buffer, quoting=quoting, lineterminator="\n").writerows(lines)
+    return buffer.getvalue()
+
+
+def _outcome(read, *args):
+    """What ``read`` returns, or the name and message of what it raises."""
+    try:
+        return "value", read(*args)
+    except Exception as exc:  # the comparison itself is the test
+        return type(exc).__name__, str(exc)
+
+
+def _expected_trial(path, fmt):
+    if fmt == "summary":
+        ids, exposures, counts = oracles.read_summary_csv(path, _CENSUS)
+        return TrialData(_CENSUS, exposures, counts, tuple(ids))
+    return cli._events_trial(oracles.read_events_csv(path, _CENSUS), _CENSUS)
+
+
+def _assert_same_outcome(new, old):
+    if old[0] in ("TypeError", "Error"):  # float(None); csv.Error
+        assert new[0] in ("MalformedRow", "DataError"), (new, old)
+    else:
+        assert new[0] == old[0] and (new[0] == "value" or new[1] == old[1]), (new, old)
+
+
+def _assert_reads_like_the_reference(path, fmt):
+    new = _outcome(parse_centre_csv, path, fmt, _CENSUS)
+    old = _outcome(_expected_trial, path, fmt)
+    _assert_same_outcome(new, old)
+    if new[0] == "value":
+        trial, expected = new[1], old[1]
+        assert trial.ids == expected.ids
+        assert trial.exposures.tobytes() == expected.exposures.tobytes()
+        assert trial.counts.tolist() == expected.counts.tolist()
+    if fmt == "events":
+        new = _outcome(cli._read_events, path, _CENSUS)
+        old = _outcome(oracles.read_events_csv, path, _CENSUS)
+        _assert_same_outcome(new, old)
+        if new[0] == "value":
+            assert list(new[1]) == list(old[1])
+            for centre, (opened, offsets) in new[1].items():
+                assert opened == old[1][centre][0]
+                assert np.array(offsets).tobytes() == np.array(old[1][centre][1]).tobytes()
+    return new
+
+
+@_CSV_PROPERTY
+@given(data=st.data())
+def test_csv_reader_matches_the_dictreader_reference(tmp_path_factory, data):
+    fmt = data.draw(st.sampled_from(["summary", "events"]))
+    path = tmp_path_factory.mktemp("csv") / "centres.csv"
+    path.write_text(data.draw(_centre_csv(fmt)), encoding="utf-8")
+    _assert_reads_like_the_reference(str(path), fmt)
+
+
+_SUMMARY_HEAD = "centre_id,open_time,count\n"
+_EVENTS_HEAD = "centre_id,open_time,event_time\n"
+
+
+@pytest.mark.parametrize("fmt, text, outcome", [
+    ("summary", _SUMMARY_HEAD + "A,0,2\n\n\"B\",\"0.5\",\"1\"\n", "value"),
+    ("summary", "count,centre_id,open_time,count,site\nx,A,0,3\n", "value"),
+    ("summary", "centre_id,open_time,count,open_time\nA,0.5,2,0\n", "value"),
+    ("summary", "centre_id,open_time,count,open_time\nA,0.5,2\n", "MalformedRow"),
+    ("summary", "open_time,count\n0,1\n", "DataError"),
+    ("summary", "", "DataError"),
+    ("summary", _SUMMARY_HEAD, "DataError"),
+    ("summary", _SUMMARY_HEAD + " ,0,1\n", "MalformedRow"),
+    ("summary", _SUMMARY_HEAD + "A,x,1\n", "MalformedRow"),
+    ("summary", _SUMMARY_HEAD + "A,nan,1\n", "MalformedRow"),
+    ("summary", _SUMMARY_HEAD + "A,-inf,1\n", "MalformedRow"),
+    ("summary", _SUMMARY_HEAD + "A,-0.5,1\n", "MalformedRow"),
+    ("summary", _SUMMARY_HEAD + "A,1.5,1\n", "OpeningAfterCensus"),
+    ("summary", _SUMMARY_HEAD + "A,0, x \n", "MalformedRow"),
+    ("summary", _SUMMARY_HEAD + "A,0,-1\n", "MalformedRow"),
+    ("summary", _SUMMARY_HEAD + f"A,0,{2**63}\n", "MalformedRow"),
+    ("summary", _SUMMARY_HEAD + "A,1,2\n", "MalformedRow"),
+    ("summary", _SUMMARY_HEAD + "A,0,1\nA,0,2\n", "MalformedRow"),
+    ("summary", _SUMMARY_HEAD + "A,0,1\nB\n", "TypeError"),
+    ("events", _EVENTS_HEAD + "A,0,0.5\nA,0,0.25\n\n\"B\",\"0.5\",\"\"\n", "value"),
+    ("events", "event_time,open_time,centre_id,site\n0.5,0,A\n,0.5,B,x,y\n", "value"),
+    ("events", _EVENTS_HEAD + "A,0,0.5\nB,0.5\n", "value"),
+    ("events", _EVENTS_HEAD + "A,0, 0.5 \nB,0.5, \n", "value"),
+    ("events", _EVENTS_HEAD + "A,0,0.5\nB\n", "TypeError"),
+    ("events", _EVENTS_HEAD + ",0,0.5\n", "MalformedRow"),
+    ("events", _EVENTS_HEAD + "A,inf,0.5\n", "MalformedRow"),
+    ("events", _EVENTS_HEAD + "A,1.5,\n", "OpeningAfterCensus"),
+    ("events", _EVENTS_HEAD + "A,0,0.5\nA,0.25,0.5\n", "MalformedRow"),
+    ("events", _EVENTS_HEAD + "A,0.5,0.25\n", "EventBeforeOpening"),
+    ("events", _EVENTS_HEAD + "A,0,1.25\n", "EventAfterCensus"),
+    ("events", _EVENTS_HEAD + "A,0,nan\n", "MalformedRow"),
+    ("events", _EVENTS_HEAD + "A,0, y \n", "MalformedRow"),
+    ("events", _EVENTS_HEAD + "\n\n", "DataError"),
+])
+def test_csv_reader_matches_the_dictreader_reference_at_each_check(
+        tmp_path, fmt, text, outcome):
+    path = tmp_path / "centres.csv"
+    path.write_text(text, encoding="utf-8")
+    new = _assert_reads_like_the_reference(str(path), fmt)
+    expected = "MalformedRow" if outcome == "TypeError" else outcome
+    assert new[0] == expected
 
 
 def test_simulate_table_layout(tmp_path, capsys):

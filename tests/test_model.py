@@ -538,6 +538,15 @@ def test_trial_data_rejects_float_counts_past_int64_before_the_cast(count):
         assert TrialData(1.0, [1.0], [2.0**62]).total_count == 2**62
 
 
+@pytest.mark.parametrize("count", [2**63, 2**64 - 1])
+def test_trial_data_rejects_unsigned_counts_past_int64_before_the_cast(count):
+    # the cast once wrapped 2^63 to -2^63 and refused it as negative
+    with pytest.raises(ValueError, match=f"'centre_1': count must lie in the int64 "
+                       f"range, got {count}$"):
+        TrialData(1.0, [1.0], np.array([count], dtype=np.uint64))
+    assert TrialData(1.0, [1.0], np.array([2**62], dtype=np.uint64)).total_count == 2**62
+
+
 def test_trial_data_rejects_ids_of_the_wrong_length():
     with pytest.raises(ValueError):
         TrialData.from_arrays(4.0, [4.0, 2.0], [3, 1], ["a"])
