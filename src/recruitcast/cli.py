@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -207,6 +208,9 @@ def _read_events(path: str, census_time: float) -> dict[str, tuple[float, list[f
             raise EventBeforeOpening(line, centre)
         if event_time > census_time:
             raise EventAfterCensus(line, centre)
+        if open_time == census_time:
+            raise MalformedRow(
+                line, f"centre {centre!r} recruited at the census with zero exposure")
         entry[1].append(event_time - open_time)
     if not centres:
         raise DataError(f"{path} holds no centres")
@@ -232,8 +236,8 @@ def parse_centre_csv(path: str, fmt: str, census_time: float) -> TrialData:
     Exposure is census minus opening in both cases.  Either file is
     UTF-8 with a header row; see ``_read_rows`` for how columns are found.
     """
-    if not census_time > 0:
-        raise ConfigError(f"census time must be positive, got {census_time}")
+    if not (math.isfinite(census_time) and census_time > 0):
+        raise ConfigError(f"census time must be positive and finite, got {census_time}")
     if fmt == "summary":
         ids, exposures, counts = [], [], []
         seen = set()
@@ -642,16 +646,36 @@ def _grid_size(raw: str) -> int:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def _census_time(raw: str) -> float:
+    try:
+        value = float(raw)
+    except ValueError:
+        # argparse's own wording for a type=float argument
+        raise argparse.ArgumentTypeError(f"invalid float value: {raw!r}") from None
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {raw!r}")
+    return value
+
+
 def _add_input_arguments(parser) -> None:
     parser.add_argument("--input", required=True, help="centre-level CSV")
     parser.add_argument("--format", choices=("summary", "events"),
                         default="summary", help="input layout")
-    parser.add_argument("--census", type=float, required=True,
+    parser.add_argument("--census", type=_census_time, required=True,
                         help="census time the data were cut at")
     parser.add_argument("--out", default=None, help="write here instead of stdout")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared after it.
+
+    argparse never changes a parser once built: each ``parse_args`` fills
+    a fresh namespace, help text is formatted only when asked for, and
+    ``_Parser.error`` raises without touching any state.  So every call
+    of ``main`` parses exactly as with a parser of its own.  The ``func``
+    defaults bind the ``_cmd_*`` functions as they were at the first build.
+    """
     parser = _Parser(prog="recruitcast",
                      description="Poisson-Gamma recruitment forecasting")
     parser.add_argument("--version", action="version",

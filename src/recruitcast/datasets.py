@@ -11,7 +11,8 @@ from __future__ import annotations
 from importlib import resources
 from pathlib import Path
 
-__all__ = ["demo_events_path", "demo_summary_path"]
+__all__ = ["DEMO_EVENTS_CENSUS", "DEMO_SUMMARY_CENSUS", "demo_events_path",
+           "demo_summary_path"]
 
 DEMO_EVENTS_CENSUS = 1.0
 DEMO_SUMMARY_CENSUS = 0.125

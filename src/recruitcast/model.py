@@ -103,7 +103,7 @@ class TrialData:
     def __post_init__(self) -> None:
         census_time = float(self.census_time)
         if not (math.isfinite(census_time) and census_time > 0):
-            raise ValueError(f"census_time must be positive, got {census_time}")
+            raise ValueError(f"census_time must be positive and finite, got {census_time}")
         exposures = np.array(self.exposures, dtype=float)
         counts = np.asarray(self.counts)
         ids = None if self.ids is None else tuple(str(cid) for cid in self.ids)
@@ -331,21 +331,26 @@ class _Workspace:
                 + float(((alpha + self.counts) * inv * inv).sum()))
         return d_alpha, d_beta, self._trigamma_sum(alpha), h_ab, h_bb
 
-    def ray_derivatives(self, alpha: float, beta: float
-                        ) -> tuple[float, float, float, float, float]:
-        """``derivatives`` when the C open centres share one exposure t.
+    def ray_score(self, alpha: float, beta: float) -> tuple[float, float]:
+        """``score`` when the C open centres share one exposure t.
 
         The per-centre sums over b + t collapse to closed forms in C, the
         total count N and t, so only the count terms stay arrays.
         """
         c, n, t = self.num_open, self.total_count, self.common_exposure
         rises, beyond = self._rise_terms(alpha)
-        b_t = beta + t
         d_alpha = rises - c * math.log1p(t / beta) + beyond
-        d_beta = (c * alpha * t / beta - n) / b_t
+        d_beta = (c * alpha * t / beta - n) / (beta + t)
+        return d_alpha, d_beta
+
+    def ray_hessian(self, alpha: float, beta: float) -> tuple[float, float, float]:
+        """(h_aa, h_ab, h_bb) of ``derivatives`` in the closed forms of
+        ``ray_score``."""
+        c, n = self.num_open, self.total_count
+        b_t = beta + self.common_exposure
         h_ab = c / beta - c / b_t
         h_bb = -c * alpha / beta**2 + (c * alpha + n) / b_t**2
-        return d_alpha, d_beta, self._trigamma_sum(alpha), h_ab, h_bb
+        return self._trigamma_sum(alpha), h_ab, h_bb
 
     def profile_loglik(self, log_alpha: float, ratio: float) -> float:
         """Likelihood along beta = alpha / ratio, open centres only."""
@@ -414,10 +419,12 @@ def _newton_1d(ws: _Workspace, log_alpha: float, ratio: float) -> tuple[float, i
     for _ in range(_MAX_STEPS):
         alpha = math.exp(la)
         beta = alpha / ratio
-        d_alpha, d_beta, h_aa, h_ab, h_bb = ws.ray_derivatives(alpha, beta)
+        d_alpha, d_beta = ws.ray_score(alpha, beta)
         d1 = alpha * (d_alpha + d_beta / ratio)
         if abs(d1) <= _GRADIENT_TARGET:
             break
+        # the Hessian only for a step that is taken
+        h_aa, h_ab, h_bb = ws.ray_hessian(alpha, beta)
         curve = h_aa + 2.0 * h_ab / ratio + h_bb / ratio**2
         d2 = alpha**2 * curve + d1
         # the Newton step where the profile is concave; off it (the convex
@@ -451,12 +458,14 @@ def _newton_2d(ws: _Workspace, la: float, lb: float) -> tuple[float, float, int]
     steps = 0
     for _ in range(_MAX_STEPS):
         alpha, beta = math.exp(la), math.exp(lb)
-        d_alpha, d_beta, h_aa, h_ab, h_bb = ws.derivatives(alpha, beta)
+        d_alpha, d_beta = ws.score(alpha, beta)
         # score and Hessian in (log alpha, log beta)
         g_a, g_b = alpha * d_alpha, beta * d_beta
         slope = max(abs(g_a), abs(g_b))
         if slope <= _GRADIENT_TARGET:
             break
+        # the Hessian only for a step that is taken; the score is cached
+        _, _, h_aa, h_ab, h_bb = ws.derivatives(alpha, beta)
         h_11 = h_aa * (alpha * alpha) + g_a
         h_12 = h_ab * (alpha * beta)
         h_22 = h_bb * (beta * beta) + g_b

@@ -210,6 +210,9 @@ def read_events_csv(path, census_time):
             raise EventBeforeOpening(line, centre)
         if event_time > census_time:
             raise EventAfterCensus(line, centre)
+        if open_time == census_time:
+            raise MalformedRow(
+                line, f"centre {centre!r} recruited at the census with zero exposure")
         centres[centre][1].append(event_time - open_time)
     if not centres:
         raise DataError(f"{path} holds no centres")

@@ -313,6 +313,13 @@ def test_events_validation(tmp_path, capsys):
                        "--census", "1")
     assert (code, err) == (2, "data error: line 3: missing open_time\n")
 
+    # a centre that opens at the census has no exposure to recruit in
+    write_events(path, [("A", 0, 0.5), ("B", 0, 0.7), ("C", 1, 1)])
+    code, _, err = run(capsys, "fit", "--input", str(path), "--format", "events",
+                       "--census", "1")
+    assert (code, err) == (2, "data error: line 4: centre 'C' recruited at the "
+                           "census with zero exposure\n")
+
 
 def test_events_blank_rows_register_quiet_centres(tmp_path):
     path = tmp_path / "events.csv"
@@ -504,6 +511,8 @@ _EVENTS_HEAD = "centre_id,open_time,event_time\n"
     ("events", _EVENTS_HEAD + "A,0,0.5\nA,0.25,0.5\n", "MalformedRow"),
     ("events", _EVENTS_HEAD + "A,0.5,0.25\n", "EventBeforeOpening"),
     ("events", _EVENTS_HEAD + "A,0,1.25\n", "EventAfterCensus"),
+    ("events", _EVENTS_HEAD + "A,0,0.5\nC,1,1\n", "MalformedRow"),
+    ("events", _EVENTS_HEAD + "A,0,0.5\nC,1,\n", "value"),
     ("events", _EVENTS_HEAD + "A,0,nan\n", "MalformedRow"),
     ("events", _EVENTS_HEAD + "A,0, y \n", "MalformedRow"),
     ("events", _EVENTS_HEAD + "\n\n", "DataError"),
@@ -937,3 +946,88 @@ def test_config_exit_codes_for_bad_arguments(capsys):
                        "--census", str(DEMO_SUMMARY_CENSUS),
                        "--objective", "time", "--horizon", "2.5")
     assert code == 4 and "integer" in err
+
+
+
+@pytest.mark.parametrize("census", ["inf", "1e400", "nan", "0", "-1"])
+@pytest.mark.parametrize("command", [("fit",), ("diagnose", "qq", "--window", "0.5")])
+def test_census_must_be_positive_and_finite_before_any_file_is_read(
+        tmp_path, capsys, command, census):
+    # the input does not exist, so reading it would be a data error (exit 2)
+    code, out, err = run(capsys, *command, "--input", str(tmp_path / "absent.csv"),
+                         "--census", census)
+    assert (code, out) == (4, "")
+    assert err == (f"config error: argument --census: must be positive and finite, "
+                   f"got {census!r}\n")
+
+
+def test_census_must_be_positive_and_finite_in_the_library(tmp_path):
+    path = tmp_path / "one.csv"
+    write_summary(path, [("A", 0, 1)])
+    with pytest.raises(cli.ConfigError, match="positive and finite, got inf"):
+        parse_centre_csv(str(path), "summary", float("inf"))
+    with pytest.raises(ValueError, match="positive and finite, got inf"):
+        TrialData(float("inf"), [1.0], [1])
+
+
+def test_the_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
+_DEMO_SUMMARY = ("--input", str(demo_summary_path()), "--census", str(DEMO_SUMMARY_CENSUS))
+_DEMO_EVENTS = ("--input", str(demo_events_path()), "--census", str(DEMO_EVENTS_CENSUS))
+_SHARED_PARSER_CALLS = [
+    # a parse error in a subcommand after --level was read
+    ("predict", *_DEMO_SUMMARY, "--level", "0.5", "--objective", "count"),
+    ("--version",),
+    ("--help",),
+    ("predict", *_DEMO_SUMMARY, "--objective", "count", "--horizon", "0.875",
+     "--level", "0.8"),
+    ("diagnose", "qq", *_DEMO_EVENTS, "--window", "0.5"),  # format defaults to events
+    ("predict", *_DEMO_SUMMARY, "--objective", "count", "--horizon", "0.875"),
+    ("fit", *_DEMO_SUMMARY),
+]
+
+
+def _stable_call(capsys, argv):
+    """(exit code, stdout without the manifest timestamp, stderr)."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    out = captured.out
+    if out.startswith("{"):
+        payload = json.loads(out)
+        del payload["manifest"]["created_utc"]
+        out = json.dumps(payload, sort_keys=True)
+    return code, out, captured.err
+
+
+def test_one_parser_answers_each_call_as_a_fresh_one(capsys):
+    first = []
+    for argv in _SHARED_PARSER_CALLS:
+        cli.build_parser.cache_clear()
+        first.append(_stable_call(capsys, argv))
+    cli.build_parser.cache_clear()
+    shared = [_stable_call(capsys, argv) for argv in _SHARED_PARSER_CALLS]
+    assert shared == first
+    assert [code for code, _, _ in shared] == [4, 0, 0, 0, 0, 0, 0]
+    assert shared[0][2].startswith("config error: the following arguments are required: "
+                                   "--horizon")
+    assert json.loads(shared[3][1])["level"] == 0.8
+    assert json.loads(shared[5][1])["level"] == 0.9
+    assert json.loads(shared[6][1])["manifest"]["config"]["format"] == "summary"
+
+
+def test_help_text_of_every_command_is_unchanged(monkeypatch, capsys):
+    # tests/data/cli_help.txt holds each command's help at 80 columns, as
+    # the parser printed it when it was rebuilt for every call
+    monkeypatch.setenv("COLUMNS", "80")
+    texts = []
+    for command in [(), ("fit",), ("predict",), ("simulate",), ("curves",),
+                    ("diagnose",), ("diagnose", "qq")]:
+        code, out, err = _stable_call(capsys, (*command, "--help"))
+        assert (code, err) == (0, "")
+        texts.append(out)
+    assert "".join(texts) == (DATA / "cli_help.txt").read_text()

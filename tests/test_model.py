@@ -124,7 +124,7 @@ def test_ray_derivatives_match_the_per_centre_form():
             # 1 / b - 1 / (b + t) cancels; the per-centre sum keeps its
             # rounding from the terms of size 1 / b
             continue
-        closed_form = ws.ray_derivatives(alpha, beta)
+        closed_form = ws.ray_score(alpha, beta) + ws.ray_hessian(alpha, beta)
         general = ws.derivatives(alpha, beta)
         assert np.allclose(closed_form, general, rtol=1e-13, atol=0)
 
@@ -379,6 +379,24 @@ def test_line_searches_evaluate_each_point_once(monkeypatch, equal):
     assert searched >= 40
 
 
+@pytest.mark.parametrize("equal", [True, False])
+def test_newton_reads_the_hessian_only_for_steps_it_takes(monkeypatch, equal):
+    # the last point Newton visits passes the score test and takes no step,
+    # so its trigamma sum, the costly part of the Hessian, is never read
+    calls = []
+    trigamma_sum = _Workspace._trigamma_sum
+
+    def counted(self, alpha):
+        calls.append(alpha)
+        return trigamma_sum(self, alpha)
+
+    monkeypatch.setattr(_Workspace, "_trigamma_sum", counted)
+    fit = fit_mle(_trial(10.0, *_drawn_trial(3, 60, equal)))
+    assert fit.converged and fit.equal_exposures == equal
+    assert fit.iterations > 0
+    assert len(calls) == fit.iterations
+
+
 # tiny trials: up to five centres, perhaps a closed one, perhaps one count
 # past the exact-sum limit, and either one shared exposure or drawn ones
 _TINY_TRIALS = st.tuples(
@@ -386,7 +404,8 @@ _TINY_TRIALS = st.tuples(
     st.one_of(st.just(None), st.lists(st.floats(0.5, 10.0), min_size=5, max_size=5)),
     st.booleans(), st.booleans())
 _CACHED_CALLS = st.lists(
-    st.tuples(st.sampled_from(("loglik", "score", "derivatives", "ray_derivatives")),
+    st.tuples(st.sampled_from(("loglik", "score", "derivatives",
+                               "ray_score", "ray_hessian")),
               st.integers(0, 2), st.integers(0, 2)),
     min_size=1, max_size=16)
 
@@ -408,7 +427,7 @@ def test_one_point_caches_match_a_fresh_workspace(trial, calls, alphas, betas):
     data = _trial(10.0, exposures, counts)
     ws = _Workspace(data)
     for method, i, j in calls:
-        if method == "ray_derivatives" and not ws.equal_exposures:
+        if method.startswith("ray_") and not ws.equal_exposures:
             continue
         got = getattr(ws, method)(alphas[i], betas[j])
         assert got == getattr(_Workspace(data), method)(alphas[i], betas[j])
