@@ -137,6 +137,21 @@ def _parse_float(line: int, raw: str | None, column: str) -> float:
     return value
 
 
+def _opening(line: int, centre: str | None, raw_open: str | None,
+             census_time: float) -> tuple[str, float]:
+    """A row's centre id and opening time; refuses a blank id, then an
+    opening time that does not parse, is negative or follows the census."""
+    centre = (centre or "").strip()
+    if not centre:
+        raise MalformedRow(line, "blank centre_id")
+    open_time = _parse_float(line, raw_open, "open_time")
+    if open_time < 0:
+        raise MalformedRow(line, f"negative open_time {open_time}")
+    if open_time > census_time:
+        raise OpeningAfterCensus(line, centre)
+    return centre, open_time
+
+
 def _read_rows(path: str, columns: tuple[str, ...]):
     """Yield (line number, fields) for each row of a UTF-8 centre CSV,
     with ``fields`` the row's values of ``columns`` in that order.
@@ -183,23 +198,21 @@ def _read_events(path: str, census_time: float) -> dict[str, tuple[float, list[f
     a log.
     """
     centres: dict[str, tuple[float, list[float]]] = {}
-    for line, (centre, raw_open, raw_event) in _read_rows(
+    # a log repeats its centre's fields on every event row, so each distinct
+    # pair of centre_id and open_time fields is checked once
+    checked: dict[tuple, tuple[str, float, list[float]]] = {}
+    for line, (raw_centre, raw_open, raw_event) in _read_rows(
             path, ("centre_id", "open_time", "event_time")):
-        centre = (centre or "").strip()
-        if not centre:
-            raise MalformedRow(line, "blank centre_id")
-        open_time = _parse_float(line, raw_open, "open_time")
-        if open_time < 0:
-            raise MalformedRow(line, f"negative open_time {open_time}")
-        if open_time > census_time:
-            raise OpeningAfterCensus(line, centre)
-        entry = centres.get(centre)
-        if entry is None:
-            entry = centres[centre] = (open_time, [])
-        elif entry[0] != open_time:
-            raise MalformedRow(
-                line, f"centre {centre!r} open_time changed from "
-                f"{entry[0]} to {open_time}")
+        known = checked.get((raw_centre, raw_open))
+        if known is None:
+            centre, open_time = _opening(line, raw_centre, raw_open, census_time)
+            entry = centres.setdefault(centre, (open_time, []))
+            if entry[0] != open_time:
+                raise MalformedRow(
+                    line, f"centre {centre!r} open_time changed from "
+                    f"{entry[0]} to {open_time}")
+            known = checked[raw_centre, raw_open] = centre, open_time, entry[1]
+        centre, open_time, offsets = known
         raw_event = (raw_event or "").strip()
         if raw_event == "":
             continue
@@ -211,7 +224,7 @@ def _read_events(path: str, census_time: float) -> dict[str, tuple[float, list[f
         if open_time == census_time:
             raise MalformedRow(
                 line, f"centre {centre!r} recruited at the census with zero exposure")
-        entry[1].append(event_time - open_time)
+        offsets.append(event_time - open_time)
     if not centres:
         raise DataError(f"{path} holds no centres")
     for open_time, offsets in centres.values():
@@ -245,16 +258,10 @@ def parse_centre_csv(path: str, fmt: str, census_time: float) -> TrialData:
         for line, (centre, raw_open, raw_count) in _read_rows(
                 path, ("centre_id", "open_time", "count")):
             centre = (centre or "").strip()
-            if not centre:
-                raise MalformedRow(line, "blank centre_id")
-            if centre in seen:
+            if centre in seen:  # a blank id never gets here twice: _opening refuses it
                 raise MalformedRow(line, f"duplicate centre {centre!r}")
             seen.add(centre)
-            open_time = _parse_float(line, raw_open, "open_time")
-            if open_time < 0:
-                raise MalformedRow(line, f"negative open_time {open_time}")
-            if open_time > census_time:
-                raise OpeningAfterCensus(line, centre)
+            centre, open_time = _opening(line, centre, raw_open, census_time)
             raw_count = (raw_count or "").strip()
             try:
                 count = int(raw_count)

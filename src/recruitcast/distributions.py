@@ -22,7 +22,7 @@ from dataclasses import dataclass, fields, is_dataclass
 import numpy as np
 from scipy import special
 
-from ._elementwise import floor, is_batch, negate, some, sqrt, where
+from ._elementwise import every, floor, is_batch, negate, some, sqrt, where
 
 __all__ = [
     "GammaParams",
@@ -335,18 +335,20 @@ def pearson6_cdf(x, params: Pearson6Params):
 def pearson6_quantile(q, params: Pearson6Params):
     """Inverse of pearson6_cdf on (0, 1).
 
+    It is scale z / (1 - z) at the beta(shape_num, shape_den) quantile z.
+    1 - z scales z's error up by z / (1 - z), so past z = 3/4 it comes off
+    the complementary inverse instead, whose error grows by at most 4/3.
     Raises ValueError when the quantile lies beyond the float range.
     """
     _require_level(q)
     z = special.betaincinv(params.shape_num, params.shape_den, q)
-    inner = z < 1.0
-    if not some(negate(inner)):
+    near = z <= 0.75
+    if every(near):
         return _scalar_or_array(params.scale * z / (1.0 - z))
-    # z rounded to 1: read 1 - z off the complementary inverse instead
-    q, shape_num, shape_den, scale, z, inner = np.broadcast_arrays(
-        q, params.shape_num, params.shape_den, params.scale, z, inner)
-    far = ~inner
-    x = np.divide(scale * z, 1.0 - z, out=np.full(z.shape, np.inf), where=inner)
+    q, shape_num, shape_den, scale, z, near = np.broadcast_arrays(
+        q, params.shape_num, params.shape_den, params.scale, z, near)
+    far = ~near  # NaN included
+    x = np.divide(scale * z, 1.0 - z, out=np.empty(z.shape), where=near)
     tail = special.betaincinv(shape_den[far], shape_num[far], 1.0 - q[far])
     x[far] = np.divide(scale[far] * (1.0 - tail), tail,
                        out=np.full(tail.shape, np.inf), where=tail > 0)

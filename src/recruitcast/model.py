@@ -15,14 +15,18 @@ count) contribute exactly nothing.  When every open centre shares one
 exposure t the ratio of the estimates is pinned at a/b = n/(C t), which
 reduces the maximization to one dimension along that ray, where the
 per-centre sums over b + t have closed forms; otherwise the fit runs in
-two dimensions over (log a, log b).  Both searches are damped Newton with
-analytic derivatives, started from a method-of-moments guess.
+two dimensions over (log a, log b).  One damped-Newton loop runs both
+searches from a method-of-moments guess; each supplies only its ascent,
+the score and Newton step from analytic derivatives, and the likelihood
+that guards the step.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -317,19 +321,14 @@ class _Workspace:
             self._point = (alpha, beta)
         return self._score
 
-    def derivatives(self, alpha: float, beta: float
-                    ) -> tuple[float, float, float, float, float]:
-        """Score and Hessian in natural (alpha, beta) coordinates.
-
-        Returns (d_alpha, d_beta, h_aa, h_ab, h_bb), each summed centre by
-        centre from one shared pass over b + t_c and its inverse.
-        """
-        d_alpha, d_beta = self.score(alpha, beta)
+    def hessian(self, alpha: float, beta: float) -> tuple[float, float, float]:
+        """(h_aa, h_ab, h_bb) in natural (alpha, beta) coordinates, each
+        summed centre by centre from one pass over the inverse of b + t_c."""
         inv = 1.0 / self._beta_terms(beta)[0]
         h_ab = self.num_open / beta - float(inv.sum())
         h_bb = (-self.num_open * alpha / beta**2
                 + float(((alpha + self.counts) * inv * inv).sum()))
-        return d_alpha, d_beta, self._trigamma_sum(alpha), h_ab, h_bb
+        return self._trigamma_sum(alpha), h_ab, h_bb
 
     def ray_score(self, alpha: float, beta: float) -> tuple[float, float]:
         """``score`` when the C open centres share one exposure t.
@@ -344,8 +343,7 @@ class _Workspace:
         return d_alpha, d_beta
 
     def ray_hessian(self, alpha: float, beta: float) -> tuple[float, float, float]:
-        """(h_aa, h_ab, h_bb) of ``derivatives`` in the closed forms of
-        ``ray_score``."""
+        """``hessian`` in the closed forms of ``ray_score``."""
         c, n = self.num_open, self.total_count
         b_t = beta + self.common_exposure
         h_ab = c / beta - c / b_t
@@ -411,61 +409,69 @@ def _moment_start(ws: _Workspace) -> tuple[float, float]:
     return math.log(alpha0), math.log(beta0)
 
 
-def _newton_1d(ws: _Workspace, log_alpha: float, ratio: float) -> tuple[float, int]:
-    """Damped Newton on the profiled likelihood in log alpha."""
-    la = log_alpha
-    value = None  # profile likelihood at la, when a line search computed it
+def _newton(point: tuple[float, ...], ascent, objective) -> tuple[tuple[float, ...], int]:
+    """Damped Newton uphill from ``point``, whose first coordinate is log alpha.
+
+    ``ascent(*point)`` gives the max-norm of the score there and a function
+    that returns the capped step, called (so reading the Hessian) only for
+    a step taken; ``objective(*point)`` is the likelihood guarding a step.
+    Returns the point Newton stopped at and the number of steps taken.
+    """
+    value = None  # objective at point, when a line search computed it
     steps = 0
     for _ in range(_MAX_STEPS):
-        alpha = math.exp(la)
-        beta = alpha / ratio
-        d_alpha, d_beta = ws.ray_score(alpha, beta)
-        d1 = alpha * (d_alpha + d_beta / ratio)
-        if abs(d1) <= _GRADIENT_TARGET:
+        slope, step = ascent(*point)
+        if slope <= _GRADIENT_TARGET:
             break
-        # the Hessian only for a step that is taken
-        h_aa, h_ab, h_bb = ws.ray_hessian(alpha, beta)
-        curve = h_aa + 2.0 * h_ab / ratio + h_bb / ratio**2
-        d2 = alpha**2 * curve + d1
-        # the Newton step where the profile is concave; off it (the convex
-        # tail toward the constant-ratio boundary) the same length uphill
-        step = d1 / max(abs(d2), 1e-12)
-        step = max(min(step, 1.0), -1.0)
-        new_la = min(la + step, _MAX_LOG_ALPHA)
+        new = tuple(map(operator.add, point, step()))
+        if new[0] > _MAX_LOG_ALPHA:
+            new = (_MAX_LOG_ALPHA, *new[1:])
         new_value = None
-        if abs(d1) > _SAFE_GRADIENT:
+        if slope > _SAFE_GRADIENT:
             # far out, guard against overshoot; near the optimum the
             # objective moves below float resolution and the comparison
             # would reject perfectly good steps, so Newton runs unchecked
             if value is None:
-                value = ws.profile_loglik(la, ratio)
+                value = objective(*point)
             floor = value - 1e-10 * max(1.0, abs(value))
             for _ in range(10):
-                new_value = ws.profile_loglik(new_la, ratio)
+                new_value = objective(*new)
                 if new_value >= floor:
                     break
-                new_la = la + 0.5 * (new_la - la)
+                new = tuple([p + 0.5 * (n - p) for p, n in zip(point, new)])
             else:
                 break
-        la, value = new_la, new_value
+        point, value = new, new_value
         steps += 1
-    return la, steps
+    return point, steps
 
 
-def _newton_2d(ws: _Workspace, la: float, lb: float) -> tuple[float, float, int]:
-    """Damped Newton in (log alpha, log beta)."""
-    value = None  # likelihood at (la, lb), when a line search computed it
-    steps = 0
-    for _ in range(_MAX_STEPS):
-        alpha, beta = math.exp(la), math.exp(lb)
-        d_alpha, d_beta = ws.score(alpha, beta)
-        # score and Hessian in (log alpha, log beta)
-        g_a, g_b = alpha * d_alpha, beta * d_beta
-        slope = max(abs(g_a), abs(g_b))
-        if slope <= _GRADIENT_TARGET:
-            break
-        # the Hessian only for a step that is taken; the score is cached
-        _, _, h_aa, h_ab, h_bb = ws.derivatives(alpha, beta)
+def _ray_ascent(ws: _Workspace, ratio: float, log_alpha: float):
+    """Newton's ascent in log alpha along beta = alpha / ratio."""
+    alpha = math.exp(log_alpha)
+    beta = alpha / ratio
+    d_alpha, d_beta = ws.ray_score(alpha, beta)
+    d1 = alpha * (d_alpha + d_beta / ratio)
+
+    def step():
+        h_aa, h_ab, h_bb = ws.ray_hessian(alpha, beta)
+        d2 = alpha**2 * (h_aa + 2.0 * h_ab / ratio + h_bb / ratio**2) + d1
+        # the Newton step where the profile is concave; off it (the convex
+        # tail toward the constant-ratio boundary) the same length uphill;
+        # at most 1 either way
+        return (max(min(d1 / max(abs(d2), 1e-12), 1.0), -1.0),)
+    return abs(d1), step
+
+
+def _plane_ascent(ws: _Workspace, log_alpha: float, log_beta: float):
+    """Newton's ascent in (log alpha, log beta)."""
+    alpha, beta = math.exp(log_alpha), math.exp(log_beta)
+    d_alpha, d_beta = ws.score(alpha, beta)
+    # score and Hessian in (log alpha, log beta)
+    g_a, g_b = alpha * d_alpha, beta * d_beta
+
+    def step():
+        h_aa, h_ab, h_bb = ws.hessian(alpha, beta)
         h_11 = h_aa * (alpha * alpha) + g_a
         h_12 = h_ab * (alpha * beta)
         h_22 = h_bb * (beta * beta) + g_b
@@ -478,32 +484,14 @@ def _newton_2d(ws: _Workspace, la: float, lb: float) -> tuple[float, float, int]
             # minimum: go uphill along each curvature axis by |slope /
             # curvature|; a plain gradient step zigzags on near-flat ridges
             curvature, axes = np.linalg.eigh(np.array([[h_11, h_12], [h_12, h_22]]))
-            step = axes @ ((axes.T @ np.array([g_a, g_b]))
-                           / np.maximum(np.abs(curvature), 1e-12))
-            s_a, s_b = float(step[0]), float(step[1])
+            uphill = axes @ ((axes.T @ np.array([g_a, g_b]))
+                             / np.maximum(np.abs(curvature), 1e-12))
+            s_a, s_b = float(uphill[0]), float(uphill[1])
         norm = max(abs(s_a), abs(s_b))
         if norm > 2.0:
-            shrink = 2.0 / norm
-            s_a *= shrink
-            s_b *= shrink
-        new_la, new_lb = min(la + s_a, _MAX_LOG_ALPHA), lb + s_b
-        new_value = None
-        if slope > _SAFE_GRADIENT:
-            # same overshoot guard and float-noise exemption as the 1-d case
-            if value is None:
-                value = ws.loglik(alpha, beta)
-            floor = value - 1e-10 * max(1.0, abs(value))
-            for _ in range(10):
-                new_value = ws.loglik(math.exp(new_la), math.exp(new_lb))
-                if new_value >= floor:
-                    break
-                new_la = la + 0.5 * (new_la - la)
-                new_lb = lb + 0.5 * (new_lb - lb)
-            else:
-                break
-        la, lb, value = new_la, new_lb, new_value
-        steps += 1
-    return la, lb, steps
+            return s_a * (2.0 / norm), s_b * (2.0 / norm)
+        return s_a, s_b
+    return max(abs(g_a), abs(g_b)), step
 
 
 def _raise_degenerate(ws: _Workspace, ratio: float, iterations: int):
@@ -520,15 +508,15 @@ def _raise_degenerate(ws: _Workspace, ratio: float, iterations: int):
 def fit_mle(data: TrialData) -> ModelFit:
     """Maximize the marginal likelihood over (alpha, beta).
 
-    Damped Newton with analytic derivatives runs from a method-of-moments
-    start until the score falls below 1e-10, for at most 120 steps.  Equal
-    exposures across all open centres pin alpha/beta at n/(C t), so the
-    search runs in log alpha along that ray; unequal exposures search
-    over (log alpha, log beta).  Steps are capped and, while the score is
-    large, backtracked until the likelihood does not fall.  Where the
-    likelihood is not locally concave the step goes uphill instead, along
-    each curvature axis by |slope / curvature|.  ``iterations`` counts the
-    steps taken.
+    One damped-Newton loop runs from a method-of-moments start until the
+    score falls below 1e-10, for at most 120 steps.  Equal exposures across
+    all open centres pin alpha/beta at n/(C t), so its ascent steps along
+    that ray in log alpha, by at most 1; otherwise it steps in (log alpha,
+    log beta), by at most 2 in each.  Where the likelihood is not locally
+    concave the step goes uphill instead, in the plane along each curvature
+    axis by |slope / curvature|.  While the score is large each step is
+    backtracked until the likelihood does not fall.  ``iterations`` counts
+    the steps taken.
 
     Raises
     ------
@@ -552,13 +540,14 @@ def fit_mle(data: TrialData) -> ModelFit:
     start = _moment_start(ws)
     if ws.equal_exposures:
         ratio = ws.total_count / (ws.num_open * ws.common_exposure)
-        la, iterations = _newton_1d(ws, start[0], ratio)
-        alpha_hat = math.exp(la)
-        beta_hat = alpha_hat / ratio
+        point, iterations = _newton(start[:1], partial(_ray_ascent, ws, ratio),
+                                    lambda la: ws.profile_loglik(la, ratio))
     else:
-        la, lb, iterations = _newton_2d(ws, *start)
-        alpha_hat = math.exp(la)
-        beta_hat = math.exp(lb)
+        point, iterations = _newton(start, partial(_plane_ascent, ws),
+                                    lambda la, lb: ws.loglik(math.exp(la), math.exp(lb)))
+    la = point[0]
+    alpha_hat = math.exp(la)
+    beta_hat = alpha_hat / ratio if ws.equal_exposures else math.exp(point[1])
 
     if la >= _MAX_LOG_ALPHA - 0.1:
         _raise_degenerate(ws, boundary_ratio, iterations)

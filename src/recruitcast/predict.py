@@ -87,7 +87,7 @@ class PredictionRequest:
         if not 0.0 < self.level < 1.0:
             raise ValueError(f"level must lie in (0, 1), got {self.level}")
         if not (math.isfinite(self.horizon) and self.horizon > 0):
-            raise ValueError(f"horizon must be positive, got {self.horizon}")
+            raise ValueError(f"horizon must be positive and finite, got {self.horizon}")
         if self.objective == TIME and self.horizon != int(self.horizon):
             raise ValueError(f"a time objective needs an integer target count, got {self.horizon}")
 
@@ -131,10 +131,15 @@ def pool_moments(mean, variance, centres: int, fit: ModelFit) -> PooledPosterior
 
 
 def predictive_count_law(pool: PooledPosterior, horizon: float) -> NegBinParams:
-    """Law of the number recruited in the ``horizon`` after census."""
-    if not horizon > 0:
-        raise ValueError(f"horizon must be positive, got {horizon}")
-    return NegBinParams(size=pool.shape, prob=horizon / (pool.rate + horizon))
+    """Law of the number recruited in the ``horizon`` after census; refuses
+    a horizon at which its prob, horizon / (rate + horizon), rounds to 1."""
+    if not (math.isfinite(horizon) and horizon > 0):
+        raise ValueError(f"horizon must be positive and finite, got {horizon}")
+    prob = horizon / (pool.rate + horizon)
+    if some(prob >= 1.0):
+        raise ValueError(f"horizon {horizon:g} is too long for the pooled posterior: "
+                         "horizon / (rate + horizon) rounds to 1")
+    return NegBinParams(size=pool.shape, prob=prob)
 
 
 def predictive_time_law(pool: PooledPosterior, target: int) -> Pearson6Params:

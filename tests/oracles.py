@@ -71,6 +71,43 @@ def pearson6_cdf(x, shape_num, shape_den, scale):
     return mp.quad(density, points)
 
 
+def beta_cdf(x, a, b):
+    return mp.betainc(mp.mpf(a), mp.mpf(b), 0, mp.mpf(x), regularized=True)
+
+
+def pearson6_quantile(q, shape_num, shape_den, scale):
+    """Root of the beta-prime cdf at q, for a root with z = x / (x + scale)
+    of at least 1/2.
+
+    1 - z is the level-(1 - q) quantile of beta(shape_den, shape_num), and
+    the search runs in log(1 - z) on the log of the smaller of the two
+    tails: a bracket stepped out from the small-(1 - z) limit
+    I_w(b, a) ~ w^b / (b B(b, a)), then Illinois.  The steps stay near the
+    root, since mpmath's series for I_w(b, a) stalls at large a w.
+    """
+    a = mp.mpf(shape_num)
+    b = mp.mpf(shape_den)
+    q = mp.mpf(q)
+
+    def gap(u):
+        # increasing in u, zero where I_w(b, a) = 1 - q
+        w = mp.e ** u
+        if q >= 0.5:
+            return mp.log(beta_cdf(w, b, a)) - mp.log(1 - q)
+        return mp.log(q) - mp.log(mp.betainc(b, a, w, 1, regularized=True))
+
+    top = mp.log(mp.mpf(0.5))
+    lo = hi = min((mp.log(1 - q) + mp.log(b * mp.beta(b, a))) / b, top)
+    while gap(hi) < 0:
+        if hi == top:
+            raise ValueError("the quantile has z below 1/2")
+        lo, hi = hi, min(hi + 0.5, top)
+    while gap(lo) > 0:
+        hi, lo = lo, lo - 0.5
+    w = mp.e ** mp.findroot(gap, (lo, hi), solver="illinois")
+    return mp.mpf(scale) * (1 - w) / w
+
+
 def marginal_log_likelihood(alpha, beta, exposures, counts):
     """Gamma-Poisson marginal by quadrature, without the data constant.
 

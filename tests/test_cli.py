@@ -225,6 +225,47 @@ def test_predict_time_past_the_float_resolution_of_z(tmp_path, capsys):
     assert len(err.splitlines()) == 1 and "horizon" in err
 
 
+def test_predict_time_scales_with_a_huge_target(tmp_path, capsys):
+    # past a target of about 1e15 recruits the waiting time is the target
+    # over a gamma-distributed pooled rate, so both ends of each interval
+    # grow in proportion to the target, also where z = x / (x + scale) is
+    # within a few ulps of 1
+    path = tmp_path / "five.csv"
+    write_summary(path, [("A", 0, 1), ("B", 0, 40), ("C", 0.5, 2), ("D", 0.2, 30),
+                         ("E", 0.1, 0)])
+    per_recruit = []
+    for horizon in ("1e15", "1e16", "1e17", "1e18", "1e19"):
+        code, out, _ = run(capsys, "predict", "--input", str(path), "--census", "1.0",
+                           "--objective", "time", "--horizon", horizon, "--adjusted")
+        assert code == 0
+        payload = json.loads(out)
+        per_recruit.append([payload[kind][end] / float(horizon)
+                            for kind in ("unadjusted", "adjusted") for end in ("lower", "upper")])
+    for row in per_recruit[1:]:
+        assert np.allclose(row, per_recruit[0], rtol=1e-9, atol=0)
+
+
+@pytest.mark.parametrize("objective", ["count", "time"])
+@pytest.mark.parametrize("horizon", ["inf", "1e400"])
+def test_predict_refuses_an_infinite_horizon(capsys, objective, horizon):
+    code, out, err = run(capsys, "predict", "--input", str(demo_summary_path()),
+                         "--census", str(DEMO_SUMMARY_CENSUS), "--objective", objective,
+                         "--horizon", horizon)
+    assert code == 4 and out == ""
+    assert err == "config error: horizon must be positive and finite, got inf\n"
+
+
+def test_predict_names_a_count_horizon_past_the_float_resolution(capsys):
+    # the demo's pooled rate is about 0.15, so horizon / (rate + horizon)
+    # rounds to 1 and the predicted count's law has no float probability
+    code, out, err = run(capsys, "predict", "--input", str(demo_summary_path()),
+                         "--census", str(DEMO_SUMMARY_CENSUS), "--objective", "count",
+                         "--horizon", "1e300")
+    assert code == 4 and out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("config error: horizon 1e+300 is too long")
+
+
 def test_exit_codes_for_data_problems(tmp_path, capsys):
     code, _, err = run(capsys, "fit", "--input", str(tmp_path / "nope.csv"),
                        "--census", "1")

@@ -128,6 +128,34 @@ def test_pearson6_quantile_where_z_rounds_to_one():
                                                scale=0.88))
 
 
+def test_pearson6_upper_quantiles_match_the_oracle():
+    # z = x / (x + scale) from past 1/2 up to 1 - 1e-17, where 1 - z has to
+    # come off the complementary inverse: subtracting it from z loses about
+    # log10(1 / (1 - z)) digits, and all of them once z rounds to 1.  Each
+    # case draws 1 - z, log-uniform or (every other case) just below 1/2,
+    # then shape_num with shape_num (1 - z) in [1e-6, 50],
+    # so that the level 1 - I(1 - z; shape_den, shape_num) is mostly a
+    # float below 1.  shape_num stays below 1e11: past about 1e12 scipy's
+    # betaincinv itself loses digits, on either route
+    rng = np.random.default_rng(17)
+    fractions = []
+    for k in range(200):
+        fraction = (10.0 ** rng.uniform(-17.0, math.log10(0.5)) if k % 2
+                    else rng.uniform(0.25, 0.5))
+        low, high = math.log10(1e-6 / fraction), math.log10(50.0 / fraction)
+        law = Pearson6Params(shape_num=10.0 ** rng.uniform(max(low, -0.3), min(high, 11.0)),
+                             shape_den=float(np.exp(rng.uniform(math.log(0.3), math.log(30.0)))),
+                             scale=float(np.exp(rng.uniform(-3.0, 3.0))))
+        q = 1.0 - float(oracles.beta_cdf(fraction, law.shape_den, law.shape_num))
+        if not 0.0 < q < 1.0:
+            continue
+        exact = oracles.pearson6_quantile(q, law.shape_num, law.shape_den, law.scale)
+        fractions.append(float(law.scale / (exact + law.scale)))
+        assert abs(pearson6_quantile(q, law) - exact) <= 1e-13 * exact
+    assert len(fractions) >= 150
+    assert min(fractions) < 1e-16 and max(fractions) > 0.45
+
+
 def test_pearson6_quantile_monotone():
     law = Pearson6Params(shape_num=200.0, shape_den=302.0, scale=350.0)
     values = [pearson6_quantile(q, law) for q in np.linspace(0.01, 0.99, 25)]

@@ -78,6 +78,21 @@ def test_count_law_parameters_and_moments():
     assert predictive_count_law(pool, 1e-12).prob < 1e-11
 
 
+def test_horizons_are_positive_finite_and_representable():
+    data = TrialData.from_arrays(3.0, [1.0, 3.0], [2, 0])
+    pool = pool_centres(data, _fit(1.0, 1.0))
+    for horizon in (math.inf, 0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="horizon must be positive and finite"):
+            predictive_count_law(pool, horizon)
+        with pytest.raises(ValueError, match="horizon must be positive and finite"):
+            PredictionRequest(objective="count", horizon=horizon, level=0.9)
+    # horizon / (rate + horizon) rounds to 1 once the horizon passes about
+    # 2^53 times the pooled rate
+    assert predictive_count_law(pool, pool.rate * 2.0**51).prob < 1.0
+    with pytest.raises(ValueError, match=r"horizon .* rounds to 1"):
+        predictive_count_law(pool, pool.rate * 2.0**55)
+
+
 def test_time_law_parameters_and_moments():
     data = TrialData.from_arrays(3.0, [1.0, 3.0], [2, 0])
     pool = pool_centres(data, _fit(1.0, 1.0))
