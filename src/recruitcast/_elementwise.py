@@ -21,6 +21,11 @@ def is_batch(x) -> bool:
     return isinstance(x, _ARRAY)
 
 
+def plain(values):
+    """A 0-d result as a Python float, a batch as a float array."""
+    return values.astype(float, copy=False) if is_batch(values) and values.ndim else float(values)
+
+
 def sqrt(x):
     return np.sqrt(x) if isinstance(x, _ARRAY) else math.sqrt(x)
 

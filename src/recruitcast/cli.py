@@ -392,7 +392,7 @@ def _cmd_predict(args) -> int:
     pool = pool_centres(data, fit)
     request = PredictionRequest(objective=args.objective, horizon=args.horizon,
                                 level=args.level, adjusted=False)
-    plain = prediction_interval(pool, fit, request)
+    plain = prediction_interval(pool, request)
     if args.objective == COUNT:
         law = predictive_count_law(pool, args.horizon)
         law_payload = {"family": "negative_binomial", "size": law.size, "prob": law.prob}
@@ -417,7 +417,7 @@ def _cmd_predict(args) -> int:
         "adjusted": None,
     }
     if args.adjusted:
-        widened = prediction_interval(pool, fit, replace(request, adjusted=True))
+        widened = prediction_interval(pool, replace(request, adjusted=True))
         payload["adjusted"] = _interval_payload(widened)
     payload["manifest"] = _manifest("predict", {
         "input": args.input, "format": args.format, "census": args.census,

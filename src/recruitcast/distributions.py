@@ -22,7 +22,7 @@ from dataclasses import dataclass, fields, is_dataclass
 import numpy as np
 from scipy import special
 
-from ._elementwise import every, floor, is_batch, negate, some, sqrt, where
+from ._elementwise import every, floor, is_batch, negate, plain, some, sqrt, where
 
 __all__ = [
     "GammaParams",
@@ -98,11 +98,6 @@ def _unchecked(cls, *values):
     for field, value in zip(fields(cls), values):
         object.__setattr__(law, field.name, value)
     return law
-
-
-def _scalar_or_array(values):
-    """A 0-d result as a Python float, any other as the array itself."""
-    return values.item() if values.ndim == 0 else values
 
 
 @dataclass(frozen=True)
@@ -223,7 +218,7 @@ def nb_cdf(k, params: NegBinParams):
         for i in np.flatnonzero((k >= 0) & (size < _TINY_SIZE)):
             values.flat[i] = _tiny_size_cdf(int(k.flat[i]), float(size.flat[i]),
                                             float(prob.flat[i]))
-    return _scalar_or_array(values)
+    return plain(values)
 
 
 def nb_quantile(q, params: NegBinParams):
@@ -281,10 +276,8 @@ def _discrete_quantile(cdf, laws, shape: tuple[int, ...], q, mean, sd, skewness)
     array of the batch's shape.
     """
     count = math.prod(shape)
+    _require_level(q)
     levels = _entries(q, count)
-    for level in levels:
-        if not 0.0 < level < 1.0:
-            raise ValueError(f"quantile level must lie in (0, 1), got {level}")
     points = _starts(count, q, mean, sd, skewness)
     # per law: the ends of the bracket lo < answer <= hi found so far,
     # None until found, and the size of its next step out
@@ -329,7 +322,7 @@ def pearson6_cdf(x, params: Pearson6Params):
     """P(X <= x); domain error for x < 0."""
     _require_each(negate(x < 0), "Pearson VI support is x >= 0, got {}", x)
     z = x / (x + params.scale)
-    return _scalar_or_array(special.betainc(params.shape_num, params.shape_den, z))
+    return plain(special.betainc(params.shape_num, params.shape_den, z))
 
 
 def pearson6_quantile(q, params: Pearson6Params):
@@ -344,7 +337,7 @@ def pearson6_quantile(q, params: Pearson6Params):
     z = special.betaincinv(params.shape_num, params.shape_den, q)
     near = z <= 0.75
     if every(near):
-        return _scalar_or_array(params.scale * z / (1.0 - z))
+        return plain(params.scale * z / (1.0 - z))
     q, shape_num, shape_den, scale, z, near = np.broadcast_arrays(
         q, params.shape_num, params.shape_den, params.scale, z, near)
     far = ~near  # NaN included
@@ -358,26 +351,26 @@ def pearson6_quantile(q, params: Pearson6Params):
             f"the level-{q[beyond].flat[0]:g} quantile of the time to "
             f"{shape_num[beyond].flat[0]:g} recruits "
             "is beyond the float range; choose a smaller horizon")
-    return _scalar_or_array(x)
+    return plain(x)
 
 
 def gamma_cdf(x, params: GammaParams):
     """P(X <= x) for X gamma; domain error for x < 0."""
     _require_each(negate(x < 0), "gamma support is x >= 0, got {}", x)
-    return _scalar_or_array(special.gammainc(params.shape, params.rate * x))
+    return plain(special.gammainc(params.shape, params.rate * x))
 
 
 def gamma_quantile(q, params: GammaParams):
     """Inverse of gamma_cdf on (0, 1)."""
     _require_level(q)
-    return _scalar_or_array(special.gammaincinv(params.shape, q) / params.rate)
+    return plain(special.gammaincinv(params.shape, q) / params.rate)
 
 
 def poisson_cdf(k, mean):
     """P(X <= floor(k)) for X Poisson with the given mean; 0 for k < 0."""
     _require_each(_positive_finite(mean), "Poisson mean must be positive and finite, got {}",
                   mean)
-    return _scalar_or_array(special.gammaincc(_count_shape(k), mean))
+    return plain(special.gammaincc(_count_shape(k), mean))
 
 
 def poisson_quantile(q, mean):

@@ -14,14 +14,16 @@ derives the adjusted level for both objectives).
 Pooling, the adjustments and ``prediction_interval`` also take arrays,
 one entry per trial, so the simulation harness scores a batch of trials
 in one pass; a single forecast is the one-trial case of the same code.
+The harness's boundary intervals share ``equal_tailed_interval`` too.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
-from ._elementwise import is_batch, some, where
+from ._elementwise import plain, some, where
 from .asymptotics import content_limit, moment_matched_gamma, time_horizon
 from .distributions import (
     NegBinParams,
@@ -54,17 +56,26 @@ TIME = "time"
 class PooledPosterior:
     """Moment-matched gamma posterior for the summed centre rates.
 
-    ``shape``/``rate`` are the gamma parameters; ``t_star`` = rate - beta
-    is the effective common exposure and ``n_star`` = shape - C alpha the
-    effective total count, with C = ``centres``.  With equal exposures
-    these reduce to the actual exposure and count.
+    ``shape``/``rate`` are the gamma parameters, matched at the estimates
+    ``alpha_hat``/``beta_hat``; ``t_star`` = rate - beta is the effective
+    common exposure and ``n_star`` = shape - C alpha the effective total
+    count, with C = ``centres``.  With equal exposures these reduce to
+    the actual exposure and count.
     """
 
-    n_star: float
-    t_star: float
     shape: float
     rate: float
     centres: int
+    alpha_hat: float
+    beta_hat: float
+
+    @property
+    def t_star(self):
+        return self.rate - self.beta_hat
+
+    @property
+    def n_star(self):
+        return self.shape - self.centres * self.alpha_hat
 
 
 @dataclass(frozen=True)
@@ -110,24 +121,20 @@ class PredictionInterval:
 def pool_centres(data: TrialData, fit: ModelFit) -> PooledPosterior:
     """Collapse per-centre posteriors into one gamma by moment matching."""
     mean, variance = posterior_rate_moments(data, fit)
-    return pool_moments(mean, variance, data.num_centres, fit)
+    return pool_moments(mean, variance, data.num_centres, fit.alpha_hat, fit.beta_hat)
 
 
-def pool_moments(mean, variance, centres: int, fit: ModelFit) -> PooledPosterior:
+def pool_moments(mean, variance, centres: int, alpha_hat, beta_hat) -> PooledPosterior:
     """The gamma with the given mean and variance of the summed rates.
 
-    The moments were taken at the estimates of ``fit``.  Elementwise: the
-    moments and the estimates may be arrays, one entry per trial of a
-    batch of trials with ``centres`` centres each.
+    The moments were taken at the estimates ``alpha_hat`` and
+    ``beta_hat``.  Elementwise: the moments and the estimates may be
+    arrays, one entry per trial of a batch of trials with ``centres``
+    centres each.
     """
     matched = moment_matched_gamma(mean, variance)
-    return PooledPosterior(
-        n_star=matched.shape - centres * fit.alpha_hat,
-        t_star=matched.rate - fit.beta_hat,
-        shape=matched.shape,
-        rate=matched.rate,
-        centres=centres,
-    )
+    return PooledPosterior(shape=matched.shape, rate=matched.rate, centres=centres,
+                           alpha_hat=alpha_hat, beta_hat=beta_hat)
 
 
 def predictive_count_law(pool: PooledPosterior, horizon: float) -> NegBinParams:
@@ -149,17 +156,12 @@ def predictive_time_law(pool: PooledPosterior, target: int) -> Pearson6Params:
     return Pearson6Params(shape_num=float(target), shape_den=pool.shape, scale=pool.rate)
 
 
-def _plain(values):
-    """A batch as a float array; a single value as a Python float."""
-    return values.astype(float) if is_batch(values) and values.ndim else float(values)
-
-
 def adjust_probability_count(p, beta, exposure, horizon):
     """Widened quantile probability for count intervals: the adjusted
     level p* of ``content_limit`` with x = ``horizon`` and t the effective
     exposure.  At beta = 0 p is returned unchanged.  Elementwise over arrays.
     """
-    return _plain(content_limit(p, horizon, beta, exposure)[2])
+    return plain(content_limit(p, horizon, beta, exposure)[2])
 
 
 def adjust_probability_time(p, alpha, beta, exposure, mean_target):
@@ -169,40 +171,48 @@ def adjust_probability_time(p, alpha, beta, exposure, mean_target):
     unchanged.  Elementwise over arrays.
     """
     x = time_horizon(mean_target, alpha, beta)
-    return _plain(content_limit(p, x, beta, exposure)[2])
+    return plain(content_limit(p, x, beta, exposure)[2])
 
 
-def prediction_interval(pool: PooledPosterior, fit: ModelFit,
-                        request: PredictionRequest) -> PredictionInterval:
+def equal_tailed_interval(quantile, level, adjusted, x, beta, exposure) -> PredictionInterval:
+    """Equal-tailed interval at ``level`` of the law with this ``quantile``
+    function.  Where ``adjusted`` holds, the tail probabilities are first
+    widened to the adjusted levels of ``content_limit(p, x, beta,
+    exposure)``; ``x`` is read only there.  Integer quantiles give a count
+    interval, read under the half-open convention of ``PredictionInterval``.
+
+    Elementwise: ``adjusted``, ``x``, ``beta``, ``exposure`` and the law
+    behind ``quantile`` may be arrays, which broadcast together into a
+    batch of intervals.  The bounds are then float arrays, and so are the
+    probabilities wherever they vary across the batch.  With scalars
+    throughout, the same lines run on floats and give floats.
+    """
+    p_lo = (1.0 - level) / 2.0
+    p_hi = 1.0 - p_lo
+    if some(adjusted):
+        p_lo, p_hi = (where(adjusted, content_limit(p, x, beta, exposure)[2], p)
+                      for p in (p_lo, p_hi))
+    return PredictionInterval(lower=plain(quantile(p_lo)), upper=plain(quantile(p_hi)),
+                              nominal_level=level, probs_used=(plain(p_lo), plain(p_hi)))
+
+
+def prediction_interval(pool: PooledPosterior, request: PredictionRequest) -> PredictionInterval:
     """Equal-tailed prediction interval at the requested level.
 
     ``pool`` is ``pool_centres(data, fit)``, computed once and shared by
-    every interval read off the same fit.  Counts give integer bounds,
-    read under the half-open convention of ``PredictionInterval``; times
-    give a real interval.  Where ``request.adjusted`` holds, the tail
-    probabilities are first widened to the adjusted levels of
-    ``content_limit``.
-
-    Elementwise: the pool's fields, the fit's estimates and
-    ``request.adjusted`` may be arrays, which broadcast together into a
-    batch of intervals.  The bounds are then float arrays, and so are
-    the probabilities wherever they vary across the batch.  With scalars
-    throughout, the same lines run on floats and give floats.
+    every interval read off the same fit.  Counts are read off the
+    negative binomial law with x the horizon, times off the Pearson VI
+    law with x = a beta / alpha for a = target / C.  The pool's fields and
+    ``request.adjusted`` may be arrays, as in ``equal_tailed_interval``.
     """
-    alpha, beta, adjusted = fit.alpha_hat, fit.beta_hat, request.adjusted
-    p_lo = (1.0 - request.level) / 2.0
-    p_hi = 1.0 - p_lo
-    if some(adjusted):
-        x = (request.horizon if request.objective == COUNT
-             else time_horizon(request.horizon / pool.centres, alpha, beta))
-        p_lo, p_hi = (where(adjusted, content_limit(p, x, beta, pool.t_star)[2], p)
-                      for p in (p_lo, p_hi))
+    adjusted = request.adjusted
     if request.objective == COUNT:
         law = predictive_count_law(pool, request.horizon)
-        lower, upper = nb_quantile(p_lo, law), nb_quantile(p_hi, law)
+        quantile, x = partial(nb_quantile, params=law), request.horizon
     else:
         law = predictive_time_law(pool, int(request.horizon))
-        lower, upper = pearson6_quantile(p_lo, law), pearson6_quantile(p_hi, law)
-    return PredictionInterval(lower=_plain(lower), upper=_plain(upper),
-                              nominal_level=request.level,
-                              probs_used=(_plain(p_lo), _plain(p_hi)))
+        quantile = partial(pearson6_quantile, params=law)
+        x = (time_horizon(request.horizon / pool.centres, pool.alpha_hat, pool.beta_hat)
+             if some(adjusted) else None)
+    return equal_tailed_interval(quantile, request.level, adjusted, x, pool.beta_hat,
+                                 pool.t_star)

@@ -13,7 +13,8 @@ exposure, the total count, the estimates and the posterior moments of
 the summed rate.  Then it scores all of its replications at once:
 pooling, the adjusted probabilities, every quantile and both exact
 coverages run as array operations, boundary replications through their
-limit laws beside the interior ones.
+limit laws beside the interior ones, all through the library's
+``predict.equal_tailed_interval``.
 
 Neither the chunk boundaries nor the number of processes can move a
 byte.  Each replication's numbers come from its own stream and its own
@@ -34,7 +35,6 @@ from typing import Union
 
 import numpy as np
 
-from .asymptotics import content_limit
 from .distributions import (
     GammaParams,
     gamma_cdf,
@@ -47,7 +47,6 @@ from .distributions import (
 from .model import (
     DegenerateLikelihood,
     InsufficientData,
-    ModelFit,
     TrialData,
     fit_mle,
     posterior_rate_moments,
@@ -57,6 +56,7 @@ from .predict import (
     PooledPosterior,
     PredictionInterval,
     PredictionRequest,
+    equal_tailed_interval,
     pool_moments,
     prediction_interval,
     predictive_count_law,
@@ -89,6 +89,14 @@ _KDE_GRID_BLOCK = 512
 _KDE_SAMPLE_BLOCK = 4096
 
 
+def _require_positive_finite(**parameters) -> None:
+    """Raise ValueError naming the first parameter that is not positive
+    and finite."""
+    for name, value in parameters.items():
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
 @dataclass(frozen=True)
 class SingleGamma:
     """All centre rates drawn from one gamma(alpha, beta)."""
@@ -97,8 +105,7 @@ class SingleGamma:
     beta: float
 
     def __post_init__(self) -> None:
-        if not (self.alpha > 0 and self.beta > 0):
-            raise ValueError("alpha and beta must be positive")
+        _require_positive_finite(alpha=self.alpha, beta=self.beta)
 
     def sample_rates(self, rng: np.random.Generator, count: int) -> np.ndarray:
         return rng.gamma(self.alpha, 1.0 / self.beta, count)
@@ -113,8 +120,7 @@ class GammaMixture:
     beta2: float
 
     def __post_init__(self) -> None:
-        if not (self.alpha > 0 and self.beta1 > 0 and self.beta2 > 0):
-            raise ValueError("alpha and both betas must be positive")
+        _require_positive_finite(alpha=self.alpha, beta1=self.beta1, beta2=self.beta2)
 
     def sample_rates(self, rng: np.random.Generator, count: int) -> np.ndarray:
         second = rng.random(count) < 0.5
@@ -297,31 +303,25 @@ def _boundary_intervals(config: SimConfig, total_count: np.ndarray,
     bounds' first axis holds the plug-in interval, then the adjusted one.
     """
     rate = total_count / exposure_sum
-    mean_exposure = exposure_sum / config.centres
     pooled_rate = rate * config.centres
-    p_lo = (1.0 - config.level) / 2.0
-    p_hi = 1.0 - p_lo
-    # for times x = m beta / alpha, and beta / alpha tends to 1 / rate
-    x = config.horizon if config.objective == COUNT else config.horizon / config.centres / rate
-    a_lo, a_hi = (content_limit(p, x, math.inf, mean_exposure)[2] for p in (p_lo, p_hi))
-    # (end, kind, trial): lower ends, then upper ends
-    ends = np.stack(np.broadcast_arrays(p_lo, a_lo, p_hi, a_hi)).reshape(2, 2, -1)
     if config.objective == COUNT:
-        lower, upper = np.asarray(poisson_quantile(ends, pooled_rate * config.horizon),
-                                  dtype=float)
+        quantile = partial(poisson_quantile, mean=pooled_rate * config.horizon)
+        x = config.horizon
     else:
-        law = GammaParams(shape=float(config.horizon), rate=pooled_rate)
-        lower, upper = gamma_quantile(ends, law)
-    return PredictionInterval(lower=lower, upper=upper, nominal_level=config.level,
-                              probs_used=(ends[0], ends[1]))
+        quantile = partial(gamma_quantile,
+                           params=GammaParams(shape=float(config.horizon), rate=pooled_rate))
+        # for times x = m beta / alpha, and beta / alpha tends to 1 / rate
+        x = config.horizon / config.centres / rate
+    return equal_tailed_interval(quantile, config.level, _BOTH_KINDS, x, math.inf,
+                                 exposure_sum / config.centres)
 
 
 # What a replication's fit leaves for scoring, one column each: the kind
 # of outcome, the summed true rate, the summed exposure and the total
-# count, then for an interior fit its estimates, log-likelihood and
-# Newton steps, and the posterior mean and variance of the summed rate.
+# count, then for an interior fit its estimates and the posterior mean
+# and variance of the summed rate.
 _FIT_COLUMNS = ("kind", "total_rate", "exposure_sum", "total_count", "alpha", "beta",
-                "log_lik", "iterations", "mean", "variance")
+                "mean", "variance")
 _DROPPED, _BOUNDARY, _INTERIOR = 0.0, 1.0, 2.0
 # the plug-in interval, then the adjusted one, for every trial of a batch
 _BOTH_KINDS = np.array([[False], [True]])
@@ -346,8 +346,8 @@ def _fit_replication(config: SimConfig, index: int) -> tuple[float, ...]:
     observed = (float(data.exposures.sum()), data.total_count)
     if fit is None or not fit.converged:
         return (_BOUNDARY, total_rate, *observed) + (math.nan,) * (len(_FIT_COLUMNS) - 4)
-    return (_INTERIOR, total_rate, *observed, fit.alpha_hat, fit.beta_hat, fit.log_lik,
-            fit.iterations, *posterior_rate_moments(data, fit))
+    return (_INTERIOR, total_rate, *observed, fit.alpha_hat, fit.beta_hat,
+            *posterior_rate_moments(data, fit))
 
 
 def _fit_chunk(config: SimConfig, bounds: tuple[int, int]) -> dict[str, np.ndarray]:
@@ -359,15 +359,11 @@ def _fit_chunk(config: SimConfig, bounds: tuple[int, int]) -> dict[str, np.ndarr
     return dict(zip(_FIT_COLUMNS, table.T))
 
 
-def _interior_pool(config: SimConfig, fits: dict[str, np.ndarray], interior: np.ndarray
-                   ) -> tuple[PooledPosterior, ModelFit]:
-    """The interior replications' fits, as one batch, and their pools."""
-    fit = ModelFit(alpha_hat=fits["alpha"][interior], beta_hat=fits["beta"][interior],
-                   log_lik=fits["log_lik"][interior], converged=True,
-                   iterations=fits["iterations"][interior])
-    pool = pool_moments(fits["mean"][interior], fits["variance"][interior],
-                        config.centres, fit)
-    return pool, fit
+def _interior_pool(config: SimConfig, fits: dict[str, np.ndarray],
+                   interior: np.ndarray) -> PooledPosterior:
+    """The pools of the interior replications, as one batch."""
+    return pool_moments(fits["mean"][interior], fits["variance"][interior], config.centres,
+                        fits["alpha"][interior], fits["beta"][interior])
 
 
 def _coverage_chunk(config: SimConfig, bounds: tuple[int, int]) -> np.ndarray:
@@ -384,10 +380,10 @@ def _coverage_chunk(config: SimConfig, bounds: tuple[int, int]) -> np.ndarray:
     interior = np.flatnonzero(fits["kind"] == _INTERIOR)
     boundary = np.flatnonzero(fits["kind"] == _BOUNDARY)
     if interior.size:
-        pool, fit = _interior_pool(config, fits, interior)
+        pool = _interior_pool(config, fits, interior)
         request = PredictionRequest(config.objective, config.horizon, config.level,
                                     adjusted=_BOTH_KINDS)
-        _score(rows, interior, prediction_interval(pool, fit, request), fits, config)
+        _score(rows, interior, prediction_interval(pool, request), fits, config)
         rows[interior, 4] = pool.t_star
         rows[interior, 5] = pool.t_star / mean_exposure[interior]
         rows[interior, 6] = pool.n_star / fits["total_count"][interior]
@@ -419,7 +415,7 @@ def _quantile_chunk(config: SimConfig, p: float, bounds: tuple[int, int]) -> np.
     interior = np.flatnonzero(fits["kind"] == _INTERIOR)
     if interior.size == 0:
         return contents
-    pool, _ = _interior_pool(config, fits, interior)
+    pool = _interior_pool(config, fits, interior)
     if config.objective == COUNT:
         quantile = nb_quantile(p, predictive_count_law(pool, config.horizon))
     else:

@@ -1,0 +1,66 @@
+"""The harness's exact scoring bits on a few chunked cells.
+
+``data/chunk_bits.json`` pins, for each cell, every row that
+``simulate._coverage_chunk`` scores for replications 0 up to 20 and
+every content that ``simulate._quantile_chunk`` reads at p = 1/4,
+floats as ``float.hex``.  The table CSVs print six digits, so only this
+file pins the last bit of the interior and boundary intervals, their
+adjusted levels and their exact coverages, in both objectives.
+
+Regenerate the file only for a change that is meant to move scoring bits:
+
+    PYTHONPATH=src python tests/test_chunk_bits.py
+"""
+
+import json
+from dataclasses import replace
+from pathlib import Path
+
+import numpy as np
+
+from recruitcast import TIME, simulate
+from test_simulate import _CHUNKED_CELLS
+
+CHUNK_BITS = Path(__file__).parent / "data" / "chunk_bits.json"
+BOUNDS = (0, 20)
+
+CELLS = {
+    **_CHUNKED_CELLS,
+    # the waiting time to three recruits on the boundary-heavy design
+    "boundary heavy, time": lambda: replace(_CHUNKED_CELLS["boundary heavy"](),
+                                            objective=TIME, horizon=3.0),
+}
+
+
+def _hex(values: np.ndarray) -> list:
+    return [float(v).hex() for v in values]
+
+
+def chunk_records() -> list[dict]:
+    """Each cell's coverage rows and quantile contents, in cell order."""
+    records = []
+    for name, make in CELLS.items():
+        config = make()
+        records.append({
+            "cell": name,
+            "coverage_rows": [_hex(row) for row in simulate._coverage_chunk(config, BOUNDS)],
+            "quantile_contents": _hex(simulate._quantile_chunk(config, 0.25, BOUNDS)),
+        })
+    return records
+
+
+def test_every_pinned_chunk_is_bit_identical():
+    with open(CHUNK_BITS) as fh:
+        pinned = json.load(fh)
+    for got, want in zip(chunk_records(), pinned, strict=True):
+        assert got == want
+    # interior, boundary and dropped replications are pinned in both objectives
+    for name in ("boundary heavy", "boundary heavy, time"):
+        flags = {row[7] for record in pinned if record["cell"] == name
+                 for row in record["coverage_rows"]}
+        assert flags == {(0.0).hex(), (1.0).hex(), "nan"}
+
+
+if __name__ == "__main__":
+    with open(CHUNK_BITS, "w") as fh:
+        fh.write("[\n" + ",\n".join(json.dumps(r) for r in chunk_records()) + "\n]\n")

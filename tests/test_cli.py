@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +29,7 @@ from recruitcast.datasets import (
     demo_events_path,
     demo_summary_path,
 )
-from recruitcast.reproduce import MAX_GRID_SIZE
+from recruitcast.reproduce import MAX_GRID_SIZE, TABLE_IDS, reproduction_table
 
 GOLDEN_FIT = "tests/data/fit_demo_summary.json"
 DATA = Path(__file__).parent / "data"
@@ -812,6 +813,72 @@ def test_config_census_time_must_be_finite_before_any_trial_is_drawn(tmp_path, m
     assert code == 4
     assert out == ""
     assert err.count("\n") == 1 and "census_time" in err
+
+
+@pytest.mark.parametrize("prior, field, value", [
+    ({"alpha": "BAD", "beta": 1.0}, "alpha", "1e400"),
+    ({"alpha": 2.0, "beta": "BAD"}, "beta", "1e400"),
+    ({"alpha": 2.0, "beta1": 1.0, "beta2": "BAD"}, "beta2", "1e400"),
+    ({"alpha": 2.0, "beta": "BAD"}, "beta", "NaN"),
+    ({"alpha": "BAD", "beta1": 1.0, "beta2": 3.0}, "alpha", "-Infinity"),
+])
+def test_config_priors_must_be_finite_before_any_trial_is_drawn(tmp_path, monkeypatch,
+                                                                capsys, prior, field, value):
+    # an infinite prior once failed after fitting with numpy's "lam value
+    # too large", exited 3 as degenerate, or ran with half the rates 0
+    def no_trial(*args, **kwargs):
+        raise AssertionError("a trial was drawn")
+
+    monkeypatch.setattr(simulate, "generate_trial", no_trial)
+    raw = {"prior": prior, "centres": 5, "census_time": 1.0,
+           "objective": "count", "horizon": 0.5, "replications": 3, "seed": 4}
+    config = tmp_path / "cell.json"
+    config.write_text(json.dumps(raw).replace('"BAD"', value))
+    code, out, err = run(capsys, "simulate", "--config", str(config))
+    assert code == 4
+    assert out == ""
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert f"{field} must be positive and finite" in err
+
+
+def _run_config(tmp_path, capsys, config, reps):
+    """Write ``config`` in the manifest's schema, check that the file
+    loads back to ``config`` itself, and return the cells that
+    ``simulate --config`` prints for it at ``reps`` replications."""
+    path = tmp_path / "cell.json"
+    path.write_text(json.dumps(cli._config_payload(config)))
+    args = cli.build_parser().parse_args(["simulate", "--config", str(path)])
+    assert cli._load_sim_config(str(path), args) == config
+    code, out, _ = run(capsys, "simulate", "--config", str(path), "--reps", str(reps),
+                       "--threads", "1")
+    assert code == 0
+    _, header, (row,) = csv_body(out)
+    return dict(zip(header, row))
+
+
+@pytest.mark.parametrize("table_id", TABLE_IDS)
+def test_every_table_row_runs_back_through_config(tmp_path, capsys, table_id):
+    # the README promises that --config reads the schema the manifest prints
+    code, out, _ = run(capsys, "simulate", "--table", table_id, "--reps", "5",
+                       "--threads", "1")
+    assert code == 0
+    manifest, header, rows = csv_body(out)
+    layout = reproduction_table(table_id)
+    assert len(rows) == len(layout.rows) == len(manifest["config"]["rows"])
+    for row, (_, config) in zip(rows, layout.rows):
+        cells = _run_config(tmp_path, capsys, config, reps=5)
+        assert {column: cells[column] for column in header} == dict(zip(header, row))
+
+
+def test_a_mixture_with_explicit_openings_runs_back_through_config(tmp_path, capsys):
+    config = simulate.SimConfig(
+        prior=simulate.GammaMixture(alpha=2.0, beta1=1.0, beta2=3.0), centres=6,
+        census_time=50.0, schedule=simulate.Explicit((0.0, 5.0, 10.0, 15.0, 20.0, 25.0)),
+        objective="count", horizon=50.0, level=0.9, replications=2000, seed=11)
+    cells = _run_config(tmp_path, capsys, config, reps=5)
+    report = simulate.coverage_study(replace(config, replications=5))
+    assert {name: cells[name] for name in cli._report_cells(report)} == {
+        name: cli._fmt(value) for name, value in cli._report_cells(report).items()}
 
 
 def test_config_integer_fields_take_integral_floats(tmp_path, capsys):

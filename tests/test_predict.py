@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from recruitcast import (
@@ -21,6 +23,7 @@ from recruitcast import (
     predictive_count_law,
     predictive_time_law,
 )
+from recruitcast.distributions import nb_cdf
 
 
 def _fit(alpha, beta):
@@ -177,7 +180,7 @@ def test_prediction_interval_count():
     fit = fit_mle(data)
     pool = pool_centres(data, fit)
 
-    plain = prediction_interval(pool, fit, PredictionRequest(
+    plain = prediction_interval(pool, PredictionRequest(
         objective=COUNT, horizon=200.0, level=0.9))
     assert abs(plain.probs_used[0] - 0.05) < 1e-12
     assert abs(plain.probs_used[1] - 0.95) < 1e-12
@@ -185,13 +188,13 @@ def test_prediction_interval_count():
     assert plain.lower <= plain.upper
     assert plain.nominal_level == 0.9
 
-    wide = prediction_interval(pool, fit, PredictionRequest(
+    wide = prediction_interval(pool, PredictionRequest(
         objective=COUNT, horizon=200.0, level=0.9, adjusted=True))
     assert wide.probs_used[0] < 0.05 and wide.probs_used[1] > 0.95
     assert wide.upper - wide.lower >= plain.upper - plain.lower
     assert wide.lower <= plain.lower and wide.upper >= plain.upper
 
-    nested = prediction_interval(pool, fit, PredictionRequest(
+    nested = prediction_interval(pool, PredictionRequest(
         objective=COUNT, horizon=200.0, level=0.95))
     assert nested.lower <= plain.lower and nested.upper >= plain.upper
 
@@ -203,9 +206,9 @@ def test_prediction_interval_time():
     fit = fit_mle(data)
     pool = pool_centres(data, fit)
 
-    plain = prediction_interval(pool, fit, PredictionRequest(
+    plain = prediction_interval(pool, PredictionRequest(
         objective=TIME, horizon=200, level=0.9))
-    wide = prediction_interval(pool, fit, PredictionRequest(
+    wide = prediction_interval(pool, PredictionRequest(
         objective=TIME, horizon=200, level=0.9, adjusted=True))
     assert 0.0 < plain.lower < plain.upper
     assert wide.upper - wide.lower >= plain.upper - plain.lower
@@ -241,28 +244,132 @@ def test_a_batch_of_intervals_is_bitwise_the_single_trial_calls(objective, horiz
     # one call over 30 trials and both kinds gives, entry by entry,
     # exactly the floats of the 60 one-trial calls
     rng = np.random.default_rng(47)
-    pools, fits = [], []
+    pools = []
     for _ in range(30):
         exposures = rng.uniform(20.0, 200.0, 40)
         counts = rng.poisson(rng.gamma(0.8, 1.0 / 60.0, 40) * exposures)
         data = TrialData.from_arrays(200.0, exposures, counts)
-        fits.append(fit_mle(data))
-        pools.append(pool_centres(data, fits[-1]))
+        pools.append(pool_centres(data, fit_mle(data)))
 
     def stacked(records, names):
         return {name: np.array([getattr(r, name) for r in records]) for name in names}
 
-    batch_pool = PooledPosterior(**stacked(pools, ("n_star", "t_star", "shape", "rate")),
-                                 centres=40)
-    batch_fit = ModelFit(**stacked(fits, ("alpha_hat", "beta_hat", "log_lik", "iterations")),
-                         converged=True)
-    both = prediction_interval(batch_pool, batch_fit, PredictionRequest(
+    batch_pool = PooledPosterior(
+        **stacked(pools, ("shape", "rate", "alpha_hat", "beta_hat")), centres=40)
+    both = prediction_interval(batch_pool, PredictionRequest(
         objective, horizon, 0.9, adjusted=np.array([[False], [True]])))
     assert both.lower.shape == both.upper.shape == (2, 30)
     assert both.lower.dtype == both.upper.dtype == np.float64
     for kind, adjusted in enumerate((False, True)):
-        for i, (pool, fit) in enumerate(zip(pools, fits)):
-            one = prediction_interval(pool, fit, PredictionRequest(objective, horizon, 0.9,
-                                                                   adjusted=adjusted))
+        for i, pool in enumerate(pools):
+            one = prediction_interval(pool, PredictionRequest(objective, horizon, 0.9,
+                                                              adjusted=adjusted))
             assert (one.lower, one.upper) == (both.lower[kind, i], both.upper[kind, i])
             assert one.probs_used == tuple(p[kind, i] for p in both.probs_used)
+
+
+# Interval invariances at fixed estimates: each pool is built from a
+# given ModelFit, so the fitter's own tolerance does not enter.
+_INVARIANCE = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def _trials(draw):
+    """Exposures (some closed), counts, fixed estimates, a level, a count
+    horizon and a target count."""
+    centres = draw(st.integers(2, 40))
+    exposures = draw(st.lists(st.one_of(st.just(0.0), st.floats(0.5, 200.0)),
+                              min_size=centres, max_size=centres))
+    counts = [count if exposure > 0 else 0 for exposure, count in zip(
+        exposures, draw(st.lists(st.integers(0, 60), min_size=centres, max_size=centres)))]
+    if max(exposures) == 0.0:
+        exposures[0] = 1.0
+    return dict(exposures=exposures, counts=counts,
+                alpha=draw(st.floats(0.2, 20.0)), beta=draw(st.floats(0.5, 500.0)),
+                level=draw(st.sampled_from([0.5, 0.8, 0.9, 0.95])),
+                horizon=draw(st.floats(1.0, 400.0)), target=draw(st.integers(1, 400)))
+
+
+def _intervals(exposures, counts, alpha, beta, level, horizon, target):
+    """The pool, and its plug-in and adjusted count and time intervals.
+
+    An interval whose adjusted level rounds to 0 or 1 is refused; it
+    stands here as the refusal's message, which must be invariant too.
+    """
+    data = TrialData.from_arrays(max(exposures), exposures, counts)
+    pool = pool_centres(data, _fit(alpha, beta))
+    intervals = {}
+    for objective, goal in ((COUNT, horizon), (TIME, target)):
+        for adjusted in (False, True):
+            try:
+                intervals[objective, adjusted] = prediction_interval(
+                    pool, PredictionRequest(objective, goal, level, adjusted=adjusted))
+            except ValueError as exc:
+                intervals[objective, adjusted] = str(exc)
+    return pool, intervals
+
+
+def _rescaled(trial, k):
+    """The trial in a time unit 1/k as long: exposures, census, the count
+    horizon and beta all times k."""
+    return {**trial, "exposures": [k * e for e in trial["exposures"]],
+            "beta": k * trial["beta"], "horizon": k * trial["horizon"]}
+
+
+@_INVARIANCE
+@given(trial=_trials(), data=st.data())
+def test_permuting_the_centres_leaves_both_intervals_equal(trial, data):
+    order = data.draw(st.permutations(range(len(trial["exposures"]))))
+    pool, before = _intervals(**trial)
+    _, after = _intervals(**{**trial, "exposures": [trial["exposures"][i] for i in order],
+                             "counts": [trial["counts"][i] for i in order]})
+    law = predictive_count_law(pool, trial["horizon"])
+    for key, one in before.items():
+        two = after[key]
+        if isinstance(one, str):
+            assert two == one
+            continue
+        assert two.probs_used == pytest.approx(one.probs_used, rel=1e-12, abs=0)
+        if key[0] == TIME:
+            assert (two.lower, two.upper) == pytest.approx((one.lower, one.upper),
+                                                           rel=1e-12, abs=0)
+            continue
+        # a summation order moves the pool in its last bits, which can
+        # move an integer bound only where the cdf meets the level
+        for a, b, level in zip((one.lower, one.upper), (two.lower, two.upper),
+                               one.probs_used):
+            assert a == b or abs(nb_cdf(min(a, b), law) - level) < 1e-12
+
+
+@_INVARIANCE
+@given(trial=_trials(), j=st.integers(-8, 8))
+def test_a_power_of_two_time_unit_scales_time_intervals_exactly(trial, j):
+    # every product by 2^j is exact, so the count laws and the adjusted
+    # levels are the same floats and the time laws' scales exactly k times theirs
+    k = 2.0 ** j
+    _, before = _intervals(**trial)
+    _, after = _intervals(**_rescaled(trial, k))
+    for key, one in before.items():
+        two = after[key]
+        if isinstance(one, str):
+            assert two == one
+            continue
+        scale = k if key[0] == TIME else 1.0
+        assert two.probs_used == one.probs_used
+        assert (two.lower, two.upper) == (scale * one.lower, scale * one.upper)
+
+
+@_INVARIANCE
+@given(trial=_trials(), k=st.sampled_from([3.0, 10.0]))
+def test_rescaling_the_time_unit_keeps_count_intervals_and_scales_time_intervals(trial, k):
+    _, before = _intervals(**trial)
+    _, after = _intervals(**_rescaled(trial, k))
+    for key, one in before.items():
+        two = after[key]
+        if isinstance(one, str):
+            assert two == one
+        elif key[0] == COUNT:
+            assert (two.lower, two.upper) == (one.lower, one.upper)
+        else:
+            assert (two.lower, two.upper) == pytest.approx((k * one.lower, k * one.upper),
+                                                           rel=1e-12, abs=0)

@@ -304,9 +304,9 @@ def test_boundary_replication_matches_limiting_interior_fit():
         report = coverage_study(SimConfig(**base, objective=objective,
                                           horizon=horizon))
         assert report.degenerate_fits == 1
-        plain = prediction_interval(pool, ray, PredictionRequest(
+        plain = prediction_interval(pool, PredictionRequest(
             objective=objective, horizon=horizon, level=0.9, adjusted=False))
-        widened = prediction_interval(pool, ray, PredictionRequest(
+        widened = prediction_interval(pool, PredictionRequest(
             objective=objective, horizon=horizon, level=0.9, adjusted=True))
         want_cu = 100.0 * exact_coverage(rates, plain, objective, horizon)
         want_ca = 100.0 * exact_coverage(rates, widened, objective, horizon)
@@ -372,6 +372,15 @@ def test_schedule_and_prior_validation():
         SingleGamma(alpha=0.0, beta=1.0)
     with pytest.raises(ValueError):
         GammaMixture(alpha=1.0, beta1=1.0, beta2=0.0)
+    # an infinite or NaN prior once failed only after the trials were drawn
+    for bad in (math.inf, -math.inf, math.nan):
+        for name, prior in (("alpha", lambda: SingleGamma(alpha=bad, beta=1.0)),
+                            ("beta", lambda: SingleGamma(alpha=1.0, beta=bad)),
+                            ("alpha", lambda: GammaMixture(alpha=bad, beta1=1.0, beta2=2.0)),
+                            ("beta1", lambda: GammaMixture(alpha=1.0, beta1=bad, beta2=2.0)),
+                            ("beta2", lambda: GammaMixture(alpha=1.0, beta1=1.0, beta2=bad))):
+            with pytest.raises(ValueError, match=f"^{name} must be positive and finite"):
+                prior()
     rng = np.random.default_rng(64)
     with pytest.raises(ValueError):
         Explicit((0.0, 10.0)).sample_openings(rng, 3, 50.0)
