@@ -21,9 +21,10 @@ import json
 import math
 import operator
 import sys
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import get_args, get_type_hints
 
 import numpy as np
 
@@ -52,6 +53,8 @@ from .reproduce import (
     check_grid_size,
     figure_curve,
     reproduction_table,
+    row_labels,
+    table_columns,
 )
 from .simulate import (
     Explicit,
@@ -427,66 +430,82 @@ def _cmd_predict(args) -> int:
     return EXIT_OK
 
 
-def _prior_payload(prior) -> dict:
-    if isinstance(prior, SingleGamma):
-        return {"kind": "gamma", "alpha": prior.alpha, "beta": prior.beta}
-    return {"kind": "gamma_mixture", "alpha": prior.alpha,
-            "beta1": prior.beta1, "beta2": prior.beta2}
+# JSON kind -> the prior or schedule class it names, for writing and reading
+_KINDS = {"gamma": SingleGamma, "gamma_mixture": GammaMixture,
+          "simultaneous": Simultaneous, "uniform": UniformOnCensus,
+          "split_half": SplitHalf, "explicit": Explicit}
+_KIND_NAMES = {cls: kind for kind, cls in _KINDS.items()}
+# the SimConfig fields a config file may leave out
+_CONFIG_DEFAULTS = {"schedule": "simultaneous", "level": 0.9,
+                    "replications": 2000, "seed": DEFAULT_SEED}
 
 
-def _schedule_payload(schedule) -> dict:
-    if isinstance(schedule, Simultaneous):
-        return {"kind": "simultaneous"}
-    if isinstance(schedule, UniformOnCensus):
-        return {"kind": "uniform"}
-    if isinstance(schedule, SplitHalf):
-        return {"kind": "split_half"}
-    return {"kind": "explicit", "opening_times": list(schedule.opening_times)}
+def _config_payload(config) -> dict:
+    """``config``, a SimConfig or one of its priors or schedules, in the
+    JSON schema ``--config`` reads: its fields by name, tuples as lists,
+    and a ``"kind"`` for a prior or schedule."""
+    payload = {} if isinstance(config, SimConfig) else {"kind": _KIND_NAMES[type(config)]}
+    for field in fields(config):
+        value = getattr(config, field.name)
+        payload[field.name] = (_config_payload(value) if is_dataclass(value)
+                               else list(value) if isinstance(value, tuple) else value)
+    return payload
 
 
-def _config_payload(config: SimConfig) -> dict:
-    return {
-        "prior": _prior_payload(config.prior),
-        "centres": config.centres,
-        "census_time": config.census_time,
-        "schedule": _schedule_payload(config.schedule),
-        "objective": config.objective,
-        "horizon": config.horizon,
-        "level": config.level,
-        "replications": config.replications,
-        "seed": config.seed,
-    }
+# annotated field type -> what its JSON value must be; a union of priors
+# or schedules is read by _design_part
+_JSON_TYPES = {float: "a number", int: "an integer", str: "a string",
+               tuple[float, ...]: "a list of numbers"}
 
 
-def _parse_prior(raw: dict):
-    try:
-        if "beta1" in raw or "beta2" in raw:
-            return GammaMixture(float(raw["alpha"]), float(raw["beta1"]),
-                                float(raw["beta2"]))
-        return SingleGamma(float(raw["alpha"]), float(raw["beta"]))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad prior specification: {exc}") from None
+def _field_value(name: str, kind, value):
+    """``value`` as the config field ``name`` of annotated type ``kind``
+    takes it.  A number is a JSON number, never a boolean or a string,
+    and an integer may be written as an integral float such as 2.0."""
+    if kind not in _JSON_TYPES:
+        return _design_part(name, value, get_args(kind))
+    if kind == tuple[float, ...] and isinstance(value, list):
+        return tuple(_field_value(f"{name}[{i}]", float, item) for i, item in enumerate(value))
+    if kind is str and isinstance(value, str):
+        return value
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        if kind is float:
+            return float(value)
+        if kind is int and (isinstance(value, int) or value.is_integer()):
+            return int(value)
+    raise ValueError(f"field {name!r} must be {_JSON_TYPES[kind]}, got {value!r}")
 
 
-def _parse_schedule(raw):
-    if isinstance(raw, dict) and "opening_times" in raw:
-        return Explicit(tuple(float(t) for t in raw["opening_times"]))
-    kinds = {"simultaneous": Simultaneous, "uniform": UniformOnCensus,
-             "split_half": SplitHalf}
-    kind = raw.get("kind") if isinstance(raw, dict) else raw
-    if kind not in kinds:
-        raise ConfigError(f"unknown schedule {raw!r}")
-    return kinds[kind]()
+def _design_part(name: str, value, choices: tuple[type, ...]):
+    """The prior or schedule, one of the classes ``choices``, that
+    ``value`` describes: an object whose ``"kind"`` names its class, or a
+    bare kind name.  Without a kind, beta1 or beta2 mean a mixture,
+    opening_times explicit openings, and anything else a single gamma."""
+    raw = {"kind": value} if isinstance(value, str) else value
+    if not isinstance(raw, dict):
+        raise ValueError(f"field {name!r} must be an object, got {value!r}")
+    kind = raw.get("kind", "gamma_mixture" if "beta1" in raw or "beta2" in raw
+                   else "explicit" if "opening_times" in raw else "gamma")
+    cls = _KINDS.get(kind) if isinstance(kind, str) else None
+    if cls not in choices:
+        raise ValueError(f"unknown {name} {value!r}")
+    return cls(**_field_values(cls, {key: item for key, item in raw.items() if key != "kind"},
+                               name + ".", {}))
 
 
-def _config_integer(raw: dict, field: str, default=None) -> int:
-    """An integer field of a config file; 2.0 passes, 2.7, true and "2" do not."""
-    value = raw[field] if default is None else raw.get(field, default)
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"config field {field!r} must be an integer, got {value!r}")
-    return value
+def _field_values(cls, raw: dict, prefix: str, defaults: dict) -> dict:
+    """The JSON object ``raw`` as keyword arguments of the config class
+    ``cls``: each field read by ``_field_value``, a field ``cls`` lacks
+    refused by name, and a missing one taken from ``defaults`` or refused."""
+    types = get_type_hints(cls)
+    for key in raw:
+        if key not in types:
+            raise ValueError(f"unknown field {prefix + key!r}")
+    missing = [name for name in types if name not in raw and name not in defaults]
+    if missing:
+        raise ValueError(f"missing field {prefix + missing[0]!r}")
+    return {name: _field_value(prefix + name, kind, raw.get(name, defaults.get(name)))
+            for name, kind in types.items()}
 
 
 def _load_sim_config(path: str, args) -> SimConfig:
@@ -496,23 +515,14 @@ def _load_sim_config(path: str, args) -> SimConfig:
         raise DataError(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path} is not valid JSON: {exc}") from None
+    overrides = {name: value for name, value in (("replications", args.reps),
+                                                 ("seed", args.seed)) if value is not None}
     try:
-        config = SimConfig(
-            prior=_parse_prior(raw["prior"]),
-            centres=_config_integer(raw, "centres"),
-            census_time=float(raw["census_time"]),
-            schedule=_parse_schedule(raw.get("schedule", "simultaneous")),
-            objective=str(raw["objective"]),
-            horizon=float(raw["horizon"]),
-            level=float(raw.get("level", 0.9)),
-            replications=(_config_integer(raw, "replications", 2000) if args.reps is None
-                          else args.reps),
-            seed=(_config_integer(raw, "seed", DEFAULT_SEED) if args.seed is None
-                  else args.seed),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
+        if not isinstance(raw, dict):
+            raise ValueError(f"expected a JSON object, got {raw!r}")
+        return SimConfig(**{**_field_values(SimConfig, raw, "", _CONFIG_DEFAULTS), **overrides})
+    except (ValueError, OverflowError) as exc:  # OverflowError: an integer past the floats
         raise ConfigError(f"bad simulation config: {exc}") from None
-    return config
 
 
 def _report_cells(report) -> dict:
@@ -533,48 +543,35 @@ def _cmd_simulate(args) -> int:
     if bool(args.table) == bool(args.config):
         raise ConfigError("give exactly one of --table or --config")
     if args.table:
-        if args.table not in TABLE_IDS:
-            raise ConfigError(
-                f"unknown table {args.table!r}; expected one of {', '.join(TABLE_IDS)}")
+        seed = args.seed if args.seed is not None else DEFAULT_SEED
         layout = reproduction_table(
             args.table, replications=2000 if args.reps is None else args.reps,
-            base_seed=args.seed if args.seed is not None else DEFAULT_SEED)
-        manifest = _manifest("simulate", {
-            "table": args.table,
-            "rows": [_config_payload(cfg) for _, cfg in layout.rows]},
-            args.seed if args.seed is not None else DEFAULT_SEED)
-        rows = []
-        for labels, config in layout.rows:
-            report = coverage_study(config, workers=args.threads)
-            cells = {**labels, **_report_cells(report)}
-            rows.append([_fmt(cells[c]) for c in layout.columns])
-        _emit_csv(list(layout.columns), rows, manifest, args.out)
-        return EXIT_OK
-    config = _load_sim_config(args.config, args)
-    report = coverage_study(config, workers=args.threads)
-    label = "t_plus" if config.objective == COUNT else "n_plus"
-    columns = ["t", label, "t_star", "t_star_ratio", "n_star_ratio",
-               "coverage_unadjusted", "width_unadjusted",
-               "coverage_adjusted", "width_adjusted",
-               "replications", "degenerate_fits"]
-    cells = {"t": config.census_time, label: config.horizon,
-             **_report_cells(report)}
-    manifest = _manifest("simulate", {"config": _config_payload(config)}, config.seed)
-    _emit_csv(columns, [[_fmt(cells[c]) for c in columns]], manifest, args.out)
+            base_seed=seed)
+        columns, rows = layout.columns, layout.rows
+        described = {"table": args.table,
+                     "rows": [_config_payload(config) for _, config in rows]}
+    else:
+        config = _load_sim_config(args.config, args)
+        seed = config.seed
+        columns = (table_columns(config.objective, staggered=True)
+                   + ("replications", "degenerate_fits"))
+        rows = ((row_labels(config), config),)
+        described = {"config": _config_payload(config)}
+    manifest = _manifest("simulate", described, seed)
+    lines = []
+    for labels, config in rows:
+        report = coverage_study(config, workers=args.threads)
+        cells = {**labels, **_report_cells(report)}
+        lines.append([_fmt(cells[c]) for c in columns])
+    _emit_csv(list(columns), lines, manifest, args.out)
     return EXIT_OK
 
 
 def _cmd_curves(args) -> int:
-    if args.figure not in FIGURE_IDS:
-        raise ConfigError(
-            f"unknown figure {args.figure!r}; expected one of {', '.join(FIGURE_IDS)}")
-    try:
-        curve = figure_curve(args.figure, t=args.t, centres=args.centres,
-                             replications=20000 if args.reps is None else args.reps,
-                             seed=args.seed if args.seed is not None else DEFAULT_SEED,
-                             grid_size=args.grid)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    curve = figure_curve(args.figure, t=args.t, centres=args.centres,
+                         replications=20000 if args.reps is None else args.reps,
+                         seed=args.seed if args.seed is not None else DEFAULT_SEED,
+                         grid_size=args.grid)
     empirical = None
     degenerate = 0
     if curve.config is not None:

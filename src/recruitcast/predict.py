@@ -23,6 +23,8 @@ import math
 from dataclasses import dataclass
 from functools import partial
 
+import numpy as np
+
 from ._elementwise import plain, some, where
 from .asymptotics import content_limit, moment_matched_gamma, time_horizon
 from .distributions import (
@@ -174,26 +176,43 @@ def adjust_probability_time(p, alpha, beta, exposure, mean_target):
     return plain(content_limit(p, x, beta, exposure)[2])
 
 
-def equal_tailed_interval(quantile, level, adjusted, x, beta, exposure) -> PredictionInterval:
-    """Equal-tailed interval at ``level`` of the law with this ``quantile``
-    function.  Where ``adjusted`` holds, the tail probabilities are first
-    widened to the adjusted levels of ``content_limit(p, x, beta,
-    exposure)``; ``x`` is read only there.  Integer quantiles give a count
-    interval, read under the half-open convention of ``PredictionInterval``.
+def equal_tailed_interval(quantile, request: PredictionRequest, x, beta,
+                          exposure) -> PredictionInterval:
+    """Equal-tailed interval at ``request.level`` of the law with this
+    ``quantile`` function.  Where ``request.adjusted`` holds, the tail
+    probabilities are first widened to the adjusted levels of
+    ``content_limit(p, x, beta, exposure)``; ``x`` is read only there, and
+    an adjusted level that rounds to 0 or 1 is refused before any quantile
+    is read.  Integer quantiles give a count interval, read under the
+    half-open convention of ``PredictionInterval``.
 
-    Elementwise: ``adjusted``, ``x``, ``beta``, ``exposure`` and the law
-    behind ``quantile`` may be arrays, which broadcast together into a
-    batch of intervals.  The bounds are then float arrays, and so are the
-    probabilities wherever they vary across the batch.  With scalars
-    throughout, the same lines run on floats and give floats.
+    Elementwise: ``request.adjusted``, ``x``, ``beta``, ``exposure`` and
+    the law behind ``quantile`` may be arrays, which broadcast together
+    into a batch of intervals.  The bounds are then float arrays, and so
+    are the probabilities wherever they vary across the batch.  With
+    scalars throughout, the same lines run on floats and give floats.
     """
+    level, adjusted = request.level, request.adjusted
     p_lo = (1.0 - level) / 2.0
     p_hi = 1.0 - p_lo
     if some(adjusted):
         p_lo, p_hi = (where(adjusted, content_limit(p, x, beta, exposure)[2], p)
                       for p in (p_lo, p_hi))
+        past = (p_lo <= 0.0) | (p_hi >= 1.0)
+        if some(past):
+            raise ValueError(_past_resolution(request, np.max(np.where(past, x / exposure, 0.0))))
     return PredictionInterval(lower=plain(quantile(p_lo)), upper=plain(quantile(p_hi)),
                               nominal_level=level, probs_used=(plain(p_lo), plain(p_hi)))
+
+
+def _past_resolution(request: PredictionRequest, reach) -> str:
+    """Why an adjusted interval is refused.  A count horizon is named by
+    ``reach``, its multiple of the effective exposure, which is what sends
+    the level to 0 or 1 and which no change of time unit moves."""
+    span = (f"to target count {request.horizon:g}" if request.objective == TIME
+            else f"over a horizon {reach:.4g} times the effective exposure")
+    return (f"adjusted {request.objective} interval at level {request.level:g} {span}: "
+            "the adjusted tail is past float resolution (its quantile level rounds to 0 or 1)")
 
 
 def prediction_interval(pool: PooledPosterior, request: PredictionRequest) -> PredictionInterval:
@@ -214,5 +233,4 @@ def prediction_interval(pool: PooledPosterior, request: PredictionRequest) -> Pr
         quantile = partial(pearson6_quantile, params=law)
         x = (time_horizon(request.horizon / pool.centres, pool.alpha_hat, pool.beta_hat)
              if some(adjusted) else None)
-    return equal_tailed_interval(quantile, request.level, adjusted, x, pool.beta_hat,
-                                 pool.t_star)
+    return equal_tailed_interval(quantile, request, x, pool.beta_hat, pool.t_star)

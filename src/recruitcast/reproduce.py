@@ -19,7 +19,6 @@ from .asymptotics import LimitLaw, count_limit_law, limit_prob_density, time_lim
 from .predict import COUNT, TIME
 from .simulate import (
     GammaMixture,
-    OpeningSchedule,
     SimConfig,
     Simultaneous,
     SingleGamma,
@@ -33,6 +32,8 @@ __all__ = [
     "DEFAULT_SEED",
     "TableLayout",
     "FigureCurve",
+    "table_columns",
+    "row_labels",
     "reproduction_table",
     "figure_curve",
     "MAX_GRID_SIZE",
@@ -51,8 +52,25 @@ CENSUS_GRID_TIME = (50.0, 100.0, 150.0, 200.0, 300.0, 500.0, 1000.0)
 # bound on the time and memory of the curve and its kernel density.
 MAX_GRID_SIZE = 100_000
 
-TABLE_IDS = ("2", "3", "4", "D1", "D2", "D3", "D4", "D5", "F1", "F2")
-FIGURE_IDS = ("fig1", "fig2", "fig3", "fig4", "figD1", "figD2", "figD3")
+# table 2's design: every other table turns one or two of its knobs
+_TABLE_2 = dict(prior=SingleGamma(DEFAULT_ALPHA, DEFAULT_BETA), centres=DEFAULT_CENTRES,
+                schedule=Simultaneous(), objective=COUNT, level=0.9)
+_MIXTURE = GammaMixture(DEFAULT_ALPHA, DEFAULT_BETA, 3.0 * DEFAULT_BETA)
+# table id -> where its design departs from table 2's
+_TABLES: dict[str, dict] = {
+    "2": {},
+    "3": {"schedule": UniformOnCensus()},
+    "4": {"schedule": SplitHalf()},
+    "D1": {"prior": SingleGamma(DEFAULT_ALPHA, 50.0)},
+    "D2": {"centres": 20},
+    "D3": {"level": 0.95},
+    "D4": {"objective": TIME},
+    "D5": {"objective": TIME, "schedule": UniformOnCensus()},
+    "F1": {"prior": _MIXTURE, "schedule": UniformOnCensus()},
+    "F2": {"prior": _MIXTURE, "schedule": UniformOnCensus(), "objective": TIME},
+}
+_CENSUS_GRIDS = {COUNT: CENSUS_GRID_COUNT, TIME: CENSUS_GRID_TIME}
+TABLE_IDS = tuple(_TABLES)
 
 
 @dataclass(frozen=True)
@@ -66,12 +84,21 @@ class TableLayout:
     rows: tuple[tuple[dict, SimConfig], ...]
 
 
-def _columns(objective: str, staggered: bool) -> tuple[str, ...]:
+def table_columns(objective: str, staggered: bool) -> tuple[str, ...]:
+    """The columns of a coverage table: the row labels, the pooling
+    diagnostics where centres open at different times, and the scores."""
     label = ("t", "t_plus") if objective == COUNT else ("t", "n_plus")
     diag = ("t_star", "t_star_ratio", "n_star_ratio") if staggered else ()
     scores = ("coverage_unadjusted", "width_unadjusted",
               "coverage_adjusted", "width_adjusted")
     return label + diag + scores
+
+
+def row_labels(config: SimConfig) -> dict:
+    """A table row's labels: the census and the count horizon (t_plus) or
+    the target count (n_plus)."""
+    return {"t": config.census_time,
+            "t_plus" if config.objective == COUNT else "n_plus": config.horizon}
 
 
 def reproduction_table(table_id: str, replications: int = 2000,
@@ -81,61 +108,19 @@ def reproduction_table(table_id: str, replications: int = 2000,
     Every row gets its own seed (base + row index) so rows are
     independent while the whole table stays reproducible.
     """
-    if table_id not in TABLE_IDS:
-        raise ValueError(f"unknown table {table_id!r}; expected one of {TABLE_IDS}")
-
-    prior = SingleGamma(DEFAULT_ALPHA, DEFAULT_BETA)
-    schedule: OpeningSchedule = Simultaneous()
-    objective = COUNT
-    centres = DEFAULT_CENTRES
-    level = 0.9
-    grid = CENSUS_GRID_COUNT
-
-    if table_id == "3":
-        schedule = UniformOnCensus()
-    elif table_id == "4":
-        schedule = SplitHalf()
-    elif table_id == "D1":
-        prior = SingleGamma(DEFAULT_ALPHA, 50.0)
-    elif table_id == "D2":
-        centres = 20
-    elif table_id == "D3":
-        level = 0.95
-    elif table_id == "D4":
-        objective = TIME
-        grid = CENSUS_GRID_TIME
-    elif table_id == "D5":
-        objective = TIME
-        schedule = UniformOnCensus()
-        grid = CENSUS_GRID_TIME
-    elif table_id == "F1":
-        prior = GammaMixture(DEFAULT_ALPHA, DEFAULT_BETA, 3.0 * DEFAULT_BETA)
-        schedule = UniformOnCensus()
-    elif table_id == "F2":
-        prior = GammaMixture(DEFAULT_ALPHA, DEFAULT_BETA, 3.0 * DEFAULT_BETA)
-        schedule = UniformOnCensus()
-        objective = TIME
-        grid = CENSUS_GRID_TIME
-
-    staggered = not isinstance(schedule, Simultaneous)
+    if table_id not in _TABLES:
+        raise ValueError(f"unknown table {table_id!r}; expected one of {', '.join(TABLE_IDS)}")
+    design = {**_TABLE_2, **_TABLES[table_id]}
+    objective = design["objective"]
     rows = []
-    for index, census in enumerate(grid):
-        if objective == COUNT:
-            horizon = TOTAL_TIME - census
-            labels = {"t": census, "t_plus": horizon}
-        else:
-            horizon = float(TIME_TARGET)
-            labels = {"t": census, "n_plus": TIME_TARGET}
-        config = SimConfig(prior=prior, centres=centres, census_time=census,
-                           schedule=schedule, objective=objective,
-                           horizon=horizon, level=level,
-                           replications=replications,
-                           seed=base_seed + index)
-        rows.append((labels, config))
-    return TableLayout(table_id=table_id, objective=objective,
-                       staggered=staggered,
-                       columns=_columns(objective, staggered),
-                       rows=tuple(rows))
+    for index, census in enumerate(_CENSUS_GRIDS[objective]):
+        horizon = TOTAL_TIME - census if objective == COUNT else float(TIME_TARGET)
+        config = SimConfig(**design, census_time=census, horizon=horizon,
+                           replications=replications, seed=base_seed + index)
+        rows.append((row_labels(config), config))
+    staggered = not isinstance(design["schedule"], Simultaneous)
+    return TableLayout(table_id=table_id, objective=objective, staggered=staggered,
+                       columns=table_columns(objective, staggered), rows=tuple(rows))
 
 
 @dataclass(frozen=True)
@@ -162,6 +147,7 @@ _FIGURES: dict[str, tuple[str, float, tuple[str, ...], bool, bool]] = {
     "figD2": (COUNT, 0.50, ("centres",), False, True),
     "figD3": (TIME, 0.50, ("centres",), False, True),
 }
+FIGURE_IDS = tuple(_FIGURES)
 
 
 def check_grid_size(grid_size: int) -> int:
@@ -182,7 +168,7 @@ def figure_curve(figure_id: str, *, t: float | None = None,
     C, beta = C.
     """
     if figure_id not in _FIGURES:
-        raise ValueError(f"unknown figure {figure_id!r}; expected one of {FIGURE_IDS}")
+        raise ValueError(f"unknown figure {figure_id!r}; expected one of {', '.join(FIGURE_IDS)}")
     objective, p, sweeps, beta_follows_c, empirical = _FIGURES[figure_id]
     if t is not None and centres is not None:
         raise ValueError("give either t or centres, not both")

@@ -290,8 +290,9 @@ def exact_coverage(rates: np.ndarray, interval: PredictionInterval,
     return cdf(np.subtract(interval.upper, below)) - cdf(np.subtract(interval.lower, below))
 
 
-def _boundary_intervals(config: SimConfig, total_count: np.ndarray,
-                        exposure_sum: np.ndarray) -> PredictionInterval:
+def _boundary_intervals(config: SimConfig, request: PredictionRequest,
+                        total_count: np.ndarray, exposure_sum: np.ndarray
+                        ) -> PredictionInterval:
     """Plug-in and adjusted intervals at the monotone-likelihood limit.
 
     Along the ray alpha/beta = n/sum(t) the pooled pseudo-exposure tends
@@ -299,8 +300,9 @@ def _boundary_intervals(config: SimConfig, total_count: np.ndarray,
     observed, so the predictive laws collapse to a Poisson count (or a
     gamma waiting time) at the overall rate, and the adjusted levels are
     those of ``asymptotics.content_limit`` at beta = inf.  Elementwise
-    over trials given by their total counts and summed exposures; the
-    bounds' first axis holds the plug-in interval, then the adjusted one.
+    over trials given by their total counts and summed exposures; with
+    the chunk's ``request`` for both kinds, the bounds' first axis holds
+    the plug-in interval, then the adjusted one.
     """
     rate = total_count / exposure_sum
     pooled_rate = rate * config.centres
@@ -312,8 +314,7 @@ def _boundary_intervals(config: SimConfig, total_count: np.ndarray,
                            params=GammaParams(shape=float(config.horizon), rate=pooled_rate))
         # for times x = m beta / alpha, and beta / alpha tends to 1 / rate
         x = config.horizon / config.centres / rate
-    return equal_tailed_interval(quantile, config.level, _BOTH_KINDS, x, math.inf,
-                                 exposure_sum / config.centres)
+    return equal_tailed_interval(quantile, request, x, math.inf, exposure_sum / config.centres)
 
 
 # What a replication's fit leaves for scoring, one column each: the kind
@@ -379,17 +380,17 @@ def _coverage_chunk(config: SimConfig, bounds: tuple[int, int]) -> np.ndarray:
     mean_exposure = fits["exposure_sum"] / config.centres
     interior = np.flatnonzero(fits["kind"] == _INTERIOR)
     boundary = np.flatnonzero(fits["kind"] == _BOUNDARY)
+    request = PredictionRequest(config.objective, config.horizon, config.level,
+                                adjusted=_BOTH_KINDS)
     if interior.size:
         pool = _interior_pool(config, fits, interior)
-        request = PredictionRequest(config.objective, config.horizon, config.level,
-                                    adjusted=_BOTH_KINDS)
         _score(rows, interior, prediction_interval(pool, request), fits, config)
         rows[interior, 4] = pool.t_star
         rows[interior, 5] = pool.t_star / mean_exposure[interior]
         rows[interior, 6] = pool.n_star / fits["total_count"][interior]
         rows[interior, 7] = 0.0
     if boundary.size:
-        both = _boundary_intervals(config, fits["total_count"][boundary],
+        both = _boundary_intervals(config, request, fits["total_count"][boundary],
                                    fits["exposure_sum"][boundary])
         _score(rows, boundary, both, fits, config)
         rows[boundary, 4] = mean_exposure[boundary]

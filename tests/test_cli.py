@@ -1,5 +1,6 @@
 """Command-line surface: parsing, exit codes, and output formats."""
 
+import contextlib
 import csv
 import io
 import json
@@ -265,6 +266,24 @@ def test_predict_names_a_count_horizon_past_the_float_resolution(capsys):
     assert code == 4 and out == ""
     assert len(err.splitlines()) == 1
     assert err.startswith("config error: horizon 1e+300 is too long")
+
+
+def test_predict_names_an_adjusted_level_past_the_float_resolution(tmp_path, monkeypatch,
+                                                                  capsys):
+    # at estimates (1, 8) and one centre open for the one time unit, the
+    # adjusted upper level of a time interval to 30 recruits rounds to 1
+    monkeypatch.setattr(cli, "fit_mle", lambda data: ModelFit(
+        alpha_hat=1.0, beta_hat=8.0, log_lik=0.0, converged=True, iterations=1))
+    summary = tmp_path / "summary.csv"
+    write_summary(summary, [("a", 0.0, 0), ("b", 1.0, 0)])
+    args = ("predict", "--input", str(summary), "--census", "1", "--objective", "time",
+            "--horizon", "30", "--level", "0.95")
+    assert run(capsys, *args)[0] == 0
+    code, out, err = run(capsys, *args, "--adjusted")
+    assert code == 4 and out == ""
+    assert err == ("config error: adjusted time interval at level 0.95 to target count 30: "
+                   "the adjusted tail is past float resolution (its quantile level rounds "
+                   "to 0 or 1)\n")
 
 
 def test_exit_codes_for_data_problems(tmp_path, capsys):
@@ -644,7 +663,8 @@ def test_simulate_custom_config(tmp_path, capsys):
 
 def test_simulate_config_errors(tmp_path, capsys):
     code, _, err = run(capsys, "simulate", "--table", "99")
-    assert code == 4 and "unknown table" in err
+    assert code == 4 and err == ("config error: unknown table '99'; expected one of "
+                                 "2, 3, 4, D1, D2, D3, D4, D5, F1, F2\n")
 
     code, _, err = run(capsys, "simulate")
     assert code == 4 and "exactly one" in err
@@ -841,6 +861,98 @@ def test_config_priors_must_be_finite_before_any_trial_is_drawn(tmp_path, monkey
     assert f"{field} must be positive and finite" in err
 
 
+_CELL = {"prior": {"alpha": 2.0, "beta": 150.0}, "centres": 20, "census_time": 100.0,
+         "objective": "count", "horizon": 100.0, "replications": 3, "seed": 4}
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"prior": {"alpha": True, "beta": 150.0}},
+     "field 'prior.alpha' must be a number, got True"),
+    ({"census_time": "100"}, "field 'census_time' must be a number, got '100'"),
+    ({"levle": 0.95}, "unknown field 'levle'"),
+    ({"prior": {"kind": "gamma_mixture", "alpha": 2, "beta": 1}},
+     "unknown field 'prior.beta'"),
+    ({"schedule": {"kind": "uniform", "opening_times": [0.0] * 20}},
+     "unknown field 'schedule.opening_times'"),
+    ({"schedule": {"opening_times": "0123"}},
+     "field 'schedule.opening_times' must be a list of numbers, got '0123'"),
+], ids=["boolean number", "string number", "unknown field", "mixture kind",
+        "uniform kind", "string openings"])
+def test_config_fields_follow_one_rule(tmp_path, monkeypatch, capsys, change, message):
+    # the first five once ran: as alpha = 1, census 100, level 0.9, a single
+    # gamma and explicit openings; the string was read as four openings
+    def no_trial(*args, **kwargs):
+        raise AssertionError("a trial was drawn")
+
+    monkeypatch.setattr(simulate, "generate_trial", no_trial)
+    config = tmp_path / "cell.json"
+    config.write_text(json.dumps({**_CELL, **change}))
+    code, out, err = run(capsys, "simulate", "--config", str(config))
+    assert code == 4 and out == ""
+    assert err == f"config error: bad simulation config: {message}\n"
+
+
+# a JSON value of each kind; the fuzz below draws one whose type the
+# field does not take
+_JSON_VALUES = {
+    "boolean": st.booleans(),
+    # at most four characters, so never a kind name or an objective
+    # other than "time", which the string fields are spared
+    "string": st.text(max_size=4),
+    "list": st.lists(st.integers(0, 3), max_size=2),
+    "object": st.dictionaries(st.sampled_from(["a", "alpha"]), st.integers(0, 3), max_size=1),
+    "null": st.none(),
+}
+# where each field of a mixture prior on explicit openings lives, and the
+# JSON types it takes (a prior or schedule may be a bare kind name)
+_FUZZED_FIELDS = {
+    ("prior",): ("object", "string"), ("centres",): (), ("census_time",): (),
+    ("schedule",): ("object", "string"), ("objective",): ("string",), ("horizon",): (),
+    ("level",): (), ("replications",): (), ("seed",): (),
+    ("prior", "kind"): ("string",), ("prior", "alpha"): (), ("prior", "beta1"): (),
+    ("prior", "beta2"): (), ("schedule", "kind"): ("string",),
+    ("schedule", "opening_times"): ("list",),
+}
+
+
+@st.composite
+def _mistyped_configs(draw):
+    raw = {**_CELL, "prior": {"kind": "gamma_mixture", "alpha": 2.0, "beta1": 150.0,
+                              "beta2": 450.0},
+           "schedule": {"kind": "explicit", "opening_times": [0.0] * 20}, "level": 0.9}
+    if draw(st.booleans()):
+        path, taken = draw(st.sampled_from(sorted(_FUZZED_FIELDS.items())))
+        wrong = draw(st.sampled_from([kind for kind in _JSON_VALUES if kind not in taken]))
+        value = draw(_JSON_VALUES[wrong])
+    else:
+        parent = draw(st.sampled_from([(), ("prior",), ("schedule",)]))
+        key = draw(st.text("abxyz_", min_size=1, max_size=5))
+        path, value = parent + (key,), 1.0
+    target = raw
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return raw
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(raw=_mistyped_configs())
+def test_a_mistyped_config_fails_before_any_trial(tmp_path_factory, raw):
+    trials = []
+    config = tmp_path_factory.mktemp("config") / "cell.json"
+    config.write_text(json.dumps(raw))
+    out, err = io.StringIO(), io.StringIO()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simulate, "generate_trial", lambda *args: trials.append(args))
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(["simulate", "--config", str(config), "--reps", "2",
+                             "--threads", "1"])
+    assert code == 4 and out.getvalue() == ""
+    assert err.getvalue().count("\n") == 1 and "Traceback" not in err.getvalue()
+    assert err.getvalue().startswith("config error: bad simulation config: ")
+    assert trials == []
+
+
 def _run_config(tmp_path, capsys, config, reps):
     """Write ``config`` in the manifest's schema, check that the file
     loads back to ``config`` itself, and return the cells that
@@ -952,7 +1064,8 @@ def test_curves_empirical_column(capsys):
 
 def test_curves_config_errors(capsys):
     code, _, err = run(capsys, "curves", "--figure", "fig9")
-    assert code == 4 and "unknown figure" in err
+    assert code == 4 and err == ("config error: unknown figure 'fig9'; expected one of "
+                                 "fig1, fig2, fig3, fig4, figD1, figD2, figD3\n")
     code, _, err = run(capsys, "curves", "--figure", "fig1", "--centres", "30")
     assert code == 4 and "does not sweep" in err
     code, _, err = run(capsys, "curves", "--figure", "fig2", "--t", "50",

@@ -268,6 +268,24 @@ def test_a_batch_of_intervals_is_bitwise_the_single_trial_calls(objective, horiz
             assert one.probs_used == tuple(p[kind, i] for p in both.probs_used)
 
 
+@pytest.mark.parametrize("objective, horizon, span", [
+    (TIME, 30, "to target count 30"),
+    (COUNT, 1000.0, "over a horizon 2266 times the effective exposure"),
+], ids=[TIME, COUNT])
+def test_an_adjusted_level_that_rounds_to_one_is_refused_by_name(objective, horizon, span):
+    # beta 8 against an effective exposure under 1 widens the upper tail
+    # level to ndtr(8.6) = 1.0, which the kernels once refused as a bare
+    # "quantile level must lie in (0, 1), got 1.0"
+    pool = pool_centres(TrialData.from_arrays(1.0, [1.0, 0.0], [0, 0]), _fit(1.0, 8.0))
+    plain = prediction_interval(pool, PredictionRequest(objective, horizon, 0.95))
+    assert 0.0 < plain.lower < plain.upper < math.inf
+    with pytest.raises(ValueError) as refusal:
+        prediction_interval(pool, PredictionRequest(objective, horizon, 0.95, adjusted=True))
+    assert str(refusal.value) == (
+        f"adjusted {objective} interval at level 0.95 {span}: the adjusted tail is past "
+        "float resolution (its quantile level rounds to 0 or 1)")
+
+
 # Interval invariances at fixed estimates: each pool is built from a
 # given ModelFit, so the fitter's own tolerance does not enter.
 _INVARIANCE = settings(max_examples=150, deadline=None, derandomize=True, database=None)

@@ -38,7 +38,8 @@ from recruitcast import (
     replication_rng,
 )
 from recruitcast import simulate
-from recruitcast.reproduce import reproduction_table
+from recruitcast.asymptotics import limit_prob_cdf
+from recruitcast.reproduce import figure_curve, reproduction_table
 from recruitcast.simulate import _worker_plan
 
 
@@ -190,6 +191,19 @@ def test_quantile_study_steps_toward_p_for_tiny_horizon():
     assert abs(float(values.mean()) - 0.75) < 0.03
     assert float(values.min()) > 0.6
     assert float(values.max()) < 0.9
+
+
+def test_time_quantile_contents_follow_the_time_limit_law():
+    # figure 4 at C = 600: the time objective's plug-in median, whose
+    # content time_limit_law describes; the bound is the KS 1 % point
+    curve = figure_curve("fig4", centres=600, replications=2000, seed=5)
+    sample = quantile_probability_study(curve.config, curve.p)
+    values = np.sort(sample.values)
+    n = values.size
+    assert n + sample.degenerate_fits == 2000
+    cdf = limit_prob_cdf(values, curve.law)
+    ks = float(max(np.max(np.arange(1, n + 1) / n - cdf), np.max(cdf - np.arange(n) / n)))
+    assert ks < 1.63 / math.sqrt(n)
 
 
 def test_coverage_study_simultaneous_near_table_row():
