@@ -86,17 +86,24 @@ class DegenerateLikelihood(ModelError):
 
 @dataclass(frozen=True, eq=False)
 class TrialData:
-    """Snapshot of a multi-centre trial at its census time.
+    """Snapshot of a multi-centre trial at its census time, or of a batch
+    of trials sharing one census time and one set of centres.
 
     ``exposures`` (float64) and ``counts`` (int64) hold one entry per
     centre, as read-only copies of what the caller passed, so later
-    changes to the caller's arrays never reach the snapshot.  ``ids`` is
+    changes to the caller's arrays never reach the snapshot.  2-d arrays
+    hold a batch: one row per trial, one column per centre.  ``ids`` is
     an optional tuple of centre names; without it error messages name the
-    centres ``centre_1``, ``centre_2``, ...  Construction checks
-    every centre at once: exposures finite and non-negative and at most
-    the census time, counts non-negative integers, no count without
-    exposure, matching lengths, at least one centre, and a total count
-    within the int64 range.
+    centres ``centre_1``, ``centre_2``, ...  Construction checks every
+    centre of every trial at once: exposures finite and non-negative and
+    at most the census time, counts non-negative integers, no count
+    without exposure, matching shapes, at least one centre, and each
+    trial's total count within the int64 range.  An error about a batch
+    also names the trial, counted from 0 like its row.
+
+    ``data[i]`` is trial i of a batch, a one-trial ``TrialData`` whose
+    arrays are read-only views of the batch's row, checked already.
+    The fitting functions take one trial at a time.
     """
 
     census_time: float
@@ -111,19 +118,29 @@ class TrialData:
         exposures = np.array(self.exposures, dtype=float)
         counts = np.asarray(self.counts)
         ids = None if self.ids is None else tuple(str(cid) for cid in self.ids)
-        if exposures.ndim != 1 or counts.shape != exposures.shape:
-            raise ValueError(f"exposures and counts must be 1-d and of equal length, "
+        if exposures.ndim not in (1, 2) or counts.shape != exposures.shape:
+            rule = ("1-d and of equal length" if exposures.ndim == 1
+                    else "1-d, or 2-d for a batch of trials, and of equal shape")
+            raise ValueError(f"exposures and counts must be {rule}, "
                              f"got shapes {exposures.shape} and {counts.shape}")
-        if ids is not None and len(ids) != exposures.size:
-            raise ValueError(f"{len(ids)} ids for {exposures.size} centres")
-        if exposures.size == 0:
+        num_centres = exposures.shape[-1]
+        if ids is not None and len(ids) != num_centres:
+            raise ValueError(f"{len(ids)} ids for {num_centres} centres")
+        if num_centres == 0:
             raise ValueError("at least one centre is required")
+        if exposures.size == 0:
+            raise ValueError("at least one trial is required")
+        batch = exposures.ndim == 2
+
+        def trial(row: int) -> str:
+            return f"trial {row}, " if batch else ""
 
         def reject(bad: np.ndarray, rule: str, values: np.ndarray) -> None:
             if bad.any():
-                i = int(np.argmax(bad))
+                row, i = divmod(int(np.argmax(bad)), num_centres)
                 name = ids[i] if ids is not None else f"centre_{i + 1}"
-                raise ValueError(f"centre {name!r}: {rule}, got {values[i]}")
+                value = values.reshape(-1, num_centres)[row, i]
+                raise ValueError(f"{trial(row)}centre {name!r}: {rule}, got {value}")
 
         reject(~(np.isfinite(exposures) & (exposures >= 0)),
                "exposure must be finite and >= 0", exposures)
@@ -141,11 +158,14 @@ class TrialData:
         reject((exposures == 0) & (counts != 0), "positive count at zero exposure", counts)
         reject(exposures > census_time, f"exposure exceeds census time {census_time}",
                exposures)
-        if int(counts.max()) > _INT64_MAX // counts.size:
-            # the int64 sum may wrap; only then is it worth summing exactly
-            total = sum(counts.tolist())
+        rows = counts.reshape(-1, num_centres)
+        # a row's int64 sum may wrap only where its largest count is this
+        # big; only there is it worth summing exactly
+        for row in np.flatnonzero(rows.max(axis=1) > _INT64_MAX // num_centres):
+            total = sum(rows[row].tolist())
             if total > _INT64_MAX:
-                raise ValueError(f"counts sum to {total}, past the int64 maximum {_INT64_MAX}")
+                raise ValueError(f"{trial(row)}counts sum to {total}, "
+                                 f"past the int64 maximum {_INT64_MAX}")
         exposures.flags.writeable = False
         counts.flags.writeable = False
         object.__setattr__(self, "census_time", census_time)
@@ -158,13 +178,33 @@ class TrialData:
                     counts: Sequence[int], ids: Sequence[str] | None = None) -> "TrialData":
         return cls(census_time, exposures, counts, ids)
 
+    def __getitem__(self, row: int) -> "TrialData":
+        """Trial ``row`` of a batch, sharing the batch's checked arrays."""
+        if self.exposures.ndim != 2:
+            raise TypeError("only a batch of trials has rows")
+        row = operator.index(row)
+        trial = object.__new__(TrialData)
+        for name, value in (("census_time", self.census_time),
+                            ("exposures", self.exposures[row]),
+                            ("counts", self.counts[row]), ("ids", self.ids)):
+            object.__setattr__(trial, name, value)
+        return trial
+
     @property
     def num_centres(self) -> int:
-        return self.exposures.size
+        return self.exposures.shape[-1]
 
     @property
     def total_count(self) -> int:
-        return int(self.counts.sum())
+        return int(_one_trial(self).counts.sum())
+
+
+def _one_trial(data: TrialData) -> TrialData:
+    """``data`` if it holds a single trial, else ValueError naming its shape."""
+    if data.exposures.ndim != 1:
+        raise ValueError(f"expected one trial, got a batch of shape {data.exposures.shape}; "
+                         "take its trials one at a time as data[i]")
+    return data
 
 
 @dataclass(frozen=True)
@@ -202,7 +242,7 @@ class _Workspace:
     """
 
     def __init__(self, data: TrialData):
-        exposures, counts = data.exposures, data.counts
+        exposures, counts = _one_trial(data).exposures, data.counts
         if np.count_nonzero(exposures) < exposures.size:
             # closed centres hold zero counts, so every likelihood term they
             # would add cancels exactly; drop them once here
@@ -569,10 +609,19 @@ def posterior_rate_moments(data: TrialData, fit: ModelFit) -> tuple[float, float
     over centres has mean sum_c (alpha + n_c)/(beta + t_c) and variance
     sum_c (alpha + n_c)/(beta + t_c)^2 at the plugged-in estimates.
     """
+    _one_trial(data)
     if not fit.converged:
         raise ValueError("posterior moments require a converged fit")
-    shape = fit.alpha_hat + data.counts
-    rate = fit.beta_hat + data.exposures
-    mean = float((shape / rate).sum())
-    variance = float((shape / rate**2).sum())
-    return mean, variance
+    mean, variance = summed_rate_moments(fit.alpha_hat, fit.beta_hat, data.exposures,
+                                         data.counts)
+    return float(mean), float(variance)
+
+
+def summed_rate_moments(alpha, beta, exposures: np.ndarray, counts: np.ndarray):
+    """``posterior_rate_moments`` as arrays: the sums run over the last
+    axis of ``exposures`` and ``counts``, and the estimates broadcast
+    against them, so rows of trials with their estimates as a column
+    give one mean and one variance per trial."""
+    shape = alpha + counts
+    rate = beta + exposures
+    return (shape / rate).sum(axis=-1), (shape / rate**2).sum(axis=-1)

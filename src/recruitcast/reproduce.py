@@ -11,6 +11,8 @@ assembles configurations; the heavy lifting stays in
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -165,7 +167,8 @@ def figure_curve(figure_id: str, *, t: float | None = None,
     Census-sweep figures take ``t`` (census 200 by default, horizon
     400 - t for counts); centre-sweep figures take ``centres`` with
     census and horizon both 200 and, where the figure varies beta with
-    C, beta = C.
+    C, beta = C.  ``t`` must be positive and finite, and below 400 in a
+    count figure; ``centres`` must be a positive integer.
     """
     if figure_id not in _FIGURES:
         raise ValueError(f"unknown figure {figure_id!r}; expected one of {', '.join(FIGURE_IDS)}")
@@ -176,6 +179,13 @@ def figure_curve(figure_id: str, *, t: float | None = None,
         raise ValueError(f"figure {figure_id} does not sweep the census time")
     if centres is not None and "centres" not in sweeps:
         raise ValueError(f"figure {figure_id} does not sweep the centre count")
+    if centres is not None and not (isinstance(centres, numbers.Integral) and centres >= 1):
+        raise ValueError(f"centres must be a positive integer, got {centres!r}")
+    if t is not None and not (math.isfinite(t) and t > 0):
+        raise ValueError(f"t must be positive and finite, got {t}")
+    if t is not None and objective == COUNT and not t < TOTAL_TIME:
+        raise ValueError(f"t must lie below {TOTAL_TIME:g} in a count figure, "
+                         f"whose horizon is {TOTAL_TIME:g} - t, got {t}")
 
     sweep_kind = "centres" if (centres is not None or "t" not in sweeps) else "t"
     if sweep_kind == "t":
@@ -191,8 +201,6 @@ def figure_curve(figure_id: str, *, t: float | None = None,
 
     if objective == COUNT:
         horizon = TOTAL_TIME - census if sweep_kind == "t" else 200.0
-        if not horizon > 0:
-            raise ValueError(f"census {census} leaves no horizon before {TOTAL_TIME}")
         law = count_limit_law(p, beta, census, horizon)
     else:
         horizon = float(TIME_TARGET)

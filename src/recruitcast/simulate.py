@@ -5,22 +5,26 @@ model, builds the plug-in and adjusted prediction intervals, and scores
 them against the exact conditional law of the target given the drawn
 rates (Poisson for counts, gamma for times).
 
-The replications run in chunks, one per worker process, and a chunk runs
-in two phases.  First, one replication at a time, it draws the trial
-from the stream seeded by (config.seed, i), fits it, and keeps only the
-few numbers scoring reads: the outcome, the summed true rate, the summed
-exposure, the total count, the estimates and the posterior moments of
-the summed rate.  Then it scores all of its replications at once:
-pooling, the adjusted probabilities, every quantile and both exact
-coverages run as array operations, boundary replications through their
-limit laws beside the interior ones, all through the library's
-``predict.equal_tailed_interval``.
+The replications run in chunks, one per worker process, and a chunk
+runs in two phases.  First it draws and fits its replications in blocks
+of ``_BLOCK``, each block in two steps: it draws one trial from the
+stream seeded by (config.seed, i) for every replication i of the block,
+stacked into one batched ``TrialData`` that is checked once, then fits
+the batch's rows one at a time.  It keeps only the few numbers scoring
+reads: the outcome, the summed true rate, the summed exposure, the total
+count, the estimates and the posterior moments of the summed rate, the
+sums each one array pass over the block.  Then it scores all of its
+replications at once: pooling, the adjusted probabilities, every
+quantile and both exact coverages run as array operations, boundary
+replications through their limit laws beside the interior ones, all
+through the library's ``predict.equal_tailed_interval``.
 
-Neither the chunk boundaries nor the number of processes can move a
-byte.  Each replication's numbers come from its own stream and its own
-fit; the array stage is elementwise, with no sum across replications,
-and its quantile search reads the same points for a law whatever shares
-its batch.  The only reduction across replications is the final average,
+Neither the block nor the chunk boundaries nor the number of processes
+can move a byte.  Each replication's numbers come from its own stream
+and its own fit; a block's sums run along each trial's own row; the
+array stage is elementwise, with no sum across replications, and its
+quantile search reads the same points for a law whatever shares its
+batch.  The only reduction across replications is the final average,
 which always runs in replication order over the concatenated chunks.
 """
 
@@ -31,7 +35,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
-from typing import Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -49,7 +53,7 @@ from .model import (
     InsufficientData,
     TrialData,
     fit_mle,
-    posterior_rate_moments,
+    summed_rate_moments,
 )
 from .predict import (
     COUNT,
@@ -247,20 +251,27 @@ def replication_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng([int(seed), int(index)])
 
 
-def generate_trial(config: SimConfig, rng: np.random.Generator
+def generate_trial(config: SimConfig, rngs: Sequence[np.random.Generator]
                    ) -> tuple[np.ndarray, TrialData]:
-    """Draw one trial; returns the true rates and the censored data.
+    """Draw one trial from each generator; returns the true rates and the
+    censored data, as a batch with one row per generator.
 
     Draw order is fixed (openings, then rates, then counts) so that two
     schedules consuming the same amount of randomness stay comparable
-    under a common seed.
+    under a common seed.  Row i of the rates and ``data[i]`` are the
+    trial drawn from ``rngs[i]``, whatever the other generators; a
+    single trial is the batch of one, ``generate_trial(config, [rng])``,
+    read as row 0.
     """
-    openings = config.schedule.sample_openings(rng, config.centres, config.census_time)
-    exposures = config.census_time - openings
-    rates = config.prior.sample_rates(rng, config.centres)
-    counts = rng.poisson(rates * exposures)
-    data = TrialData.from_arrays(config.census_time, exposures, counts)
-    return rates, data
+    shape = (len(rngs), config.centres)
+    exposures, rates = np.empty(shape), np.empty(shape)
+    counts = np.empty(shape, dtype=np.int64)
+    for row, rng in enumerate(rngs):
+        openings = config.schedule.sample_openings(rng, config.centres, config.census_time)
+        exposures[row] = config.census_time - openings
+        rates[row] = config.prior.sample_rates(rng, config.centres)
+        counts[row] = rng.poisson(rates[row] * exposures[row])
+    return rates, TrialData.from_arrays(config.census_time, exposures, counts)
 
 
 def _target_cdf(objective: str, horizon: float, total_rate):
@@ -317,6 +328,10 @@ def _boundary_intervals(config: SimConfig, request: PredictionRequest,
     return equal_tailed_interval(quantile, request, x, math.inf, exposure_sum / config.centres)
 
 
+# Replications are drawn and fitted in blocks of this many: a block's
+# trials are drawn and checked as one batch, then fitted one by one.  It
+# bounds the memory of a chunk's draws whatever its length.
+_BLOCK = 64
 # What a replication's fit leaves for scoring, one column each: the kind
 # of outcome, the summed true rate, the summed exposure and the total
 # count, then for an interior fit its estimates and the posterior mean
@@ -328,36 +343,45 @@ _DROPPED, _BOUNDARY, _INTERIOR = 0.0, 1.0, 2.0
 _BOTH_KINDS = np.array([[False], [True]])
 
 
-def _fit_replication(config: SimConfig, index: int) -> tuple[float, ...]:
-    """Draw and fit replication ``index``; keep the scalars scoring reads.
+def _fit_chunk(config: SimConfig, bounds: tuple[int, int]) -> dict[str, np.ndarray]:
+    """Draw and fit replications ``bounds[0]`` up to ``bounds[1]``: each
+    column of ``_FIT_COLUMNS``, with one entry per replication in order.
 
     A trial that recruits nobody is dropped.  A monotone likelihood, or
     an interior search that stalled on the near-boundary ridge, is a
     boundary replication: its limit laws are indistinguishable from the
-    stalled fit's.
+    stalled fit's.  Only an interior replication has estimates and
+    posterior moments; the other columns hold every replication's values.
     """
-    rates, data = generate_trial(config, replication_rng(config.seed, index))
-    total_rate = float(np.sum(rates))
-    try:
-        fit = fit_mle(data)
-    except InsufficientData:
-        return (_DROPPED, total_rate) + (math.nan,) * (len(_FIT_COLUMNS) - 2)
-    except DegenerateLikelihood:
-        fit = None
-    observed = (float(data.exposures.sum()), data.total_count)
-    if fit is None or not fit.converged:
-        return (_BOUNDARY, total_rate, *observed) + (math.nan,) * (len(_FIT_COLUMNS) - 4)
-    return (_INTERIOR, total_rate, *observed, fit.alpha_hat, fit.beta_hat,
-            *posterior_rate_moments(data, fit))
-
-
-def _fit_chunk(config: SimConfig, bounds: tuple[int, int]) -> dict[str, np.ndarray]:
-    """Fit replications ``bounds[0]`` up to ``bounds[1]``: each column of
-    ``_FIT_COLUMNS``, with one entry per replication in order."""
-    table = np.empty((bounds[1] - bounds[0], len(_FIT_COLUMNS)))
-    for row, index in enumerate(range(*bounds)):
-        table[row] = _fit_replication(config, index)
-    return dict(zip(_FIT_COLUMNS, table.T))
+    first, stop = bounds
+    fits = {name: np.full(stop - first, math.nan) for name in _FIT_COLUMNS}
+    for start in range(first, stop, _BLOCK):
+        end = min(start + _BLOCK, stop)
+        rates, data = generate_trial(config, [replication_rng(config.seed, i)
+                                              for i in range(start, end)])
+        block = {name: column[start - first:end - first] for name, column in fits.items()}
+        block["total_rate"][:] = rates.sum(axis=1)
+        block["exposure_sum"][:] = data.exposures.sum(axis=1)
+        block["total_count"][:] = data.counts.sum(axis=1)
+        kind = block["kind"]
+        for row in range(end - start):
+            try:
+                fit = fit_mle(data[row])
+            except InsufficientData:
+                kind[row] = _DROPPED
+                continue
+            except DegenerateLikelihood:
+                fit = None
+            if fit is None or not fit.converged:
+                kind[row] = _BOUNDARY
+            else:
+                kind[row], block["alpha"][row], block["beta"][row] = (
+                    _INTERIOR, fit.alpha_hat, fit.beta_hat)
+        interior = np.flatnonzero(kind == _INTERIOR)
+        block["mean"][interior], block["variance"][interior] = summed_rate_moments(
+            block["alpha"][interior, None], block["beta"][interior, None],
+            data.exposures[interior], data.counts[interior])
+    return fits
 
 
 def _interior_pool(config: SimConfig, fits: dict[str, np.ndarray],

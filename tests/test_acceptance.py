@@ -254,7 +254,8 @@ def test_criterion_07_pooled_posterior_fidelity(report):
                        census_time=200.0, schedule=UniformOnCensus(),
                        objective=COUNT, horizon=200.0, level=0.9,
                        replications=1000, seed=1731)
-    rates, data = generate_trial(config, replication_rng(config.seed, 0))
+    rates, data = generate_trial(config, [replication_rng(config.seed, 0)])
+    rates, data = rates[0], data[0]
     fit = fit_mle(data)
     pool = pool_centres(data, fit)
     draw_rng = np.random.default_rng([config.seed, 10 ** 6])
@@ -270,7 +271,7 @@ def test_criterion_07_pooled_posterior_fidelity(report):
     close = 0
     usable = 0
     for index in range(config.replications):
-        _, data_i = generate_trial(config, replication_rng(config.seed, index))
+        data_i = generate_trial(config, [replication_rng(config.seed, index)])[1][0]
         try:
             fit_i = fit_mle(data_i)
         except (DegenerateLikelihood, InsufficientData):

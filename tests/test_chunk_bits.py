@@ -17,6 +17,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from recruitcast import TIME, simulate
 from test_simulate import _CHUNKED_CELLS
@@ -59,6 +60,16 @@ def test_every_pinned_chunk_is_bit_identical():
         flags = {row[7] for record in pinned if record["cell"] == name
                  for row in record["coverage_rows"]}
         assert flags == {(0.0).hex(), (1.0).hex(), "nan"}
+
+
+@pytest.mark.parametrize("block", [1, 7, BOUNDS[1] + 1])
+def test_no_block_size_moves_a_bit(monkeypatch, block):
+    # each trial of a block comes from its own stream and is fitted alone,
+    # and the block's sums run along its rows, so where blocks end moves
+    # nothing
+    monkeypatch.setattr(simulate, "_BLOCK", block)
+    with open(CHUNK_BITS) as fh:
+        assert chunk_records() == json.load(fh)
 
 
 if __name__ == "__main__":

@@ -707,6 +707,15 @@ def test_simulate_threads_do_not_change_bytes(tmp_path, capsys):
     assert serial.read_bytes() == threaded.read_bytes()
 
 
+def test_simulate_table_bytes_ignore_where_chunks_and_blocks_end(capsys):
+    # one process draws each row in blocks 0-64, 64-128, 128-150; two
+    # split it at 75 and draw 0-64, 64-75 and 75-139, 139-150
+    args = ("simulate", "--table", "4", "--reps", "150", "--seed", "3")
+    code, serial, _ = run(capsys, *args, "--threads", "1")
+    assert code == 0
+    assert run(capsys, *args, "--threads", "2") == (0, serial, "")
+
+
 @pytest.mark.parametrize("table_id", ["2", "3", "4", "D4"])
 def test_simulate_table_matches_golden_bytes(capsys, table_id):
     # 1-D and 2-D fit paths, closed centres (table 4), a time objective
@@ -1075,6 +1084,27 @@ def test_curves_config_errors(capsys):
     assert code == 4 and "horizon" in err
     code, _, err = run(capsys, "curves", "--figure", "fig1", "--grid", "1")
     assert code == 4
+
+
+@pytest.mark.parametrize("figure, flag, value, message", [
+    # once a ZeroDivisionError traceback, exit 1
+    ("fig4", "--centres", "0", "centres must be a positive integer, got 0"),
+    # these were refused in the limit-law kernels, naming beta or exposure
+    ("fig2", "--centres", "-3", "centres must be a positive integer, got -3"),
+    ("fig1", "--t", "-5", "t must be positive and finite, got -5.0"),
+    ("figD1", "--t", "0", "t must be positive and finite, got 0.0"),
+    ("fig3", "--t", "nan", "t must be positive and finite, got nan"),
+    ("fig2", "--t", "450", "t must lie below 400 in a count figure, whose horizon "
+                           "is 400 - t, got 450.0"),
+])
+def test_curves_refuse_a_bad_sweep_value_naming_it(monkeypatch, capsys, figure, flag,
+                                                    value, message):
+    def nothing(*args, **kwargs):
+        raise AssertionError("the study ran")
+
+    monkeypatch.setattr(cli, "quantile_probability_study", nothing)
+    code, out, err = run(capsys, "curves", "--figure", figure, flag, value)
+    assert (code, out, err) == (4, "", f"config error: {message}\n")
 
 
 def test_diagnose_qq_calibrated_against_its_own_model(tmp_path, capsys):

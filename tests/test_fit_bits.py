@@ -41,7 +41,7 @@ def fit_records() -> list[dict]:
     for table_id in TABLE_IDS:
         for row, (_, config) in enumerate(reproduction_table(table_id).rows):
             for index in range(REPLICATIONS_PER_ROW):
-                data = generate_trial(config, replication_rng(config.seed, index))[1]
+                data = generate_trial(config, [replication_rng(config.seed, index)])[1][0]
                 record = {"table": table_id, "row": row, "replication": index}
                 try:
                     fit = fit_mle(data)

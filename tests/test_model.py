@@ -5,6 +5,7 @@ import json
 import math
 import re
 import warnings
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +23,7 @@ from recruitcast import (
     fit_mle,
     generate_trial,
     log_likelihood,
+    pool_centres,
     posterior_rate_moments,
     replication_rng,
 )
@@ -320,7 +322,7 @@ def test_fit_recovers_from_a_start_off_the_concave_region(census, exposures,
 def _replications(table_id, per_row):
     for _, config in reproduction_table(table_id).rows:
         for index in range(per_row):
-            yield generate_trial(config, replication_rng(config.seed, index))[1]
+            yield generate_trial(config, [replication_rng(config.seed, index)])[1][0]
 
 
 @pytest.mark.parametrize("table_id, equal", [("2", True), ("3", False), ("F1", False)])
@@ -437,7 +439,7 @@ def test_near_ridge_replication_converges():
     # along one direction and the Hessian nearly singular
     config = reproduction_table("3").rows[0][1]
     assert config.seed == 97
-    _, data = generate_trial(config, replication_rng(config.seed, 252))
+    data = generate_trial(config, [replication_rng(config.seed, 252)])[1][0]
     fit = fit_mle(data)
     assert fit.converged
     assert _score(data, fit.alpha_hat, fit.beta_hat) <= 1e-8
@@ -528,7 +530,8 @@ def _bad_trials():
     yield "lengths", None, good_exposures, [3, 1]
     yield "lengths", None, [4.0, 2.0], good_counts
     yield "no centres", None, [], []
-    yield "2-d", None, [good_exposures], [good_counts]
+    yield "3-d", None, [[good_exposures]], [[good_counts]]
+    yield "batch shapes", None, [good_exposures] * 2, [good_counts] * 3
 
 
 @pytest.mark.parametrize("what, value, exposures, counts", list(_bad_trials()))
@@ -536,6 +539,67 @@ def test_trial_data_rejects_bad_input(what, value, exposures, counts):
     census = value if what == "census" else 4.0
     with pytest.raises(ValueError):
         TrialData.from_arrays(census, exposures, counts)
+
+
+@pytest.mark.parametrize("what, value, exposures, counts",
+                         [case for case in _bad_trials()
+                          if case[0] != "census" and len(case[2]) == len(case[3]) == 3])
+def test_trial_data_batch_names_the_trial_and_centre_it_refuses(what, value, exposures,
+                                                                 counts):
+    with pytest.raises(ValueError) as single:
+        TrialData.from_arrays(4.0, exposures, counts)
+    good_exposures, good_counts = [4.0, 2.0, 0.0], [3, 1, 0]
+    with pytest.raises(ValueError) as batch:
+        TrialData.from_arrays(4.0, [good_exposures, good_exposures, exposures],
+                              [good_counts, good_counts, counts])
+    if "'centre_" in str(single.value):
+        assert str(batch.value) == "trial 2, " + str(single.value)
+    else:
+        # a count that is no number makes the whole batch an array of
+        # strings, refused for its dtype, which no single entry carries
+        assert str(batch.value) == str(single.value) and what == "count"
+
+
+def test_trial_data_batch_refuses_one_row_whose_counts_sum_past_int64():
+    with pytest.raises(ValueError, match=f"^trial 1, counts sum to {2**63}, past"):
+        TrialData(1.0, [[1.0, 0.5]] * 3, [[1, 2], [2**62, 2**62], [3, 4]])
+    # each row's sum fits, though the batch's would not
+    batch = TrialData(1.0, [[1.0, 0.5]] * 2, [[2**62, 2**62 - 1]] * 2)
+    assert [batch[i].total_count for i in range(2)] == [2**63 - 1] * 2
+
+
+def test_trial_data_batch_rows_are_the_single_trials():
+    rng = np.random.default_rng(23)
+    exposures = rng.uniform(0.0, 5.0, size=(3, 12))
+    exposures[:, :2] = 0.0
+    counts = rng.poisson(rng.gamma(0.5, 4.0, size=(3, 12)) * exposures)
+    ids = [f"site {c}" for c in range(12)]
+    batch = TrialData.from_arrays(5.0, exposures, counts, ids)
+    for i in (0, 1, 2, -1):
+        row, one = batch[i], TrialData.from_arrays(5.0, exposures[i], counts[i], ids)
+        assert (row.census_time, row.ids, row.num_centres) == (one.census_time, one.ids, 12)
+        for name in ("exposures", "counts"):
+            got, want = getattr(row, name), getattr(one, name)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+            assert not got.flags.writeable
+            assert np.shares_memory(got, getattr(batch, name))
+        assert fit_mle(row) == fit_mle(one)
+        assert log_likelihood(1.5, 0.5, row) == log_likelihood(1.5, 0.5, one)
+    with pytest.raises(IndexError):
+        batch[3]
+    with pytest.raises(TypeError):
+        batch[0][0]
+
+
+def test_fitting_functions_refuse_a_batch_naming_its_shape():
+    batch = _trial(4.0, [[4.0, 2.0, 1.0]] * 2, [[3, 1, 0]] * 2)
+    fit = ModelFit(alpha_hat=1.0, beta_hat=1.0, log_lik=0.0, converged=True,
+                   iterations=1)
+    for refused in (partial(fit_mle, batch), partial(log_likelihood, 1.0, 1.0, batch),
+                    partial(posterior_rate_moments, batch, fit),
+                    partial(pool_centres, batch, fit), lambda: batch.total_count):
+        with pytest.raises(ValueError, match=re.escape("a batch of shape (2, 3)")):
+            refused()
 
 
 @pytest.mark.parametrize("counts", [[2**62, 2**62], [2**63 - 1, 1]])

@@ -1,5 +1,6 @@
 """Trial generation, exact coverage, and the repeated-sampling studies."""
 
+import collections
 import math
 import os
 from dataclasses import astuple
@@ -25,6 +26,7 @@ from recruitcast import (
     SingleGamma,
     SplitHalf,
     Simultaneous,
+    TrialData,
     UniformOnCensus,
     coverage_study,
     exact_coverage,
@@ -61,7 +63,8 @@ def _config(**overrides):
 
 def test_generate_trial_simultaneous_full_exposure():
     config = _config(centres=25)
-    rates, data = generate_trial(config, replication_rng(config.seed, 0))
+    rates, data = generate_trial(config, [replication_rng(config.seed, 0)])
+    rates, data = rates[0], data[0]
     assert rates.shape == (25,)
     assert np.all(rates > 0)
     assert np.all(data.exposures == 200.0)
@@ -71,19 +74,19 @@ def test_generate_trial_simultaneous_full_exposure():
 
 def test_generate_trial_split_half_pattern():
     config = _config(centres=10, schedule=SplitHalf())
-    _, data = generate_trial(config, replication_rng(config.seed, 0))
+    data = generate_trial(config, [replication_rng(config.seed, 0)])[1][0]
     assert np.all(data.exposures[:5] == 200.0)
     assert np.all(data.exposures[5:] == 0.0)
     assert np.all(data.counts[5:] == 0)
     # odd centre count rounds the open half up
     config = _config(centres=5, schedule=SplitHalf())
-    _, data = generate_trial(config, replication_rng(config.seed, 0))
+    data = generate_trial(config, [replication_rng(config.seed, 0)])[1][0]
     assert np.sum(data.exposures == 200.0) == 3
 
 
 def test_generate_trial_uniform_schedule_spread():
     config = _config(centres=200, schedule=UniformOnCensus())
-    _, data = generate_trial(config, replication_rng(config.seed, 3))
+    data = generate_trial(config, [replication_rng(config.seed, 3)])[1][0]
     assert np.all(data.exposures >= 0.0)
     assert np.all(data.exposures <= 200.0)
     assert np.unique(data.exposures).size == 200
@@ -91,12 +94,14 @@ def test_generate_trial_uniform_schedule_spread():
 
 def test_generate_trial_deterministic_streams():
     config = _config(centres=40, schedule=UniformOnCensus())
-    rates_a, data_a = generate_trial(config, replication_rng(11, 4))
-    rates_b, data_b = generate_trial(config, replication_rng(11, 4))
+    rates_a, data_a = generate_trial(config, [replication_rng(11, 4)])
+    rates_a, data_a = rates_a[0], data_a[0]
+    rates_b, data_b = generate_trial(config, [replication_rng(11, 4)])
+    rates_b, data_b = rates_b[0], data_b[0]
     assert np.array_equal(rates_a, rates_b)
     assert np.array_equal(data_a.exposures, data_b.exposures)
     assert np.array_equal(data_a.counts, data_b.counts)
-    rates_c, _ = generate_trial(config, replication_rng(11, 5))
+    rates_c = generate_trial(config, [replication_rng(11, 5)])[0][0]
     assert not np.array_equal(rates_a, rates_c)
 
 
@@ -106,7 +111,7 @@ def test_generate_trial_mean_total_count():
     config = _config(replications=10_000)
     total = 0.0
     for rep in range(config.replications):
-        _, data = generate_trial(config, replication_rng(config.seed, rep))
+        data = generate_trial(config, [replication_rng(config.seed, rep)])[1][0]
         total += data.total_count
     mean = total / config.replications
     assert abs(mean - 400.0) < 3.0 * 30.551 / 100.0
@@ -274,6 +279,31 @@ def test_chunks_and_workers_change_no_byte(cell):
     assert one.degenerate_fits == two.degenerate_fits
 
 
+def test_a_row_draws_and_checks_its_trials_a_block_at_a_time(monkeypatch):
+    calls = collections.Counter()
+
+    def spy(name, original):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(simulate, "generate_trial",
+                        spy("generate_trial", simulate.generate_trial))
+    monkeypatch.setattr(simulate, "fit_mle", spy("fit_mle", simulate.fit_mle))
+    monkeypatch.setattr(TrialData, "from_arrays",
+                        classmethod(spy("from_arrays", TrialData.from_arrays.__func__)))
+    monkeypatch.setattr(TrialData, "__post_init__",
+                        spy("__post_init__", TrialData.__post_init__))
+    coverage_study(_config(centres=20, replications=150))
+    blocks = math.ceil(150 / simulate._BLOCK)
+    assert blocks > 1
+    # one batch checked per block, never a trial on its own; still one
+    # fit per replication
+    assert calls == {"generate_trial": blocks, "from_arrays": blocks,
+                     "__post_init__": blocks, "fit_mle": 150}
+
+
 def test_worker_plan_caps_a_huge_request():
     # the plan is pure arithmetic: no process starts here
     cpus = os.cpu_count() or 1
@@ -306,7 +336,8 @@ def test_boundary_replication_matches_limiting_interior_fit():
                 census_time=1.0, schedule=Simultaneous(), level=0.9,
                 replications=1, seed=300)
     probe = SimConfig(**base, objective=COUNT, horizon=4.0)
-    rates, data = generate_trial(probe, replication_rng(300, 0))
+    rates, data = generate_trial(probe, [replication_rng(300, 0)])
+    rates, data = rates[0], data[0]
     assert data.total_count == 1
     with pytest.raises(DegenerateLikelihood):
         fit_mle(data)
