@@ -325,12 +325,45 @@ def pearson6_cdf(x, params: Pearson6Params):
     return plain(special.betainc(params.shape_num, params.shape_den, z))
 
 
+# Newton steps that polish a beta tail root at most; from a start off by a
+# factor of two, four reach rounding level
+_TAIL_NEWTON_STEPS = 10
+
+
+def _tail_root(b, a, q, tail):
+    """The w with I_w(b, a) = 1 - q, by Newton from ``tail``.
+
+    betaincinv loses digits at huge a, and may miss the root by a factor,
+    where betainc keeps them.  The steps run in log w on the log of the
+    smaller tail of beta(b, a).  For a >= 1 the law of log w is
+    log-concave, and so is each tail's mass, so Newton converges from
+    either side of the root.
+    """
+    upper = q < 0.5  # the upper tail, of mass q, is the smaller
+    log_level = np.log(np.where(upper, q, 1.0 - q))
+    log_norm = special.betaln(b, a)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(_TAIL_NEWTON_STEPS):
+            mass = np.where(upper, special.betaincc(b, a, tail), special.betainc(b, a, tail))
+            gap = np.where(upper, log_level - np.log(mass), np.log(mass) - log_level)
+            # w times the density, over the mass: the gap's slope in log w
+            slope = np.exp(special.xlogy(b, tail) + special.xlog1py(a - 1.0, -tail)
+                           - log_norm) / mass
+            step = gap / slope
+            step[~np.isfinite(step)] = 0.0
+            tail = tail * np.exp(-step)
+            if not (np.abs(step) > 1e-15).any():
+                break
+    return tail
+
+
 def pearson6_quantile(q, params: Pearson6Params):
     """Inverse of pearson6_cdf on (0, 1).
 
     It is scale z / (1 - z) at the beta(shape_num, shape_den) quantile z.
     1 - z scales z's error up by z / (1 - z), so past z = 3/4 it comes off
-    the complementary inverse instead, whose error grows by at most 4/3.
+    the complementary inverse instead, whose error grows by at most 4/3,
+    polished by Newton on the complementary cdf.
     Raises ValueError when the quantile lies beyond the float range.
     """
     _require_level(q)
@@ -342,7 +375,8 @@ def pearson6_quantile(q, params: Pearson6Params):
         q, params.shape_num, params.shape_den, params.scale, z, near)
     far = ~near  # NaN included
     x = np.divide(scale * z, 1.0 - z, out=np.empty(z.shape), where=near)
-    tail = special.betaincinv(shape_den[far], shape_num[far], 1.0 - q[far])
+    b, a, level = shape_den[far], shape_num[far], q[far]
+    tail = _tail_root(b, a, level, special.betaincinv(b, a, 1.0 - level))
     x[far] = np.divide(scale[far] * (1.0 - tail), tail,
                        out=np.full(tail.shape, np.inf), where=tail > 0)
     beyond = far & ~np.isfinite(x)

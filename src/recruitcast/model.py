@@ -11,7 +11,12 @@ rates out gives the marginal log-likelihood
               - C logGamma(a) + sum_c logGamma(a + n_c)
 
 up to terms free of (a, b).  Centres with zero exposure (and hence zero
-count) contribute exactly nothing.  When every open centre shares one
+count) contribute exactly nothing.  For an integer count the logGamma
+difference is the exact sum of log(a + j) over j < n_c, and its
+derivatives in a the sums of 1 / (a + j) and -1 / (a + j)^2; the fit
+reads all three off one tally of the counts.  Per-trial arithmetic runs
+on NumPy ufuncs and row sums, ``(x * y).sum()``, never on ``math`` or
+``np.dot``, whose last bits differ.  When every open centre shares one
 exposure t the ratio of the estimates is pinned at a/b = n/(C t), which
 reduces the maximization to one dimension along that ray, where the
 per-centre sums over b + t have closed forms; otherwise the fit runs in
@@ -54,8 +59,10 @@ _RELATIVE_EXPOSURE_TOL = 1e-12
 # Below this gradient Newton is locally contracting and skips its
 # objective-based line search, whose floor comparison turns into noise.
 _SAFE_GRADIENT = 1e-4
-# Leading terms of digamma(a + n) - digamma(a) = sum_{j < n} 1 / (a + j)
-# that the score sums one by one; digamma takes only what lies beyond.
+# Leading rises a + j, j < n, that the count terms sum one by one:
+# log(a + j) for logGamma(a + n) - logGamma(a), 1 / (a + j) for its
+# digamma and -1 / (a + j)^2 for its trigamma difference; the special
+# functions take only what lies beyond.
 _EXACT_RISE_TERMS = 1 << 16
 _EPS = float(np.finfo(float).eps)
 _NO_VALUES = np.empty(0)
@@ -237,8 +244,15 @@ def log_likelihood(alpha: float, beta: float, data: TrialData) -> float:
 class _Workspace:
     """Sufficient statistics cached for repeated likelihood evaluations.
 
-    The logGamma sums run over distinct count values with multiplicities,
-    which keeps each evaluation cheap when many centres share a count.
+    The counts enter through one tally, the rise weights: w_j is the
+    number of centres counting past j, so that for integer counts
+
+        sum_c logGamma(a + n_c) - logGamma(a) = sum_j w_j log(a + j)
+
+    and its first two derivatives in a are the sums of w_j / (a + j) and
+    of -w_j / (a + j)^2, each exact term by term.  The rises stop at the
+    exact-sum limit; the few counts past it, distinct with their
+    multiplicities, take logGamma, digamma and trigamma from there on.
     """
 
     def __init__(self, data: TrialData):
@@ -252,36 +266,23 @@ class _Workspace:
         self.exposures = exposures
         self.counts = counts.astype(float)
         self.total_count = int(counts.sum())
-        # one tally of the counts, with everything past the exact-sum limit
-        # in its last bin: the distinct values and their multiplicities,
-        # the sum of squared counts, and the weight of 1 / (a + j) in the
-        # score, which is the number of centres counting past j
-        tally = np.bincount(np.minimum(counts, _EXACT_RISE_TERMS + 1))
-        exact = tally[:_EXACT_RISE_TERMS + 1]
-        values = exact.nonzero()[0]
-        mult = exact[values]
-        # v^2 m stays far inside int64 below the limit; Python integers
-        # take the rare counts past it
-        self.sum_count_sq = int(np.dot(values * values, mult))
-        self.beyond_values = self.beyond_mult = _NO_VALUES
-        if tally.size > _EXACT_RISE_TERMS + 1:
-            big, big_mult = np.unique(counts[counts > _EXACT_RISE_TERMS],
-                                      return_counts=True)
-            self.sum_count_sq += sum(int(v) ** 2 * int(m) for v, m in zip(big, big_mult))
-            self.beyond_values = big.astype(float)
-            self.beyond_mult = big_mult.astype(float)
-            values = np.concatenate([values, big])
-            mult = np.concatenate([mult, big_mult])
-        self.count_values = values.astype(float)
-        self.count_mult = mult.astype(float)
-        # the distinct counts, then 0: alpha plus these takes every
-        # logGamma and trigamma value of one point in a single call
-        self.count_offsets = np.append(self.count_values, 0.0)
+        clipped = np.minimum(counts, _EXACT_RISE_TERMS + 1)
+        tally = np.bincount(clipped)
         rises = min(tally.size - 1, _EXACT_RISE_TERMS)
         self.rise_weights = (self.num_open - tally[:rises].cumsum()).astype(float)
         self.rise_offsets = np.arange(rises, dtype=float)
+        # the squares of clipped counts stay far inside int64; Python
+        # integers take the rare counts past the limit
+        self.sum_count_sq = int((clipped * clipped).sum())
+        self.beyond_values = self.beyond_mult = _NO_VALUES
+        if tally.size > _EXACT_RISE_TERMS + 1:
+            big, big_mult = np.unique(counts[counts > _EXACT_RISE_TERMS], return_counts=True)
+            self.sum_count_sq += sum((int(v) ** 2 - (_EXACT_RISE_TERMS + 1) ** 2) * int(m)
+                                     for v, m in zip(big, big_mult))
+            self.beyond_values = big.astype(float)
+            self.beyond_mult = big_mult.astype(float)
         self.total_exposure = float(exposures.sum())
-        self.sum_exposure_sq = float(np.dot(exposures, exposures))
+        self.sum_exposure_sq = float((exposures * exposures).sum())
 
         self.equal_exposures = False
         self.common_exposure = None
@@ -293,18 +294,18 @@ class _Workspace:
 
         # the argument each one-point cache below last saw, and its values
         self._beta = self._alpha = self._point = None
-        self._beta_values = self._rise_values = self._score = None
+        self._beta_values = self._count_values = self._score = None
 
     # The likelihood and its score are sums of per-centre differences such
     # as log(b + t) - log(b) = log1p(t / b), not differences of sums: on a
     # near-flat ridge alpha and beta grow together, the sums grow with them
-    # and their difference would sink into rounding.  The score's zero is
-    # the estimate, so its digamma differences are exact sums as well.
+    # and their difference would sink into rounding.  The count terms are
+    # exact sums over the rises for the same reason.
     #
     # Each point's values are computed once.  A Newton line search takes
     # the likelihood at the point that the next step differentiates, and
     # fit_mle certifies the point that Newton stopped at, so the terms of
-    # beta, the rise sums of alpha and the score keep the values of the
+    # beta, the count sums of alpha and the score keep the values of the
     # last argument they were asked for.
 
     def _beta_terms(self, beta: float) -> tuple[np.ndarray, float]:
@@ -315,49 +316,37 @@ class _Workspace:
             self._beta = beta
         return self._beta_values
 
-    def _rise_terms(self, alpha: float) -> tuple[float, float]:
-        """sum_c digamma(a + n_c) - digamma(a) in two pieces.
-
-        The exact sums of 1 / (a + j), and the digamma tail past the
-        exact-sum limit.
-        """
+    def _count_terms(self, alpha: float) -> tuple[float, float, float]:
+        """sum_c logGamma(a + n_c) - logGamma(a), and the same sums of
+        digamma and of trigamma: the exact rise sums, plus the special
+        functions' differences past the exact-sum limit."""
         if alpha != self._alpha:
-            rises = float(np.dot(self.rise_weights, 1.0 / (alpha + self.rise_offsets)))
-            beyond = 0.0
+            weights, rise = self.rise_weights, alpha + self.rise_offsets
+            log_gamma = (weights * np.log(rise)).sum()
+            digamma = (weights * (1.0 / rise)).sum()
+            trigamma = -(weights / (rise * rise)).sum()
             if self.beyond_values.size:
-                beyond = float(np.dot(self.beyond_mult,
-                                      special.digamma(alpha + self.beyond_values)
-                                      - special.digamma(alpha + _EXACT_RISE_TERMS)))
-            self._rise_values = (rises, beyond)
+                top, edge = alpha + self.beyond_values, alpha + _EXACT_RISE_TERMS
+                mult = self.beyond_mult
+                log_gamma += (mult * (special.gammaln(top) - special.gammaln(edge))).sum()
+                digamma += (mult * (special.digamma(top) - special.digamma(edge))).sum()
+                # trigamma as the Hurwitz zeta(2, .)
+                trigamma += (mult * (special.zeta(2, top) - special.zeta(2, edge))).sum()
+            self._count_values = (log_gamma, digamma, trigamma)
             self._alpha = alpha
-        return self._rise_values
-
-    def _log_gamma_sum(self, alpha: float) -> float:
-        """sum_c logGamma(a + n_c) - logGamma(a)."""
-        log_gamma = special.gammaln(alpha + self.count_offsets)
-        return float(np.dot(self.count_mult, log_gamma[:-1] - log_gamma[-1]))
-
-    def _trigamma_sum(self, alpha: float) -> float:
-        """h_aa = sum_c trigamma(a + n_c) - trigamma(a).
-
-        Trigamma as the Hurwitz zeta(2, .), which is what polygamma(1, .)
-        evaluates after its Python-level dispatch.
-        """
-        zeta = special.zeta(2, alpha + self.count_offsets)
-        return -self.num_open * float(zeta[-1]) + float(np.dot(self.count_mult, zeta[:-1]))
+        return self._count_values
 
     def loglik(self, alpha: float, beta: float) -> float:
         b_t, log_ratio = self._beta_terms(beta)
-        return (self._log_gamma_sum(alpha) - alpha * log_ratio
-                - float(np.dot(self.counts, np.log(b_t))))
+        return (self._count_terms(alpha)[0] - alpha * log_ratio
+                - (self.counts * np.log(b_t)).sum())
 
     def score(self, alpha: float, beta: float) -> tuple[float, float]:
         """(d_alpha, d_beta), summed centre by centre."""
         if (alpha, beta) != self._point:
-            rises, beyond = self._rise_terms(alpha)
             b_t, log_ratio = self._beta_terms(beta)
-            self._score = (rises - log_ratio + beyond,
-                           float(((alpha * self.exposures / beta - self.counts) / b_t).sum()))
+            self._score = (self._count_terms(alpha)[1] - log_ratio,
+                           ((alpha * self.exposures / beta - self.counts) / b_t).sum())
             self._point = (alpha, beta)
         return self._score
 
@@ -365,10 +354,9 @@ class _Workspace:
         """(h_aa, h_ab, h_bb) in natural (alpha, beta) coordinates, each
         summed centre by centre from one pass over the inverse of b + t_c."""
         inv = 1.0 / self._beta_terms(beta)[0]
-        h_ab = self.num_open / beta - float(inv.sum())
-        h_bb = (-self.num_open * alpha / beta**2
-                + float(((alpha + self.counts) * inv * inv).sum()))
-        return self._trigamma_sum(alpha), h_ab, h_bb
+        h_ab = self.num_open / beta - inv.sum()
+        h_bb = -self.num_open * alpha / beta**2 + ((alpha + self.counts) * inv * inv).sum()
+        return self._count_terms(alpha)[2], h_ab, h_bb
 
     def ray_score(self, alpha: float, beta: float) -> tuple[float, float]:
         """``score`` when the C open centres share one exposure t.
@@ -377,8 +365,7 @@ class _Workspace:
         total count N and t, so only the count terms stay arrays.
         """
         c, n, t = self.num_open, self.total_count, self.common_exposure
-        rises, beyond = self._rise_terms(alpha)
-        d_alpha = rises - c * math.log1p(t / beta) + beyond
+        d_alpha = self._count_terms(alpha)[1] - c * np.log1p(t / beta)
         d_beta = (c * alpha * t / beta - n) / (beta + t)
         return d_alpha, d_beta
 
@@ -388,20 +375,20 @@ class _Workspace:
         b_t = beta + self.common_exposure
         h_ab = c / beta - c / b_t
         h_bb = -c * alpha / beta**2 + (c * alpha + n) / b_t**2
-        return self._trigamma_sum(alpha), h_ab, h_bb
+        return self._count_terms(alpha)[2], h_ab, h_bb
 
     def profile_loglik(self, log_alpha: float, ratio: float) -> float:
         """Likelihood along beta = alpha / ratio, open centres only."""
-        alpha = math.exp(log_alpha)
+        alpha = np.exp(log_alpha)
         beta = alpha / ratio
         t = self.common_exposure
-        return (self._log_gamma_sum(alpha)
-                - self.num_open * alpha * math.log1p(t / beta)
-                - self.total_count * math.log(beta + t))
+        return (self._count_terms(alpha)[0]
+                - self.num_open * alpha * np.log1p(t / beta)
+                - self.total_count * np.log(beta + t))
 
     def boundary_loglik(self, ratio: float) -> float:
         """Limit of the likelihood as alpha -> inf with alpha/beta = ratio."""
-        return self.total_count * math.log(ratio) - ratio * self.total_exposure
+        return self.total_count * np.log(ratio) - ratio * self.total_exposure
 
     def tail_statistic(self) -> float:
         """Sign of the likelihood's approach to its constant-ratio limit.
@@ -427,7 +414,7 @@ class _Workspace:
             return (c * self.sum_count_sq - n * n - c * n) / (2.0 * c)
         ratio = n / self.total_exposure
         terms = (ratio**2 * self.sum_exposure_sq / 2.0,
-                 -ratio * float(np.dot(self.counts, self.exposures)),
+                 -ratio * (self.counts * self.exposures).sum(),
                  (self.sum_count_sq - n) / 2.0)
         k = terms[0] + terms[1] + terms[2]
         rounding = (self.num_open + 2) * _EPS * sum(abs(term) for term in terms)
@@ -438,15 +425,15 @@ def _moment_start(ws: _Workspace) -> tuple[float, float]:
     """Method-of-moments start in (log alpha, log beta)."""
     rate = ws.total_count / ws.total_exposure
     residual = ws.counts - rate * ws.exposures
-    excess = float(np.dot(residual, residual)) - rate * ws.total_exposure
+    excess = (residual * residual).sum() - rate * ws.total_exposure
     if excess > 0 and ws.sum_exposure_sq > 0:
         rate_var = excess / ws.sum_exposure_sq
         beta0 = min(max(rate / rate_var, 1e-4), 1e8)
     else:
         # No visible over-dispersion; start high and let the bound rule decide.
-        beta0 = min(max(math.exp(8.0) / rate, 1e-4), 1e8)
+        beta0 = min(max(np.exp(8.0) / rate, 1e-4), 1e8)
     alpha0 = min(max(rate * beta0, 1e-4), 1e8)
-    return math.log(alpha0), math.log(beta0)
+    return np.log(alpha0), np.log(beta0)
 
 
 def _newton(point: tuple[float, ...], ascent, objective) -> tuple[tuple[float, ...], int]:
@@ -488,7 +475,7 @@ def _newton(point: tuple[float, ...], ascent, objective) -> tuple[tuple[float, .
 
 def _ray_ascent(ws: _Workspace, ratio: float, log_alpha: float):
     """Newton's ascent in log alpha along beta = alpha / ratio."""
-    alpha = math.exp(log_alpha)
+    alpha = np.exp(log_alpha)
     beta = alpha / ratio
     d_alpha, d_beta = ws.ray_score(alpha, beta)
     d1 = alpha * (d_alpha + d_beta / ratio)
@@ -505,7 +492,7 @@ def _ray_ascent(ws: _Workspace, ratio: float, log_alpha: float):
 
 def _plane_ascent(ws: _Workspace, log_alpha: float, log_beta: float):
     """Newton's ascent in (log alpha, log beta)."""
-    alpha, beta = math.exp(log_alpha), math.exp(log_beta)
+    alpha, beta = np.exp(log_alpha), np.exp(log_beta)
     d_alpha, d_beta = ws.score(alpha, beta)
     # score and Hessian in (log alpha, log beta)
     g_a, g_b = alpha * d_alpha, beta * d_beta
@@ -537,7 +524,7 @@ def _plane_ascent(ws: _Workspace, log_alpha: float, log_beta: float):
 def _raise_degenerate(ws: _Workspace, ratio: float, iterations: int):
     boundary_alpha = math.exp(_MAX_LOG_ALPHA)
     fit = ModelFit(alpha_hat=boundary_alpha, beta_hat=boundary_alpha / ratio,
-                   log_lik=ws.boundary_loglik(ratio), converged=False,
+                   log_lik=float(ws.boundary_loglik(ratio)), converged=False,
                    iterations=iterations, degenerate=True,
                    equal_exposures=ws.equal_exposures)
     raise DegenerateLikelihood(
@@ -584,10 +571,10 @@ def fit_mle(data: TrialData) -> ModelFit:
                                     lambda la: ws.profile_loglik(la, ratio))
     else:
         point, iterations = _newton(start, partial(_plane_ascent, ws),
-                                    lambda la, lb: ws.loglik(math.exp(la), math.exp(lb)))
+                                    lambda la, lb: ws.loglik(np.exp(la), np.exp(lb)))
     la = point[0]
-    alpha_hat = math.exp(la)
-    beta_hat = alpha_hat / ratio if ws.equal_exposures else math.exp(point[1])
+    alpha_hat = np.exp(la)
+    beta_hat = alpha_hat / ratio if ws.equal_exposures else np.exp(point[1])
 
     if la >= _MAX_LOG_ALPHA - 0.1:
         _raise_degenerate(ws, boundary_ratio, iterations)
@@ -596,7 +583,7 @@ def fit_mle(data: TrialData) -> ModelFit:
     # the per-centre score certifies either path's optimum; on the 2-d
     # path it is the score of Newton's last step
     d_alpha, d_beta = ws.score(alpha_hat, beta_hat)
-    converged = max(abs(alpha_hat * d_alpha), abs(beta_hat * d_beta)) <= 1e-8
+    converged = bool(max(abs(alpha_hat * d_alpha), abs(beta_hat * d_beta)) <= 1e-8)
     return ModelFit(alpha_hat=float(alpha_hat), beta_hat=float(beta_hat),
                     log_lik=float(log_lik), converged=converged,
                     iterations=iterations, equal_exposures=ws.equal_exposures)

@@ -7,9 +7,12 @@ rates (Poisson for counts, gamma for times).
 
 The replications run in chunks, one per worker process, and a chunk
 runs in two phases.  First it draws and fits its replications in blocks
-of ``_BLOCK``, each block in two steps: it draws one trial from the
-stream seeded by (config.seed, i) for every replication i of the block,
-stacked into one batched ``TrialData`` that is checked once, then fits
+of max(1, min(64, 2^16 // C)) replications for trials of C centres
+(``_BLOCK`` and ``_BLOCK_ELEMENTS``), so each of a block's arrays holds
+at most 2^16 values, or one trial's C where C is larger, whatever the
+number of replications.  Each block runs in two steps: it draws one
+trial from the stream seeded by (config.seed, i) for every replication i
+of the block, stacked into one batched ``TrialData`` that is checked once, then fits
 the batch's rows one at a time.  It keeps only the few numbers scoring
 reads: the outcome, the summed true rate, the summed exposure, the total
 count, the estimates and the posterior moments of the summed rate, the
@@ -328,10 +331,13 @@ def _boundary_intervals(config: SimConfig, request: PredictionRequest,
     return equal_tailed_interval(quantile, request, x, math.inf, exposure_sum / config.centres)
 
 
-# Replications are drawn and fitted in blocks of this many: a block's
-# trials are drawn and checked as one batch, then fitted one by one.  It
-# bounds the memory of a chunk's draws whatever its length.
+# Replications are drawn and fitted in blocks of at most this many: a
+# block's trials are drawn and checked as one batch, then fitted one by
+# one.  A block also holds at most _BLOCK_ELEMENTS centres over its rows,
+# but never less than one trial, which bounds the memory of a chunk's
+# draws whatever its length and whatever the number of centres.
 _BLOCK = 64
+_BLOCK_ELEMENTS = 1 << 16
 # What a replication's fit leaves for scoring, one column each: the kind
 # of outcome, the summed true rate, the summed exposure and the total
 # count, then for an interior fit its estimates and the posterior mean
@@ -355,8 +361,9 @@ def _fit_chunk(config: SimConfig, bounds: tuple[int, int]) -> dict[str, np.ndarr
     """
     first, stop = bounds
     fits = {name: np.full(stop - first, math.nan) for name in _FIT_COLUMNS}
-    for start in range(first, stop, _BLOCK):
-        end = min(start + _BLOCK, stop)
+    rows = max(1, min(_BLOCK, _BLOCK_ELEMENTS // config.centres))
+    for start in range(first, stop, rows):
+        end = min(start + rows, stop)
         rates, data = generate_trial(config, [replication_rng(config.seed, i)
                                               for i in range(start, end)])
         block = {name: column[start - first:end - first] for name, column in fits.items()}

@@ -137,6 +137,35 @@ def marginal_log_likelihood(alpha, beta, exposures, counts):
     return total
 
 
+def count_sums(alpha, count):
+    """logGamma(a + n) - logGamma(a) and the same differences of digamma
+    and trigamma, at 50 digits."""
+    with mp.workdps(50):
+        a, n = mp.mpf(alpha), int(count)
+        return (mp.loggamma(a + n) - mp.loggamma(a), mp.digamma(a + n) - mp.digamma(a),
+                mp.polygamma(1, a + n) - mp.polygamma(1, a))
+
+
+def score_max_norm(alpha, beta, exposures, counts):
+    """Largest score component in (log alpha, log beta) at 50 digits.
+
+    alpha and beta times the derivatives of the marginal log-likelihood,
+    summed centre by centre from digamma and log; a centre with zero
+    exposure adds nothing.  The smaller it is at a fitted point, the
+    nearer that point lies to the exact optimum.
+    """
+    with mp.workdps(50):
+        a, b = mp.mpf(alpha), mp.mpf(beta)
+        d_alpha = d_beta = mp.mpf(0)
+        for t, n in zip(exposures, counts):
+            t = mp.mpf(t)
+            if t == 0:
+                continue
+            d_alpha += mp.log(b / (b + t)) + mp.digamma(a + int(n)) - mp.digamma(a)
+            d_beta += a / b - (a + int(n)) / (b + t)
+        return max(abs(a * d_alpha), abs(b * d_beta))
+
+
 def exponential_bracket_quantile(cdf, q, mean):
     """Smallest integer k with cdf(k) >= q: the search the package used
     before its normal-started bracket.  Doubles an upper end from the

@@ -10,6 +10,9 @@ adjusted levels and their exact coverages, in both objectives.
 Regenerate the file only for a change that is meant to move scoring bits:
 
     PYTHONPATH=src python tests/test_chunk_bits.py
+
+which first prints how many cells moved, the largest relative change and
+any change of a replication's outcome: interior, boundary or dropped.
 """
 
 import json
@@ -19,6 +22,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from pinned_bits import report_moves
 from recruitcast import TIME, simulate
 from test_simulate import _CHUNKED_CELLS
 
@@ -72,6 +76,16 @@ def test_no_block_size_moves_a_bit(monkeypatch, block):
         assert chunk_records() == json.load(fh)
 
 
+def _outcomes(record: dict) -> tuple:
+    """Each replication's boundary flag, NaN if dropped, and where its
+    quantile content is NaN, which marks a fit that was not interior."""
+    return ([row[7] for row in record["coverage_rows"]],
+            [value == "nan" for value in record["quantile_contents"]])
+
+
 if __name__ == "__main__":
+    records = chunk_records()
+    with open(CHUNK_BITS) as fh:
+        report_moves(CHUNK_BITS.name, json.load(fh), records, _outcomes)
     with open(CHUNK_BITS, "w") as fh:
-        fh.write("[\n" + ",\n".join(json.dumps(r) for r in chunk_records()) + "\n]\n")
+        fh.write("[\n" + ",\n".join(json.dumps(r) for r in records) + "\n]\n")

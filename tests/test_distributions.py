@@ -135,8 +135,8 @@ def test_pearson6_upper_quantiles_match_the_oracle():
     # case draws 1 - z, log-uniform or (every other case) just below 1/2,
     # then shape_num with shape_num (1 - z) in [1e-6, 50],
     # so that the level 1 - I(1 - z; shape_den, shape_num) is mostly a
-    # float below 1.  shape_num stays below 1e11: past about 1e12 scipy's
-    # betaincinv itself loses digits, on either route
+    # float below 1.  shape_num stays below 1e11 here; the huge shapes,
+    # where scipy's betaincinv itself loses digits, follow
     rng = np.random.default_rng(17)
     fractions = []
     for k in range(200):
@@ -154,6 +154,30 @@ def test_pearson6_upper_quantiles_match_the_oracle():
         assert abs(pearson6_quantile(q, law) - exact) <= 1e-13 * exact
     assert len(fractions) >= 150
     assert min(fractions) < 1e-16 and max(fractions) > 0.45
+    # shape_num from 1e11 to 2.2e16 with shape_num (1 - z) in [1e-6, 50]:
+    # there betaincinv alone was off by up to 8e-9, and by a factor of two
+    # in the last case, until Newton on betainc polished its root
+    rng = np.random.default_rng(18)
+    levels = []
+    for _ in range(60):
+        shape_num = 10.0 ** rng.uniform(11.0, math.log10(2.2e16))
+        fraction = 10.0 ** rng.uniform(-6.0, math.log10(50.0)) / shape_num
+        law = Pearson6Params(shape_num=shape_num,
+                             shape_den=float(np.exp(rng.uniform(math.log(0.3), math.log(30.0)))),
+                             scale=float(np.exp(rng.uniform(-3.0, 3.0))))
+        q = 1.0 - float(oracles.beta_cdf(fraction, law.shape_den, law.shape_num))
+        if not 0.0 < q < 1.0:
+            continue
+        exact = oracles.pearson6_quantile(q, law.shape_num, law.shape_den, law.scale)
+        levels.append(q)
+        assert abs(pearson6_quantile(q, law) - exact) <= 1e-13 * exact
+    assert len(levels) >= 40
+    assert min(levels) < 0.01 and max(levels) > 0.99
+    # the factor-of-two miss: betaincinv gives 1 - z = 2^-56, the root is 2.8e-17
+    law = Pearson6Params(shape_num=1.3727112805509192e16, shape_den=3.627228923139935,
+                         scale=1.0)
+    exact = oracles.pearson6_quantile(0.998395644643215, law.shape_num, law.shape_den, 1.0)
+    assert abs(pearson6_quantile(0.998395644643215, law) - exact) <= 1e-13 * exact
 
 
 def test_pearson6_quantile_monotone():

@@ -10,12 +10,16 @@ be bit-identical has to be.
 Regenerate the file only for a change that is meant to move fit bits:
 
     PYTHONPATH=src python tests/test_fit_bits.py
+
+which first prints how many fits moved, the largest relative change and
+any change of outcome or step count.
 """
 
 import json
 from dataclasses import fields
 from pathlib import Path
 
+from pinned_bits import report_moves
 from recruitcast import (
     DegenerateLikelihood,
     InsufficientData,
@@ -69,6 +73,16 @@ def test_every_pinned_fit_is_bit_identical():
         ("ok", True), ("ok", False), ("boundary", True), ("boundary", False)}
 
 
+def _outcome(record: dict) -> tuple:
+    """A fit's kind and every field that is not a float: its step count
+    and its flags."""
+    fit = record.get("fit", {})
+    return record["kind"], {name: v for name, v in fit.items() if not isinstance(v, str)}
+
+
 if __name__ == "__main__":
+    records = fit_records()
+    with open(FIT_BITS) as fh:
+        report_moves(FIT_BITS.name, json.load(fh), records, _outcome)
     with open(FIT_BITS, "w") as fh:
-        fh.write("[\n" + ",\n".join(json.dumps(r) for r in fit_records()) + "\n]\n")
+        fh.write("[\n" + ",\n".join(json.dumps(r) for r in records) + "\n]\n")

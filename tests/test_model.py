@@ -103,6 +103,20 @@ def test_score_matches_its_digamma_form():
         assert np.allclose(ws.hessian(alpha, beta), [h_aa, h_ab, h_bb], rtol=1e-12, atol=0)
 
 
+@pytest.mark.parametrize("count", [*range(14), 40, 127, 400, 1309, 4000,
+                                   _EXACT_RISE_TERMS - 1, _EXACT_RISE_TERMS,
+                                   _EXACT_RISE_TERMS + 1, 70000, 200000])
+def test_count_sums_match_mpmath(count):
+    # the log-gamma and trigamma sums are exact rise sums up to the limit,
+    # then differences of the special functions past it; the digamma sum
+    # loses up to 3e-14 where digamma(a + n) - digamma(a + 2^16) cancels
+    ws = _Workspace(_trial(10.0, [5.0], [count]))
+    for alpha in (0.05, 0.37, 1.0, 2.5, 17.0, 310.0, 4.2e4, 1e6):
+        exact = oracles.count_sums(alpha, count)
+        for got, want, bound in zip(ws._count_terms(alpha), exact, (1e-14, 1e-13, 1e-14)):
+            assert abs(got - want) <= bound * abs(want), (alpha, got, want)
+
+
 def test_ray_derivatives_match_the_per_centre_form():
     # with one shared exposure the per-centre sums have closed forms in C,
     # the total count and t; closed centres stay out of C
@@ -301,6 +315,20 @@ def test_demo_golden_is_at_least_as_good_as_the_previous_optimum():
     assert abs(fit.beta_hat - old_beta) <= 1e-12 * old_beta
 
 
+def test_demo_golden_is_nearer_the_optimum_than_its_predecessor():
+    # the golden before the count sums became exact rise sums, with a
+    # 50-digit score max-norm of 4.31e-15; a golden may move only to a
+    # point with a smaller one
+    old_alpha, old_beta = 2.1614830636106515, 0.08196424115157257
+    with open(GOLDEN_FIT) as fh:
+        golden = json.load(fh)
+    data = parse_centre_csv(str(demo_summary_path()), "summary", DEMO_SUMMARY_CENSUS)
+    old = oracles.score_max_norm(old_alpha, old_beta, data.exposures, data.counts)
+    assert abs(old - 4.31e-15) < 0.005e-15
+    assert oracles.score_max_norm(golden["alpha_hat"], golden["beta_hat"],
+                                  data.exposures, data.counts) < old
+
+
 @pytest.mark.parametrize("census, exposures, counts, alpha, beta", [
     # each start sits where the likelihood is not locally concave; the
     # references are the earlier Brent and Nelder-Mead fits of these data
@@ -383,15 +411,17 @@ def test_line_searches_evaluate_each_point_once(monkeypatch, equal):
 @pytest.mark.parametrize("equal", [True, False])
 def test_newton_reads_the_hessian_only_for_steps_it_takes(monkeypatch, equal):
     # the last point Newton visits passes the score test and takes no step,
-    # so its trigamma sum, the costly part of the Hessian, is never read
+    # so its Hessian is never read
     calls = []
-    trigamma_sum = _Workspace._trigamma_sum
 
-    def counted(self, alpha):
-        calls.append(alpha)
-        return trigamma_sum(self, alpha)
+    def counted(method):
+        def recorded(self, alpha, beta):
+            calls.append(alpha)
+            return method(self, alpha, beta)
+        return recorded
 
-    monkeypatch.setattr(_Workspace, "_trigamma_sum", counted)
+    for name in ("hessian", "ray_hessian"):
+        monkeypatch.setattr(_Workspace, name, counted(getattr(_Workspace, name)))
     fit = fit_mle(_trial(10.0, *_drawn_trial(3, 60, equal)))
     assert fit.converged and fit.equal_exposures == equal
     assert fit.iterations > 0
@@ -654,8 +684,8 @@ def test_trial_data_snapshot_ignores_later_changes_to_its_inputs(exposures, data
 
 
 def test_workspace_tally_matches_unique_and_bincount():
-    # reference: distinct values from np.unique, rise weights from a
-    # bincount clipped at the exact-sum limit
+    # reference: rise weights from a bincount clipped at the exact-sum
+    # limit, and the distinct counts past it from np.unique
     limit = _EXACT_RISE_TERMS
     rng = np.random.default_rng(37)
     for scale, edge in ((0.5, []), (3.0, []), (40.0, [limit - 1, limit]),
@@ -666,11 +696,11 @@ def test_workspace_tally_matches_unique_and_bincount():
         exposures[counts == 0] = 0.0
         ws = _Workspace(_trial(10.0, exposures, counts))
         opened = counts[exposures > 0]
-        values, mult = np.unique(opened, return_counts=True)
+        values, mult = np.unique(opened[opened > limit], return_counts=True)
         tally = np.bincount(np.minimum(opened, limit))
         weights = (opened.size - np.cumsum(tally[:-1])).astype(float)
-        for got, want in ((ws.count_values, values.astype(float)),
-                          (ws.count_mult, mult.astype(float)),
+        for got, want in ((ws.beyond_values, values.astype(float)),
+                          (ws.beyond_mult, mult.astype(float)),
                           (ws.rise_weights, weights),
                           (ws.rise_offsets, np.arange(weights.size, dtype=float))):
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()

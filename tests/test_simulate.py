@@ -3,6 +3,7 @@
 import collections
 import math
 import os
+import tracemalloc
 from dataclasses import astuple
 from functools import partial
 
@@ -302,6 +303,45 @@ def test_a_row_draws_and_checks_its_trials_a_block_at_a_time(monkeypatch):
     # fit per replication
     assert calls == {"generate_trial": blocks, "from_arrays": blocks,
                      "__post_init__": blocks, "fit_mle": 150}
+
+
+@pytest.mark.parametrize("centres, replications, blocks", [
+    (5000, 30, [13, 13, 4]),  # 2^16 // 5000 = 13 trials a block
+    (70000, 2, [1, 1]),  # one trial's centres pass the budget on their own
+])
+def test_a_large_row_draws_blocks_within_the_element_budget(monkeypatch, centres,
+                                                            replications, blocks):
+    sizes = []
+
+    def recorded(config, rngs):
+        sizes.append(len(rngs))
+        return generate_trial(config, rngs)
+
+    monkeypatch.setattr(simulate, "generate_trial", recorded)
+    simulate._fit_chunk(_config(centres=centres, replications=replications),
+                        (0, replications))
+    assert sizes == blocks
+
+
+def test_a_row_of_many_centres_keeps_its_memory_to_a_few_blocks():
+    # at C = 20,000 a block holds 2^16 // C = 3 trials, and one trial's
+    # float array takes C * 8 bytes.  A block's draws (exposures, rates,
+    # counts) and the checked copies of its exposures and counts make five
+    # such arrays per row; the checks' masks and one fit's temporaries take
+    # fewer than as many again.  The bound allows 16 per row of the block,
+    # 48 trial arrays or 7.7 MB, where a block of 64 rows would need 1,024.
+    centres = 20000
+    rows = simulate._BLOCK_ELEMENTS // centres
+    assert rows == 3
+    bound = 16 * rows * centres * 8
+    config = _config(centres=centres, replications=64, schedule=UniformOnCensus())
+    tracemalloc.start()
+    try:
+        coverage_study(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound
 
 
 def test_worker_plan_caps_a_huge_request():
