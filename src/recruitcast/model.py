@@ -18,12 +18,15 @@ reads all three off one tally of the counts.  Per-trial arithmetic runs
 on NumPy ufuncs and row sums, ``(x * y).sum()``, never on ``math`` or
 ``np.dot``, whose last bits differ.  When every open centre shares one
 exposure t the ratio of the estimates is pinned at a/b = n/(C t), which
-reduces the maximization to one dimension along that ray, where the
-per-centre sums over b + t have closed forms; otherwise the fit runs in
-two dimensions over (log a, log b).  One damped-Newton loop runs both
-searches from a method-of-moments guess; each supplies only its ascent,
-the score and Newton step from analytic derivatives, and the likelihood
-that guards the step.
+reduces the maximization to the profile likelihood along that ray.  As
+n = C t a/b there, every per-centre term in b cancels from its slope
+d1 = a (digamma - C log1p(t / b)) and curvature d2 = a (a trigamma +
+C t / (b + t)) + d1 in log a, which read only the digamma and trigamma
+sums of the count terms.  Otherwise the fit runs in two dimensions over
+(log a, log b).  One damped-Newton loop runs both searches from a
+method-of-moments guess; each supplies only its ascent, the score and
+Newton step from analytic derivatives, and the likelihood that guards
+the step.
 """
 
 from __future__ import annotations
@@ -106,7 +109,9 @@ class TrialData:
     at most the census time, counts non-negative integers, no count
     without exposure, matching shapes, at least one centre, and each
     trial's total count within the int64 range.  An error about a batch
-    also names the trial, counted from 0 like its row.
+    also names the trial, counted from 0 like its row, but for counts
+    that are not numbers: NumPy reads a batch holding one string as all
+    strings, so that refusal names only the dtype, as for one trial.
 
     ``data[i]`` is trial i of a batch, a one-trial ``TrialData`` whose
     arrays are read-only views of the batch's row, checked already.
@@ -358,25 +363,6 @@ class _Workspace:
         h_bb = -self.num_open * alpha / beta**2 + ((alpha + self.counts) * inv * inv).sum()
         return self._count_terms(alpha)[2], h_ab, h_bb
 
-    def ray_score(self, alpha: float, beta: float) -> tuple[float, float]:
-        """``score`` when the C open centres share one exposure t.
-
-        The per-centre sums over b + t collapse to closed forms in C, the
-        total count N and t, so only the count terms stay arrays.
-        """
-        c, n, t = self.num_open, self.total_count, self.common_exposure
-        d_alpha = self._count_terms(alpha)[1] - c * np.log1p(t / beta)
-        d_beta = (c * alpha * t / beta - n) / (beta + t)
-        return d_alpha, d_beta
-
-    def ray_hessian(self, alpha: float, beta: float) -> tuple[float, float, float]:
-        """``hessian`` in the closed forms of ``ray_score``."""
-        c, n = self.num_open, self.total_count
-        b_t = beta + self.common_exposure
-        h_ab = c / beta - c / b_t
-        h_bb = -c * alpha / beta**2 + (c * alpha + n) / b_t**2
-        return self._count_terms(alpha)[2], h_ab, h_bb
-
     def profile_loglik(self, log_alpha: float, ratio: float) -> float:
         """Likelihood along beta = alpha / ratio, open centres only."""
         alpha = np.exp(log_alpha)
@@ -396,7 +382,10 @@ class _Workspace:
         Along beta = alpha / ratio with ratio = n / sum(t), the likelihood
         behaves as L_inf + K / alpha for large alpha with
 
-            K = ratio^2 sum(t^2)/2 - ratio sum(n t) + sum(n (n-1))/2.
+            K = n^2 sum(u^2)/2 - n sum(n u) + sum(n (n-1))/2
+
+        in the exposure shares u = t / sum(t), which no unit of time can
+        push out of the float range.
 
         K <= 0 means the likelihood is still climbing toward L_inf at any
         finite bound, i.e. the counts show no over-dispersion and the fit
@@ -412,9 +401,9 @@ class _Workspace:
         if self.equal_exposures:
             c = self.num_open
             return (c * self.sum_count_sq - n * n - c * n) / (2.0 * c)
-        ratio = n / self.total_exposure
-        terms = (ratio**2 * self.sum_exposure_sq / 2.0,
-                 -ratio * (self.counts * self.exposures).sum(),
+        shares = self.exposures / self.total_exposure
+        terms = (n * n * (shares * shares).sum() / 2.0,
+                 -n * (self.counts * shares).sum(),
                  (self.sum_count_sq - n) / 2.0)
         k = terms[0] + terms[1] + terms[2]
         rounding = (self.num_open + 2) * _EPS * sum(abs(term) for term in terms)
@@ -422,16 +411,18 @@ class _Workspace:
 
 
 def _moment_start(ws: _Workspace) -> tuple[float, float]:
-    """Method-of-moments start in (log alpha, log beta)."""
+    """Method-of-moments start in (log alpha, log beta).  beta carries
+    the unit of time, so its bounds are in units of the mean exposure."""
+    unit = ws.total_exposure / ws.num_open
     rate = ws.total_count / ws.total_exposure
     residual = ws.counts - rate * ws.exposures
     excess = (residual * residual).sum() - rate * ws.total_exposure
     if excess > 0 and ws.sum_exposure_sq > 0:
         rate_var = excess / ws.sum_exposure_sq
-        beta0 = min(max(rate / rate_var, 1e-4), 1e8)
+        beta0 = min(max(rate / rate_var, 1e-4 * unit), 1e8 * unit)
     else:
         # No visible over-dispersion; start high and let the bound rule decide.
-        beta0 = min(max(np.exp(8.0) / rate, 1e-4), 1e8)
+        beta0 = min(max(np.exp(8.0) / rate, 1e-4 * unit), 1e8 * unit)
     alpha0 = min(max(rate * beta0, 1e-4), 1e8)
     return np.log(alpha0), np.log(beta0)
 
@@ -474,15 +465,18 @@ def _newton(point: tuple[float, ...], ascent, objective) -> tuple[tuple[float, .
 
 
 def _ray_ascent(ws: _Workspace, ratio: float, log_alpha: float):
-    """Newton's ascent in log alpha along beta = alpha / ratio."""
+    """Newton's ascent in log alpha along beta = alpha / ratio, on which
+    n = C t alpha / beta cancels every per-centre term in beta from the
+    profile's slope d1 = a (digamma - C log1p(t / b)) and its curvature
+    d2 = a (a trigamma + C t / (b + t)) + d1."""
     alpha = np.exp(log_alpha)
     beta = alpha / ratio
-    d_alpha, d_beta = ws.ray_score(alpha, beta)
-    d1 = alpha * (d_alpha + d_beta / ratio)
+    c, t = ws.num_open, ws.common_exposure
+    _, digamma, trigamma = ws._count_terms(alpha)
+    d1 = alpha * (digamma - c * np.log1p(t / beta))
 
     def step():
-        h_aa, h_ab, h_bb = ws.ray_hessian(alpha, beta)
-        d2 = alpha**2 * (h_aa + 2.0 * h_ab / ratio + h_bb / ratio**2) + d1
+        d2 = alpha * (alpha * trigamma + c * t / (beta + t)) + d1
         # the Newton step where the profile is concave; off it (the convex
         # tail toward the constant-ratio boundary) the same length uphill;
         # at most 1 either way
@@ -544,6 +538,10 @@ def fit_mle(data: TrialData) -> ModelFit:
     axis by |slope / curvature|.  While the score is large each step is
     backtracked until the likelihood does not fall.  ``iterations`` counts
     the steps taken.
+
+    alpha does not depend on the unit of time and beta scales with it
+    while the squared exposures stay in the float range, from about 1e-150
+    to 1e150; past that the fit may stop short, reported as not converged.
 
     Raises
     ------

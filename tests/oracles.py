@@ -7,6 +7,7 @@ before its single csv.reader pass.  Nothing here imports the package
 under test.
 """
 
+import collections
 import csv
 import math
 
@@ -164,6 +165,32 @@ def score_max_norm(alpha, beta, exposures, counts):
             d_alpha += mp.log(b / (b + t)) + mp.digamma(a + int(n)) - mp.digamma(a)
             d_beta += a / b - (a + int(n)) / (b + t)
         return max(abs(a * d_alpha), abs(b * d_beta))
+
+
+def profile_slope_curvature(alpha, ratio, exposures, counts):
+    """First and second derivatives in log alpha of the marginal
+    log-likelihood along beta = alpha / ratio, at 50 digits.
+
+    The per-centre score and Hessian, summed from digamma and trigamma,
+    are projected onto the direction (1, 1) in (log alpha, log beta); a
+    centre with zero exposure adds nothing, and centres alike in exposure
+    and count are summed once, times their number.
+    """
+    with mp.workdps(50):
+        a = mp.mpf(alpha)
+        b = a / mp.mpf(ratio)
+        d_a = d_b = h_aa = h_ab = h_bb = mp.mpf(0)
+        for (t, n), alike in collections.Counter(zip(exposures, map(int, counts))).items():
+            t = mp.mpf(t)
+            if t == 0:
+                continue
+            d_a += alike * (mp.log(b / (b + t)) + mp.digamma(a + n) - mp.digamma(a))
+            d_b += alike * (a / b - (a + n) / (b + t))
+            h_aa += alike * (mp.polygamma(1, a + n) - mp.polygamma(1, a))
+            h_ab += alike * (1 / b - 1 / (b + t))
+            h_bb += alike * (-a / b**2 + (a + n) / (b + t) ** 2)
+        slope = a * d_a + b * d_b
+        return slope, a * a * h_aa + 2 * a * b * h_ab + b * b * h_bb + slope
 
 
 def exponential_bracket_quantile(cdf, q, mean):

@@ -128,6 +128,30 @@ def test_fit_reports_equal_exposure_ratio(tmp_path, capsys):
     assert abs(check["alpha_over_beta"] - 18 / 8) < 1e-6 * 18 / 8
 
 
+def test_fit_does_not_depend_on_the_unit_of_time(tmp_path, capsys):
+    # one summary, its opening times in units of the census; beta carries
+    # the unit, alpha does not
+    def fit(census):
+        path = tmp_path / "scaled.csv"
+        write_summary(path, [("A", 0.0, 0), ("B", repr(0.5 * census), 5),
+                             ("C", repr(0.75 * census), 2)])
+        return run(capsys, "fit", "--input", str(path), "--census", repr(census))
+
+    code, out, _ = fit(1.0)
+    assert code == 0
+    alpha = json.loads(out)["alpha_hat"]
+    code, out, _ = fit(1e-120)
+    assert code == 0
+    assert abs(json.loads(out)["alpha_hat"] - alpha) <= 1e-8 * alpha
+    # past the float range of the squared exposures the fit may stop short
+    # of the optimum, but then it reports so instead of crashing
+    code, out, err = fit(1e-200)
+    assert code == 0
+    assert "Traceback" not in err
+    payload = json.loads(out)
+    assert not payload["converged"] or abs(payload["alpha_hat"] - alpha) <= 1e-8 * alpha
+
+
 def test_events_truncated_at_interim_matches_summary(tmp_path):
     # the shipped summary is the events log censused at 0.125, so parsing
     # both must give identical centre records and identical fits

@@ -12,13 +12,18 @@ Regenerate the file only for a change that is meant to move fit bits:
     PYTHONPATH=src python tests/test_fit_bits.py
 
 which first prints how many fits moved, the largest relative change and
-any change of outcome or step count.
+any change of outcome or step count.  For the moved fits that converged
+it also prints the golden-rule evidence from ``oracles.score_max_norm``
+at 50 digits: how many moved nearer the optimum and how many farther,
+and the median and maximum score max-norm before and after.
 """
 
 import json
+import statistics
 from dataclasses import fields
 from pathlib import Path
 
+import oracles
 from pinned_bits import report_moves
 from recruitcast import (
     DegenerateLikelihood,
@@ -39,26 +44,31 @@ def _fit_fields(fit: ModelFit) -> dict:
     return {name: v.hex() if isinstance(v, float) else v for name, v in values.items()}
 
 
-def fit_records() -> list[dict]:
-    """Outcome and fit of each pinned replication, in table order."""
-    records = []
+def pinned_trials():
+    """Each pinned replication's trial, in table order."""
     for table_id in TABLE_IDS:
         for row, (_, config) in enumerate(reproduction_table(table_id).rows):
             for index in range(REPLICATIONS_PER_ROW):
                 data = generate_trial(config, [replication_rng(config.seed, index)])[1][0]
-                record = {"table": table_id, "row": row, "replication": index}
-                try:
-                    fit = fit_mle(data)
-                    record["kind"] = "ok" if fit.converged else "non-converged"
-                except InsufficientData:
-                    fit = None
-                    record["kind"] = "insufficient"
-                except DegenerateLikelihood as exc:
-                    fit = exc.fit
-                    record["kind"] = "boundary"
-                if fit is not None:
-                    record["fit"] = _fit_fields(fit)
-                records.append(record)
+                yield {"table": table_id, "row": row, "replication": index}, data
+
+
+def fit_records() -> list[dict]:
+    """Outcome and fit of each pinned replication, in table order."""
+    records = []
+    for record, data in pinned_trials():
+        try:
+            fit = fit_mle(data)
+            record["kind"] = "ok" if fit.converged else "non-converged"
+        except InsufficientData:
+            fit = None
+            record["kind"] = "insufficient"
+        except DegenerateLikelihood as exc:
+            fit = exc.fit
+            record["kind"] = "boundary"
+        if fit is not None:
+            record["fit"] = _fit_fields(fit)
+        records.append(record)
     return records
 
 
@@ -80,9 +90,32 @@ def _outcome(record: dict) -> tuple:
     return record["kind"], {name: v for name, v in fit.items() if not isinstance(v, str)}
 
 
+def report_score_norms(pinned: list, records: list) -> None:
+    """Print, for the converged fits that moved, the 50-digit score
+    max-norm at the pinned and at the new estimates."""
+    before, after = [], []
+    for (_, data), old, new in zip(pinned_trials(), pinned, records):
+        if old == new or old["kind"] != "ok" or new["kind"] != "ok":
+            continue
+        for norms, fit in ((before, old["fit"]), (after, new["fit"])):
+            norms.append(oracles.score_max_norm(
+                float.fromhex(fit["alpha_hat"]), float.fromhex(fit["beta_hat"]),
+                data.exposures, data.counts))
+    if not before:
+        return
+    nearer = sum(a < b for a, b in zip(after, before))
+    farther = sum(a > b for a, b in zip(after, before))
+    print(f"score max-norm of the {len(before)} moved ok fits: {nearer} nearer the "
+          f"optimum, {farther} farther; median {float(statistics.median(before)):.3g} -> "
+          f"{float(statistics.median(after)):.3g}, maximum {float(max(before)):.4g} -> "
+          f"{float(max(after)):.4g}")
+
+
 if __name__ == "__main__":
     records = fit_records()
     with open(FIT_BITS) as fh:
-        report_moves(FIT_BITS.name, json.load(fh), records, _outcome)
+        pinned = json.load(fh)
+    report_moves(FIT_BITS.name, pinned, records, _outcome)
+    report_score_norms(pinned, records)
     with open(FIT_BITS, "w") as fh:
         fh.write("[\n" + ",\n".join(json.dumps(r) for r in records) + "\n]\n")

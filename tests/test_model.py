@@ -23,6 +23,7 @@ from recruitcast import (
     fit_mle,
     generate_trial,
     log_likelihood,
+    model,
     pool_centres,
     posterior_rate_moments,
     replication_rng,
@@ -117,31 +118,93 @@ def test_count_sums_match_mpmath(count):
             assert abs(got - want) <= bound * abs(want), (alpha, got, want)
 
 
+def _ray_slope_curvature(ws, ratio, log_alpha):
+    """The profile's slope that ``_ray_ascent`` reads at log alpha, signed
+    by its step, and the magnitude of its curvature, or None where the
+    step is clipped and does not give it away."""
+    slope, step = model._ray_ascent(ws, ratio, log_alpha)
+    (newton,) = step()
+    curvature = slope / abs(newton) if 0 < abs(newton) < 1.0 else None
+    return math.copysign(slope, newton), curvature
+
+
+def _equal_exposure_trial(rng, most_centres, huge=False):
+    """One shared exposure, closed centres perhaps, and one count past the
+    exact-sum limit if ``huge``."""
+    centres = int(rng.integers(1, most_centres))
+    t = float(rng.uniform(0.05, 50.0))
+    counts = rng.poisson(rng.gamma(rng.uniform(0.3, 5.0), rng.uniform(0.1, 20.0), centres))
+    if huge:
+        counts[0] = _EXACT_RISE_TERMS + int(rng.integers(1, 5000))
+    closed = int(rng.integers(0, 3))
+    return t, [t] * centres + [0.0] * closed, list(counts) + [0] * closed
+
+
 def test_ray_derivatives_match_the_per_centre_form():
-    # with one shared exposure the per-centre sums have closed forms in C,
-    # the total count and t; closed centres stay out of C
+    # on the ray alpha / beta = n / (C t) every per-centre term in beta
+    # cancels; what _ray_ascent reads off the count sums must be the
+    # per-centre score and Hessian projected onto (1, 1) in (log alpha,
+    # log beta), to rounding in the per-centre terms; closed centres stay
+    # out of C
     rng = np.random.default_rng(61)
+    curvatures = 0
     for _ in range(200):
-        centres = int(rng.integers(1, 200))
-        t = float(rng.uniform(0.05, 50.0))
-        counts = rng.poisson(rng.gamma(rng.uniform(0.3, 5.0), rng.uniform(0.1, 20.0),
-                                       centres))
-        closed = int(rng.integers(0, 3))
-        ws = _Workspace(_trial(t, [t] * centres + [0.0] * closed,
-                               list(counts) + [0] * closed))
-        assert ws.equal_exposures and ws.num_open == centres
-        # away from the ray alpha / beta = n / (C t), on which the
-        # beta-score cancels to rounding noise
-        ratio = max(counts.sum(), 1) / (centres * t) * rng.choice([0.3, 0.6, 1.7, 3.0])
-        alpha = float(np.exp(rng.uniform(-2.0, 6.0)))
-        beta = alpha / ratio
-        if beta > 5.0 * t:
-            # 1 / b - 1 / (b + t) cancels; the per-centre sum keeps its
-            # rounding from the terms of size 1 / b
+        t, exposures, counts = _equal_exposure_trial(rng, 200)
+        ws = _Workspace(_trial(t, exposures, counts))
+        c, n = ws.num_open, ws.total_count
+        assert ws.equal_exposures and c == exposures.count(t)
+        if n == 0:
             continue
-        closed_form = ws.ray_score(alpha, beta) + ws.ray_hessian(alpha, beta)
-        general = ws.score(alpha, beta) + ws.hessian(alpha, beta)
-        assert np.allclose(closed_form, general, rtol=1e-13, atol=0)
+        ratio = n / (c * t)
+        for log_alpha in rng.uniform(-2.0, 6.0, 3):
+            alpha = float(np.exp(log_alpha))
+            beta = alpha / ratio
+            d_alpha, d_beta = ws.score(alpha, beta)
+            h_aa, h_ab, h_bb = ws.hessian(alpha, beta)
+            slope = alpha * d_alpha + beta * d_beta
+            curvature = (alpha * alpha * h_aa + 2.0 * alpha * beta * h_ab
+                         + beta * beta * h_bb + slope)
+            digamma, trigamma = ws._count_terms(alpha)[1:]
+            share = beta / (beta + t)
+            slope_size = (alpha * (abs(digamma) + c * np.log1p(t / beta))
+                          + (c * alpha * t + n * beta) / (beta + t))
+            curvature_size = (alpha * alpha * abs(trigamma) + 2.0 * c * alpha * (1.0 + share)
+                              + c * alpha + (c * alpha + n) * share * share + slope_size)
+            got_slope, got_curvature = _ray_slope_curvature(ws, ratio, log_alpha)
+            assert abs(got_slope - slope) <= 1e-13 * slope_size
+            if got_curvature is not None:
+                assert abs(got_curvature - abs(curvature)) <= 1e-13 * curvature_size
+                curvatures += 1
+    assert curvatures >= 100
+
+
+def test_ray_slope_and_curvature_match_mpmath():
+    # the slope a (digamma - C log1p(t / b)) and the curvature
+    # a (a trigamma + C t / (b + t)) + slope against the per-centre sums at
+    # 50 digits, with closed centres and with counts past the exact-sum limit
+    rng = np.random.default_rng(62)
+    checked = curvatures = 0
+    for trial in range(30):
+        t, exposures, counts = _equal_exposure_trial(rng, 40, huge=trial % 3 == 0)
+        ws = _Workspace(_trial(t, exposures, counts))
+        c, n = ws.num_open, ws.total_count
+        if n == 0:
+            continue
+        ratio = n / (c * t)
+        for log_alpha in rng.uniform(-2.0, 6.0, 3):
+            alpha = float(np.exp(log_alpha))
+            beta = alpha / ratio
+            digamma, trigamma = ws._count_terms(alpha)[1:]
+            slope_size = alpha * (abs(digamma) + c * np.log1p(t / beta))
+            curvature_size = alpha * (alpha * abs(trigamma) + c * t / (beta + t)) + slope_size
+            slope, curvature = oracles.profile_slope_curvature(alpha, ratio, exposures, counts)
+            got_slope, got_curvature = _ray_slope_curvature(ws, ratio, log_alpha)
+            assert abs(got_slope - slope) <= 1e-14 * slope_size
+            checked += 1
+            if got_curvature is not None:
+                assert abs(got_curvature - abs(curvature)) <= 1e-14 * curvature_size
+                curvatures += 1
+    assert checked >= 60 and curvatures >= 20
 
 
 def test_equal_exposure_ratio_identity():
@@ -411,17 +474,27 @@ def test_line_searches_evaluate_each_point_once(monkeypatch, equal):
 @pytest.mark.parametrize("equal", [True, False])
 def test_newton_reads_the_hessian_only_for_steps_it_takes(monkeypatch, equal):
     # the last point Newton visits passes the score test and takes no step,
-    # so its Hessian is never read
+    # so its curvature is never read: on the ray the step closure reads it
+    # off the count sums, in the plane it calls the Hessian
     calls = []
+    if equal:
+        ray_ascent = model._ray_ascent
 
-    def counted(method):
-        def recorded(self, alpha, beta):
+        def counted(ws, ratio, log_alpha):
+            slope, step = ray_ascent(ws, ratio, log_alpha)
+
+            def counted_step():
+                calls.append(log_alpha)
+                return step()
+            return slope, counted_step
+        monkeypatch.setattr(model, "_ray_ascent", counted)
+    else:
+        hessian = _Workspace.hessian
+
+        def counted(self, alpha, beta):
             calls.append(alpha)
-            return method(self, alpha, beta)
-        return recorded
-
-    for name in ("hessian", "ray_hessian"):
-        monkeypatch.setattr(_Workspace, name, counted(getattr(_Workspace, name)))
+            return hessian(self, alpha, beta)
+        monkeypatch.setattr(_Workspace, "hessian", counted)
     fit = fit_mle(_trial(10.0, *_drawn_trial(3, 60, equal)))
     assert fit.converged and fit.equal_exposures == equal
     assert fit.iterations > 0
@@ -435,8 +508,7 @@ _TINY_TRIALS = st.tuples(
     st.one_of(st.just(None), st.lists(st.floats(0.5, 10.0), min_size=5, max_size=5)),
     st.booleans(), st.booleans())
 _CACHED_CALLS = st.lists(
-    st.tuples(st.sampled_from(("loglik", "score", "hessian",
-                               "ray_score", "ray_hessian")),
+    st.tuples(st.sampled_from(("loglik", "score", "hessian")),
               st.integers(0, 2), st.integers(0, 2)),
     min_size=1, max_size=16)
 
@@ -458,8 +530,6 @@ def test_one_point_caches_match_a_fresh_workspace(trial, calls, alphas, betas):
     data = _trial(10.0, exposures, counts)
     ws = _Workspace(data)
     for method, i, j in calls:
-        if method.startswith("ray_") and not ws.equal_exposures:
-            continue
         got = getattr(ws, method)(alphas[i], betas[j])
         assert got == getattr(_Workspace(data), method)(alphas[i], betas[j])
 
@@ -499,8 +569,9 @@ _PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=
 @pytest.mark.parametrize("equal", [True, False])
 @_PROPERTY
 @given(seed=st.integers(0, 2**32 - 1), centres=st.integers(10, 150),
-       scale=st.floats(1e-3, 1e3))
+       scale=st.floats(1e-100, 1e100))
 def test_rescaling_time_rescales_beta(equal, seed, centres, scale):
+    # any unit of time whose squared exposures stay inside the float range
     exposures, counts = _drawn_trial(seed, centres, equal)
     base = _fit_or_none(10.0, exposures, counts)
     scaled = _fit_or_none(10.0 * scale, exposures * scale, counts)
