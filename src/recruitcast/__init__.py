@@ -38,8 +38,10 @@ from .model import (
     InsufficientData,
     ModelError,
     ModelFit,
+    RowFits,
     TrialData,
     fit_mle,
+    fit_rows,
     log_likelihood,
     posterior_rate_moments,
 )

@@ -27,6 +27,11 @@ sums of the count terms.  Otherwise the fit runs in two dimensions over
 method-of-moments guess; each supplies only its ascent, the score and
 Newton step from analytic derivatives, and the likelihood that guards
 the step.
+
+``fit_rows`` fits a batch.  Its equal-exposure rows go through
+``fit_mle`` one by one; the others run one damped-Newton pass over the
+rows still stepping, with the same formulas, written once over the last
+axis, so that each row gets the bits ``fit_mle`` gives it alone.
 """
 
 from __future__ import annotations
@@ -48,6 +53,8 @@ __all__ = [
     "DegenerateLikelihood",
     "log_likelihood",
     "fit_mle",
+    "fit_rows",
+    "RowFits",
     "posterior_rate_moments",
 ]
 
@@ -67,7 +74,14 @@ _SAFE_GRADIENT = 1e-4
 # digamma and -1 / (a + j)^2 for its trigamma difference; the special
 # functions take only what lies beyond.
 _EXACT_RISE_TERMS = 1 << 16
+# A Newton fit counts as converged where its score in (log alpha, log
+# beta) is at most this.
+_CERTIFIED_SCORE = 1e-8
+# A block of rows sums at most this many rise terms at once, and keeps at
+# most this many rise weights.
+_RISE_ELEMENTS = 1 << 16
 _EPS = float(np.finfo(float).eps)
+_KIND = "<U12"
 _NO_VALUES = np.empty(0)
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
@@ -115,7 +129,8 @@ class TrialData:
 
     ``data[i]`` is trial i of a batch, a one-trial ``TrialData`` whose
     arrays are read-only views of the batch's row, checked already.
-    The fitting functions take one trial at a time.
+    ``fit_mle`` and ``log_likelihood`` take one trial; ``fit_rows`` fits
+    every row of a batch at once.
     """
 
     census_time: float
@@ -196,10 +211,9 @@ class TrialData:
             raise TypeError("only a batch of trials has rows")
         row = operator.index(row)
         trial = object.__new__(TrialData)
-        for name, value in (("census_time", self.census_time),
-                            ("exposures", self.exposures[row]),
-                            ("counts", self.counts[row]), ("ids", self.ids)):
-            object.__setattr__(trial, name, value)
+        # past the frozen dataclass's __setattr__, as __post_init__ does
+        trial.__dict__.update(census_time=self.census_time, exposures=self.exposures[row],
+                              counts=self.counts[row], ids=self.ids)
         return trial
 
     @property
@@ -215,7 +229,7 @@ def _one_trial(data: TrialData) -> TrialData:
     """``data`` if it holds a single trial, else ValueError naming its shape."""
     if data.exposures.ndim != 1:
         raise ValueError(f"expected one trial, got a batch of shape {data.exposures.shape}; "
-                         "take its trials one at a time as data[i]")
+                         "take its trials one at a time as data[i], or fit them all with fit_rows")
     return data
 
 
@@ -246,8 +260,236 @@ def log_likelihood(alpha: float, beta: float, data: TrialData) -> float:
     return float(_Workspace(data).loglik(alpha, beta))
 
 
+# The formulas below are written once, over the last axis: one trial's
+# per-centre arrays are 1-d and its per-trial values scalars; a group of
+# trials stacks its per-centre arrays as rows, one value per row.  Sums
+# run along each row's own length and the rest is ufuncs, whose bits do
+# not depend on the layout, so a trial fits to the same bits alone and in
+# a group.
+#
+# Sums along that axis call _row_sum, the reduction inside ndarray.sum,
+# without the Python layer around it: the fit takes a few dozen of them,
+# and for a trial of few centres that layer costs as much as the sum.
+#
+# The likelihood and its score are sums of per-centre differences such
+# as log(b + t) - log(b) = log1p(t / b), not differences of sums: on a
+# near-flat ridge alpha and beta grow together, the sums grow with them
+# and their difference would sink into rounding.  The count terms are
+# exact sums over the rises for the same reason.
+
+_row_sum = np.add.reduce
+
+
+def _column(values):
+    """Per-trial ``values`` with a trailing axis, to meet per-centre arrays;
+    one trial's scalar meets them as it is."""
+    if isinstance(values, np.ndarray) and values.ndim:
+        return values[..., None]
+    return values
+
+
+def _where(condition, yes, no):
+    """np.where on arrays; a conditional expression on one trial's scalars."""
+    if isinstance(condition, np.ndarray):
+        return np.where(condition, yes, no)
+    return yes if condition else no
+
+
+def _larger(a, b):
+    """max(a, b) as Python's max reads it, elementwise: b only where b > a."""
+    above = b > a
+    if isinstance(above, np.ndarray):
+        return np.where(above, b, a)
+    return b if above else a
+
+
+def _smaller(a, b):
+    """min(a, b) as Python's min reads it, elementwise: b only where b < a."""
+    below = b < a
+    if isinstance(below, np.ndarray):
+        return np.where(below, b, a)
+    return b if below else a
+
+
+def _one_exposure(longest, shortest):
+    """The equal-exposure rule on the longest and the shortest exposure of
+    the open centres: true where they share one exposure, and the fit
+    runs along the ray."""
+    return longest - shortest <= _RELATIVE_EXPOSURE_TOL * longest
+
+
+def _tally(counts: np.ndarray, rises: int) -> np.ndarray:
+    """How many open centres count exactly j, for j up to ``rises`` (the
+    last bin holding the counts from there on), per row of ``counts``;
+    the rows share ``rises``."""
+    width = rises + 1
+    bins = np.minimum(counts, rises) + width * np.arange(len(counts))[:, None]
+    tally = np.bincount(bins.ravel(), minlength=width * len(counts))
+    return tally.reshape(-1, width)
+
+
+def _rise_weights(tally: np.ndarray, num_open: int, rises: int) -> np.ndarray:
+    """w_j for j < ``rises``, the number of open centres counting past j,
+    from the ``tally`` of the counts along its last axis."""
+    return (num_open - tally[..., :rises].cumsum(axis=-1)).astype(float)
+
+
+def _beyond(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """One trial's distinct counts past the exact-sum limit, as floats,
+    their multiplicities, and how far their squares pass (2^16 + 1)^2."""
+    big, mult = np.unique(counts[counts > _EXACT_RISE_TERMS], return_counts=True)
+    excess = sum((int(v) ** 2 - (_EXACT_RISE_TERMS + 1) ** 2) * int(m) for v, m in zip(big, mult))
+    return big.astype(float), mult.astype(float), excess
+
+
+def _sums(ws, exposures: np.ndarray, counts: np.ndarray, clipped: np.ndarray):
+    """Give ``ws`` the open centres' ``exposures`` and ``counts`` and the
+    per-trial sums of exposures that the fit reads.  Returns each trial's
+    total count and its sum of squared counts ``clipped`` at 2^16 + 1."""
+    ws.num_open = counts.shape[-1]
+    ws.exposures = exposures
+    ws.counts = counts.astype(float)
+    ws.total_exposure = _row_sum(exposures, axis=-1)
+    ws.sum_exposure_sq = _row_sum(exposures * exposures, axis=-1)
+    return _row_sum(counts, axis=-1), _row_sum(clipped * clipped, axis=-1)
+
+
+def _count_squares(total: int, sum_sq: int) -> tuple[float, float]:
+    """n^2 and sum_c n_c (n_c - 1) = sum_c n_c^2 - n of one trial, from
+    its exact integers: the first and the last term of K."""
+    return float(total * total), float(sum_sq - total)
+
+
+# Where a per-trial value meets the centres, ``a`` and ``b`` stand for
+# alpha and beta as one trial's scalars or as a group's columns.
+
+def _shifted(exposures: np.ndarray, b):
+    """b + t_c per centre."""
+    return b + exposures
+
+
+def _log1p_sum(exposures: np.ndarray, b):
+    """sum_c log1p(t_c / b)."""
+    return _row_sum(np.log1p(exposures / b), axis=-1)
+
+
+# the count sums by order of derivative in a: sum_c logGamma(a + n_c) -
+# logGamma(a), then the same sums of digamma and of trigamma; past the
+# exact-sum limit they take these functions' differences, trigamma as
+# the Hurwitz zeta(2, .)
+_BEYOND_FUNCTIONS = (special.gammaln, special.digamma, partial(special.zeta, 2))
+
+
+def _rise_sum(order: int, weights: np.ndarray, rise: np.ndarray):
+    """Count sum ``order`` over the leading rises a + j, term by term."""
+    if order == 0:
+        return _row_sum(weights * np.log(rise), axis=-1)
+    if order == 1:
+        return _row_sum(weights * (1.0 / rise), axis=-1)
+    return -_row_sum(weights / (rise * rise), axis=-1)
+
+
+def _beyond_sum(order: int, alpha, values: np.ndarray, mult: np.ndarray):
+    """What one trial's counts past the exact-sum limit add to count sum ``order``."""
+    function = _BEYOND_FUNCTIONS[order]
+    return (mult * (function(alpha + values) - function(alpha + _EXACT_RISE_TERMS))).sum()
+
+
+def _loglik(log_gamma, alpha, log_ratio, counts: np.ndarray, shifted: np.ndarray):
+    return log_gamma - alpha * log_ratio - _row_sum(counts * np.log(shifted), axis=-1)
+
+
+def _score(digamma, log_ratio, a, b, exposures: np.ndarray, counts: np.ndarray,
+           shifted: np.ndarray):
+    """(d_alpha, d_beta), summed centre by centre."""
+    return digamma - log_ratio, _row_sum((a * exposures / b - counts) / shifted, axis=-1)
+
+
+def _hessian(trigamma, alpha, beta, a, num_open: int, counts: np.ndarray, shifted: np.ndarray):
+    """(h_aa, h_ab, h_bb) in natural (alpha, beta) coordinates, each summed
+    centre by centre from one pass over the inverse of b + t_c."""
+    inv = 1.0 / shifted
+    h_ab = num_open / beta - _row_sum(inv, axis=-1)
+    h_bb = -num_open * alpha / (beta * beta) + _row_sum((a + counts) * inv * inv, axis=-1)
+    return trigamma, h_ab, h_bb
+
+
+def _tail_statistic(ws):
+    """K of ``_Workspace.tail_statistic`` for unequal exposures: its
+    three terms in exposure shares, and 0 where K lies within their
+    rounding."""
+    shares = ws.exposures / _column(ws.total_exposure)
+    terms = (ws.total_count_sq * _row_sum(shares * shares, axis=-1) / 2.0,
+             -ws.total_count * _row_sum(ws.counts * shares, axis=-1),
+             ws.same_centre_pairs / 2.0)
+    k = terms[0] + terms[1] + terms[2]
+    rounding = (ws.num_open + 2) * _EPS * (abs(terms[0]) + abs(terms[1]) + abs(terms[2]))
+    return _where(abs(k) <= rounding, 0.0, k)
+
+
+_EXP8 = np.exp(8.0)
+
+
+def _moment_start(ws):
+    """Method-of-moments start in (log alpha, log beta).  beta carries
+    the unit of time, so its bounds are in units of the mean exposure."""
+    unit = ws.total_exposure / ws.num_open
+    rate = ws.total_count / ws.total_exposure
+    residual = ws.counts - _column(rate) * ws.exposures
+    excess = _row_sum(residual * residual, axis=-1) - rate * ws.total_exposure
+    # with no visible over-dispersion, start high and let the bound rule decide
+    beta0 = _where((excess > 0) & (ws.sum_exposure_sq > 0),
+                   rate / (excess / ws.sum_exposure_sq), _EXP8 / rate)
+    beta0 = _smaller(_larger(beta0, 1e-4 * unit), 1e8 * unit)
+    alpha0 = _smaller(_larger(rate * beta0, 1e-4), 1e8)
+    return np.log(alpha0), np.log(beta0)
+
+
+def _boundary(ws):
+    """The ratio n / sum(t) and the constant-ratio limit along it: alpha
+    at the log-alpha cap, beta and the limit of the likelihood."""
+    ratio = ws.total_count / ws.total_exposure
+    alpha = math.exp(_MAX_LOG_ALPHA)
+    return ratio, alpha, alpha / ratio, ws.total_count * np.log(ratio) - ratio * ws.total_exposure
+
+
+def _log_score(alpha, beta, score):
+    """The score in (log alpha, log beta) and its max-norm."""
+    g_a, g_b = alpha * score[0], beta * score[1]
+    return g_a, g_b, _larger(abs(g_a), abs(g_b))
+
+
+def _plane_step(alpha, beta, g_a, g_b, hessian):
+    """Newton's step in (log alpha, log beta), by at most 2 in each."""
+    h_aa, h_ab, h_bb = hessian
+    h_11 = h_aa * (alpha * alpha) + g_a
+    h_12 = h_ab * (alpha * beta)
+    h_22 = h_bb * (beta * beta) + g_b
+    det = h_11 * h_22 - h_12 * h_12
+    s_a = (h_12 * g_b - h_22 * g_a) / det
+    s_b = (h_12 * g_a - h_11 * g_b) / det
+    uphill = ~((det > 0) & (h_11 < 0))
+    if uphill.any() if isinstance(uphill, np.ndarray) else uphill:
+        # not locally concave, so Newton would head for a saddle or a
+        # minimum: go uphill along each curvature axis by |slope /
+        # curvature|; a plain gradient step zigzags on near-flat ridges
+        rows = np.flatnonzero(uphill)
+        h_11, h_12, h_22, g_a, g_b = (np.reshape(x, -1)[rows]
+                                      for x in (h_11, h_12, h_22, g_a, g_b))
+        curvature, axes = np.linalg.eigh(np.stack([h_11, h_12, h_12, h_22], axis=-1)
+                                         .reshape(-1, 2, 2))
+        slopes = np.swapaxes(axes, -1, -2) @ np.stack([g_a, g_b], axis=-1)[..., None]
+        step = axes @ (slopes / np.maximum(np.abs(curvature), 1e-12)[..., None])
+        s_a, s_b = (np.array(s, dtype=float) for s in (s_a, s_b))
+        s_a.reshape(-1)[rows], s_b.reshape(-1)[rows] = step[:, 0, 0], step[:, 1, 0]
+        s_a, s_b = s_a[()], s_b[()]
+    norm = _larger(abs(s_a), abs(s_b))
+    scale = _where(norm > 2.0, 2.0 / norm, 1.0)  # exact where it is 1
+    return s_a * scale, s_b * scale
+
+
 class _Workspace:
-    """Sufficient statistics cached for repeated likelihood evaluations.
+    """One trial's sums, cached for repeated likelihood evaluations.
 
     The counts enter through one tally, the rise weights: w_j is the
     number of centres counting past j, so that for integer counts
@@ -267,114 +509,80 @@ class _Workspace:
             # would add cancels exactly; drop them once here
             opened = exposures > 0
             exposures, counts = exposures[opened], counts[opened]
-        self.num_open = exposures.size
-        self.exposures = exposures
-        self.counts = counts.astype(float)
-        self.total_count = int(counts.sum())
-        clipped = np.minimum(counts, _EXACT_RISE_TERMS + 1)
+        clipped = np.minimum(counts, _EXACT_RISE_TERMS + 1)  # squares far inside int64
         tally = np.bincount(clipped)
-        rises = min(tally.size - 1, _EXACT_RISE_TERMS)
-        self.rise_weights = (self.num_open - tally[:rises].cumsum()).astype(float)
-        self.rise_offsets = np.arange(rises, dtype=float)
-        # the squares of clipped counts stay far inside int64; Python
-        # integers take the rare counts past the limit
-        self.sum_count_sq = int((clipped * clipped).sum())
+        total, sum_sq = _sums(self, exposures, counts, clipped)
+        self.total_count, self.sum_count_sq = int(total), int(sum_sq)
         self.beyond_values = self.beyond_mult = _NO_VALUES
         if tally.size > _EXACT_RISE_TERMS + 1:
-            big, big_mult = np.unique(counts[counts > _EXACT_RISE_TERMS], return_counts=True)
-            self.sum_count_sq += sum((int(v) ** 2 - (_EXACT_RISE_TERMS + 1) ** 2) * int(m)
-                                     for v, m in zip(big, big_mult))
-            self.beyond_values = big.astype(float)
-            self.beyond_mult = big_mult.astype(float)
-        self.total_exposure = float(exposures.sum())
-        self.sum_exposure_sq = float((exposures * exposures).sum())
-
-        self.equal_exposures = False
-        self.common_exposure = None
-        if self.num_open:
-            longest = exposures.max()
-            if longest - exposures.min() <= _RELATIVE_EXPOSURE_TOL * longest:
-                self.equal_exposures = True
-                self.common_exposure = self.total_exposure / self.num_open
-
+            self.beyond_values, self.beyond_mult, excess = _beyond(counts)
+            self.sum_count_sq += excess
+        self.total_count_sq, self.same_centre_pairs = _count_squares(self.total_count,
+                                                                     self.sum_count_sq)
+        rises = min(max(tally.size - 1, 0), _EXACT_RISE_TERMS)
+        self.rise_weights = _rise_weights(tally, self.num_open, rises)
+        self.rise_offsets = np.arange(rises, dtype=float)
+        self.equal_exposures = bool(self.num_open
+                                    and _one_exposure(exposures.max(), exposures.min()))
+        self.common_exposure = (self.total_exposure / self.num_open if self.equal_exposures
+                                else None)
         # the argument each one-point cache below last saw, and its values
         self._beta = self._alpha = self._point = None
-        self._beta_values = self._count_values = self._score = None
+        self._beta_values = self._count_values = self._rise = self._score = None
 
-    # The likelihood and its score are sums of per-centre differences such
-    # as log(b + t) - log(b) = log1p(t / b), not differences of sums: on a
-    # near-flat ridge alpha and beta grow together, the sums grow with them
-    # and their difference would sink into rounding.  The count terms are
-    # exact sums over the rises for the same reason.
-    #
     # Each point's values are computed once.  A Newton line search takes
     # the likelihood at the point that the next step differentiates, and
     # fit_mle certifies the point that Newton stopped at, so the terms of
     # beta, the count sums of alpha and the score keep the values of the
-    # last argument they were asked for.
+    # last argument they were asked for.  A count sum is computed only
+    # when read: a line search reads only the logGamma sum.
 
     def _beta_terms(self, beta: float) -> tuple[np.ndarray, float]:
         """b + t_c per centre and sum_c log1p(t_c / b)."""
         if beta != self._beta:
-            self._beta_values = (beta + self.exposures,
-                                 float(np.log1p(self.exposures / beta).sum()))
+            self._beta_values = (_shifted(self.exposures, beta),
+                                 _log1p_sum(self.exposures, beta))
             self._beta = beta
         return self._beta_values
 
-    def _count_terms(self, alpha: float) -> tuple[float, float, float]:
-        """sum_c logGamma(a + n_c) - logGamma(a), and the same sums of
-        digamma and of trigamma: the exact rise sums, plus the special
-        functions' differences past the exact-sum limit."""
+    def count_sum(self, order: int, alpha: float) -> float:
+        """sum_c logGamma(a + n_c) - logGamma(a) for ``order`` 0, and the
+        same sums of digamma and of trigamma for 1 and 2."""
         if alpha != self._alpha:
-            weights, rise = self.rise_weights, alpha + self.rise_offsets
-            log_gamma = (weights * np.log(rise)).sum()
-            digamma = (weights * (1.0 / rise)).sum()
-            trigamma = -(weights / (rise * rise)).sum()
+            self._alpha, self._count_values = alpha, [None, None, None]
+            self._rise = alpha + self.rise_offsets
+        value = self._count_values[order]
+        if value is None:
+            value = _rise_sum(order, self.rise_weights, self._rise)
             if self.beyond_values.size:
-                top, edge = alpha + self.beyond_values, alpha + _EXACT_RISE_TERMS
-                mult = self.beyond_mult
-                log_gamma += (mult * (special.gammaln(top) - special.gammaln(edge))).sum()
-                digamma += (mult * (special.digamma(top) - special.digamma(edge))).sum()
-                # trigamma as the Hurwitz zeta(2, .)
-                trigamma += (mult * (special.zeta(2, top) - special.zeta(2, edge))).sum()
-            self._count_values = (log_gamma, digamma, trigamma)
-            self._alpha = alpha
-        return self._count_values
+                value = value + _beyond_sum(order, alpha, self.beyond_values, self.beyond_mult)
+            self._count_values[order] = value
+        return value
 
     def loglik(self, alpha: float, beta: float) -> float:
-        b_t, log_ratio = self._beta_terms(beta)
-        return (self._count_terms(alpha)[0] - alpha * log_ratio
-                - (self.counts * np.log(b_t)).sum())
+        shifted, log_ratio = self._beta_terms(beta)
+        return _loglik(self.count_sum(0, alpha), alpha, log_ratio, self.counts, shifted)
 
     def score(self, alpha: float, beta: float) -> tuple[float, float]:
-        """(d_alpha, d_beta), summed centre by centre."""
         if (alpha, beta) != self._point:
-            b_t, log_ratio = self._beta_terms(beta)
-            self._score = (self._count_terms(alpha)[1] - log_ratio,
-                           ((alpha * self.exposures / beta - self.counts) / b_t).sum())
+            shifted, log_ratio = self._beta_terms(beta)
+            self._score = _score(self.count_sum(1, alpha), log_ratio, alpha, beta,
+                                 self.exposures, self.counts, shifted)
             self._point = (alpha, beta)
         return self._score
 
     def hessian(self, alpha: float, beta: float) -> tuple[float, float, float]:
-        """(h_aa, h_ab, h_bb) in natural (alpha, beta) coordinates, each
-        summed centre by centre from one pass over the inverse of b + t_c."""
-        inv = 1.0 / self._beta_terms(beta)[0]
-        h_ab = self.num_open / beta - inv.sum()
-        h_bb = -self.num_open * alpha / beta**2 + ((alpha + self.counts) * inv * inv).sum()
-        return self._count_terms(alpha)[2], h_ab, h_bb
+        return _hessian(self.count_sum(2, alpha), alpha, beta, alpha, self.num_open, self.counts,
+                        self._beta_terms(beta)[0])
 
     def profile_loglik(self, log_alpha: float, ratio: float) -> float:
         """Likelihood along beta = alpha / ratio, open centres only."""
         alpha = np.exp(log_alpha)
         beta = alpha / ratio
         t = self.common_exposure
-        return (self._count_terms(alpha)[0]
+        return (self.count_sum(0, alpha)
                 - self.num_open * alpha * np.log1p(t / beta)
                 - self.total_count * np.log(beta + t))
-
-    def boundary_loglik(self, ratio: float) -> float:
-        """Limit of the likelihood as alpha -> inf with alpha/beta = ratio."""
-        return self.total_count * np.log(ratio) - ratio * self.total_exposure
 
     def tail_statistic(self) -> float:
         """Sign of the likelihood's approach to its constant-ratio limit.
@@ -397,34 +605,10 @@ class _Workspace:
         exactly; otherwise a K no larger than the rounding error of its
         three terms counts as zero.
         """
-        n = self.total_count
         if self.equal_exposures:
-            c = self.num_open
+            c, n = self.num_open, self.total_count
             return (c * self.sum_count_sq - n * n - c * n) / (2.0 * c)
-        shares = self.exposures / self.total_exposure
-        terms = (n * n * (shares * shares).sum() / 2.0,
-                 -n * (self.counts * shares).sum(),
-                 (self.sum_count_sq - n) / 2.0)
-        k = terms[0] + terms[1] + terms[2]
-        rounding = (self.num_open + 2) * _EPS * sum(abs(term) for term in terms)
-        return 0.0 if abs(k) <= rounding else k
-
-
-def _moment_start(ws: _Workspace) -> tuple[float, float]:
-    """Method-of-moments start in (log alpha, log beta).  beta carries
-    the unit of time, so its bounds are in units of the mean exposure."""
-    unit = ws.total_exposure / ws.num_open
-    rate = ws.total_count / ws.total_exposure
-    residual = ws.counts - rate * ws.exposures
-    excess = (residual * residual).sum() - rate * ws.total_exposure
-    if excess > 0 and ws.sum_exposure_sq > 0:
-        rate_var = excess / ws.sum_exposure_sq
-        beta0 = min(max(rate / rate_var, 1e-4 * unit), 1e8 * unit)
-    else:
-        # No visible over-dispersion; start high and let the bound rule decide.
-        beta0 = min(max(np.exp(8.0) / rate, 1e-4 * unit), 1e8 * unit)
-    alpha0 = min(max(rate * beta0, 1e-4), 1e8)
-    return np.log(alpha0), np.log(beta0)
+        return _tail_statistic(self)
 
 
 def _newton(point: tuple[float, ...], ascent, objective) -> tuple[tuple[float, ...], int]:
@@ -472,11 +656,10 @@ def _ray_ascent(ws: _Workspace, ratio: float, log_alpha: float):
     alpha = np.exp(log_alpha)
     beta = alpha / ratio
     c, t = ws.num_open, ws.common_exposure
-    _, digamma, trigamma = ws._count_terms(alpha)
-    d1 = alpha * (digamma - c * np.log1p(t / beta))
+    d1 = alpha * (ws.count_sum(1, alpha) - c * np.log1p(t / beta))
 
     def step():
-        d2 = alpha * (alpha * trigamma + c * t / (beta + t)) + d1
+        d2 = alpha * (alpha * ws.count_sum(2, alpha) + c * t / (beta + t)) + d1
         # the Newton step where the profile is concave; off it (the convex
         # tail toward the constant-ratio boundary) the same length uphill;
         # at most 1 either way
@@ -487,45 +670,21 @@ def _ray_ascent(ws: _Workspace, ratio: float, log_alpha: float):
 def _plane_ascent(ws: _Workspace, log_alpha: float, log_beta: float):
     """Newton's ascent in (log alpha, log beta)."""
     alpha, beta = np.exp(log_alpha), np.exp(log_beta)
-    d_alpha, d_beta = ws.score(alpha, beta)
-    # score and Hessian in (log alpha, log beta)
-    g_a, g_b = alpha * d_alpha, beta * d_beta
-
-    def step():
-        h_aa, h_ab, h_bb = ws.hessian(alpha, beta)
-        h_11 = h_aa * (alpha * alpha) + g_a
-        h_12 = h_ab * (alpha * beta)
-        h_22 = h_bb * (beta * beta) + g_b
-        det = h_11 * h_22 - h_12 * h_12
-        if det > 0 and h_11 < 0:
-            s_a = (h_12 * g_b - h_22 * g_a) / det
-            s_b = (h_12 * g_a - h_11 * g_b) / det
-        else:
-            # not locally concave, so Newton would head for a saddle or a
-            # minimum: go uphill along each curvature axis by |slope /
-            # curvature|; a plain gradient step zigzags on near-flat ridges
-            curvature, axes = np.linalg.eigh(np.array([[h_11, h_12], [h_12, h_22]]))
-            uphill = axes @ ((axes.T @ np.array([g_a, g_b]))
-                             / np.maximum(np.abs(curvature), 1e-12))
-            s_a, s_b = float(uphill[0]), float(uphill[1])
-        norm = max(abs(s_a), abs(s_b))
-        if norm > 2.0:
-            return s_a * (2.0 / norm), s_b * (2.0 / norm)
-        return s_a, s_b
-    return max(abs(g_a), abs(g_b)), step
+    g_a, g_b, slope = _log_score(alpha, beta, ws.score(alpha, beta))
+    return slope, lambda: _plane_step(alpha, beta, g_a, g_b, ws.hessian(alpha, beta))
 
 
-def _raise_degenerate(ws: _Workspace, ratio: float, iterations: int):
-    boundary_alpha = math.exp(_MAX_LOG_ALPHA)
-    fit = ModelFit(alpha_hat=boundary_alpha, beta_hat=boundary_alpha / ratio,
-                   log_lik=float(ws.boundary_loglik(ratio)), converged=False,
-                   iterations=iterations, degenerate=True,
+def _raise_degenerate(ws: _Workspace, iterations: int):
+    ratio, alpha, beta, log_lik = _boundary(ws)
+    fit = ModelFit(alpha_hat=alpha, beta_hat=float(beta), log_lik=float(log_lik),
+                   converged=False, iterations=iterations, degenerate=True,
                    equal_exposures=ws.equal_exposures)
     raise DegenerateLikelihood(
         f"likelihood keeps increasing along alpha/beta = {ratio:.6g}; "
         "counts show no over-dispersion", fit=fit)
 
 
+@np.errstate(all="ignore")
 def fit_mle(data: TrialData) -> ModelFit:
     """Maximize the marginal likelihood over (alpha, beta).
 
@@ -537,11 +696,13 @@ def fit_mle(data: TrialData) -> ModelFit:
     concave the step goes uphill instead, in the plane along each curvature
     axis by |slope / curvature|.  While the score is large each step is
     backtracked until the likelihood does not fall.  ``iterations`` counts
-    the steps taken.
+    the steps taken.  The fit is ``converged`` where the score in (log
+    alpha, log beta) at its estimates is at most 1e-8.
 
     alpha does not depend on the unit of time and beta scales with it
     while the squared exposures stay in the float range, from about 1e-150
-    to 1e150; past that the fit may stop short, reported as not converged.
+    to 1e150; past that the fit may stop short, reported as not converged,
+    without a floating-point warning.
 
     Raises
     ------
@@ -557,10 +718,8 @@ def fit_mle(data: TrialData) -> ModelFit:
         raise InsufficientData("no centre has positive exposure")
     if ws.total_count == 0:
         raise InsufficientData("total recruit count is zero")
-
-    boundary_ratio = ws.total_count / ws.total_exposure
     if ws.tail_statistic() <= 0:
-        _raise_degenerate(ws, boundary_ratio, 0)
+        _raise_degenerate(ws, 0)
 
     start = _moment_start(ws)
     if ws.equal_exposures:
@@ -575,16 +734,244 @@ def fit_mle(data: TrialData) -> ModelFit:
     beta_hat = alpha_hat / ratio if ws.equal_exposures else np.exp(point[1])
 
     if la >= _MAX_LOG_ALPHA - 0.1:
-        _raise_degenerate(ws, boundary_ratio, iterations)
+        _raise_degenerate(ws, iterations)
 
     log_lik = ws.loglik(alpha_hat, beta_hat)
     # the per-centre score certifies either path's optimum; on the 2-d
     # path it is the score of Newton's last step
-    d_alpha, d_beta = ws.score(alpha_hat, beta_hat)
-    converged = bool(max(abs(alpha_hat * d_alpha), abs(beta_hat * d_beta)) <= 1e-8)
+    norm = _log_score(alpha_hat, beta_hat, ws.score(alpha_hat, beta_hat))[2]
     return ModelFit(alpha_hat=float(alpha_hat), beta_hat=float(beta_hat),
-                    log_lik=float(log_lik), converged=converged,
+                    log_lik=float(log_lik), converged=bool(norm <= _CERTIFIED_SCORE),
                     iterations=iterations, equal_exposures=ws.equal_exposures)
+
+
+class _Rows:
+    """The sums of a group of unequal-exposure trials with the same number
+    of open centres, one row each, for ``_newton_rows``.
+
+    Its methods take per-row alpha and beta for the rows ``rows``, an
+    ascending index array, and compute only those rows.  The count sums
+    run over chunks of consecutive rows sharing their number of rises k,
+    at most max(1, 2^16 // k) rows a chunk, so each row sums its own k
+    terms and no temporary holds more than 2^16 of them, or one row's k;
+    rows sorted by k make the fewest chunks.  At most 2^16 rise weights
+    are kept, the first chunks' first; a later chunk's weights are
+    rebuilt from its counts each time they are read.
+    """
+
+    def __init__(self, exposures: np.ndarray, counts: np.ndarray):
+        clipped = np.minimum(counts, _EXACT_RISE_TERMS + 1)  # squares far inside int64
+        largest = clipped.max(axis=1).tolist()
+        totals, sums_sq = (sums.tolist() for sums in _sums(self, exposures, counts, clipped))
+        self.beyond = {}
+        for row, top in enumerate(largest):
+            if top > _EXACT_RISE_TERMS:
+                values, mult, excess = _beyond(counts[row])
+                self.beyond[row] = values, mult
+                sums_sq[row] += excess
+        self.total_count = np.array(totals, dtype=float)
+        self.total_count_sq, self.same_centre_pairs = np.array(
+            [_count_squares(n, s) for n, s in zip(totals, sums_sq)]).T
+        self.int_counts = counts
+        rises = [min(top, _EXACT_RISE_TERMS) for top in largest]
+        self.rise_offsets = np.arange(max(rises), dtype=float)
+        edges = [0, *(np.flatnonzero(np.diff(rises)) + 1).tolist(), len(rises)]
+        self.chunks, kept = [], 0
+        for first, stop in zip(edges[:-1], edges[1:]):
+            k = rises[first]
+            size = max(1, _RISE_ELEMENTS // max(k, 1))
+            for start in range(first, stop, size):
+                end = min(start + size, stop)
+                weights = None
+                if kept + (end - start) * k <= _RISE_ELEMENTS:
+                    weights = _rise_weights(_tally(counts[start:end], k), self.num_open, k)
+                    kept += weights.size
+                self.chunks.append((start, k, weights))
+        self.chunk_starts = np.array([start for start, _, _ in self.chunks] + [len(rises)])
+
+    def count_sum(self, order: int, alpha: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """``_Workspace.count_sum`` for each row of ``rows``."""
+        sums = np.empty(rows.size)
+        cuts = np.searchsorted(rows, self.chunk_starts).tolist()
+        for (start, k, weights), lo, hi in zip(self.chunks, cuts[:-1], cuts[1:]):
+            if lo == hi:
+                continue
+            if weights is None:
+                weights = _rise_weights(_tally(self.int_counts[rows[lo:hi]], k), self.num_open, k)
+            elif hi - lo < len(weights):
+                weights = weights[rows[lo:hi] - start]
+            sums[lo:hi] = _rise_sum(order, weights, alpha[lo:hi, None] + self.rise_offsets[:k])
+        if self.beyond:
+            for i, row in enumerate(rows.tolist()):
+                if row in self.beyond:
+                    sums[i] = sums[i] + _beyond_sum(order, alpha[i], *self.beyond[row])
+        return sums
+
+    def loglik(self, alpha: np.ndarray, beta: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        exposures, b = self.exposures[rows], beta[:, None]
+        return _loglik(self.count_sum(0, alpha, rows), alpha, _log1p_sum(exposures, b),
+                       self.counts[rows], _shifted(exposures, b))
+
+    def score(self, alpha: np.ndarray, beta: np.ndarray, rows: np.ndarray):
+        exposures, b = self.exposures[rows], beta[:, None]
+        return _score(self.count_sum(1, alpha, rows), _log1p_sum(exposures, b), alpha[:, None],
+                      b, exposures, self.counts[rows], _shifted(exposures, b))
+
+    def hessian(self, alpha: np.ndarray, beta: np.ndarray, rows: np.ndarray):
+        return _hessian(self.count_sum(2, alpha, rows), alpha, beta, alpha[:, None],
+                        self.num_open, self.counts[rows],
+                        _shifted(self.exposures[rows], beta[:, None]))
+
+
+def _newton_rows(ws: _Rows, start, active: np.ndarray):
+    """``_newton`` with ``_plane_ascent`` for the rows ``active`` of ``ws``
+    at once, from the per-row points ``start``.  A row leaves the pass
+    where ``_newton`` would stop it: its score below 1e-10, its line
+    search failed, or the step cap.  Returns each row's log alpha, log
+    beta and number of steps."""
+    log_alpha, log_beta = (np.array(coordinate, dtype=float) for coordinate in start)
+    steps = np.zeros(log_alpha.size, dtype=int)
+    # objective at each point, where a line search computed it
+    value = np.full(log_alpha.size, np.nan)
+    known = np.zeros(log_alpha.size, dtype=bool)
+    for _ in range(_MAX_STEPS):
+        alpha, beta = np.exp(log_alpha[active]), np.exp(log_beta[active])
+        g_a, g_b, slope = _log_score(alpha, beta, ws.score(alpha, beta, active))
+        going = ~(slope <= _GRADIENT_TARGET)
+        if not going.all():
+            active, alpha, beta, g_a, g_b, slope = (
+                x[going] for x in (active, alpha, beta, g_a, g_b, slope))
+            if not active.size:
+                break
+        s_a, s_b = _plane_step(alpha, beta, g_a, g_b, ws.hessian(alpha, beta, active))
+        new_a, new_b = log_alpha[active] + s_a, log_beta[active] + s_b
+        new_a = np.where(new_a > _MAX_LOG_ALPHA, _MAX_LOG_ALPHA, new_a)
+        new_value = np.full(active.size, np.nan)
+        new_known = np.zeros(active.size, dtype=bool)
+        stepping = np.ones(active.size, dtype=bool)
+        search = np.flatnonzero(slope > _SAFE_GRADIENT)
+        if search.size:
+            # each row's own line search, as in _newton
+            fresh = search[~known[active[search]]]
+            if fresh.size:
+                value[active[fresh]] = ws.loglik(alpha[fresh], beta[fresh], active[fresh])
+            rows = active[search]
+            floor = value[rows] - 1e-10 * _larger(1.0, abs(value[rows]))
+            old_a, old_b = log_alpha[rows], log_beta[rows]
+            trying = np.arange(search.size)
+            try_a, try_b = new_a[search], new_b[search]
+            for _ in range(10):
+                tried = ws.loglik(np.exp(try_a), np.exp(try_b), rows[trying])
+                accept = tried >= floor[trying]
+                done = search[trying[accept]]
+                new_a[done], new_b[done] = try_a[accept], try_b[accept]
+                new_value[done], new_known[done] = tried[accept], True
+                trying, try_a, try_b = trying[~accept], try_a[~accept], try_b[~accept]
+                if not trying.size:
+                    break
+                try_a = old_a[trying] + 0.5 * (try_a - old_a[trying])
+                try_b = old_b[trying] + 0.5 * (try_b - old_b[trying])
+            # ten halvings failed: these rows stop where they are
+            stepping[search[trying]] = False
+        active = active[stepping]
+        log_alpha[active], log_beta[active] = new_a[stepping], new_b[stepping]
+        value[active], known[active] = new_value[stepping], new_known[stepping]
+        steps[active] += 1
+    return log_alpha, log_beta, steps
+
+
+@dataclass(frozen=True, eq=False)
+class RowFits:
+    """What ``fit_rows`` found for each row of a batch, as arrays.
+
+    ``kind`` is "ok" for a fit that ``fit_mle`` returns converged,
+    "nonconverged" for one it returns unconverged, "boundary" where it
+    raises ``DegenerateLikelihood`` and "insufficient" where it raises
+    ``InsufficientData``.  The estimates, ``log_lik`` and ``steps`` (its
+    ``iterations``) are those of the fit it returns or attaches, NaN and
+    0 for "insufficient"; ``equal_exposures`` is its flag.
+    """
+
+    kind: np.ndarray
+    alpha_hat: np.ndarray
+    beta_hat: np.ndarray
+    log_lik: np.ndarray
+    steps: np.ndarray
+    equal_exposures: np.ndarray
+
+
+@np.errstate(all="ignore")
+def _fit_group(exposures: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``RowFits``' kind, estimates, log-likelihood and steps for each row
+    of a group: the open centres' ``exposures`` and ``counts``, one row
+    per trial."""
+    ws = _Rows(exposures, counts)
+    count = ws.total_count.size
+    kind = np.full(count, "insufficient", dtype=_KIND)
+    alpha_hat, beta_hat, log_lik = (np.full(count, math.nan) for _ in range(3))
+    enough = ws.total_count > 0
+    degenerate = enough & (_tail_statistic(ws) <= 0)
+    log_alpha, log_beta, steps = _newton_rows(ws, _moment_start(ws),
+                                              np.flatnonzero(enough & ~degenerate))
+    degenerate |= enough & (log_alpha >= _MAX_LOG_ALPHA - 0.1)
+    interior = np.flatnonzero(enough & ~degenerate)
+    alpha, beta = np.exp(log_alpha[interior]), np.exp(log_beta[interior])
+    norm = _log_score(alpha, beta, ws.score(alpha, beta, interior))[2]
+    kind[interior] = np.where(norm <= _CERTIFIED_SCORE, "ok", "nonconverged")
+    alpha_hat[interior], beta_hat[interior] = alpha, beta
+    log_lik[interior] = ws.loglik(alpha, beta, interior)
+    _, boundary_alpha, boundary_beta, boundary_loglik = _boundary(ws)
+    kind[degenerate] = "boundary"
+    alpha_hat[degenerate] = boundary_alpha
+    beta_hat[degenerate], log_lik[degenerate] = (boundary_beta[degenerate],
+                                                 boundary_loglik[degenerate])
+    return kind, alpha_hat, beta_hat, log_lik, steps
+
+
+def fit_rows(data: TrialData) -> RowFits:
+    """``fit_mle`` for each row of a batch, bit for bit.
+
+    A row whose open centres share one exposure is fitted by
+    ``fit_mle(data[row])``.  The others are grouped by their number of
+    open centres, and each group runs one damped-Newton pass over its rows,
+    dropping each row where ``fit_mle``'s loop would stop it; each row
+    keeps its own line search.
+    """
+    if data.exposures.ndim != 2:
+        raise ValueError("fit_rows takes a batch of trials; fit one trial with fit_mle")
+    exposures, counts = data.exposures, data.counts
+    count = len(exposures)
+    opened = exposures > 0
+    num_open = opened.sum(axis=1)
+    equal = (num_open > 0) & _one_exposure(
+        exposures.max(axis=1), exposures.min(axis=1, initial=np.inf, where=opened))
+    kind = np.full(count, "insufficient", dtype=_KIND)
+    alpha_hat, beta_hat, log_lik = (np.full(count, math.nan) for _ in range(3))
+    steps = np.zeros(count, dtype=int)
+    for row in np.flatnonzero(equal).tolist():
+        try:
+            fit = fit_mle(data[row])
+            kind[row] = "ok" if fit.converged else "nonconverged"
+        except InsufficientData:
+            continue
+        except DegenerateLikelihood as exc:
+            fit, kind[row] = exc.fit, "boundary"
+        alpha_hat[row], beta_hat[row], log_lik[row] = fit.alpha_hat, fit.beta_hat, fit.log_lik
+        steps[row] = fit.iterations
+    plane = ~equal & (num_open > 0)
+    # sorted by their largest count, the rows of a group run in order of
+    # their number of rises
+    largest = counts.max(axis=1)
+    for centres in np.unique(num_open[plane]).tolist():
+        rows = np.flatnonzero(plane & (num_open == centres))
+        rows = rows[np.argsort(largest[rows], kind="stable")]
+        group = (exposures[rows], counts[rows])
+        if centres < exposures.shape[1]:
+            group = tuple(x[opened[rows]].reshape(-1, centres) for x in group)
+        fits = _fit_group(*group)
+        for column, values in zip((kind, alpha_hat, beta_hat, log_lik, steps), fits):
+            column[rows] = values
+    return RowFits(kind, alpha_hat, beta_hat, log_lik, steps, equal)
 
 
 def posterior_rate_moments(data: TrialData, fit: ModelFit) -> tuple[float, float]:

@@ -12,15 +12,17 @@ of max(1, min(64, 2^16 // C)) replications for trials of C centres
 at most 2^16 values, or one trial's C where C is larger, whatever the
 number of replications.  Each block runs in two steps: it draws one
 trial from the stream seeded by (config.seed, i) for every replication i
-of the block, stacked into one batched ``TrialData`` that is checked once, then fits
-the batch's rows one at a time.  It keeps only the few numbers scoring
-reads: the outcome, the summed true rate, the summed exposure, the total
-count, the estimates and the posterior moments of the summed rate, the
-sums each one array pass over the block.  Then it scores all of its
-replications at once: pooling, the adjusted probabilities, every
-quantile and both exact coverages run as array operations, boundary
-replications through their limit laws beside the interior ones, all
-through the library's ``predict.equal_tailed_interval``.
+of the block, stacked into one batched ``TrialData`` that is checked
+once, then fits the batch's rows with one ``model.fit_rows`` call, which
+gives each row the bits that ``fit_mle`` gives it alone.  It keeps only
+the few numbers scoring reads: the outcome, the summed true rate, the
+summed exposure, the total count, the estimates and the posterior
+moments of the summed rate, the sums each one array pass over the
+block.  Then it scores all of its replications at once: pooling, the
+adjusted probabilities, every quantile and both exact coverages run as
+array operations, boundary replications through their limit laws beside
+the interior ones, all through the library's
+``predict.equal_tailed_interval``.
 
 Neither the block nor the chunk boundaries nor the number of processes
 can move a byte.  Each replication's numbers come from its own stream
@@ -53,9 +55,8 @@ from .distributions import (
 )
 from .model import (
     DegenerateLikelihood,
-    InsufficientData,
     TrialData,
-    fit_mle,
+    fit_rows,
     summed_rate_moments,
 )
 from .predict import (
@@ -332,10 +333,10 @@ def _boundary_intervals(config: SimConfig, request: PredictionRequest,
 
 
 # Replications are drawn and fitted in blocks of at most this many: a
-# block's trials are drawn and checked as one batch, then fitted one by
-# one.  A block also holds at most _BLOCK_ELEMENTS centres over its rows,
-# but never less than one trial, which bounds the memory of a chunk's
-# draws whatever its length and whatever the number of centres.
+# block's trials are drawn, checked and fitted as one batch.  A block also
+# holds at most _BLOCK_ELEMENTS centres over its rows, but never less
+# than one trial, which bounds the memory of a chunk's draws whatever its
+# length and whatever the number of centres.
 _BLOCK = 64
 _BLOCK_ELEMENTS = 1 << 16
 # What a replication's fit leaves for scoring, one column each: the kind
@@ -370,21 +371,14 @@ def _fit_chunk(config: SimConfig, bounds: tuple[int, int]) -> dict[str, np.ndarr
         block["total_rate"][:] = rates.sum(axis=1)
         block["exposure_sum"][:] = data.exposures.sum(axis=1)
         block["total_count"][:] = data.counts.sum(axis=1)
+        outcome = fit_rows(data)
         kind = block["kind"]
-        for row in range(end - start):
-            try:
-                fit = fit_mle(data[row])
-            except InsufficientData:
-                kind[row] = _DROPPED
-                continue
-            except DegenerateLikelihood:
-                fit = None
-            if fit is None or not fit.converged:
-                kind[row] = _BOUNDARY
-            else:
-                kind[row], block["alpha"][row], block["beta"][row] = (
-                    _INTERIOR, fit.alpha_hat, fit.beta_hat)
-        interior = np.flatnonzero(kind == _INTERIOR)
+        kind[:] = _BOUNDARY
+        kind[outcome.kind == "insufficient"] = _DROPPED
+        interior = np.flatnonzero(outcome.kind == "ok")
+        kind[interior] = _INTERIOR
+        block["alpha"][interior] = outcome.alpha_hat[interior]
+        block["beta"][interior] = outcome.beta_hat[interior]
         block["mean"][interior], block["variance"][interior] = summed_rate_moments(
             block["alpha"][interior, None], block["beta"][interior, None],
             data.exposures[interior], data.counts[interior])

@@ -7,21 +7,30 @@ fits to a tolerance; this one fails on any change in the last bit or in
 the number of Newton steps, so a rewrite of the optimiser that claims to
 be bit-identical has to be.
 
+The same records come out of ``fit_rows`` whatever block a trial is
+fitted in: alone, among seven replications of its row, or with the rest
+of its row.
+
 Regenerate the file only for a change that is meant to move fit bits:
 
     PYTHONPATH=src python tests/test_fit_bits.py
 
-which first prints how many fits moved, the largest relative change and
-any change of outcome or step count.  For the moved fits that converged
-it also prints the golden-rule evidence from ``oracles.score_max_norm``
-at 50 digits: how many moved nearer the optimum and how many farther,
-and the median and maximum score max-norm before and after.
+which first refits every record through ``fit_rows``, one block per
+table row, and refuses to write if any differs from ``fit_mle``'s.  It
+then prints how many fits moved, the largest relative change and any
+change of outcome or step count.  For the moved fits that converged it
+also prints the golden-rule evidence from ``oracles.score_max_norm`` at
+50 digits: how many moved nearer the optimum and how many farther, and
+the median and maximum score max-norm before and after.
 """
 
 import json
 import statistics
+import sys
 from dataclasses import fields
 from pathlib import Path
+
+import pytest
 
 import oracles
 from pinned_bits import report_moves
@@ -33,6 +42,7 @@ from recruitcast import (
     generate_trial,
     replication_rng,
 )
+from recruitcast.model import fit_rows
 from recruitcast.reproduce import TABLE_IDS, reproduction_table
 
 FIT_BITS = Path(__file__).parent / "data" / "fit_bits.json"
@@ -44,13 +54,18 @@ def _fit_fields(fit: ModelFit) -> dict:
     return {name: v.hex() if isinstance(v, float) else v for name, v in values.items()}
 
 
-def pinned_trials():
-    """Each pinned replication's trial, in table order."""
+def _table_rows():
     for table_id in TABLE_IDS:
         for row, (_, config) in enumerate(reproduction_table(table_id).rows):
-            for index in range(REPLICATIONS_PER_ROW):
-                data = generate_trial(config, [replication_rng(config.seed, index)])[1][0]
-                yield {"table": table_id, "row": row, "replication": index}, data
+            yield {"table": table_id, "row": row}, config
+
+
+def pinned_trials():
+    """Each pinned replication's trial, in table order."""
+    for where, config in _table_rows():
+        for index in range(REPLICATIONS_PER_ROW):
+            data = generate_trial(config, [replication_rng(config.seed, index)])[1][0]
+            yield {**where, "replication": index}, data
 
 
 def fit_records() -> list[dict]:
@@ -72,6 +87,30 @@ def fit_records() -> list[dict]:
     return records
 
 
+def row_fit_records(block: int = REPLICATIONS_PER_ROW) -> list[dict]:
+    """``fit_records`` through ``fit_rows``: each table row's replications
+    drawn and fitted ``block`` at a time, the last block running past the
+    pinned ones."""
+    records = []
+    for where, config in _table_rows():
+        for first in range(0, REPLICATIONS_PER_ROW, block):
+            _, data = generate_trial(config, [replication_rng(config.seed, index)
+                                              for index in range(first, first + block)])
+            fits = fit_rows(data)
+            for i in range(min(block, REPLICATIONS_PER_ROW - first)):
+                kind = str(fits.kind[i])
+                record = {**where, "replication": first + i,
+                          "kind": "non-converged" if kind == "nonconverged" else kind}
+                if kind != "insufficient":
+                    record["fit"] = _fit_fields(ModelFit(
+                        alpha_hat=float(fits.alpha_hat[i]), beta_hat=float(fits.beta_hat[i]),
+                        log_lik=float(fits.log_lik[i]), converged=kind == "ok",
+                        iterations=int(fits.steps[i]), degenerate=kind == "boundary",
+                        equal_exposures=bool(fits.equal_exposures[i])))
+                records.append(record)
+    return records
+
+
 def test_every_pinned_fit_is_bit_identical():
     with open(FIT_BITS) as fh:
         pinned = json.load(fh)
@@ -81,6 +120,14 @@ def test_every_pinned_fit_is_bit_identical():
     # both Newton paths and the boundary are pinned
     assert {(r["kind"], r["fit"]["equal_exposures"]) for r in pinned if "fit" in r} >= {
         ("ok", True), ("ok", False), ("boundary", True), ("boundary", False)}
+
+
+@pytest.mark.parametrize("block", [1, 7, REPLICATIONS_PER_ROW])
+def test_every_pinned_fit_is_bit_identical_in_any_block(block):
+    with open(FIT_BITS) as fh:
+        pinned = json.load(fh)
+    for got, want in zip(row_fit_records(block), pinned, strict=True):
+        assert got == want
 
 
 def _outcome(record: dict) -> tuple:
@@ -113,6 +160,10 @@ def report_score_norms(pinned: list, records: list) -> None:
 
 if __name__ == "__main__":
     records = fit_records()
+    differ = [got for got, want in zip(row_fit_records(), records) if got != want]
+    if differ:
+        sys.exit(f"fit_rows differs from fit_mle on {len(differ)} of {len(records)} "
+                 f"records, first {differ[0]}; not writing {FIT_BITS.name}")
     with open(FIT_BITS) as fh:
         pinned = json.load(fh)
     report_moves(FIT_BITS.name, pinned, records, _outcome)

@@ -1,0 +1,198 @@
+"""``fit_rows``: a block of trials fitted at once, bit for bit ``fit_mle``."""
+
+import collections
+import tracemalloc
+import warnings
+
+import numpy as np
+import pytest
+
+from recruitcast import (
+    DegenerateLikelihood,
+    InsufficientData,
+    TrialData,
+    fit_mle,
+    generate_trial,
+    replication_rng,
+)
+from recruitcast.model import _EXACT_RISE_TERMS, _Rows, _Workspace, fit_rows
+from recruitcast.reproduce import reproduction_table
+
+
+def _single(data: TrialData) -> tuple:
+    """``fit_mle``'s outcome as ``_row`` reads a ``RowFits`` entry."""
+    try:
+        fit = fit_mle(data)
+        kind = "ok" if fit.converged else "nonconverged"
+    except InsufficientData:
+        return ("insufficient",)
+    except DegenerateLikelihood as exc:
+        fit, kind = exc.fit, "boundary"
+    return (kind, fit.alpha_hat.hex(), fit.beta_hat.hex(), fit.log_lik.hex(), fit.iterations,
+            fit.equal_exposures)
+
+
+def _row(fits, i: int) -> tuple:
+    kind = str(fits.kind[i])
+    if kind == "insufficient":
+        return (kind,)
+    return (kind, float(fits.alpha_hat[i]).hex(), float(fits.beta_hat[i]).hex(),
+            float(fits.log_lik[i]).hex(), int(fits.steps[i]), bool(fits.equal_exposures[i]))
+
+
+def _mixed_block() -> TrialData:
+    """Table 3's first row, replications 250-273, the near-ridge
+    replication 252 among them, with rows rewritten to cover every case:
+    ragged rise lengths, counts past the exact-sum limit, different
+    numbers of closed centres, equal exposures, no recruits, no open
+    centre and counts that show no over-dispersion."""
+    config = reproduction_table("3").rows[0][1]
+    _, drawn = generate_trial(config, [replication_rng(config.seed, i) for i in range(250, 274)])
+    exposures, counts = np.array(drawn.exposures), np.array(drawn.counts)
+    census, centres = drawn.census_time, drawn.num_centres
+    counts[3] *= 7  # a longer rise
+    counts[4, 0] = _EXACT_RISE_TERMS + 4464
+    counts[5, :3] = (200_000, 200_000, _EXACT_RISE_TERMS + 1)
+    for row, closed in ((6, 1), (7, 3), (8, 3), (9, centres // 2)):
+        exposures[row, :closed] = counts[row, :closed] = 0
+    counts[9, -1] = _EXACT_RISE_TERMS + 7
+    exposures[10] = exposures[11] = census
+    exposures[11, :5] = counts[11, :5] = 0
+    counts[12] = 0
+    exposures[13] = counts[13] = 0
+    # counts proportional to exposure: K <= 0, a monotone likelihood
+    exposures[14] = np.linspace(0.1, 1.0, centres) * census
+    counts[14] = np.arange(1, centres + 1)
+    return TrialData(census, exposures, counts)
+
+
+def test_every_row_of_a_mixed_block_fits_as_alone():
+    data = _mixed_block()
+    fits = fit_rows(data)
+    want = [_single(data[row]) for row in range(len(data.exposures))]
+    assert [_row(fits, row) for row in range(len(want))] == want
+    assert {w[0] for w in want} >= {"ok", "boundary", "insufficient"}
+    assert fits.equal_exposures[[10, 11]].all() and want[2][0] == "ok"
+    assert sum(not w[-1] for w in want if len(w) > 1) >= 15
+
+
+def test_permuting_a_block_permutes_its_fits():
+    data = _mixed_block()
+    fits = fit_rows(data)
+    order = np.random.default_rng(5).permutation(len(data.exposures))
+    shuffled = fit_rows(TrialData(data.census_time, data.exposures[order], data.counts[order]))
+    for name in ("kind", "alpha_hat", "beta_hat", "log_lik", "steps", "equal_exposures"):
+        got, want = getattr(shuffled, name), getattr(fits, name)[order]
+        assert got.tobytes() == want.tobytes(), name
+
+
+def test_fit_rows_takes_a_batch():
+    with pytest.raises(ValueError, match="batch"):
+        fit_rows(TrialData(10.0, [4.0, 6.0], [3, 1]))
+
+
+def _staggered_block(rows=24, seed=3):
+    rng = np.random.default_rng(seed)
+    exposures = rng.uniform(0.5, 10.0, (rows, 60))
+    rates = rng.gamma(rng.uniform(1.0, 4.0, (rows, 1)), 0.5, (rows, 60))
+    return TrialData(10.0, exposures, rng.poisson(rates * exposures))
+
+
+def test_line_searches_evaluate_each_row_once_per_point(monkeypatch):
+    # a row's objective at the point it accepted carries into its next
+    # line search; only the final log-likelihood reads a point again
+    calls = []
+    loglik = _Rows.loglik
+
+    def recorded(self, alpha, beta, rows):
+        calls.append(list(zip(rows.tolist(), alpha.tolist(), beta.tolist())))
+        return loglik(self, alpha, beta, rows)
+
+    monkeypatch.setattr(_Rows, "loglik", recorded)
+    fits = fit_rows(_staggered_block())
+    assert (fits.kind == "ok").sum() >= 20
+    calls.pop()  # the log-likelihood at each row's optimum
+    points = [point for call in calls for point in call]
+    assert len(points) == len(set(points))
+    assert len(points) >= 40
+
+
+def test_newton_reads_the_hessian_only_for_rows_that_step(monkeypatch):
+    reads = collections.Counter()
+    hessian = _Rows.hessian
+
+    def counted(self, alpha, beta, rows):
+        reads.update(rows.tolist())
+        return hessian(self, alpha, beta, rows)
+
+    monkeypatch.setattr(_Rows, "hessian", counted)
+    fits = fit_rows(_staggered_block())
+    assert fits.steps.min() > 0
+    # one group, so the reads count per row of the batch, in some order
+    assert sorted(reads.values()) == sorted(fits.steps.tolist())
+
+
+def test_a_row_block_squares_beta_as_a_single_trial_does():
+    # a NumPy float's ** 2 goes through pow, which on some inputs differs
+    # from the array square in the last bit; both paths write beta * beta
+    rng = np.random.default_rng(11)
+    betas = np.exp(rng.uniform(-30.0, 30.0, 200_000))
+    odd = [b for b in betas[:20_000] if np.float64(b) ** 2 != b * b]
+    assert odd
+    data = TrialData(10.0, [2.0, 5.0, 9.5], [3, 0, 11])
+    single = _Workspace(data)
+    block = _Rows(np.array([[2.0, 5.0, 9.5]]), np.array([[3, 0, 11]]))
+    for beta in odd[:50]:
+        alpha = np.float64(1.7)
+        got = block.hessian(np.array([alpha]), np.array([beta]), np.array([0]))
+        want = single.hessian(alpha, np.float64(beta))
+        assert [float(g[0]) for g in got] == [float(w) for w in want]
+
+
+def _unit_probes():
+    """The staggered probe (0, 5, 2) scaled far past 1e+-150, where its
+    squared exposures leave the float range."""
+    for scale in (1e-200, 1e160):
+        yield scale, TrialData(scale, np.array([1.0, 0.5, 0.25]) * scale, [0, 5, 2])
+
+
+def test_the_fitter_warns_of_nothing_past_the_float_range():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for scale, data in _unit_probes():
+            fit = fit_mle(data)
+            # stopped short, as documented, at once
+            assert not fit.converged and fit.iterations == 0
+            block = TrialData(scale, np.vstack([data.exposures, data.exposures[::-1],
+                                                np.full(3, scale)]),
+                              np.array([data.counts, [4, 1, 9], [1, 4, 9]]))
+            fits = fit_rows(block)
+            assert _row(fits, 0) == _single(data)
+            assert [_row(fits, row) for row in (1, 2)] == [_single(block[1]),
+                                                           _single(block[2])]
+
+
+def test_a_block_of_huge_counts_sums_within_the_element_budget():
+    # 64 rows, each with one count past the exact-sum limit: every row
+    # sums 2^16 rises.  Keeping every row's weights would take 64 terms of
+    # 2^16 floats, and one temporary over all rows as much again.  Under
+    # the budget a block keeps one term of weights and one of offsets j,
+    # and an evaluation holds at most seven temporaries of one term: the
+    # tally, its running sum and the weights rebuilt from it, the rises,
+    # their function values, the products and the sum's buffer.
+    rng = np.random.default_rng(2)
+    exposures = rng.uniform(1.0, 10.0, (64, 5))
+    counts = rng.poisson(3.0 * exposures)
+    counts[:, 0] = _EXACT_RISE_TERMS + rng.integers(1, 5000, 64)
+    data = TrialData(10.0, exposures, counts)
+    term = 8 * _EXACT_RISE_TERMS
+    tracemalloc.start()
+    try:
+        fits = fit_rows(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (2 + 7) * term
+    assert (fits.kind != "insufficient").all()
+    assert [_row(fits, row) for row in range(0, 64, 9)] == [_single(data[row])
+                                                             for row in range(0, 64, 9)]

@@ -114,7 +114,8 @@ def test_count_sums_match_mpmath(count):
     ws = _Workspace(_trial(10.0, [5.0], [count]))
     for alpha in (0.05, 0.37, 1.0, 2.5, 17.0, 310.0, 4.2e4, 1e6):
         exact = oracles.count_sums(alpha, count)
-        for got, want, bound in zip(ws._count_terms(alpha), exact, (1e-14, 1e-13, 1e-14)):
+        got_sums = [ws.count_sum(order, alpha) for order in range(3)]
+        for got, want, bound in zip(got_sums, exact, (1e-14, 1e-13, 1e-14)):
             assert abs(got - want) <= bound * abs(want), (alpha, got, want)
 
 
@@ -164,7 +165,7 @@ def test_ray_derivatives_match_the_per_centre_form():
             slope = alpha * d_alpha + beta * d_beta
             curvature = (alpha * alpha * h_aa + 2.0 * alpha * beta * h_ab
                          + beta * beta * h_bb + slope)
-            digamma, trigamma = ws._count_terms(alpha)[1:]
+            digamma, trigamma = ws.count_sum(1, alpha), ws.count_sum(2, alpha)
             share = beta / (beta + t)
             slope_size = (alpha * (abs(digamma) + c * np.log1p(t / beta))
                           + (c * alpha * t + n * beta) / (beta + t))
@@ -194,7 +195,7 @@ def test_ray_slope_and_curvature_match_mpmath():
         for log_alpha in rng.uniform(-2.0, 6.0, 3):
             alpha = float(np.exp(log_alpha))
             beta = alpha / ratio
-            digamma, trigamma = ws._count_terms(alpha)[1:]
+            digamma, trigamma = ws.count_sum(1, alpha), ws.count_sum(2, alpha)
             slope_size = alpha * (abs(digamma) + c * np.log1p(t / beta))
             curvature_size = alpha * (alpha * abs(trigamma) + c * t / (beta + t)) + slope_size
             slope, curvature = oracles.profile_slope_curvature(alpha, ratio, exposures, counts)
@@ -499,6 +500,31 @@ def test_newton_reads_the_hessian_only_for_steps_it_takes(monkeypatch, equal):
     assert fit.converged and fit.equal_exposures == equal
     assert fit.iterations > 0
     assert len(calls) == fit.iterations
+
+
+@pytest.mark.parametrize("table_id, row, replication", [
+    ("3", 1, 18),  # in the plane
+    ("D2", 1, 2),  # on the ray
+])
+def test_count_sums_are_computed_only_where_read(monkeypatch, table_id, row, replication):
+    # each of these fits halves one line-search step: the rejected point
+    # reads only the logGamma sum, the digamma sum is computed once per
+    # ascent, where Newton stopped included, and the trigamma sum once per
+    # step taken
+    orders = []
+    rise_sum = model._rise_sum
+
+    def counted(order, weights, rise):
+        orders.append(order)
+        return rise_sum(order, weights, rise)
+
+    monkeypatch.setattr(model, "_rise_sum", counted)
+    config = reproduction_table(table_id).rows[row][1]
+    fit = fit_mle(generate_trial(config, [replication_rng(config.seed, replication)])[1][0])
+    assert fit.converged and fit.equal_exposures == (table_id == "D2")
+    assert orders.count(1) == fit.iterations + 1
+    assert orders.count(2) == fit.iterations
+    assert orders.count(0) > orders.count(1)
 
 
 # tiny trials: up to five centres, perhaps a closed one, perhaps one count

@@ -40,7 +40,7 @@ from recruitcast import (
     quantile_probability_study,
     replication_rng,
 )
-from recruitcast import simulate
+from recruitcast import model, simulate
 from recruitcast.asymptotics import limit_prob_cdf
 from recruitcast.reproduce import figure_curve, reproduction_table
 from recruitcast.simulate import _worker_plan
@@ -280,7 +280,12 @@ def test_chunks_and_workers_change_no_byte(cell):
     assert one.degenerate_fits == two.degenerate_fits
 
 
-def test_a_row_draws_and_checks_its_trials_a_block_at_a_time(monkeypatch):
+@pytest.mark.parametrize("schedule, single_fits", [
+    (Simultaneous(), 150),  # equal exposures: fit_mle fits each row on the ray
+    (UniformOnCensus(), 0),  # unequal: the block's rows in one Newton pass
+], ids=["simultaneous", "uniform"])
+def test_a_row_draws_and_checks_its_trials_a_block_at_a_time(monkeypatch, schedule,
+                                                             single_fits):
     calls = collections.Counter()
 
     def spy(name, original):
@@ -291,18 +296,20 @@ def test_a_row_draws_and_checks_its_trials_a_block_at_a_time(monkeypatch):
 
     monkeypatch.setattr(simulate, "generate_trial",
                         spy("generate_trial", simulate.generate_trial))
-    monkeypatch.setattr(simulate, "fit_mle", spy("fit_mle", simulate.fit_mle))
+    monkeypatch.setattr(simulate, "fit_rows", spy("fit_rows", simulate.fit_rows))
+    monkeypatch.setattr(model, "fit_mle", spy("fit_mle", model.fit_mle))
     monkeypatch.setattr(TrialData, "from_arrays",
                         classmethod(spy("from_arrays", TrialData.from_arrays.__func__)))
     monkeypatch.setattr(TrialData, "__post_init__",
                         spy("__post_init__", TrialData.__post_init__))
-    coverage_study(_config(centres=20, replications=150))
+    coverage_study(_config(centres=20, replications=150, schedule=schedule))
     blocks = math.ceil(150 / simulate._BLOCK)
     assert blocks > 1
-    # one batch checked per block, never a trial on its own; still one
-    # fit per replication
+    # one batch checked and one fitter call per block, never a trial on
+    # its own
     assert calls == {"generate_trial": blocks, "from_arrays": blocks,
-                     "__post_init__": blocks, "fit_mle": 150}
+                     "__post_init__": blocks, "fit_rows": blocks,
+                     **({"fit_mle": single_fits} if single_fits else {})}
 
 
 @pytest.mark.parametrize("centres, replications, blocks", [
