@@ -28,10 +28,13 @@ method-of-moments guess; each supplies only its ascent, the score and
 Newton step from analytic derivatives, and the likelihood that guards
 the step.
 
-``fit_rows`` fits a batch.  Its equal-exposure rows go through
-``fit_mle`` one by one; the others run one damped-Newton pass over the
-rows still stepping, with the same formulas, written once over the last
-axis, so that each row gets the bits ``fit_mle`` gives it alone.
+``fit_rows`` fits a batch.  Its rows are grouped by their number of
+open centres and by whether those share one exposure, and each group
+runs one damped-Newton pass over its rows still stepping, along the ray
+or in the plane, with the same formulas, written once over the last
+axis, so that each row gets the bits ``fit_mle`` gives it alone.  A
+group of too few rows or too many centres to repay a pass goes through
+``fit_mle`` row by row.
 """
 
 from __future__ import annotations
@@ -80,6 +83,15 @@ _CERTIFIED_SCORE = 1e-8
 # A block of rows sums at most this many rise terms at once, and keeps at
 # most this many rise weights.
 _RISE_ELEMENTS = 1 << 16
+# fit_rows fits a group in one batched pass only with at least this many
+# rows and at most this many open centres, and else one row at a time with
+# fit_mle.  The pass shares its fixed cost per step among its rows, but
+# costs more per centre than a single fit; measured against the rows'
+# single fits on the ray and in the plane, it was no slower from 10 rows
+# at 20 to 700 centres, and slower in the plane from 800 centres in
+# 64-row groups and on both from 2,000 centres at every size measured
+_MIN_GROUP_ROWS = 10
+_MAX_GROUP_CENTRES = 700
 _EPS = float(np.finfo(float).eps)
 _KIND = "<U12"
 _NO_VALUES = np.empty(0)
@@ -488,6 +500,32 @@ def _plane_step(alpha, beta, g_a, g_b, hessian):
     return s_a * scale, s_b * scale
 
 
+def _ray_tail(num_open: int, total: int, sum_sq: int) -> float:
+    """K of ``_Workspace.tail_statistic`` for C equal exposures, with the
+    sign of the integer C sum(n^2) - n^2 - C n, evaluated exactly."""
+    return (num_open * sum_sq - total * total - num_open * total) / (2.0 * num_open)
+
+
+def _profile_loglik(log_gamma, alpha, beta, num_open: int, total_count, t):
+    """The likelihood along the ray, from its logGamma count sum."""
+    return log_gamma - num_open * alpha * np.log1p(t / beta) - total_count * np.log(beta + t)
+
+
+def _ray_slope(alpha, beta, digamma, num_open: int, t):
+    """The profile's slope d1 = a (digamma - C log1p(t / b)) in log alpha."""
+    return alpha * (digamma - num_open * np.log1p(t / beta))
+
+
+def _ray_step(alpha, beta, trigamma, num_open: int, t, d1):
+    """Newton's step in log alpha along the ray, from the profile's
+    curvature d2 = a (a trigamma + C t / (b + t)) + d1: the Newton step
+    where the profile is concave; off it (the convex tail toward the
+    constant-ratio boundary) the same length uphill; at most 1 either
+    way."""
+    d2 = alpha * (alpha * trigamma + num_open * t / (beta + t)) + d1
+    return _larger(_smaller(d1 / _larger(abs(d2), 1e-12), 1.0), -1.0)
+
+
 class _Workspace:
     """One trial's sums, cached for repeated likelihood evaluations.
 
@@ -578,11 +616,8 @@ class _Workspace:
     def profile_loglik(self, log_alpha: float, ratio: float) -> float:
         """Likelihood along beta = alpha / ratio, open centres only."""
         alpha = np.exp(log_alpha)
-        beta = alpha / ratio
-        t = self.common_exposure
-        return (self.count_sum(0, alpha)
-                - self.num_open * alpha * np.log1p(t / beta)
-                - self.total_count * np.log(beta + t))
+        return _profile_loglik(self.count_sum(0, alpha), alpha, alpha / ratio, self.num_open,
+                               self.total_count, self.common_exposure)
 
     def tail_statistic(self) -> float:
         """Sign of the likelihood's approach to its constant-ratio limit.
@@ -606,8 +641,7 @@ class _Workspace:
         three terms counts as zero.
         """
         if self.equal_exposures:
-            c, n = self.num_open, self.total_count
-            return (c * self.sum_count_sq - n * n - c * n) / (2.0 * c)
+            return _ray_tail(self.num_open, self.total_count, self.sum_count_sq)
         return _tail_statistic(self)
 
 
@@ -651,20 +685,12 @@ def _newton(point: tuple[float, ...], ascent, objective) -> tuple[tuple[float, .
 def _ray_ascent(ws: _Workspace, ratio: float, log_alpha: float):
     """Newton's ascent in log alpha along beta = alpha / ratio, on which
     n = C t alpha / beta cancels every per-centre term in beta from the
-    profile's slope d1 = a (digamma - C log1p(t / b)) and its curvature
-    d2 = a (a trigamma + C t / (b + t)) + d1."""
+    profile's slope and curvature."""
     alpha = np.exp(log_alpha)
     beta = alpha / ratio
     c, t = ws.num_open, ws.common_exposure
-    d1 = alpha * (ws.count_sum(1, alpha) - c * np.log1p(t / beta))
-
-    def step():
-        d2 = alpha * (alpha * ws.count_sum(2, alpha) + c * t / (beta + t)) + d1
-        # the Newton step where the profile is concave; off it (the convex
-        # tail toward the constant-ratio boundary) the same length uphill;
-        # at most 1 either way
-        return (max(min(d1 / max(abs(d2), 1e-12), 1.0), -1.0),)
-    return abs(d1), step
+    d1 = _ray_slope(alpha, beta, ws.count_sum(1, alpha), c, t)
+    return abs(d1), lambda: (_ray_step(alpha, beta, ws.count_sum(2, alpha), c, t, d1),)
 
 
 def _plane_ascent(ws: _Workspace, log_alpha: float, log_beta: float):
@@ -746,8 +772,9 @@ def fit_mle(data: TrialData) -> ModelFit:
 
 
 class _Rows:
-    """The sums of a group of unequal-exposure trials with the same number
-    of open centres, one row each, for ``_newton_rows``.
+    """The sums of a group of trials with the same number of open centres,
+    one row each, for ``_newton_rows``: trials whose open centres share
+    one exposure if ``equal_exposures``, and else trials whose do not.
 
     Its methods take per-row alpha and beta for the rows ``rows``, an
     ascending index array, and compute only those rows.  The count sums
@@ -759,7 +786,7 @@ class _Rows:
     rebuilt from its counts each time they are read.
     """
 
-    def __init__(self, exposures: np.ndarray, counts: np.ndarray):
+    def __init__(self, exposures: np.ndarray, counts: np.ndarray, equal_exposures: bool):
         clipped = np.minimum(counts, _EXACT_RISE_TERMS + 1)  # squares far inside int64
         largest = clipped.max(axis=1).tolist()
         totals, sums_sq = (sums.tolist() for sums in _sums(self, exposures, counts, clipped))
@@ -770,8 +797,15 @@ class _Rows:
                 self.beyond[row] = values, mult
                 sums_sq[row] += excess
         self.total_count = np.array(totals, dtype=float)
-        self.total_count_sq, self.same_centre_pairs = np.array(
-            [_count_squares(n, s) for n, s in zip(totals, sums_sq)]).T
+        self.equal_exposures = equal_exposures
+        if equal_exposures:
+            self.common_exposure = self.total_exposure / self.num_open
+            # from the Python ints: C sum(n^2) may pass the int64 range
+            self.exact_tail = np.array([_ray_tail(self.num_open, n, s)
+                                        for n, s in zip(totals, sums_sq)])
+        else:
+            self.total_count_sq, self.same_centre_pairs = np.array(
+                [_count_squares(n, s) for n, s in zip(totals, sums_sq)]).T
         self.int_counts = counts
         rises = [min(top, _EXACT_RISE_TERMS) for top in largest]
         self.rise_offsets = np.arange(max(rises), dtype=float)
@@ -822,30 +856,74 @@ class _Rows:
                         self.num_open, self.counts[rows],
                         _shifted(self.exposures[rows], beta[:, None]))
 
+    def profile_loglik(self, log_alpha: np.ndarray, ratio: np.ndarray,
+                       rows: np.ndarray) -> np.ndarray:
+        """``_Workspace.profile_loglik`` for each row of ``rows``."""
+        alpha = np.exp(log_alpha)
+        return _profile_loglik(self.count_sum(0, alpha, rows), alpha, alpha / ratio,
+                               self.num_open, self.total_count[rows],
+                               self.common_exposure[rows])
 
-def _newton_rows(ws: _Rows, start, active: np.ndarray):
-    """``_newton`` with ``_plane_ascent`` for the rows ``active`` of ``ws``
-    at once, from the per-row points ``start``.  A row leaves the pass
-    where ``_newton`` would stop it: its score below 1e-10, its line
-    search failed, or the step cap.  Returns each row's log alpha, log
-    beta and number of steps."""
-    log_alpha, log_beta = (np.array(coordinate, dtype=float) for coordinate in start)
-    steps = np.zeros(log_alpha.size, dtype=int)
+    def tail_statistic(self) -> np.ndarray:
+        """``_Workspace.tail_statistic`` for each row."""
+        return self.exact_tail if self.equal_exposures else _tail_statistic(self)
+
+
+def _ray_rows(ws: _Rows, ratio: np.ndarray, rows: np.ndarray, log_alpha: np.ndarray):
+    """``_ray_ascent`` for the rows ``rows`` of ``ws``, with each row's
+    ``ratio``; its step takes the rows ``keep`` of ``rows``."""
+    alpha = np.exp(log_alpha)
+    beta = alpha / ratio[rows]
+    c, t = ws.num_open, ws.common_exposure[rows]
+    d1 = _ray_slope(alpha, beta, ws.count_sum(1, alpha, rows), c, t)
+
+    def step(keep):
+        a = alpha[keep]
+        return (_ray_step(a, beta[keep], ws.count_sum(2, a, rows[keep]), c, t[keep], d1[keep]),)
+    return abs(d1), step
+
+
+def _plane_rows(ws: _Rows, rows: np.ndarray, log_alpha: np.ndarray, log_beta: np.ndarray):
+    """``_plane_ascent`` for the rows ``rows`` of ``ws``; its step takes
+    the rows ``keep`` of ``rows``."""
+    alpha, beta = np.exp(log_alpha), np.exp(log_beta)
+    g_a, g_b, slope = _log_score(alpha, beta, ws.score(alpha, beta, rows))
+
+    def step(keep):
+        a, b = alpha[keep], beta[keep]
+        return _plane_step(a, b, g_a[keep], g_b[keep], ws.hessian(a, b, rows[keep]))
+    return slope, step
+
+
+def _newton_rows(start, active: np.ndarray, ascent, objective):
+    """``_newton`` for the rows ``active`` of a group at once, from the
+    per-row coordinates ``start``, the first of them log alpha.
+
+    ``ascent(rows, *point)`` gives the max-norm of the score of each row
+    of ``rows`` at its point and a function that returns the capped
+    steps of the rows ``keep`` of them, called only for the rows that
+    step; ``objective(rows, *point)`` is each row's likelihood.  A row
+    leaves the pass where ``_newton`` would stop it: its score below
+    1e-10, its line search failed, or the step cap.  Returns each row's
+    coordinates and number of steps.
+    """
+    point = [np.array(coordinate, dtype=float) for coordinate in start]
+    steps = np.zeros(point[0].size, dtype=int)
     # objective at each point, where a line search computed it
-    value = np.full(log_alpha.size, np.nan)
-    known = np.zeros(log_alpha.size, dtype=bool)
+    value = np.full(point[0].size, np.nan)
+    known = np.zeros(point[0].size, dtype=bool)
     for _ in range(_MAX_STEPS):
-        alpha, beta = np.exp(log_alpha[active]), np.exp(log_beta[active])
-        g_a, g_b, slope = _log_score(alpha, beta, ws.score(alpha, beta, active))
+        here = [coordinate[active] for coordinate in point]
+        slope, step = ascent(active, *here)
         going = ~(slope <= _GRADIENT_TARGET)
+        keep = slice(None)
         if not going.all():
-            active, alpha, beta, g_a, g_b, slope = (
-                x[going] for x in (active, alpha, beta, g_a, g_b, slope))
+            active, slope, keep = active[going], slope[going], going
             if not active.size:
                 break
-        s_a, s_b = _plane_step(alpha, beta, g_a, g_b, ws.hessian(alpha, beta, active))
-        new_a, new_b = log_alpha[active] + s_a, log_beta[active] + s_b
-        new_a = np.where(new_a > _MAX_LOG_ALPHA, _MAX_LOG_ALPHA, new_a)
+            here = [coordinate[going] for coordinate in here]
+        new = [coordinate + s for coordinate, s in zip(here, step(keep))]
+        new[0] = np.where(new[0] > _MAX_LOG_ALPHA, _MAX_LOG_ALPHA, new[0])
         new_value = np.full(active.size, np.nan)
         new_known = np.zeros(active.size, dtype=bool)
         stepping = np.ones(active.size, dtype=bool)
@@ -854,30 +932,32 @@ def _newton_rows(ws: _Rows, start, active: np.ndarray):
             # each row's own line search, as in _newton
             fresh = search[~known[active[search]]]
             if fresh.size:
-                value[active[fresh]] = ws.loglik(alpha[fresh], beta[fresh], active[fresh])
+                value[active[fresh]] = objective(active[fresh],
+                                                 *(coordinate[fresh] for coordinate in here))
             rows = active[search]
             floor = value[rows] - 1e-10 * _larger(1.0, abs(value[rows]))
-            old_a, old_b = log_alpha[rows], log_beta[rows]
+            old = [coordinate[search] for coordinate in here]
             trying = np.arange(search.size)
-            try_a, try_b = new_a[search], new_b[search]
+            tries = [coordinate[search] for coordinate in new]
             for _ in range(10):
-                tried = ws.loglik(np.exp(try_a), np.exp(try_b), rows[trying])
+                tried = objective(rows[trying], *tries)
                 accept = tried >= floor[trying]
                 done = search[trying[accept]]
-                new_a[done], new_b[done] = try_a[accept], try_b[accept]
+                for coordinate, t in zip(new, tries):
+                    coordinate[done] = t[accept]
                 new_value[done], new_known[done] = tried[accept], True
-                trying, try_a, try_b = trying[~accept], try_a[~accept], try_b[~accept]
+                trying, tries = trying[~accept], [t[~accept] for t in tries]
                 if not trying.size:
                     break
-                try_a = old_a[trying] + 0.5 * (try_a - old_a[trying])
-                try_b = old_b[trying] + 0.5 * (try_b - old_b[trying])
+                tries = [o[trying] + 0.5 * (t - o[trying]) for o, t in zip(old, tries)]
             # ten halvings failed: these rows stop where they are
             stepping[search[trying]] = False
         active = active[stepping]
-        log_alpha[active], log_beta[active] = new_a[stepping], new_b[stepping]
+        for coordinate, n in zip(point, new):
+            coordinate[active] = n[stepping]
         value[active], known[active] = new_value[stepping], new_known[stepping]
         steps[active] += 1
-    return log_alpha, log_beta, steps
+    return point, steps
 
 
 @dataclass(frozen=True, eq=False)
@@ -901,21 +981,33 @@ class RowFits:
 
 
 @np.errstate(all="ignore")
-def _fit_group(exposures: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, ...]:
+def _fit_group(exposures: np.ndarray, counts: np.ndarray,
+               equal_exposures: bool) -> tuple[np.ndarray, ...]:
     """``RowFits``' kind, estimates, log-likelihood and steps for each row
     of a group: the open centres' ``exposures`` and ``counts``, one row
-    per trial."""
-    ws = _Rows(exposures, counts)
+    per trial, all of them on the ray if ``equal_exposures`` and all in
+    the plane if not."""
+    ws = _Rows(exposures, counts, equal_exposures)
     count = ws.total_count.size
     kind = np.full(count, "insufficient", dtype=_KIND)
     alpha_hat, beta_hat, log_lik = (np.full(count, math.nan) for _ in range(3))
     enough = ws.total_count > 0
-    degenerate = enough & (_tail_statistic(ws) <= 0)
-    log_alpha, log_beta, steps = _newton_rows(ws, _moment_start(ws),
-                                              np.flatnonzero(enough & ~degenerate))
+    degenerate = enough & (ws.tail_statistic() <= 0)
+    active = np.flatnonzero(enough & ~degenerate)
+    start = _moment_start(ws)
+    if equal_exposures:
+        ratio = ws.total_count / (ws.num_open * ws.common_exposure)
+        (log_alpha,), steps = _newton_rows(
+            start[:1], active, partial(_ray_rows, ws, ratio),
+            lambda rows, la: ws.profile_loglik(la, ratio[rows], rows))
+    else:
+        (log_alpha, log_beta), steps = _newton_rows(
+            start, active, partial(_plane_rows, ws),
+            lambda rows, la, lb: ws.loglik(np.exp(la), np.exp(lb), rows))
     degenerate |= enough & (log_alpha >= _MAX_LOG_ALPHA - 0.1)
     interior = np.flatnonzero(enough & ~degenerate)
-    alpha, beta = np.exp(log_alpha[interior]), np.exp(log_beta[interior])
+    alpha = np.exp(log_alpha[interior])
+    beta = alpha / ratio[interior] if equal_exposures else np.exp(log_beta[interior])
     norm = _log_score(alpha, beta, ws.score(alpha, beta, interior))[2]
     kind[interior] = np.where(norm <= _CERTIFIED_SCORE, "ok", "nonconverged")
     alpha_hat[interior], beta_hat[interior] = alpha, beta
@@ -928,14 +1020,32 @@ def _fit_group(exposures: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, .
     return kind, alpha_hat, beta_hat, log_lik, steps
 
 
+def _fit_one(data: TrialData) -> tuple:
+    """``RowFits``' kind, estimates, log-likelihood and steps for one
+    trial, from ``fit_mle``."""
+    try:
+        fit = fit_mle(data)
+    except InsufficientData:
+        return "insufficient", math.nan, math.nan, math.nan, 0
+    except DegenerateLikelihood as exc:
+        fit, kind = exc.fit, "boundary"
+    else:
+        kind = "ok" if fit.converged else "nonconverged"
+    return kind, fit.alpha_hat, fit.beta_hat, fit.log_lik, fit.iterations
+
+
 def fit_rows(data: TrialData) -> RowFits:
     """``fit_mle`` for each row of a batch, bit for bit.
 
-    A row whose open centres share one exposure is fitted by
-    ``fit_mle(data[row])``.  The others are grouped by their number of
-    open centres, and each group runs one damped-Newton pass over its rows,
-    dropping each row where ``fit_mle``'s loop would stop it; each row
-    keeps its own line search.
+    The rows are grouped by whether their open centres share one
+    exposure and by their number of open centres.  A group of at least
+    10 rows (``_MIN_GROUP_ROWS``) with at most 700 open centres
+    (``_MAX_GROUP_CENTRES``) runs one damped-Newton pass over its rows,
+    along the ray where the exposures are equal and in the plane where
+    not, dropping each row where ``fit_mle``'s loop would stop it; each
+    row keeps its own line search.  Any other group, where one pass was
+    measured slower than its rows' single fits, is fitted by
+    ``fit_mle(data[row])`` row by row.
     """
     if data.exposures.ndim != 2:
         raise ValueError("fit_rows takes a batch of trials; fit one trial with fit_mle")
@@ -943,33 +1053,28 @@ def fit_rows(data: TrialData) -> RowFits:
     count = len(exposures)
     opened = exposures > 0
     num_open = opened.sum(axis=1)
-    equal = (num_open > 0) & _one_exposure(
+    fitted = num_open > 0
+    equal = fitted & _one_exposure(
         exposures.max(axis=1), exposures.min(axis=1, initial=np.inf, where=opened))
     kind = np.full(count, "insufficient", dtype=_KIND)
     alpha_hat, beta_hat, log_lik = (np.full(count, math.nan) for _ in range(3))
     steps = np.zeros(count, dtype=int)
-    for row in np.flatnonzero(equal).tolist():
-        try:
-            fit = fit_mle(data[row])
-            kind[row] = "ok" if fit.converged else "nonconverged"
-        except InsufficientData:
-            continue
-        except DegenerateLikelihood as exc:
-            fit, kind[row] = exc.fit, "boundary"
-        alpha_hat[row], beta_hat[row], log_lik[row] = fit.alpha_hat, fit.beta_hat, fit.log_lik
-        steps[row] = fit.iterations
-    plane = ~equal & (num_open > 0)
+    columns = (kind, alpha_hat, beta_hat, log_lik, steps)
     # sorted by their largest count, the rows of a group run in order of
     # their number of rises
     largest = counts.max(axis=1)
-    for centres in np.unique(num_open[plane]).tolist():
-        rows = np.flatnonzero(plane & (num_open == centres))
+    for ray, centres in sorted(set(zip(equal[fitted].tolist(), num_open[fitted].tolist()))):
+        rows = np.flatnonzero(fitted & (equal == ray) & (num_open == centres))
+        if rows.size < _MIN_GROUP_ROWS or centres > _MAX_GROUP_CENTRES:
+            for row in rows.tolist():
+                for column, value in zip(columns, _fit_one(data[row])):
+                    column[row] = value
+            continue
         rows = rows[np.argsort(largest[rows], kind="stable")]
         group = (exposures[rows], counts[rows])
         if centres < exposures.shape[1]:
             group = tuple(x[opened[rows]].reshape(-1, centres) for x in group)
-        fits = _fit_group(*group)
-        for column, values in zip((kind, alpha_hat, beta_hat, log_lik, steps), fits):
+        for column, values in zip(columns, _fit_group(*group, ray)):
             column[rows] = values
     return RowFits(kind, alpha_hat, beta_hat, log_lik, steps, equal)
 

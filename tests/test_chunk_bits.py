@@ -23,7 +23,7 @@ import numpy as np
 import pytest
 
 from pinned_bits import report_moves
-from recruitcast import TIME, simulate
+from recruitcast import TIME, model, simulate
 from test_simulate import _CHUNKED_CELLS
 
 CHUNK_BITS = Path(__file__).parent / "data" / "chunk_bits.json"
@@ -71,6 +71,16 @@ def test_no_block_size_moves_a_bit(monkeypatch, block):
     # each trial of a block comes from its own stream and is fitted alone,
     # and the block's sums run along its rows, so where blocks end moves
     # nothing
+    monkeypatch.setattr(simulate, "_BLOCK", block)
+    with open(CHUNK_BITS) as fh:
+        assert chunk_records() == json.load(fh)
+
+
+@pytest.mark.parametrize("block", [1, 7, BOUNDS[1] + 1])
+def test_no_block_size_moves_a_bit_with_every_group_batched(monkeypatch, block):
+    # as run, a block of fewer rows than model._MIN_GROUP_ROWS fits one
+    # trial at a time; here every group runs the batched pass instead
+    monkeypatch.setattr(model, "_MIN_GROUP_ROWS", 1)
     monkeypatch.setattr(simulate, "_BLOCK", block)
     with open(CHUNK_BITS) as fh:
         assert chunk_records() == json.load(fh)

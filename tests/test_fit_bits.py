@@ -7,9 +7,11 @@ fits to a tolerance; this one fails on any change in the last bit or in
 the number of Newton steps, so a rewrite of the optimiser that claims to
 be bit-identical has to be.
 
-The same records come out of ``fit_rows`` whatever block a trial is
-fitted in: alone, among seven replications of its row, or with the rest
-of its row.
+The same records come out of ``fit_rows``'s batched Newton pass whatever
+block a trial is fitted in: alone, among seven replications of its row,
+or with the rest of its row.  ``fit_rows`` would hand groups this small
+to ``fit_mle``, so these records are taken with its group cutoff at one
+row, every group through the batched pass.
 
 Regenerate the file only for a change that is meant to move fit bits:
 
@@ -29,6 +31,7 @@ import statistics
 import sys
 from dataclasses import fields
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -42,7 +45,7 @@ from recruitcast import (
     generate_trial,
     replication_rng,
 )
-from recruitcast.model import fit_rows
+from recruitcast import model
 from recruitcast.reproduce import TABLE_IDS, reproduction_table
 
 FIT_BITS = Path(__file__).parent / "data" / "fit_bits.json"
@@ -88,15 +91,16 @@ def fit_records() -> list[dict]:
 
 
 def row_fit_records(block: int = REPLICATIONS_PER_ROW) -> list[dict]:
-    """``fit_records`` through ``fit_rows``: each table row's replications
-    drawn and fitted ``block`` at a time, the last block running past the
-    pinned ones."""
+    """``fit_records`` through ``fit_rows``'s batched pass, whatever the
+    size of a group: each table row's replications drawn and fitted
+    ``block`` at a time, the last block running past the pinned ones."""
     records = []
     for where, config in _table_rows():
         for first in range(0, REPLICATIONS_PER_ROW, block):
             _, data = generate_trial(config, [replication_rng(config.seed, index)
                                               for index in range(first, first + block)])
-            fits = fit_rows(data)
+            with mock.patch.object(model, "_MIN_GROUP_ROWS", 1):
+                fits = model.fit_rows(data)
             for i in range(min(block, REPLICATIONS_PER_ROW - first)):
                 kind = str(fits.kind[i])
                 record = {**where, "replication": first + i,

@@ -3,6 +3,7 @@
 import collections
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,8 +16,15 @@ from recruitcast import (
     generate_trial,
     replication_rng,
 )
+from recruitcast import model
 from recruitcast.model import _EXACT_RISE_TERMS, _Rows, _Workspace, fit_rows
-from recruitcast.reproduce import reproduction_table
+from recruitcast.reproduce import TABLE_IDS, reproduction_table
+
+
+@pytest.fixture
+def engine(monkeypatch):
+    """``fit_rows`` with every group, however small, in one batched pass."""
+    monkeypatch.setattr(model, "_MIN_GROUP_ROWS", 1)
 
 
 def _single(data: TrialData) -> tuple:
@@ -66,7 +74,35 @@ def _mixed_block() -> TrialData:
     return TrialData(census, exposures, counts)
 
 
-def test_every_row_of_a_mixed_block_fits_as_alone():
+def _ray_block() -> TrialData:
+    """Table 2's first row, replications 64-127, the near-ridge
+    replication 81 (fitted alpha about 612) among them, and eight rows
+    rewritten to cover every case of the ray: a count past the exact-sum
+    limit, counts showing no over-dispersion (K < 0, and K = 0 on two
+    open centres counting about 10^12), counts near 10^12 on 12 open
+    centres, which climb to the log-alpha cap in one row and stop
+    unconverged in the other, closed centres, and no recruits."""
+    config = reproduction_table("2").rows[0][1]
+    _, drawn = generate_trial(config, [replication_rng(config.seed, i) for i in range(64, 128)])
+    exposures, counts = np.array(drawn.exposures), np.array(drawn.counts)
+    extra_exposures, extra = exposures[:8].copy(), counts[:8].copy()
+    extra[0, 0] = _EXACT_RISE_TERMS + 4464
+    extra[1] = 2
+    for row, seed in ((2, 6), (3, 0)):
+        extra_exposures[row, 12:] = extra[row, 12:] = 0
+        extra[row, :12] = np.random.default_rng(seed).poisson(1e12, 12)
+    for row in (4, 5):
+        extra_exposures[row, :30] = extra[row, :30] = 0
+    extra[6] = 0
+    # K = 0 exactly, which C sum(n^2) ~ 4e24, past int64 and float
+    # resolution, would hide
+    extra_exposures[7, 2:] = extra[7] = 0
+    extra[7, :2] = (10**12 + 10**6, 10**12 - 10**6)
+    return TrialData(drawn.census_time, np.vstack([exposures, extra_exposures]),
+                     np.vstack([counts, extra]))
+
+
+def test_every_row_of_a_mixed_block_fits_as_alone(engine):
     data = _mixed_block()
     fits = fit_rows(data)
     want = [_single(data[row]) for row in range(len(data.exposures))]
@@ -76,9 +112,33 @@ def test_every_row_of_a_mixed_block_fits_as_alone():
     assert sum(not w[-1] for w in want if len(w) > 1) >= 15
 
 
-def test_permuting_a_block_permutes_its_fits():
-    data = _mixed_block()
+def test_every_row_of_a_ray_block_fits_as_alone(engine):
+    data = _ray_block()
     fits = fit_rows(data)
+    want = [_single(data[row]) for row in range(len(data.exposures))]
+    assert [_row(fits, row) for row in range(len(want))] == want
+    assert fits.equal_exposures.all()
+    kinds = collections.Counter(w[0] for w in want)
+    assert set(kinds) == {"ok", "boundary", "nonconverged", "insufficient"}
+    assert kinds["ok"] >= 60
+    # the boundary before Newton (K <= 0) and after it (the log-alpha cap)
+    assert {w[4] > 0 for w in want if w[0] == "boundary"} == {False, True}
+    assert max(float.fromhex(w[1]) for w in want if w[0] == "ok") > 500.0
+
+
+def _mixed_rays_and_planes() -> TrialData:
+    """The ray block's rows above the mixed block's, two blocks of
+    table 2 and table 3 trials that share a census and 150 centres."""
+    rays, planes = _ray_block(), _mixed_block()
+    assert rays.census_time == planes.census_time
+    return TrialData(rays.census_time, np.vstack([rays.exposures, planes.exposures]),
+                     np.vstack([rays.counts, planes.counts]))
+
+
+def test_permuting_a_block_permutes_its_fits(engine):
+    data = _mixed_rays_and_planes()
+    fits = fit_rows(data)
+    assert fits.equal_exposures.sum() > 64 and (~fits.equal_exposures).sum() > 15
     order = np.random.default_rng(5).permutation(len(data.exposures))
     shuffled = fit_rows(TrialData(data.census_time, data.exposures[order], data.counts[order]))
     for name in ("kind", "alpha_hat", "beta_hat", "log_lik", "steps", "equal_exposures"):
@@ -91,43 +151,62 @@ def test_fit_rows_takes_a_batch():
         fit_rows(TrialData(10.0, [4.0, 6.0], [3, 1]))
 
 
-def _staggered_block(rows=24, seed=3):
+def _staggered_block(rows=24, seed=3, equal=False):
+    """Trials of 60 centres with staggered exposures, or with one shared
+    exposure if ``equal``."""
     rng = np.random.default_rng(seed)
     exposures = rng.uniform(0.5, 10.0, (rows, 60))
+    if equal:
+        exposures[:] = 10.0
     rates = rng.gamma(rng.uniform(1.0, 4.0, (rows, 1)), 0.5, (rows, 60))
     return TrialData(10.0, exposures, rng.poisson(rates * exposures))
 
 
-def test_line_searches_evaluate_each_row_once_per_point(monkeypatch):
+@pytest.mark.parametrize("equal", [False, True], ids=["plane", "ray"])
+def test_line_searches_evaluate_each_row_once_per_point(engine, monkeypatch, equal):
     # a row's objective at the point it accepted carries into its next
-    # line search; only the final log-likelihood reads a point again
+    # line search: the likelihood in the plane, the profile on the ray
     calls = []
-    loglik = _Rows.loglik
+    name = "profile_loglik" if equal else "loglik"
+    objective = getattr(_Rows, name)
 
-    def recorded(self, alpha, beta, rows):
-        calls.append(list(zip(rows.tolist(), alpha.tolist(), beta.tolist())))
-        return loglik(self, alpha, beta, rows)
+    def recorded(self, *args):
+        *point, rows = args
+        calls.append(list(zip(rows.tolist(), *(x.tolist() for x in point))))
+        return objective(self, *args)
 
-    monkeypatch.setattr(_Rows, "loglik", recorded)
-    fits = fit_rows(_staggered_block())
-    assert (fits.kind == "ok").sum() >= 20
-    calls.pop()  # the log-likelihood at each row's optimum
+    monkeypatch.setattr(_Rows, name, recorded)
+    fits = fit_rows(_staggered_block(equal=equal))
+    assert (fits.kind == "ok").sum() >= 20 and fits.equal_exposures.all() == equal
+    if not equal:
+        calls.pop()  # the log-likelihood at each row's optimum
     points = [point for call in calls for point in call]
     assert len(points) == len(set(points))
     assert len(points) >= 40
 
 
-def test_newton_reads_the_hessian_only_for_rows_that_step(monkeypatch):
+@pytest.mark.parametrize("equal", [False, True], ids=["plane", "ray"])
+def test_newton_reads_the_curvature_only_for_rows_that_step(engine, monkeypatch, equal):
+    # in the plane the step reads the Hessian terms, on the ray the
+    # trigamma sum
     reads = collections.Counter()
-    hessian = _Rows.hessian
+    hessian, count_sum = _Rows.hessian, _Rows.count_sum
 
-    def counted(self, alpha, beta, rows):
+    def counted_hessian(self, alpha, beta, rows):
         reads.update(rows.tolist())
         return hessian(self, alpha, beta, rows)
 
-    monkeypatch.setattr(_Rows, "hessian", counted)
-    fits = fit_rows(_staggered_block())
-    assert fits.steps.min() > 0
+    def counted_sum(self, order, alpha, rows):
+        if order == 2:
+            reads.update(rows.tolist())
+        return count_sum(self, order, alpha, rows)
+
+    if equal:
+        monkeypatch.setattr(_Rows, "count_sum", counted_sum)
+    else:
+        monkeypatch.setattr(_Rows, "hessian", counted_hessian)
+    fits = fit_rows(_staggered_block(equal=equal))
+    assert fits.steps.min() > 0 and fits.equal_exposures.all() == equal
     # one group, so the reads count per row of the batch, in some order
     assert sorted(reads.values()) == sorted(fits.steps.tolist())
 
@@ -141,7 +220,7 @@ def test_a_row_block_squares_beta_as_a_single_trial_does():
     assert odd
     data = TrialData(10.0, [2.0, 5.0, 9.5], [3, 0, 11])
     single = _Workspace(data)
-    block = _Rows(np.array([[2.0, 5.0, 9.5]]), np.array([[3, 0, 11]]))
+    block = _Rows(np.array([[2.0, 5.0, 9.5]]), np.array([[3, 0, 11]]), False)
     for beta in odd[:50]:
         alpha = np.float64(1.7)
         got = block.hessian(np.array([alpha]), np.array([beta]), np.array([0]))
@@ -156,7 +235,7 @@ def _unit_probes():
         yield scale, TrialData(scale, np.array([1.0, 0.5, 0.25]) * scale, [0, 5, 2])
 
 
-def test_the_fitter_warns_of_nothing_past_the_float_range():
+def test_the_fitter_warns_of_nothing_past_the_float_range(engine):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for scale, data in _unit_probes():
@@ -196,3 +275,46 @@ def test_a_block_of_huge_counts_sums_within_the_element_budget():
     assert (fits.kind != "insufficient").all()
     assert [_row(fits, row) for row in range(0, 64, 9)] == [_single(data[row])
                                                              for row in range(0, 64, 9)]
+
+
+@pytest.mark.parametrize("table_id", ["2", "3"], ids=["ray", "plane"])
+def test_a_group_outside_the_measured_range_is_fitted_one_trial_at_a_time(monkeypatch,
+                                                                          table_id):
+    calls = []
+    fit_mle_alone = model.fit_mle
+
+    def counted(trial):
+        calls.append(trial)
+        return fit_mle_alone(trial)
+
+    monkeypatch.setattr(model, "fit_mle", counted)
+    least, most = model._MIN_GROUP_ROWS, model._MAX_GROUP_CENTRES
+    config = reproduction_table(table_id).rows[0][1]
+    # (rows, centres): one row short of the pass, and one centre past it
+    for rows, centres, singles in ((least - 1, 150, least - 1), (least, 150, 0),
+                                   (least, most + 1, least), (least, most, 0)):
+        cell = replace(config, centres=centres)
+        _, block = generate_trial(cell, [replication_rng(cell.seed, i) for i in range(rows)])
+        calls.clear()
+        fits = fit_rows(block)
+        assert len(calls) == singles
+        assert [_row(fits, row) for row in range(rows)] == [_single(block[row])
+                                                             for row in range(rows)]
+        assert fits.equal_exposures.all() == (table_id == "2")
+
+
+def test_every_table_row_fits_in_blocks_as_alone():
+    # every published table's rows, 64 replications each, drawn and
+    # fitted as one block, as the harness fits them
+    counted = collections.Counter()
+    for table_id in TABLE_IDS:
+        for _, config in reproduction_table(table_id).rows:
+            _, data = generate_trial(config, [replication_rng(config.seed, i)
+                                              for i in range(64)])
+            fits = fit_rows(data)
+            want = [_single(data[row]) for row in range(64)]
+            assert [_row(fits, row) for row in range(64)] == want, (table_id, config.seed)
+            counted.update((w[0], w[-1]) for w in want if len(w) > 1)
+    assert sum(counted.values()) == len(TABLE_IDS) * 7 * 64
+    assert set(counted) == {("ok", True), ("ok", False), ("boundary", True),
+                            ("boundary", False)}

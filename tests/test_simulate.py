@@ -280,12 +280,11 @@ def test_chunks_and_workers_change_no_byte(cell):
     assert one.degenerate_fits == two.degenerate_fits
 
 
-@pytest.mark.parametrize("schedule, single_fits", [
-    (Simultaneous(), 150),  # equal exposures: fit_mle fits each row on the ray
-    (UniformOnCensus(), 0),  # unequal: the block's rows in one Newton pass
+@pytest.mark.parametrize("schedule", [
+    Simultaneous(),  # equal exposures: the block's rows in one pass along the ray
+    UniformOnCensus(),  # unequal: the block's rows in one pass in the plane
 ], ids=["simultaneous", "uniform"])
-def test_a_row_draws_and_checks_its_trials_a_block_at_a_time(monkeypatch, schedule,
-                                                             single_fits):
+def test_a_row_draws_and_checks_its_trials_a_block_at_a_time(monkeypatch, schedule):
     calls = collections.Counter()
 
     def spy(name, original):
@@ -304,12 +303,11 @@ def test_a_row_draws_and_checks_its_trials_a_block_at_a_time(monkeypatch, schedu
                         spy("__post_init__", TrialData.__post_init__))
     coverage_study(_config(centres=20, replications=150, schedule=schedule))
     blocks = math.ceil(150 / simulate._BLOCK)
-    assert blocks > 1
+    assert blocks > 1 and 150 % simulate._BLOCK >= model._MIN_GROUP_ROWS
     # one batch checked and one fitter call per block, never a trial on
-    # its own
+    # its own: no block is small enough for single fits
     assert calls == {"generate_trial": blocks, "from_arrays": blocks,
-                     "__post_init__": blocks, "fit_rows": blocks,
-                     **({"fit_mle": single_fits} if single_fits else {})}
+                     "__post_init__": blocks, "fit_rows": blocks}
 
 
 @pytest.mark.parametrize("centres, replications, blocks", [
