@@ -17,9 +17,8 @@ once, then fits the batch's rows with one ``model.fit_rows`` call, which
 gives each row the bits that ``fit_mle`` gives it alone.  It groups the
 rows by their number of open centres and by whether those share one
 exposure, and each group runs one damped-Newton pass, along the ray or
-in the plane; a group of fewer than 10 rows (in a short last block, or
-with fewer replications) or of more than 700 open centres is fitted by
-``fit_mle`` row by row.  It keeps only
+in the plane, or goes through ``fit_mle`` row by row where the rule in
+``fit_rows`` says one pass would not pay.  It keeps only
 the few numbers scoring reads: the outcome, the summed true rate, the
 summed exposure, the total count, the estimates and the posterior
 moments of the summed rate, the sums each one array pass over the

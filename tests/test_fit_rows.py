@@ -1,6 +1,7 @@
 """``fit_rows``: a block of trials fitted at once, bit for bit ``fit_mle``."""
 
 import collections
+import sys
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -162,21 +163,29 @@ def _staggered_block(rows=24, seed=3, equal=False):
     return TrialData(10.0, exposures, rng.poisson(rates * exposures))
 
 
+def _row_of(data: TrialData):
+    """The batch row of each row of a group's workspace, found by its
+    counts, for a batch whose centres are all open."""
+    index = {counts.tobytes(): row for row, counts in enumerate(data.counts.astype(float))}
+    return lambda ws: [index[counts.tobytes()] for counts in ws.counts]
+
+
 @pytest.mark.parametrize("equal", [False, True], ids=["plane", "ray"])
 def test_line_searches_evaluate_each_row_once_per_point(engine, monkeypatch, equal):
     # a row's objective at the point it accepted carries into its next
     # line search: the likelihood in the plane, the profile on the ray
     calls = []
+    data = _staggered_block(equal=equal)
+    row_of = _row_of(data)
     name = "profile_loglik" if equal else "loglik"
     objective = getattr(_Rows, name)
 
-    def recorded(self, *args):
-        *point, rows = args
-        calls.append(list(zip(rows.tolist(), *(x.tolist() for x in point))))
-        return objective(self, *args)
+    def recorded(self, *point):
+        calls.append(list(zip(row_of(self), *(x.tolist() for x in point))))
+        return objective(self, *point)
 
     monkeypatch.setattr(_Rows, name, recorded)
-    fits = fit_rows(_staggered_block(equal=equal))
+    fits = fit_rows(data)
     assert (fits.kind == "ok").sum() >= 20 and fits.equal_exposures.all() == equal
     if not equal:
         calls.pop()  # the log-likelihood at each row's optimum
@@ -190,25 +199,75 @@ def test_newton_reads_the_curvature_only_for_rows_that_step(engine, monkeypatch,
     # in the plane the step reads the Hessian terms, on the ray the
     # trigamma sum
     reads = collections.Counter()
+    data = _staggered_block(equal=equal)
+    row_of = _row_of(data)
     hessian, count_sum = _Rows.hessian, _Rows.count_sum
 
-    def counted_hessian(self, alpha, beta, rows):
-        reads.update(rows.tolist())
-        return hessian(self, alpha, beta, rows)
+    def counted_hessian(self, alpha, beta):
+        reads.update(row_of(self))
+        return hessian(self, alpha, beta)
 
-    def counted_sum(self, order, alpha, rows):
+    def counted_sum(self, order, alpha):
         if order == 2:
-            reads.update(rows.tolist())
-        return count_sum(self, order, alpha, rows)
+            reads.update(row_of(self))
+        return count_sum(self, order, alpha)
 
     if equal:
         monkeypatch.setattr(_Rows, "count_sum", counted_sum)
     else:
         monkeypatch.setattr(_Rows, "hessian", counted_hessian)
-    fits = fit_rows(_staggered_block(equal=equal))
+    fits = fit_rows(data)
     assert fits.steps.min() > 0 and fits.equal_exposures.all() == equal
-    # one group, so the reads count per row of the batch, in some order
-    assert sorted(reads.values()) == sorted(fits.steps.tolist())
+    assert [reads[row] for row in range(len(data.counts))] == fits.steps.tolist()
+
+
+@pytest.mark.parametrize("equal", [False, True], ids=["plane", "ray"])
+def test_a_workspace_takes_each_beta_terms_once(engine, monkeypatch, equal):
+    # the score and the Hessian at one point share b + t_c and
+    # sum log1p(t_c / b), and so do the score and the likelihood that
+    # certify a fit
+    seen, workspaces = collections.Counter(), []
+    log1p_sum = model._log1p_sum
+
+    def counted(exposures, b):
+        ws = sys._getframe(1).f_locals["self"]
+        workspaces.append(ws)  # held, so no two workspaces share an id
+        seen.update((id(ws), row, beta) for row, beta in enumerate(np.ravel(b).tolist()))
+        return log1p_sum(exposures, b)
+
+    monkeypatch.setattr(model, "_log1p_sum", counted)
+    fits = fit_rows(_staggered_block(equal=equal))
+    assert (fits.kind == "ok").sum() >= 20 and fits.equal_exposures.all() == equal
+    assert len(seen) >= 24 and max(seen.values()) == 1
+
+
+@pytest.mark.parametrize("equal", [False, True], ids=["plane", "ray"])
+def test_a_group_with_no_row_to_step_takes_no_ascent(engine, monkeypatch, equal):
+    # zero counts in the plane (insufficient) and counts spread evenly on
+    # the ray (K < 0, a boundary before Newton): no row steps, and the
+    # pass calls no ascent
+    passes, calls = [], []
+    newton_rows = model._newton_rows
+
+    def counted_pass(*args):
+        *head, ascent, objective = args
+
+        def counted(*point):
+            calls.append(point)
+            return ascent(*point)
+        passes.append(head)
+        return newton_rows(*head, counted, objective)
+
+    monkeypatch.setattr(model, "_newton_rows", counted_pass)
+    rows = 12 if equal else 16
+    exposures = np.full((rows, 20), 10.0) if equal else _staggered_block(rows).exposures
+    counts = np.full((rows, 20), 3) if equal else np.zeros((rows, 60), dtype=int)
+    data = TrialData(10.0, exposures, counts)
+    fits = fit_rows(data)
+    assert len(passes) == 1 and not calls
+    want = [_single(data[row]) for row in range(rows)]
+    assert [_row(fits, row) for row in range(rows)] == want
+    assert {w[0] for w in want} == {"boundary" if equal else "insufficient"}
 
 
 def test_a_row_block_squares_beta_as_a_single_trial_does():
@@ -223,7 +282,7 @@ def test_a_row_block_squares_beta_as_a_single_trial_does():
     block = _Rows(np.array([[2.0, 5.0, 9.5]]), np.array([[3, 0, 11]]), False)
     for beta in odd[:50]:
         alpha = np.float64(1.7)
-        got = block.hessian(np.array([alpha]), np.array([beta]), np.array([0]))
+        got = block.hessian(np.array([alpha]), np.array([beta]))
         want = single.hessian(alpha, np.float64(beta))
         assert [float(g[0]) for g in got] == [float(w) for w in want]
 

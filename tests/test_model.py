@@ -119,11 +119,11 @@ def test_count_sums_match_mpmath(count):
             assert abs(got - want) <= bound * abs(want), (alpha, got, want)
 
 
-def _ray_slope_curvature(ws, ratio, log_alpha):
+def _ray_slope_curvature(ws, log_alpha):
     """The profile's slope that ``_ray_ascent`` reads at log alpha, signed
     by its step, and the magnitude of its curvature, or None where the
     step is clipped and does not give it away."""
-    slope, step = model._ray_ascent(ws, ratio, log_alpha)
+    slope, step = model._ray_ascent(ws, log_alpha)
     (newton,) = step()
     curvature = slope / abs(newton) if 0 < abs(newton) < 1.0 else None
     return math.copysign(slope, newton), curvature
@@ -171,7 +171,7 @@ def test_ray_derivatives_match_the_per_centre_form():
                           + (c * alpha * t + n * beta) / (beta + t))
             curvature_size = (alpha * alpha * abs(trigamma) + 2.0 * c * alpha * (1.0 + share)
                               + c * alpha + (c * alpha + n) * share * share + slope_size)
-            got_slope, got_curvature = _ray_slope_curvature(ws, ratio, log_alpha)
+            got_slope, got_curvature = _ray_slope_curvature(ws, log_alpha)
             assert abs(got_slope - slope) <= 1e-13 * slope_size
             if got_curvature is not None:
                 assert abs(got_curvature - abs(curvature)) <= 1e-13 * curvature_size
@@ -199,7 +199,7 @@ def test_ray_slope_and_curvature_match_mpmath():
             slope_size = alpha * (abs(digamma) + c * np.log1p(t / beta))
             curvature_size = alpha * (alpha * abs(trigamma) + c * t / (beta + t)) + slope_size
             slope, curvature = oracles.profile_slope_curvature(alpha, ratio, exposures, counts)
-            got_slope, got_curvature = _ray_slope_curvature(ws, ratio, log_alpha)
+            got_slope, got_curvature = _ray_slope_curvature(ws, log_alpha)
             assert abs(got_slope - slope) <= 1e-14 * slope_size
             checked += 1
             if got_curvature is not None:
@@ -481,8 +481,8 @@ def test_newton_reads_the_hessian_only_for_steps_it_takes(monkeypatch, equal):
     if equal:
         ray_ascent = model._ray_ascent
 
-        def counted(ws, ratio, log_alpha):
-            slope, step = ray_ascent(ws, ratio, log_alpha)
+        def counted(ws, log_alpha):
+            slope, step = ray_ascent(ws, log_alpha)
 
             def counted_step():
                 calls.append(log_alpha)
