@@ -74,7 +74,7 @@ from .simulate import (
     generate_trial,
     kernel_density,
     quantile_probability_study,
-    replication_rng,
+    replication_rngs,
 )
 
 __version__ = "0.1.0"

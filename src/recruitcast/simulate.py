@@ -10,23 +10,24 @@ runs in two phases.  First it draws and fits its replications in blocks
 of max(1, min(64, 2^16 // C)) replications for trials of C centres
 (``_BLOCK`` and ``_BLOCK_ELEMENTS``), so each of a block's arrays holds
 at most 2^16 values, or one trial's C where C is larger, whatever the
-number of replications.  Each block runs in two steps: it draws one
-trial from the stream seeded by (config.seed, i) for every replication i
-of the block, stacked into one batched ``TrialData`` that is checked
-once, then fits the batch's rows with one ``model.fit_rows`` call, which
-gives each row the bits that ``fit_mle`` gives it alone.  It groups the
-rows by their number of open centres and by whether those share one
-exposure, and each group runs one damped-Newton pass, along the ray or
-in the plane, or goes through ``fit_mle`` row by row where the rule in
-``fit_rows`` says one pass would not pay.  It keeps only
-the few numbers scoring reads: the outcome, the summed true rate, the
-summed exposure, the total count, the estimates and the posterior
-moments of the summed rate, the sums each one array pass over the
-block.  Then it scores all of its replications at once: pooling, the
-adjusted probabilities, every quantile and both exact coverages run as
-array operations, boundary replications through their limit laws beside
-the interior ones, all through the library's
-``predict.equal_tailed_interval``.
+number of replications.  Each block runs in two steps.  It seeds the
+streams of its replications in one pass, ``replication_rngs``, each of
+them bit for bit ``np.random.default_rng([config.seed, i])`` for
+replication i, and draws one trial from each stream, stacked into one
+batched ``TrialData`` that is checked once.  Then it fits the batch's
+rows with one ``model.fit_rows`` call, which gives each row the bits
+that ``fit_mle`` gives it alone.  It groups the rows by their number of
+open centres and by whether those share one exposure, and each group
+runs one damped-Newton pass, along the ray or in the plane, or goes
+through ``fit_mle`` row by row where the rule in ``fit_rows`` says one
+pass would not pay.  It keeps only the few numbers scoring reads: the
+outcome, the summed true rate, the summed exposure, the total count,
+the estimates and the posterior moments of the summed rate, the sums
+each one array pass over the block.  Then it scores all of its
+replications at once: pooling, the adjusted probabilities, every
+quantile and both exact coverages run as array operations, boundary
+replications through their limit laws beside the interior ones, all
+through the library's ``predict.equal_tailed_interval``.
 
 Neither the block nor the chunk boundaries nor the number of processes
 can move a byte.  Each replication's numbers come from its own stream
@@ -40,6 +41,7 @@ which always runs in replication order over the concatenated chunks.
 from __future__ import annotations
 
 import math
+import operator
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -47,6 +49,8 @@ from functools import partial
 from typing import Sequence, Union
 
 import numpy as np
+from numpy.random import PCG64, Generator
+from numpy.random.bit_generator import ISeedSequence
 
 from .distributions import (
     GammaParams,
@@ -87,7 +91,7 @@ __all__ = [
     "SimConfig",
     "CoverageReport",
     "QuantileProbabilitySample",
-    "replication_rng",
+    "replication_rngs",
     "generate_trial",
     "exact_coverage",
     "coverage_study",
@@ -254,9 +258,108 @@ class QuantileProbabilitySample:
     degenerate_fits: int
 
 
-def replication_rng(seed: int, index: int) -> np.random.Generator:
-    """Independent stream for replication ``index`` under a base seed."""
-    return np.random.default_rng([int(seed), int(index)])
+# NumPy's SeedSequence hash (numpy/random/bit_generator.pyx), which
+# replication_rngs runs over many entropy rows at once: a pool of four
+# 32-bit words, filled and mixed with one hash-constant sequence (INIT_A
+# times powers of MULT_A) and read out with another (INIT_B, MULT_B).
+_POOL = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_LEFT, _MIX_RIGHT = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_SHIFT = np.uint32(16)
+_WORD = 1 << 32
+
+
+def _hash_constants(first: int, multiplier: int, count: int) -> np.ndarray:
+    """The first ``count`` constants of a hash sequence, as a column."""
+    return np.array([[first * pow(multiplier, k, _WORD) % _WORD] for k in range(count)],
+                    dtype=np.uint32)
+
+
+# the pool's fill and mix take 4 + 12 hash steps, and each entropy word
+# past the pool 4 more, whose constants are the previous word's times
+# MULT_A to the 4th
+_FILL_CONSTANTS = _hash_constants(_INIT_A, _MULT_A, _POOL * (_POOL + 1) + 1)
+_EXTRA_CONSTANTS = _FILL_CONSTANTS[_POOL * _POOL:]
+_EXTRA_MULTIPLIER = np.uint32(pow(_MULT_A, _POOL, _WORD))
+# generate_state(4, uint64) reads 8 words, cycling through the pool twice
+_STATE_CONSTANTS = _hash_constants(_INIT_B, _MULT_B, 2 * _POOL + 1)
+# the mix step that hashes pool word k mixes it into every other word
+_OTHER_WORDS = [np.flatnonzero(np.arange(_POOL) != k) for k in range(_POOL)]
+
+
+def _hashmix(words: np.ndarray, constants: np.ndarray) -> np.ndarray:
+    """SeedSequence's ``hashmix`` of one hash step per row of ``words``:
+    step k xors constant k, multiplies by constant k + 1 and xors in the
+    high half."""
+    mixed = (words ^ constants[:-1]) * constants[1:]
+    return mixed ^ (mixed >> _SHIFT)
+
+
+def _mix(pool: np.ndarray, hashed: np.ndarray) -> np.ndarray:
+    mixed = _MIX_LEFT * pool - _MIX_RIGHT * hashed
+    return mixed ^ (mixed >> _SHIFT)
+
+
+def _pcg64_states(entropy: np.ndarray) -> np.ndarray:
+    """``SeedSequence(column).generate_state(4, np.uint64)`` for each
+    column of ``entropy``, a (words, streams) uint32 array; one row each."""
+    pool = np.zeros((_POOL, entropy.shape[1]), dtype=np.uint32)
+    pool[:len(entropy)] = entropy[:_POOL]
+    pool = _hashmix(pool, _FILL_CONSTANTS[:_POOL + 1])
+    for source, others in enumerate(_OTHER_WORDS):
+        step = _POOL + (_POOL - 1) * source
+        hashed = _hashmix(pool[source], _FILL_CONSTANTS[step:step + _POOL])
+        pool[others] = _mix(pool[others], hashed)
+    constants = _EXTRA_CONSTANTS
+    for word in entropy[_POOL:]:
+        pool = _mix(pool, _hashmix(word, constants))
+        constants = constants * _EXTRA_MULTIPLIER
+    state = _hashmix(np.concatenate([pool, pool]), _STATE_CONSTANTS)
+    # SeedSequence reads word pairs little-endian whatever the host's order
+    return np.ascontiguousarray(state.T, dtype="<u4").view("<u8").astype(np.uint64)
+
+
+class _HashedState(ISeedSequence):
+    """A seed source holding one stream's hashed state, which it hands to
+    ``PCG64``'s one request, ``generate_state(4, np.uint64)``."""
+
+    def __init__(self, state: np.ndarray) -> None:
+        self.state = state
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        if n_words != _POOL or dtype is not np.uint64:
+            raise ValueError("a hashed state holds PCG64's 4 uint64 words only")
+        return self.state
+
+
+def _word_bytes(value: int) -> int:
+    """The number of bytes in ``value``'s 32-bit words, at least one word."""
+    return 4 * max(1, -(-value.bit_length() // 32))
+
+
+def replication_rngs(seed: int, start: int, stop: int) -> list[np.random.Generator]:
+    """Independent streams for replications ``start`` up to ``stop``.
+
+    Stream i is bit for bit ``np.random.default_rng([seed, i])``: its
+    entropy is ``seed``'s 32-bit words then ``i``'s, as ``SeedSequence``
+    coerces them, and ``SeedSequence``'s hash runs over all the rows of
+    indices with one word count as uint32 array arithmetic.  A negative
+    seed or index raises ValueError, as it does in ``default_rng``.
+    """
+    seed, start, stop = operator.index(seed), operator.index(start), operator.index(stop)
+    if seed < 0 or start < 0:
+        raise ValueError("expected non-negative integer")
+    head = seed.to_bytes(_word_bytes(seed), "little")
+    rngs = []
+    while start < stop:
+        width = _word_bytes(start)
+        end = min(stop, 1 << (8 * width))
+        rows = b"".join(head + i.to_bytes(width, "little") for i in range(start, end))
+        entropy = np.frombuffer(rows, dtype="<u4").astype(np.uint32).reshape(end - start, -1)
+        rngs += [Generator(PCG64(_HashedState(state))) for state in _pcg64_states(entropy.T)]
+        start = end
+    return rngs
 
 
 def generate_trial(config: SimConfig, rngs: Sequence[np.random.Generator]
@@ -269,7 +372,9 @@ def generate_trial(config: SimConfig, rngs: Sequence[np.random.Generator]
     under a common seed.  Row i of the rates and ``data[i]`` are the
     trial drawn from ``rngs[i]``, whatever the other generators; a
     single trial is the batch of one, ``generate_trial(config, [rng])``,
-    read as row 0.
+    read as row 0.  In the harness ``rngs`` are a block's streams from
+    one ``replication_rngs(config.seed, start, stop)`` call, seeded in one
+    pass, each bit for bit ``np.random.default_rng([config.seed, i])``.
     """
     shape = (len(rngs), config.centres)
     exposures, rates = np.empty(shape), np.empty(shape)
@@ -369,8 +474,7 @@ def _fit_chunk(config: SimConfig, bounds: tuple[int, int]) -> dict[str, np.ndarr
     rows = max(1, min(_BLOCK, _BLOCK_ELEMENTS // config.centres))
     for start in range(first, stop, rows):
         end = min(start + rows, stop)
-        rates, data = generate_trial(config, [replication_rng(config.seed, i)
-                                              for i in range(start, end)])
+        rates, data = generate_trial(config, replication_rngs(config.seed, start, end))
         block = {name: column[start - first:end - first] for name, column in fits.items()}
         block["total_rate"][:] = rates.sum(axis=1)
         block["exposure_sum"][:] = data.exposures.sum(axis=1)

@@ -47,7 +47,7 @@ from recruitcast import (
     poisson_quantile,
     pool_centres,
     quantile_probability_study,
-    replication_rng,
+    replication_rngs,
     verify_cumulant_ordering,
 )
 from recruitcast.reproduce import reproduction_table
@@ -254,7 +254,7 @@ def test_criterion_07_pooled_posterior_fidelity(report):
                        census_time=200.0, schedule=UniformOnCensus(),
                        objective=COUNT, horizon=200.0, level=0.9,
                        replications=1000, seed=1731)
-    rates, data = generate_trial(config, [replication_rng(config.seed, 0)])
+    rates, data = generate_trial(config, replication_rngs(config.seed, 0, 1))
     rates, data = rates[0], data[0]
     fit = fit_mle(data)
     pool = pool_centres(data, fit)
@@ -270,8 +270,8 @@ def test_criterion_07_pooled_posterior_fidelity(report):
 
     close = 0
     usable = 0
-    for index in range(config.replications):
-        data_i = generate_trial(config, [replication_rng(config.seed, index)])[1][0]
+    for rng in replication_rngs(config.seed, 0, config.replications):
+        data_i = generate_trial(config, [rng])[1][0]
         try:
             fit_i = fit_mle(data_i)
         except (DegenerateLikelihood, InsufficientData):

@@ -43,7 +43,7 @@ from recruitcast import (
     ModelFit,
     fit_mle,
     generate_trial,
-    replication_rng,
+    replication_rngs,
 )
 from recruitcast import model
 from recruitcast.reproduce import TABLE_IDS, reproduction_table
@@ -66,8 +66,8 @@ def _table_rows():
 def pinned_trials():
     """Each pinned replication's trial, in table order."""
     for where, config in _table_rows():
-        for index in range(REPLICATIONS_PER_ROW):
-            data = generate_trial(config, [replication_rng(config.seed, index)])[1][0]
+        for index, rng in enumerate(replication_rngs(config.seed, 0, REPLICATIONS_PER_ROW)):
+            data = generate_trial(config, [rng])[1][0]
             yield {**where, "replication": index}, data
 
 
@@ -97,8 +97,8 @@ def row_fit_records(block: int = REPLICATIONS_PER_ROW) -> list[dict]:
     records = []
     for where, config in _table_rows():
         for first in range(0, REPLICATIONS_PER_ROW, block):
-            _, data = generate_trial(config, [replication_rng(config.seed, index)
-                                              for index in range(first, first + block)])
+            _, data = generate_trial(config, replication_rngs(config.seed, first,
+                                                                 first + block))
             with mock.patch.object(model, "_MIN_GROUP_ROWS", 1):
                 fits = model.fit_rows(data)
             for i in range(min(block, REPLICATIONS_PER_ROW - first)):

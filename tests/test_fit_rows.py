@@ -5,9 +5,12 @@ import sys
 import tracemalloc
 import warnings
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from recruitcast import (
     DegenerateLikelihood,
@@ -15,7 +18,7 @@ from recruitcast import (
     TrialData,
     fit_mle,
     generate_trial,
-    replication_rng,
+    replication_rngs,
 )
 from recruitcast import model
 from recruitcast.model import _EXACT_RISE_TERMS, _Rows, _Workspace, fit_rows
@@ -56,7 +59,7 @@ def _mixed_block() -> TrialData:
     numbers of closed centres, equal exposures, no recruits, no open
     centre and counts that show no over-dispersion."""
     config = reproduction_table("3").rows[0][1]
-    _, drawn = generate_trial(config, [replication_rng(config.seed, i) for i in range(250, 274)])
+    _, drawn = generate_trial(config, replication_rngs(config.seed, 250, 274))
     exposures, counts = np.array(drawn.exposures), np.array(drawn.counts)
     census, centres = drawn.census_time, drawn.num_centres
     counts[3] *= 7  # a longer rise
@@ -84,7 +87,7 @@ def _ray_block() -> TrialData:
     centres, which climb to the log-alpha cap in one row and stop
     unconverged in the other, closed centres, and no recruits."""
     config = reproduction_table("2").rows[0][1]
-    _, drawn = generate_trial(config, [replication_rng(config.seed, i) for i in range(64, 128)])
+    _, drawn = generate_trial(config, replication_rngs(config.seed, 64, 128))
     exposures, counts = np.array(drawn.exposures), np.array(drawn.counts)
     extra_exposures, extra = exposures[:8].copy(), counts[:8].copy()
     extra[0, 0] = _EXACT_RISE_TERMS + 4464
@@ -353,7 +356,7 @@ def test_a_group_outside_the_measured_range_is_fitted_one_trial_at_a_time(monkey
     for rows, centres, singles in ((least - 1, 150, least - 1), (least, 150, 0),
                                    (least, most + 1, least), (least, most, 0)):
         cell = replace(config, centres=centres)
-        _, block = generate_trial(cell, [replication_rng(cell.seed, i) for i in range(rows)])
+        _, block = generate_trial(cell, replication_rngs(cell.seed, 0, rows))
         calls.clear()
         fits = fit_rows(block)
         assert len(calls) == singles
@@ -368,8 +371,7 @@ def test_every_table_row_fits_in_blocks_as_alone():
     counted = collections.Counter()
     for table_id in TABLE_IDS:
         for _, config in reproduction_table(table_id).rows:
-            _, data = generate_trial(config, [replication_rng(config.seed, i)
-                                              for i in range(64)])
+            _, data = generate_trial(config, replication_rngs(config.seed, 0, 64))
             fits = fit_rows(data)
             want = [_single(data[row]) for row in range(64)]
             assert [_row(fits, row) for row in range(64)] == want, (table_id, config.seed)
@@ -377,3 +379,60 @@ def test_every_table_row_fits_in_blocks_as_alone():
     assert sum(counted.values()) == len(TABLE_IDS) * 7 * 64
     assert set(counted) == {("ok", True), ("ok", False), ("boundary", True),
                             ("boundary", False)}
+
+
+@st.composite
+def _engine_blocks(draw):
+    """A block of 1-70 trials of up to 12 centres, each row with equal or
+    unequal exposures and one of the block's one or two numbers of closed
+    centres, its counts drawn from a gamma-Poisson law, all zero, or
+    spread so that K is 0 exactly on its open centres; and up to two
+    counts past the exact-sum limit."""
+    centres = draw(st.integers(1, 12))
+    rows = draw(st.integers(1, 70))
+    census = draw(st.sampled_from([1.0, 30.0, 200.0]))
+    closings = draw(st.lists(st.integers(0, centres), min_size=1, max_size=2))
+    shapes = draw(st.lists(st.tuples(st.booleans(), st.sampled_from(closings),
+                                     st.sampled_from(["drawn", "zero", "k_zero"])),
+                           min_size=rows, max_size=rows))
+    huge = draw(st.lists(st.integers(0, rows - 1), max_size=2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    exposures = np.empty((rows, centres))
+    counts = np.zeros((rows, centres), dtype=np.int64)
+    for row, (equal, closed, kind) in enumerate(shapes):
+        opened = centres - closed
+        if kind == "k_zero":
+            # pairs d^2 + d, d^2 - d on an even number of equal exposures:
+            # C sum(n^2) - n^2 - C n = 0
+            equal, opened = True, opened - opened % 2
+            d = rng.integers(1, 31)
+            counts[row, :opened] = np.resize([d * d + d, d * d - d], opened)
+        exposures[row] = census * (rng.uniform(0.05, 1.0) if equal
+                                   else rng.uniform(0.05, 1.0, centres))
+        if kind == "drawn":
+            shape, level = rng.uniform(0.3, 5.0), rng.uniform(0.5, 60.0)
+            rates = rng.gamma(shape, level / shape, centres)
+            counts[row] = rng.poisson(rates * exposures[row] / census)
+        exposures[row, opened:] = counts[row, opened:] = 0
+        order = rng.permutation(centres)
+        exposures[row], counts[row] = exposures[row, order], counts[row, order]
+    for row in huge:
+        open_centres = np.flatnonzero(exposures[row])
+        if open_centres.size:
+            counts[row, rng.choice(open_centres)] = _EXACT_RISE_TERMS + rng.integers(1, 5000)
+    return TrialData(census, exposures, counts)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(data=_engine_blocks())
+def test_any_block_fits_as_its_rows_fit_alone(data):
+    # with every group in one pass, and with the row bound at its default
+    want = [_single(data[row]) for row in range(len(data.exposures))]
+    for least in (1, model._MIN_GROUP_ROWS):
+        with mock.patch.object(model, "_MIN_GROUP_ROWS", least):
+            fits = fit_rows(data)
+        assert [_row(fits, row) for row in range(len(want))] == want
+        insufficient = fits.kind == "insufficient"
+        assert np.isnan(fits.alpha_hat[insufficient]).all()
+        assert np.isnan(fits.beta_hat[insufficient]).all()
+        assert np.isnan(fits.log_lik[insufficient]).all() and not fits.steps[insufficient].any()

@@ -26,7 +26,7 @@ from recruitcast import (
     model,
     pool_centres,
     posterior_rate_moments,
-    replication_rng,
+    replication_rngs,
 )
 from recruitcast.cli import parse_centre_csv
 from recruitcast.datasets import DEMO_SUMMARY_CENSUS, demo_summary_path
@@ -413,8 +413,8 @@ def test_fit_recovers_from_a_start_off_the_concave_region(census, exposures,
 
 def _replications(table_id, per_row):
     for _, config in reproduction_table(table_id).rows:
-        for index in range(per_row):
-            yield generate_trial(config, [replication_rng(config.seed, index)])[1][0]
+        for rng in replication_rngs(config.seed, 0, per_row):
+            yield generate_trial(config, [rng])[1][0]
 
 
 @pytest.mark.parametrize("table_id, equal", [("2", True), ("3", False), ("F1", False)])
@@ -520,7 +520,8 @@ def test_count_sums_are_computed_only_where_read(monkeypatch, table_id, row, rep
 
     monkeypatch.setattr(model, "_rise_sum", counted)
     config = reproduction_table(table_id).rows[row][1]
-    fit = fit_mle(generate_trial(config, [replication_rng(config.seed, replication)])[1][0])
+    fit = fit_mle(generate_trial(config, replication_rngs(config.seed, replication,
+                                                               replication + 1))[1][0])
     assert fit.converged and fit.equal_exposures == (table_id == "D2")
     assert orders.count(1) == fit.iterations + 1
     assert orders.count(2) == fit.iterations
@@ -565,7 +566,7 @@ def test_near_ridge_replication_converges():
     # along one direction and the Hessian nearly singular
     config = reproduction_table("3").rows[0][1]
     assert config.seed == 97
-    data = generate_trial(config, [replication_rng(config.seed, 252)])[1][0]
+    data = generate_trial(config, replication_rngs(config.seed, 252, 253))[1][0]
     fit = fit_mle(data)
     assert fit.converged
     assert _score(data, fit.alpha_hat, fit.beta_hat) <= 1e-8

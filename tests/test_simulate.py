@@ -38,7 +38,7 @@ from recruitcast import (
     pool_centres,
     prediction_interval,
     quantile_probability_study,
-    replication_rng,
+    replication_rngs,
 )
 from recruitcast import model, simulate
 from recruitcast.asymptotics import limit_prob_cdf
@@ -64,7 +64,7 @@ def _config(**overrides):
 
 def test_generate_trial_simultaneous_full_exposure():
     config = _config(centres=25)
-    rates, data = generate_trial(config, [replication_rng(config.seed, 0)])
+    rates, data = generate_trial(config, replication_rngs(config.seed, 0, 1))
     rates, data = rates[0], data[0]
     assert rates.shape == (25,)
     assert np.all(rates > 0)
@@ -75,19 +75,19 @@ def test_generate_trial_simultaneous_full_exposure():
 
 def test_generate_trial_split_half_pattern():
     config = _config(centres=10, schedule=SplitHalf())
-    data = generate_trial(config, [replication_rng(config.seed, 0)])[1][0]
+    data = generate_trial(config, replication_rngs(config.seed, 0, 1))[1][0]
     assert np.all(data.exposures[:5] == 200.0)
     assert np.all(data.exposures[5:] == 0.0)
     assert np.all(data.counts[5:] == 0)
     # odd centre count rounds the open half up
     config = _config(centres=5, schedule=SplitHalf())
-    data = generate_trial(config, [replication_rng(config.seed, 0)])[1][0]
+    data = generate_trial(config, replication_rngs(config.seed, 0, 1))[1][0]
     assert np.sum(data.exposures == 200.0) == 3
 
 
 def test_generate_trial_uniform_schedule_spread():
     config = _config(centres=200, schedule=UniformOnCensus())
-    data = generate_trial(config, [replication_rng(config.seed, 3)])[1][0]
+    data = generate_trial(config, replication_rngs(config.seed, 3, 4))[1][0]
     assert np.all(data.exposures >= 0.0)
     assert np.all(data.exposures <= 200.0)
     assert np.unique(data.exposures).size == 200
@@ -95,14 +95,14 @@ def test_generate_trial_uniform_schedule_spread():
 
 def test_generate_trial_deterministic_streams():
     config = _config(centres=40, schedule=UniformOnCensus())
-    rates_a, data_a = generate_trial(config, [replication_rng(11, 4)])
+    rates_a, data_a = generate_trial(config, replication_rngs(11, 4, 5))
     rates_a, data_a = rates_a[0], data_a[0]
-    rates_b, data_b = generate_trial(config, [replication_rng(11, 4)])
+    rates_b, data_b = generate_trial(config, replication_rngs(11, 4, 5))
     rates_b, data_b = rates_b[0], data_b[0]
     assert np.array_equal(rates_a, rates_b)
     assert np.array_equal(data_a.exposures, data_b.exposures)
     assert np.array_equal(data_a.counts, data_b.counts)
-    rates_c = generate_trial(config, [replication_rng(11, 5)])[0][0]
+    rates_c = generate_trial(config, replication_rngs(11, 5, 6))[0][0]
     assert not np.array_equal(rates_a, rates_c)
 
 
@@ -111,8 +111,8 @@ def test_generate_trial_mean_total_count():
     # (alpha/beta) t + (alpha/beta^2) t^2 gives sd(n•) = 30.55
     config = _config(replications=10_000)
     total = 0.0
-    for rep in range(config.replications):
-        data = generate_trial(config, [replication_rng(config.seed, rep)])[1][0]
+    for rng in replication_rngs(config.seed, 0, config.replications):
+        data = generate_trial(config, [rng])[1][0]
         total += data.total_count
     mean = total / config.replications
     assert abs(mean - 400.0) < 3.0 * 30.551 / 100.0
@@ -296,6 +296,9 @@ def test_a_row_draws_and_checks_its_trials_a_block_at_a_time(monkeypatch, schedu
     monkeypatch.setattr(simulate, "generate_trial",
                         spy("generate_trial", simulate.generate_trial))
     monkeypatch.setattr(simulate, "fit_rows", spy("fit_rows", simulate.fit_rows))
+    monkeypatch.setattr(simulate, "replication_rngs",
+                        spy("replication_rngs", simulate.replication_rngs))
+    monkeypatch.setattr(np.random, "default_rng", spy("default_rng", np.random.default_rng))
     monkeypatch.setattr(model, "fit_mle", spy("fit_mle", model.fit_mle))
     monkeypatch.setattr(TrialData, "from_arrays",
                         classmethod(spy("from_arrays", TrialData.from_arrays.__func__)))
@@ -304,10 +307,12 @@ def test_a_row_draws_and_checks_its_trials_a_block_at_a_time(monkeypatch, schedu
     coverage_study(_config(centres=20, replications=150, schedule=schedule))
     blocks = math.ceil(150 / simulate._BLOCK)
     assert blocks > 1 and 150 % simulate._BLOCK >= model._MIN_GROUP_ROWS
-    # one batch checked and one fitter call per block, never a trial on
-    # its own: no block is small enough for single fits
-    assert calls == {"generate_trial": blocks, "from_arrays": blocks,
-                     "__post_init__": blocks, "fit_rows": blocks}
+    # one seeding pass, one batch checked and one fitter call per block,
+    # never a trial on its own: no block is small enough for single fits,
+    # and no stream is seeded one at a time
+    assert calls == {"replication_rngs": blocks, "generate_trial": blocks,
+                     "from_arrays": blocks, "__post_init__": blocks, "fit_rows": blocks}
+    assert calls["default_rng"] == 0
 
 
 @pytest.mark.parametrize("centres, replications, blocks", [
@@ -381,7 +386,7 @@ def test_boundary_replication_matches_limiting_interior_fit():
                 census_time=1.0, schedule=Simultaneous(), level=0.9,
                 replications=1, seed=300)
     probe = SimConfig(**base, objective=COUNT, horizon=4.0)
-    rates, data = generate_trial(probe, [replication_rng(300, 0)])
+    rates, data = generate_trial(probe, replication_rngs(300, 0, 1))
     rates, data = rates[0], data[0]
     assert data.total_count == 1
     with pytest.raises(DegenerateLikelihood):
@@ -502,5 +507,23 @@ def test_sim_config_validation():
 
 def test_replication_rng_is_stream_indexed():
     direct = np.random.default_rng([9, 3]).random(4)
-    assert np.array_equal(replication_rng(9, 3).random(4), direct)
-    assert not np.array_equal(replication_rng(9, 2).random(4), direct)
+    assert np.array_equal(replication_rngs(9, 3, 4)[0].random(4), direct)
+    assert not np.array_equal(replication_rngs(9, 2, 3)[0].random(4), direct)
+    # every stream of a range is default_rng([seed, i]), across seeds of one
+    # to seven 32-bit words and a range whose indices pass 2^32 midway
+    for seed in (0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**200 + 9):
+        for start in (0, 2**31, 2**32 - 3):
+            for length in (1, 8, 64):
+                rngs = replication_rngs(seed, start, start + length)
+                assert len(rngs) == length
+                for index, rng in zip(range(start, start + length), rngs):
+                    want = np.random.default_rng([seed, index])
+                    assert np.array_equal(rng.random(3), want.random(3))
+                    assert np.array_equal(rng.gamma(2.0, 1.5, 3), want.gamma(2.0, 1.5, 3))
+                    assert np.array_equal(rng.poisson(40.0, 3), want.poisson(40.0, 3))
+    assert replication_rngs(9, 5, 5) == replication_rngs(9, 5, 2) == []
+    for seed, start in ((-1, 0), (0, -1)):
+        with pytest.raises(ValueError):
+            np.random.default_rng([seed, start])
+        with pytest.raises(ValueError):
+            replication_rngs(seed, start, start + 3)
