@@ -12,11 +12,13 @@ rates out gives the marginal log-likelihood
 
 up to terms free of (a, b).  Centres with zero exposure (and hence zero
 count) contribute exactly nothing.  For an integer count the logGamma
-difference is the exact sum of log(a + j) over j < n_c, and its
-derivatives in a the sums of 1 / (a + j) and -1 / (a + j)^2; the fit
-reads all three off one tally of the counts.  Per-trial arithmetic runs
-on NumPy ufuncs and row sums, ``(x * y).sum()``, never on ``math`` or
-``np.dot``, whose last bits differ.  When every open centre shares one
+difference is the sum of log(a + j) over j < n_c, and its derivatives in
+a the sums of 1 / (a + j) and -1 / (a + j)^2.  The fit sums the first
+2^8 terms of all three exactly, off one tally of the counts, and takes a
+count on from a + 2^8 by Stirling's series, written in differences so
+that no two large terms cancel.  Per-trial arithmetic runs on NumPy
+ufuncs and row sums, ``(x * y).sum()``, never on ``math`` or ``np.dot``,
+whose last bits differ.  When every open centre shares one
 exposure t the ratio of the estimates is pinned at a/b = n/(C t), which
 reduces the maximization to the profile likelihood along that ray.  As
 n = C t a/b there, every per-centre term in b cancels from its slope
@@ -46,7 +48,6 @@ from functools import partial
 from typing import Sequence
 
 import numpy as np
-from scipy import special
 
 from ._elementwise import column, larger, smaller, where
 
@@ -76,14 +77,15 @@ _RELATIVE_EXPOSURE_TOL = 1e-12
 _SAFE_GRADIENT = 1e-4
 # Leading rises a + j, j < n, that the count terms sum one by one:
 # log(a + j) for logGamma(a + n) - logGamma(a), 1 / (a + j) for its
-# digamma and -1 / (a + j)^2 for its trigamma difference; the special
-# functions take only what lies beyond.
-_EXACT_RISE_TERMS = 1 << 16
+# digamma and -1 / (a + j)^2 for its trigamma difference; Stirling's
+# series takes a count on from a + 2^8, where six of its terms hold it to
+# rounding.
+_EXACT_RISE_TERMS = 1 << 8
 # A Newton fit counts as converged where its score in (log alpha, log
 # beta) is at most this.
 _CERTIFIED_SCORE = 1e-8
-# A block of rows sums at most this many rise terms at once, and keeps at
-# most this many rise weights.
+# A block of rows sums at most this many rise terms at once: a large
+# batch runs its count sums over chunks of rows.
 _RISE_ELEMENTS = 1 << 16
 # fit_rows fits a group in one batched pass only with at least this many
 # rows and at most this many open centres, and else one row at a time with
@@ -310,17 +312,19 @@ def _rise_weights(tally: np.ndarray, num_open: int, rises: int) -> np.ndarray:
 
 
 def _beyond(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
-    """One trial's distinct counts past the exact-sum limit, as floats,
-    their multiplicities, and how far their squares pass (2^16 + 1)^2."""
+    """One trial's distinct counts past the exact-sum head, as floats,
+    their multiplicities, and how far their squares pass (2^8 + 1)^2."""
     big, mult = np.unique(counts[counts > _EXACT_RISE_TERMS], return_counts=True)
-    excess = sum((int(v) ** 2 - (_EXACT_RISE_TERMS + 1) ** 2) * int(m) for v, m in zip(big, mult))
+    values, times = big.tolist(), mult.tolist()  # Python ints: squares may pass int64
+    excess = (sum(map(operator.mul, map(operator.mul, values, values), times))
+              - (_EXACT_RISE_TERMS + 1) ** 2 * sum(times))
     return big.astype(float), mult.astype(float), excess
 
 
 def _sums(ws, exposures: np.ndarray, counts: np.ndarray, clipped: np.ndarray):
     """Give ``ws`` the open centres' ``exposures`` and ``counts`` and the
     per-trial sums of exposures that the fit reads.  Returns each trial's
-    total count and its sum of squared counts ``clipped`` at 2^16 + 1."""
+    total count and its sum of squared counts ``clipped`` at 2^8 + 1."""
     ws.num_open = counts.shape[-1]
     ws.exposures = exposures
     ws.counts = counts.astype(float)
@@ -348,11 +352,13 @@ def _log1p_sum(exposures: np.ndarray, b):
     return _row_sum(np.log1p(exposures / b), axis=-1)
 
 
-# the count sums by order of derivative in a: sum_c logGamma(a + n_c) -
-# logGamma(a), then the same sums of digamma and of trigamma; past the
-# exact-sum limit they take these functions' differences, trigamma as
-# the Hurwitz zeta(2, .)
-_BEYOND_FUNCTIONS = (special.gammaln, special.digamma, partial(special.zeta, 2))
+# Stirling's series past its leading terms (DLMF 5.11.1) is
+# sum_k c_k v^(1 - 2k) with c_k = B_2k / (2k (2k - 1)), for k = 1 to 6.
+# Row ``order`` holds the coefficients and powers of its derivative of
+# that order: c_k v^(1 - 2k), -B_2k / (2k) v^(-2k) and B_2k v^(-1 - 2k).
+_BERNOULLI = np.array([1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730])
+_SERIES = _BERNOULLI / np.array([[2, 12, 30, 56, 90, 132], [-2, -4, -6, -8, -10, -12], [1] * 6])
+_SERIES_POWERS = np.array([[1], [0], [-1]]) - 2 * np.arange(1, 7)
 
 
 def _rise_sum(order: int, weights: np.ndarray, rise: np.ndarray):
@@ -364,10 +370,32 @@ def _rise_sum(order: int, weights: np.ndarray, rise: np.ndarray):
     return -_row_sum(weights / (rise * rise), axis=-1)
 
 
-def _beyond_sum(order: int, alpha, values: np.ndarray, mult: np.ndarray):
-    """What one trial's counts past the exact-sum limit add to count sum ``order``."""
-    function = _BEYOND_FUNCTIONS[order]
-    return (mult * (function(alpha + values) - function(alpha + _EXACT_RISE_TERMS))).sum()
+def _beyond_sum(order: int, alpha, values: np.ndarray, mult: np.ndarray, starts=(0,)):
+    """What each trial's counts past the exact-sum head add to count sum
+    ``order``: from x = a + 2^8 to y = a + n, with d = n - 2^8,
+
+        logGamma(y) - logGamma(x) = (x - 1/2) log1p(d / x) + d log y - d
+                                    + sum_k c_k (y^(1 - 2k) - x^(1 - 2k)),
+
+    or its first or second derivative in a, written so that no difference
+    of two large terms sinks the sum into rounding.  ``values`` holds
+    distinct counts with their multiplicities ``mult``, one run a trial
+    from each of ``starts``, and ``alpha`` is one or one per count; a run
+    is summed on its own, so a trial gets the same bits alone as in a
+    group."""
+    x = alpha + _EXACT_RISE_TERMS
+    y = alpha + values
+    d = values - _EXACT_RISE_TERMS
+    if order == 0:
+        lead = (x - 0.5) * np.log1p(d / x) + d * np.log(y) - d
+    elif order == 1:
+        lead = np.log1p(d / x) + d / (2.0 * x * y)
+    else:
+        lead = -d / (x * y) * (1.0 + 0.5 / x + 0.5 / y)
+    powers = _SERIES_POWERS[order]
+    series = _row_sum(_SERIES[order] * (np.power.outer(y, powers) - np.power.outer(x, powers)),
+                      axis=-1)
+    return [_row_sum(run, axis=-1) for run in np.split(mult * (lead + series), starts[1:])]
 
 
 def _tail_statistic(ws):
@@ -471,7 +499,8 @@ class _Likelihood:
     as log(b + t) - log(b) = log1p(t / b), not differences of sums: on a
     near-flat ridge alpha and beta grow together, the sums grow with them
     and their difference would sink into rounding.  The count terms are
-    exact sums over the rises for the same reason.
+    exact sums over the rises, and a series in differences past them, for
+    the same reason.
     """
 
     def loglik(self, alpha, beta):
@@ -538,8 +567,9 @@ class _Workspace(_Likelihood):
 
     and its first two derivatives in a are the sums of w_j / (a + j) and
     of -w_j / (a + j)^2, each exact term by term.  The rises stop at the
-    exact-sum limit; the few counts past it, distinct with their
-    multiplicities, take logGamma, digamma and trigamma from there on.
+    exact-sum head, j < 2^8; the counts past it, distinct with their
+    multiplicities, go on from a + 2^8 by Stirling's series
+    (``_beyond_sum``).
     """
 
     def __init__(self, data: TrialData):
@@ -599,7 +629,8 @@ class _Workspace(_Likelihood):
         if value is None:
             value = _rise_sum(order, self.rise_weights, self._rise)
             if self.beyond_values.size:
-                value = value + _beyond_sum(order, alpha, self.beyond_values, self.beyond_mult)
+                value = value + _beyond_sum(order, alpha, self.beyond_values,
+                                            self.beyond_mult)[0]
             self._count_values[order] = value
         return value
 
@@ -618,12 +649,11 @@ class _Rows(_Likelihood):
     Its methods take alpha and beta per row and compute every row;
     ``take`` narrows it to some of its rows.  The count sums run over
     chunks of consecutive rows sharing their number of rises k, at most
-    max(1, 2^16 // k) rows a chunk, so each row sums its own k terms and
-    no temporary holds more than 2^16 of them, or one row's k; rows
-    sorted by k make the fewest chunks.  At most 2^16 rise weights are
-    kept, the first chunks' first, and a narrowed group keeps its rows'
-    share of them; a later chunk's weights are rebuilt from its counts
-    each time they are read.
+    2^16 // k rows a chunk, so each row sums its own k terms and no
+    temporary holds more than 2^16 of them; rows sorted by k make the
+    fewest chunks.  Each chunk keeps its rise weights, computed once, at
+    most 2^8 a row, and a narrowed group keeps its rows' share of them.
+    A row's counts past the head add Stirling's series, as one trial's do.
     """
 
     # what take narrows: the values and arrays that hold one row per trial
@@ -635,12 +665,16 @@ class _Rows(_Likelihood):
         clipped = np.minimum(counts, _EXACT_RISE_TERMS + 1)  # squares far inside int64
         largest = clipped.max(axis=1).tolist()
         totals, sums_sq = (sums.tolist() for sums in _sums(self, exposures, counts, clipped))
-        self.beyond = {}
-        for row, top in enumerate(largest):
-            if top > _EXACT_RISE_TERMS:
-                values, mult, excess = _beyond(counts[row])
-                self.beyond[row] = values, mult
-                sums_sq[row] += excess
+        beyond = [(row, *_beyond(counts[row]))
+                  for row, top in enumerate(largest) if top > _EXACT_RISE_TERMS]
+        at, values, mult = np.empty(0, dtype=int), _NO_VALUES, _NO_VALUES
+        if beyond:
+            rows, values, mult, excess = zip(*beyond)
+            for row, extra in zip(rows, excess):
+                sums_sq[row] += extra
+            at = np.repeat(rows, [len(v) for v in values])
+            values, mult = np.concatenate(values), np.concatenate(mult)
+        self._keep_beyond(at, values, mult)
         self.total_count = np.array(totals, dtype=float)
         self.equal_exposures = equal_exposures
         if equal_exposures:
@@ -655,16 +689,13 @@ class _Rows(_Likelihood):
         rises = [min(top, _EXACT_RISE_TERMS) for top in largest]
         self.rise_offsets = np.arange(max(rises), dtype=float)
         edges = [0, *(np.flatnonzero(np.diff(rises)) + 1).tolist(), len(rises)]
-        self.chunks, kept = [], 0
+        self.chunks = []
         for first, stop in zip(edges[:-1], edges[1:]):
             k = rises[first]
-            size = max(1, _RISE_ELEMENTS // max(k, 1))
+            size = _RISE_ELEMENTS // max(k, 1)
             for start in range(first, stop, size):
                 end = min(start + size, stop)
-                weights = None
-                if kept + (end - start) * k <= _RISE_ELEMENTS:
-                    weights = _rise_weights(_tally(counts[start:end], k), self.num_open, k)
-                    kept += weights.size
+                weights = _rise_weights(_tally(counts[start:end], k), self.num_open, k)
                 self.chunks.append((start, end, k, weights))
         self.chunk_edges = [start for start, *_ in self.chunks] + [len(rises)]
         self._beta = None
@@ -683,14 +714,23 @@ class _Rows(_Likelihood):
         ws.chunks = []
         for (start, _, k, weights), lo, hi in zip(self.chunks, cuts, cuts[1:]):
             if lo < hi:
-                if weights is not None and hi - lo < len(weights):
+                if hi - lo < len(weights):
                     weights = weights[positions[lo:hi] - start]
                 ws.chunks.append((lo, hi, k, weights))
         ws.chunk_edges = [lo for lo, *_ in ws.chunks] + [len(positions)]
-        if self.beyond:
-            ws.beyond = {new: self.beyond[old] for new, old in enumerate(positions.tolist())
-                         if old in self.beyond}
+        if self.beyond_rows.size:
+            taken = np.zeros(len(self.total_count), dtype=bool)
+            taken[positions] = True
+            kept = taken[self.beyond_at]
+            ws._keep_beyond(positions.searchsorted(self.beyond_at[kept]),
+                            self.beyond_values[kept], self.beyond_mult[kept])
         return ws
+
+    def _keep_beyond(self, at: np.ndarray, values: np.ndarray, mult: np.ndarray):
+        """Keep the rows' distinct counts past the exact-sum head, one run
+        a row, with their multiplicities and the row ``at`` each value."""
+        self.beyond_at, self.beyond_values, self.beyond_mult = at, values, mult
+        self.beyond_rows, self.beyond_starts = np.unique(at, return_index=True)
 
     # One array of beta is one point: the score and the Hessian that
     # Newton reads at it, and the score and the likelihood that certify
@@ -709,12 +749,11 @@ class _Rows(_Likelihood):
         """``_Workspace.count_sum`` for each row."""
         sums = np.empty(alpha.size)
         for start, stop, k, weights in self.chunks:
-            if weights is None:
-                weights = _rise_weights(_tally(self.counts[start:stop], k), self.num_open, k)
             sums[start:stop] = _rise_sum(order, weights,
                                          alpha[start:stop, None] + self.rise_offsets[:k])
-        for row, (values, mult) in self.beyond.items():
-            sums[row] = sums[row] + _beyond_sum(order, alpha[row], values, mult)
+        if self.beyond_rows.size:
+            sums[self.beyond_rows] += _beyond_sum(order, alpha[self.beyond_at], self.beyond_values,
+                                                  self.beyond_mult, self.beyond_starts)
         return sums
 
 
@@ -1019,6 +1058,9 @@ def fit_rows(data: TrialData) -> RowFits:
     was faster up to 1,000 centres, and slower past a crossover that
     moved between runs: between 1,300 and 2,000 centres in the plane,
     and between 3,000 and 5,000 along the ray.
+
+    A group keeps at most 2^8 rise weights a row; counts past that
+    exact-sum head go on by Stirling's series, as in ``fit_mle``.
     """
     if data.exposures.ndim != 2:
         raise ValueError("fit_rows takes a batch of trials; fit one trial with fit_mle")

@@ -1,6 +1,7 @@
 """``fit_rows``: a block of trials fitted at once, bit for bit ``fit_mle``."""
 
 import collections
+import math
 import sys
 import tracemalloc
 import warnings
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from recruitcast import (
     DegenerateLikelihood,
     InsufficientData,
@@ -78,18 +80,25 @@ def _mixed_block() -> TrialData:
     return TrialData(census, exposures, counts)
 
 
+# two open centres counting one recruit fewer each than the K = 0 pair
+# 10^12 +- 10^6: C sum(n^2) - n^2 - C n = 4, so K > 0 and the profile has
+# a maximum, but near alpha = 10^24, so it still rises at the log-alpha cap
+_CAPPED_PAIR = (10**12 + 10**6 - 1, 10**12 - 10**6 - 1)
+
+
 def _ray_block() -> TrialData:
     """Table 2's first row, replications 64-127, the near-ridge
-    replication 81 (fitted alpha about 612) among them, and eight rows
+    replication 81 (fitted alpha about 612) among them, and nine rows
     rewritten to cover every case of the ray: a count past the exact-sum
-    limit, counts showing no over-dispersion (K < 0, and K = 0 on two
+    head, counts showing no over-dispersion (K < 0, and K = 0 on two
     open centres counting about 10^12), counts near 10^12 on 12 open
-    centres, which climb to the log-alpha cap in one row and stop
-    unconverged in the other, closed centres, and no recruits."""
+    centres, which stop unconverged near their profile's maximum, closed
+    centres, no recruits, and ``_CAPPED_PAIR``, which climbs to the
+    log-alpha cap."""
     config = reproduction_table("2").rows[0][1]
     _, drawn = generate_trial(config, replication_rngs(config.seed, 64, 128))
     exposures, counts = np.array(drawn.exposures), np.array(drawn.counts)
-    extra_exposures, extra = exposures[:8].copy(), counts[:8].copy()
+    extra_exposures, extra = exposures[:9].copy(), counts[:9].copy()
     extra[0, 0] = _EXACT_RISE_TERMS + 4464
     extra[1] = 2
     for row, seed in ((2, 6), (3, 0)):
@@ -102,6 +111,8 @@ def _ray_block() -> TrialData:
     # resolution, would hide
     extra_exposures[7, 2:] = extra[7] = 0
     extra[7, :2] = (10**12 + 10**6, 10**12 - 10**6)
+    extra_exposures[8, 2:] = extra[8] = 0
+    extra[8, :2] = _CAPPED_PAIR
     return TrialData(drawn.census_time, np.vstack([exposures, extra_exposures]),
                      np.vstack([counts, extra]))
 
@@ -128,6 +139,46 @@ def test_every_row_of_a_ray_block_fits_as_alone(engine):
     # the boundary before Newton (K <= 0) and after it (the log-alpha cap)
     assert {w[4] > 0 for w in want if w[0] == "boundary"} == {False, True}
     assert max(float.fromhex(w[1]) for w in want if w[0] == "ok") > 500.0
+
+
+def _profile_slope(data: TrialData, log_alpha: float) -> float:
+    """The slope in log alpha of a trial's likelihood along its ray, at
+    50 digits."""
+    opened = data.exposures > 0
+    exposures, counts = data.exposures[opened], data.counts[opened]
+    ratio = counts.sum() / exposures.sum()
+    return float(oracles.profile_slope_curvature(math.exp(log_alpha), ratio,
+                                                 exposures.tolist(), counts.tolist())[0])
+
+
+def test_the_ray_blocks_huge_counts_stop_where_their_profiles_say():
+    # the 12 centres counting near 10^12 peak at log alpha 29.56, inside
+    # the 29.9 rule, and stop unconverged next to that peak; the capped
+    # pair's profile still rises at the log-alpha cap, and reaches it
+    data = _ray_block()
+    dozen, capped = data[66], data[72]
+    assert _profile_slope(dozen, 29.55) > 0 > _profile_slope(dozen, 29.57)
+    fit = fit_mle(dozen)
+    assert not fit.converged and abs(math.log(fit.alpha_hat) - 29.56) < 0.01
+    assert _profile_slope(capped, 30.0) > 0
+    with pytest.raises(DegenerateLikelihood) as raised:
+        fit_mle(capped)
+    assert raised.value.fit.iterations > 0
+
+
+# 11 centres of exposure 4 counting near 10^5 with little over-dispersion,
+# whose profile peaks near alpha = 2e6: alpha scales the rounding of the
+# digamma sum that the ray's slope reads up to near the 1e-10 stop
+_NEAR_1E5 = (100637, 100093, 99653, 100319, 99525, 99653, 100237, 100113, 99765, 100165, 100179)
+
+
+def test_a_ray_counting_near_1e5_certifies_alone_and_in_a_block(engine):
+    data = TrialData(10.0, [4.0] * len(_NEAR_1E5), _NEAR_1E5)
+    fit = fit_mle(data)
+    assert fit.converged and fit.equal_exposures and fit.iterations <= 10
+    block = TrialData(10.0, np.tile(data.exposures, (10, 1)), np.tile(data.counts, (10, 1)))
+    fits = fit_rows(block)
+    assert [_row(fits, row) for row in range(10)] == [_single(data)] * 10
 
 
 def _mixed_rays_and_planes() -> TrialData:
@@ -314,19 +365,19 @@ def test_the_fitter_warns_of_nothing_past_the_float_range(engine):
 
 
 def test_a_block_of_huge_counts_sums_within_the_element_budget():
-    # 64 rows, each with one count past the exact-sum limit: every row
-    # sums 2^16 rises.  Keeping every row's weights would take 64 terms of
-    # 2^16 floats, and one temporary over all rows as much again.  Under
-    # the budget a block keeps one term of weights and one of offsets j,
-    # and an evaluation holds at most seven temporaries of one term: the
-    # tally, its running sum and the weights rebuilt from it, the rises,
-    # their function values, the products and the sum's buffer.
+    # 64 rows, each with one count past the exact-sum head: every row
+    # sums 2^8 rises, and one term is the block's rise weights, 64 rows
+    # of 2^8 floats.  A block keeps that term and less than another of
+    # its own arrays, and building or reading the weights holds at most
+    # seven temporaries of one term: the tally, its running sum, the
+    # weights cast from it, the rises, their function values, the
+    # products and the sum's buffer.
     rng = np.random.default_rng(2)
     exposures = rng.uniform(1.0, 10.0, (64, 5))
     counts = rng.poisson(3.0 * exposures)
     counts[:, 0] = _EXACT_RISE_TERMS + rng.integers(1, 5000, 64)
     data = TrialData(10.0, exposures, counts)
-    term = 8 * _EXACT_RISE_TERMS
+    term = 8 * len(counts) * _EXACT_RISE_TERMS
     tracemalloc.start()
     try:
         fits = fit_rows(data)
@@ -387,7 +438,7 @@ def _engine_blocks(draw):
     unequal exposures and one of the block's one or two numbers of closed
     centres, its counts drawn from a gamma-Poisson law, all zero, or
     spread so that K is 0 exactly on its open centres; and up to two
-    counts past the exact-sum limit."""
+    counts past the exact-sum head, by 1 to 10^9, log-uniformly."""
     centres = draw(st.integers(1, 12))
     rows = draw(st.integers(1, 70))
     census = draw(st.sampled_from([1.0, 30.0, 200.0]))
@@ -419,7 +470,8 @@ def _engine_blocks(draw):
     for row in huge:
         open_centres = np.flatnonzero(exposures[row])
         if open_centres.size:
-            counts[row, rng.choice(open_centres)] = _EXACT_RISE_TERMS + rng.integers(1, 5000)
+            past = int(10 ** rng.uniform(0, 9))
+            counts[row, rng.choice(open_centres)] = _EXACT_RISE_TERMS + past
     return TrialData(census, exposures, counts)
 
 

@@ -104,19 +104,33 @@ def test_score_matches_its_digamma_form():
         assert np.allclose(ws.hessian(alpha, beta), [h_aa, h_ab, h_bb], rtol=1e-12, atol=0)
 
 
-@pytest.mark.parametrize("count", [*range(14), 40, 127, 400, 1309, 4000,
-                                   _EXACT_RISE_TERMS - 1, _EXACT_RISE_TERMS,
-                                   _EXACT_RISE_TERMS + 1, 70000, 200000])
+@pytest.mark.parametrize("count", [*range(14), 40, 127, 255, 256, 257, 400, 1309, 4000,
+                                   65535, 65536, 65537, 70000, 200000, 10**7, 10**9])
 def test_count_sums_match_mpmath(count):
-    # the log-gamma and trigamma sums are exact rise sums up to the limit,
-    # then differences of the special functions past it; the digamma sum
-    # loses up to 3e-14 where digamma(a + n) - digamma(a + 2^16) cancels
+    # the three count sums are exact rise sums up to the 2^8 head, and
+    # Stirling's series in differences past it
     ws = _Workspace(_trial(10.0, [5.0], [count]))
-    for alpha in (0.05, 0.37, 1.0, 2.5, 17.0, 310.0, 4.2e4, 1e6):
+    for alpha in (1e-3, 0.05, 0.37, 1.0, 2.5, 17.0, 310.0, 4.2e4, 1e6, 1e8):
         exact = oracles.count_sums(alpha, count)
         got_sums = [ws.count_sum(order, alpha) for order in range(3)]
-        for got, want, bound in zip(got_sums, exact, (1e-14, 1e-13, 1e-14)):
-            assert abs(got - want) <= bound * abs(want), (alpha, got, want)
+        for got, want in zip(got_sums, exact):
+            assert abs(got - want) <= 1e-14 * abs(want), (alpha, got, want)
+
+
+def test_a_count_of_70000_reads_only_the_exact_head(monkeypatch):
+    # one count of 70,000: every count sum reads at most 2^8 rises a row,
+    # and the fit takes 8 steps
+    widths = []
+    rise_sum = model._rise_sum
+
+    def counted(order, weights, rise):
+        widths.append(weights.shape[-1])
+        return rise_sum(order, weights, rise)
+
+    monkeypatch.setattr(model, "_rise_sum", counted)
+    fit = fit_mle(_trial(10.0, [1.0, 2.0, 3.0, 4.0, 5.0], [70000, 3, 5, 9, 12]))
+    assert fit.converged and not fit.equal_exposures and fit.iterations == 8
+    assert widths and max(widths) <= _EXACT_RISE_TERMS <= 1 << 8
 
 
 def _ray_slope_curvature(ws, log_alpha):
