@@ -35,8 +35,12 @@ open centres and by whether those share one exposure, and each group
 runs one damped-Newton pass over its rows still stepping, along the ray
 or in the plane, with ``fit_mle``'s ascents and likelihood methods,
 written once over the last axis, so that each row gets the bits
-``fit_mle`` gives it alone.  A group of too few rows or too many centres
-to repay a pass goes through ``fit_mle`` row by row.
+``fit_mle`` gives it alone.  A group takes its count sums slab by slab,
+one array of rise terms for many rows, and sums each row over its own
+rises; its narrowings share one store of each row's last beta, so a row
+takes its per-centre terms once for each new beta, as ``fit_mle`` does.
+A group of too few rows or too many centres to repay a pass goes
+through ``fit_mle`` row by row.
 """
 
 from __future__ import annotations
@@ -84,8 +88,9 @@ _EXACT_RISE_TERMS = 1 << 8
 # A Newton fit counts as converged where its score in (log alpha, log
 # beta) is at most this.
 _CERTIFIED_SCORE = 1e-8
-# A block of rows sums at most this many rise terms at once: a large
-# batch runs its count sums over chunks of rows.
+# A slab of a group's rows holds at most this many rise weights, zero
+# padded to its widest row, so no count sum's temporary holds more: a
+# large batch runs its count sums over several slabs.
 _RISE_ELEMENTS = 1 << 16
 # fit_rows fits a group in one batched pass only with at least this many
 # rows and at most this many open centres, and else one row at a time with
@@ -361,13 +366,19 @@ _SERIES = _BERNOULLI / np.array([[2, 12, 30, 56, 90, 132], [-2, -4, -6, -8, -10,
 _SERIES_POWERS = np.array([[1], [0], [-1]]) - 2 * np.arange(1, 7)
 
 
+def _rise_terms(order: int, weights: np.ndarray, rise: np.ndarray) -> np.ndarray:
+    """The terms of count sum ``order`` at the leading rises a + j:
+    w_j log(a + j), w_j / (a + j) and -w_j / (a + j)^2."""
+    if order == 0:
+        return weights * np.log(rise)
+    if order == 1:
+        return weights * (1.0 / rise)
+    return -weights / (rise * rise)
+
+
 def _rise_sum(order: int, weights: np.ndarray, rise: np.ndarray):
     """Count sum ``order`` over the leading rises a + j, term by term."""
-    if order == 0:
-        return _row_sum(weights * np.log(rise), axis=-1)
-    if order == 1:
-        return _row_sum(weights * (1.0 / rise), axis=-1)
-    return -_row_sum(weights / (rise * rise), axis=-1)
+    return _row_sum(_rise_terms(order, weights, rise), axis=-1)
 
 
 def _beyond_sum(order: int, alpha, values: np.ndarray, mult: np.ndarray, starts=(0,)):
@@ -647,19 +658,21 @@ class _Rows(_Likelihood):
     ``equal_exposures``, and else trials whose do not.
 
     Its methods take alpha and beta per row and compute every row;
-    ``take`` narrows it to some of its rows.  The count sums run over
-    chunks of consecutive rows sharing their number of rises k, at most
-    2^16 // k rows a chunk, so each row sums its own k terms and no
-    temporary holds more than 2^16 of them; rows sorted by k make the
-    fewest chunks.  Each chunk keeps its rise weights, computed once, at
-    most 2^8 a row, and a narrowed group keeps its rows' share of them.
-    A row's counts past the head add Stirling's series, as one trial's do.
+    ``take`` narrows it to some of its rows.  The rise weights, computed
+    once and at most 2^8 a row, lie in slabs of consecutive rows, each
+    zero padded to its widest row and at most 2^16 weights.  A count sum
+    takes each slab's rise terms with one array pass, and then sums each
+    run of rows sharing their number of rises k over its first k columns,
+    so each row sums its own k terms; rows sorted by k make the fewest
+    slabs and runs.  A narrowed group keeps its rows' share of each slab,
+    cut to its widest row.  A row's counts past the head add Stirling's
+    series, as one trial's do.
     """
 
     # what take narrows: the values and arrays that hold one row per trial
     _per_row = frozenset({"exposures", "counts", "total_exposure", "sum_exposure_sq",
                           "total_count", "common_exposure", "ratio", "exact_tail",
-                          "total_count_sq", "same_centre_pairs"})
+                          "total_count_sq", "same_centre_pairs", "rises", "store_at"})
 
     def __init__(self, exposures: np.ndarray, counts: np.ndarray, equal_exposures: bool):
         clipped = np.minimum(counts, _EXACT_RISE_TERMS + 1)  # squares far inside int64
@@ -686,23 +699,38 @@ class _Rows(_Likelihood):
         else:
             self.total_count_sq, self.same_centre_pairs = np.array(
                 [_count_squares(n, s) for n, s in zip(totals, sums_sq)]).T
-        rises = [min(top, _EXACT_RISE_TERMS) for top in largest]
-        self.rise_offsets = np.arange(max(rises), dtype=float)
-        edges = [0, *(np.flatnonzero(np.diff(rises)) + 1).tolist(), len(rises)]
-        self.chunks = []
-        for first, stop in zip(edges[:-1], edges[1:]):
-            k = rises[first]
-            size = _RISE_ELEMENTS // max(k, 1)
-            for start in range(first, stop, size):
-                end = min(start + size, stop)
-                weights = _rise_weights(_tally(counts[start:end], k), self.num_open, k)
-                self.chunks.append((start, end, k, weights))
-        self.chunk_edges = [start for start, *_ in self.chunks] + [len(rises)]
+        self.rises = np.minimum(largest, _EXACT_RISE_TERMS)
+        self.rise_offsets = np.arange(self.rises.max(), dtype=float)
+        self.slabs = []
+        for start, stop, width in _slab_bounds(self.rises.tolist()):
+            weights = _rise_weights(_tally(counts[start:stop], width), self.num_open, width)
+            self.slabs.append(self._slab(start, stop, weights))
+        # the beta store that this group and every group taken from it
+        # share: each row's last beta and its sum_c log1p(t_c / b), and
+        # where in it each row of the group lies
+        self.stored_beta = np.full(len(largest), np.nan)
+        self.stored_log1p = np.empty(len(largest))
+        self.store_at = np.arange(len(largest))
         self._beta = None
+
+    def _slab(self, start: int, stop: int, weights: np.ndarray) -> tuple:
+        """Rows ``start`` up to ``stop`` with their rise ``weights``, padded
+        with zeros to the widest, the rise offsets of that width and the
+        slab's runs of rows sharing their number of rises k, (lo, hi, k)
+        counted from ``start``."""
+        rises = self.rises[start:stop].tolist()
+        runs, lo = [], 0
+        for hi, k in enumerate(rises):
+            if k != rises[lo]:
+                runs.append((lo, hi, rises[lo]))
+                lo = hi
+        runs.append((lo, len(rises), rises[lo]))
+        return start, stop, self.rise_offsets[:weights.shape[1]], weights, runs
 
     def take(self, positions: np.ndarray) -> "_Rows":
         """The group of the rows ``positions``, ascending, of this one,
-        with a cache of its own; taking every row shares its arrays."""
+        with a cache of b + t_c of its own and the beta store of this one;
+        taking every row shares its arrays."""
         ws = object.__new__(_Rows)
         ws.__dict__ = values = vars(self).copy()
         ws._beta = ws._beta_values = None
@@ -710,14 +738,14 @@ class _Rows(_Likelihood):
             return ws
         for name in self._per_row.intersection(values):
             values[name] = values[name][positions]
-        cuts = positions.searchsorted(self.chunk_edges).tolist()
-        ws.chunks = []
-        for (start, _, k, weights), lo, hi in zip(self.chunks, cuts, cuts[1:]):
+        edges = [start for start, *_ in self.slabs] + [len(self.total_count)]
+        cuts = positions.searchsorted(edges).tolist()
+        ws.slabs = []
+        for (start, stop, _, weights, _), lo, hi in zip(self.slabs, cuts, cuts[1:]):
             if lo < hi:
-                if hi - lo < len(weights):
-                    weights = weights[positions[lo:hi] - start]
-                ws.chunks.append((lo, hi, k, weights))
-        ws.chunk_edges = [lo for lo, *_ in ws.chunks] + [len(positions)]
+                if hi - lo < stop - start:
+                    weights = weights[positions[lo:hi] - start, :ws.rises[lo:hi].max()]
+                ws.slabs.append(ws._slab(lo, hi, weights))
         if self.beyond_rows.size:
             taken = np.zeros(len(self.total_count), dtype=bool)
             taken[positions] = True
@@ -734,27 +762,52 @@ class _Rows(_Likelihood):
 
     # One array of beta is one point: the score and the Hessian that
     # Newton reads at it, and the score and the likelihood that certify
-    # it, share its terms.
+    # it, share its b + t_c.  The sums log1p(t_c / b) go through the beta
+    # store, compared row by row by value, so a row takes them once for
+    # each new beta whichever group of its rows asks: as fit_mle's
+    # workspace does, the next ascent, a line search's first point and
+    # the certificate read the terms of the last beta a row was asked for.
 
     def _terms(self, alpha: np.ndarray, beta: np.ndarray):
         """alpha and beta as columns, b + t_c per centre and sum_c
         log1p(t_c / b)."""
         if beta is not self._beta:
             b = beta[:, None]
-            self._beta_values = b, _shifted(self.exposures, b), _log1p_sum(self.exposures, b)
+            at = self.store_at
+            stale = np.flatnonzero(self.stored_beta[at] != beta)
+            if stale.size:
+                rows = slice(None) if stale.size == at.size else stale
+                self.stored_log1p[at[rows]] = _log1p_sum(self.exposures[rows], b[rows])
+                self.stored_beta[at[rows]] = beta[rows]
+            self._beta_values = b, _shifted(self.exposures, b), self.stored_log1p[at]
             self._beta = beta
         return (alpha[:, None],) + self._beta_values
 
     def count_sum(self, order: int, alpha: np.ndarray) -> np.ndarray:
         """``_Workspace.count_sum`` for each row."""
         sums = np.empty(alpha.size)
-        for start, stop, k, weights in self.chunks:
-            sums[start:stop] = _rise_sum(order, weights,
-                                         alpha[start:stop, None] + self.rise_offsets[:k])
+        for start, stop, offsets, weights, runs in self.slabs:
+            terms = _rise_terms(order, weights, alpha[start:stop, None] + offsets)
+            for lo, hi, k in runs:
+                sums[start + lo:start + hi] = _row_sum(terms[lo:hi, :k], axis=-1)
         if self.beyond_rows.size:
             sums[self.beyond_rows] += _beyond_sum(order, alpha[self.beyond_at], self.beyond_values,
                                                   self.beyond_mult, self.beyond_starts)
         return sums
+
+
+def _slab_bounds(rises: list) -> list:
+    """Cut rows of ``rises`` rise terms each into slabs of consecutive
+    rows, each padded to its widest row and holding at most
+    ``_RISE_ELEMENTS`` terms: (start, stop, width) for each."""
+    bounds, start, width = [], 0, 0
+    for row, k in enumerate(rises):
+        if (row + 1 - start) * max(width, k, 1) > _RISE_ELEMENTS:
+            bounds.append((start, row, width))
+            start, width = row, 0
+        width = max(width, k)
+    bounds.append((start, len(rises), width))
+    return bounds
 
 
 def _newton(ws: _Workspace, start, ascent, objective) -> tuple[tuple[float, ...], int]:
@@ -1053,11 +1106,13 @@ def fit_rows(data: TrialData) -> RowFits:
     row keeps its own line search.  Any other group, where one pass was
     measured slower than its rows' single fits, is fitted by
     ``fit_mle(data[row])`` row by row.  Against those single fits, a
-    pass of 10 rows cost 0.76-0.90 times as much at 150 and 600 centres,
-    and 1.06-1.08 times at 20.  In groups of min(64, 2^16 // C) rows it
-    was faster up to 1,000 centres, and slower past a crossover that
-    moved between runs: between 1,300 and 2,000 centres in the plane,
-    and between 3,000 and 5,000 along the ray.
+    pass of 10 rows cost 0.72-0.80 times as much at 150 and 600 centres,
+    and 1.07-1.11 times at 20, where one of 12 rows cost 0.92-0.95
+    times.  In groups of min(64, 2^16 // C) rows it was faster up to
+    1,300 centres in the plane and 2,000 along the ray, and slower past
+    a crossover that moved between runs: between 1,300 and 1,600 centres
+    in the plane, and between 2,000 and 3,000 along the ray, up to 1.9
+    and 1.6 times at 6,553.
 
     A group keeps at most 2^8 rise weights a row; counts past that
     exact-sum head go on by Stirling's series, as in ``fit_mle``.

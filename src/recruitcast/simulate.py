@@ -6,11 +6,13 @@ them against the exact conditional law of the target given the drawn
 rates (Poisson for counts, gamma for times).
 
 The replications run in chunks, one per worker process, and a chunk
-runs in two phases.  First it draws and fits its replications in blocks
-of max(1, min(64, 2^16 // C)) replications for trials of C centres
-(``_BLOCK`` and ``_BLOCK_ELEMENTS``), so each of a block's arrays holds
-at most 2^16 values, or one trial's C where C is larger, whatever the
-number of replications.  Each block runs in two steps.  It seeds the
+runs in two phases.  First it draws and fits its replications in the
+fewest near-equal blocks of at most max(1, min(64, 2^16 // C))
+replications for trials of C centres (``_BLOCK`` and
+``_BLOCK_ELEMENTS``), so each of a block's arrays holds at most 2^16
+values, or one trial's C where C is larger, whatever the number of
+replications, and no short last block falls below the row bound of a
+batched fit.  Each block runs in two steps.  It seeds the
 streams of its replications in one pass, ``replication_rngs``, each of
 them bit for bit ``np.random.default_rng([config.seed, i])`` for
 replication i, and draws one trial from each stream, stacked into one
@@ -441,11 +443,11 @@ def _boundary_intervals(config: SimConfig, request: PredictionRequest,
     return equal_tailed_interval(quantile, request, x, math.inf, exposure_sum / config.centres)
 
 
-# Replications are drawn and fitted in blocks of at most this many: a
-# block's trials are drawn, checked and fitted as one batch.  A block also
-# holds at most _BLOCK_ELEMENTS centres over its rows, but never less
-# than one trial, which bounds the memory of a chunk's draws whatever its
-# length and whatever the number of centres.
+# Replications are drawn and fitted in near-equal blocks of at most this
+# many: a block's trials are drawn, checked and fitted as one batch.  A
+# block also holds at most _BLOCK_ELEMENTS centres over its rows, but
+# never less than one trial, which bounds the memory of a chunk's draws
+# whatever its length and whatever the number of centres.
 _BLOCK = 64
 _BLOCK_ELEMENTS = 1 << 16
 # What a replication's fit leaves for scoring, one column each: the kind
@@ -472,8 +474,12 @@ def _fit_chunk(config: SimConfig, bounds: tuple[int, int]) -> dict[str, np.ndarr
     first, stop = bounds
     fits = {name: np.full(stop - first, math.nan) for name in _FIT_COLUMNS}
     rows = max(1, min(_BLOCK, _BLOCK_ELEMENTS // config.centres))
-    for start in range(first, stop, rows):
-        end = min(start + rows, stop)
+    # near-equal blocks, so that no short last block falls below the row
+    # bound of fit_rows' batched pass
+    blocks = math.ceil((stop - first) / rows)
+    for index in range(blocks):
+        start = first + index * (stop - first) // blocks
+        end = first + (index + 1) * (stop - first) // blocks
         rates, data = generate_trial(config, replication_rngs(config.seed, start, end))
         block = {name: column[start - first:end - first] for name, column in fits.items()}
         block["total_rate"][:] = rates.sum(axis=1)

@@ -390,6 +390,95 @@ def test_a_block_of_huge_counts_sums_within_the_element_budget():
                                                              for row in range(0, 64, 9)]
 
 
+def test_a_count_sum_takes_its_rise_terms_once_a_slab(monkeypatch):
+    # a block of 64 table-3 rows is one slab of rise weights: each count
+    # sum takes the slab's rise terms in one call and sums each run of
+    # rows that share their number of rises k from them
+    config = reproduction_table("3").rows[0][1]
+    _, data = generate_trial(config, replication_rngs(config.seed, 0, 64))
+    terms, seen = [], []
+    rise_terms, count_sum = model._rise_terms, _Rows.count_sum
+
+    def counted_terms(*args):
+        terms.append(args)
+        return rise_terms(*args)
+
+    def counted_sum(self, order, alpha):
+        terms.clear()
+        sums = count_sum(self, order, alpha)
+        seen.append((len(terms), len(self.slabs), sum(len(runs) for *_, runs in self.slabs)))
+        return sums
+
+    monkeypatch.setattr(model, "_rise_terms", counted_terms)
+    monkeypatch.setattr(_Rows, "count_sum", counted_sum)
+    fits = fit_rows(data)
+    assert (fits.kind == "ok").sum() > 50 and not fits.equal_exposures.any()
+    assert len(seen) > 20 and {(calls, slabs) for calls, slabs, _ in seen} == {(1, 1)}
+    assert max(runs for *_, runs in seen) >= 5
+
+
+def _wide_block(equal: bool) -> TrialData:
+    """300 trials of 5 centres whose largest counts run from 1 up to and
+    past the exact-sum head: padded to 2^8 rises, more than 2^16."""
+    rng = np.random.default_rng(17)
+    rows = 300
+    exposures = np.full((rows, 5), 10.0) if equal else rng.uniform(1.0, 10.0, (rows, 5))
+    counts = rng.poisson(rng.gamma(2.0, 0.5, (rows, 5)) * exposures)
+    counts[:, 0] = np.arange(1, rows + 1)
+    return TrialData(10.0, exposures, counts)
+
+
+@pytest.mark.parametrize("equal", [False, True], ids=["plane", "ray"])
+def test_a_block_of_several_slabs_fits_as_its_rows_fit_alone(engine, monkeypatch, equal):
+    data = _wide_block(equal)
+    assert len(data.counts) * _EXACT_RISE_TERMS > model._RISE_ELEMENTS
+    slabs = []
+    count_sum = _Rows.count_sum
+
+    def counted_sum(self, order, alpha):
+        slabs.append([weights.size for *_, weights, _ in self.slabs])
+        return count_sum(self, order, alpha)
+
+    monkeypatch.setattr(_Rows, "count_sum", counted_sum)
+    fits = fit_rows(data)
+    # the group's first count sum runs over two slabs, and no slab holds
+    # more than the element budget
+    assert len(slabs[0]) == 2
+    assert max(size for sizes in slabs for size in sizes) <= model._RISE_ELEMENTS
+    want = [_single(data[row]) for row in range(len(data.counts))]
+    assert [_row(fits, row) for row in range(len(want))] == want
+    assert collections.Counter(w[0] for w in want)["ok"] > 200
+
+
+def test_the_plane_pass_takes_no_more_log1p_terms_than_the_loop(monkeypatch):
+    # a group's narrowings share its beta store, compared by value, so in
+    # the pass as in fit_mle's workspace a row takes sum_c log1p(t_c / b)
+    # once for each new beta: its next ascent, a line search's first
+    # point and the certificate read the terms of the row's last beta
+    centre_rows = collections.Counter()
+    path = ["pass"]
+    log1p_sum = model._log1p_sum
+
+    def counted(exposures, b):
+        centre_rows[path[0]] += exposures.size // exposures.shape[-1]
+        return log1p_sum(exposures, b)
+
+    monkeypatch.setattr(model, "_log1p_sum", counted)
+    fitted = 0
+    for _, config in reproduction_table("3").rows:
+        for start in range(0, 192, 64):
+            _, data = generate_trial(config, replication_rngs(config.seed, start, start + 64))
+            path[0] = "pass"
+            fits = fit_rows(data)
+            assert not fits.equal_exposures.any()
+            path[0] = "loop"
+            for row in range(len(data.counts)):
+                _single(data[row])
+            fitted += len(data.counts)
+    assert centre_rows["loop"] > 4 * fitted
+    assert centre_rows["pass"] <= centre_rows["loop"]
+
+
 @pytest.mark.parametrize("table_id", ["2", "3"], ids=["ray", "plane"])
 def test_a_group_outside_the_measured_range_is_fitted_one_trial_at_a_time(monkeypatch,
                                                                           table_id):

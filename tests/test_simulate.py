@@ -315,12 +315,13 @@ def test_a_row_draws_and_checks_its_trials_a_block_at_a_time(monkeypatch, schedu
     assert calls["default_rng"] == 0
 
 
-@pytest.mark.parametrize("centres, replications, blocks", [
-    (5000, 30, [13, 13, 4]),  # 2^16 // 5000 = 13 trials a block
-    (70000, 2, [1, 1]),  # one trial's centres pass the budget on their own
+@pytest.mark.parametrize("centres, replications", [
+    (150, 200),  # four blocks of 50, where blocks of 64 left a tail of 8
+    (5000, 30),  # 2^16 // 5000 = 13 trials a block at most: three of 10
+    (70000, 2),  # one trial's centres pass the budget on their own
 ])
 def test_a_large_row_draws_blocks_within_the_element_budget(monkeypatch, centres,
-                                                            replications, blocks):
+                                                            replications):
     sizes = []
 
     def recorded(config, rngs):
@@ -330,7 +331,28 @@ def test_a_large_row_draws_blocks_within_the_element_budget(monkeypatch, centres
     monkeypatch.setattr(simulate, "generate_trial", recorded)
     simulate._fit_chunk(_config(centres=centres, replications=replications),
                         (0, replications))
-    assert sizes == blocks
+    # the fewest blocks within the budget, as near equal as they can be
+    rows = max(1, min(simulate._BLOCK, simulate._BLOCK_ELEMENTS // centres))
+    assert sum(sizes) == replications and max(sizes) <= rows
+    assert len(sizes) == math.ceil(replications / rows)
+    assert max(sizes) - min(sizes) <= 1
+
+
+def test_a_row_of_200_replications_fits_no_trial_on_its_own(monkeypatch):
+    # 200 replications at 150 centres make four blocks of 50, each fitted
+    # in one batched pass; blocks of 64 left a tail of 8, below the row
+    # bound, that went through fit_mle one trial at a time
+    calls = []
+    fit_mle = model.fit_mle
+
+    def counted(data):
+        calls.append(data)
+        return fit_mle(data)
+
+    monkeypatch.setattr(model, "fit_mle", counted)
+    fits = simulate._fit_chunk(_config(replications=200, schedule=UniformOnCensus()), (0, 200))
+    assert (fits["kind"] == simulate._INTERIOR).sum() > 150
+    assert calls == []
 
 
 def test_a_row_of_many_centres_keeps_its_memory_to_a_few_blocks():
