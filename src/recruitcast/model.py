@@ -32,15 +32,17 @@ the step.
 
 ``fit_rows`` fits a batch.  Its rows are grouped by their number of
 open centres and by whether those share one exposure, and each group
-runs one damped-Newton pass over its rows still stepping, along the ray
-or in the plane, with ``fit_mle``'s ascents and likelihood methods,
-written once over the last axis, so that each row gets the bits
-``fit_mle`` gives it alone.  A group takes its count sums slab by slab,
-one array of rise terms for many rows, and sums each row over its own
-rises; its narrowings share one store of each row's last beta, so a row
-takes its per-centre terms once for each new beta, as ``fit_mle`` does.
-A group of too few rows or too many centres to repay a pass goes
-through ``fit_mle`` row by row.
+runs in passes of at most ``block_rows(C)`` rows, the bound on every
+batch array that the harness's blocks share, so that no array of a pass
+holds more than 2^16 values.  A pass runs damped Newton over its rows
+still stepping, along the ray or in the plane, with ``fit_mle``'s
+ascents and likelihood methods, written once over the last axis, so
+that each row gets the bits ``fit_mle`` gives it alone.  A pass takes
+its count sums from one array of rise terms for all of its rows, and
+sums each row over its own rises; its narrowings share one store of
+each row's last beta, so a row takes its per-centre terms once for each
+new beta, as ``fit_mle`` does.  A group of too few rows or too many
+centres to repay a pass goes through ``fit_mle`` row by row.
 """
 
 from __future__ import annotations
@@ -88,10 +90,11 @@ _EXACT_RISE_TERMS = 1 << 8
 # A Newton fit counts as converged where its score in (log alpha, log
 # beta) is at most this.
 _CERTIFIED_SCORE = 1e-8
-# A slab of a group's rows holds at most this many rise weights, zero
-# padded to its widest row, so no count sum's temporary holds more: a
-# large batch runs its count sums over several slabs.
-_RISE_ELEMENTS = 1 << 16
+# A batch array holds at most this many values: the harness draws a
+# block and fit_rows runs a pass of at most block_rows(C) trials, whose
+# centres and whose rise weights each fit it, so a batch's memory does
+# not grow with its number of trials.
+_BLOCK_ELEMENTS = 1 << 16
 # fit_rows fits a group in one batched pass only with at least this many
 # rows and at most this many open centres, and else one row at a time with
 # fit_mle: the pass shares its fixed cost per step among its rows, but
@@ -659,14 +662,14 @@ class _Rows(_Likelihood):
 
     Its methods take alpha and beta per row and compute every row;
     ``take`` narrows it to some of its rows.  The rise weights, computed
-    once and at most 2^8 a row, lie in slabs of consecutive rows, each
-    zero padded to its widest row and at most 2^16 weights.  A count sum
-    takes each slab's rise terms with one array pass, and then sums each
-    run of rows sharing their number of rises k over its first k columns,
-    so each row sums its own k terms; rows sorted by k make the fewest
-    slabs and runs.  A narrowed group keeps its rows' share of each slab,
-    cut to its widest row.  A row's counts past the head add Stirling's
-    series, as one trial's do.
+    once and at most 2^8 a row, lie in one array zero padded to the
+    widest row, which a group of at most ``block_rows(C)`` rows keeps
+    within 2^16 weights.  A count sum takes the rise terms with one
+    array pass, and then sums each run of consecutive rows sharing their
+    number of rises k over its first k columns, so each row sums its own
+    k terms; rows sorted by k make the fewest runs.  A narrowed group
+    keeps its rows' weights, cut to its widest row.  A row's counts past
+    the head add Stirling's series, as one trial's do.
     """
 
     # what take narrows: the values and arrays that hold one row per trial
@@ -700,11 +703,10 @@ class _Rows(_Likelihood):
             self.total_count_sq, self.same_centre_pairs = np.array(
                 [_count_squares(n, s) for n, s in zip(totals, sums_sq)]).T
         self.rises = np.minimum(largest, _EXACT_RISE_TERMS)
-        self.rise_offsets = np.arange(self.rises.max(), dtype=float)
-        self.slabs = []
-        for start, stop, width in _slab_bounds(self.rises.tolist()):
-            weights = _rise_weights(_tally(counts[start:stop], width), self.num_open, width)
-            self.slabs.append(self._slab(start, stop, weights))
+        width = int(self.rises.max())
+        self.rise_offsets = np.arange(width, dtype=float)
+        self.rise_weights = _rise_weights(_tally(counts, width), self.num_open, width)
+        self.runs = _runs(self.rises.tolist())
         # the beta store that this group and every group taken from it
         # share: each row's last beta and its sum_c log1p(t_c / b), and
         # where in it each row of the group lies
@@ -712,20 +714,6 @@ class _Rows(_Likelihood):
         self.stored_log1p = np.empty(len(largest))
         self.store_at = np.arange(len(largest))
         self._beta = None
-
-    def _slab(self, start: int, stop: int, weights: np.ndarray) -> tuple:
-        """Rows ``start`` up to ``stop`` with their rise ``weights``, padded
-        with zeros to the widest, the rise offsets of that width and the
-        slab's runs of rows sharing their number of rises k, (lo, hi, k)
-        counted from ``start``."""
-        rises = self.rises[start:stop].tolist()
-        runs, lo = [], 0
-        for hi, k in enumerate(rises):
-            if k != rises[lo]:
-                runs.append((lo, hi, rises[lo]))
-                lo = hi
-        runs.append((lo, len(rises), rises[lo]))
-        return start, stop, self.rise_offsets[:weights.shape[1]], weights, runs
 
     def take(self, positions: np.ndarray) -> "_Rows":
         """The group of the rows ``positions``, ascending, of this one,
@@ -738,14 +726,10 @@ class _Rows(_Likelihood):
             return ws
         for name in self._per_row.intersection(values):
             values[name] = values[name][positions]
-        edges = [start for start, *_ in self.slabs] + [len(self.total_count)]
-        cuts = positions.searchsorted(edges).tolist()
-        ws.slabs = []
-        for (start, stop, _, weights, _), lo, hi in zip(self.slabs, cuts, cuts[1:]):
-            if lo < hi:
-                if hi - lo < stop - start:
-                    weights = weights[positions[lo:hi] - start, :ws.rises[lo:hi].max()]
-                ws.slabs.append(ws._slab(lo, hi, weights))
+        width = ws.rises.max(initial=0)
+        ws.rise_offsets = self.rise_offsets[:width]
+        ws.rise_weights = self.rise_weights[positions, :width]
+        ws.runs = _runs(ws.rises.tolist())
         if self.beyond_rows.size:
             taken = np.zeros(len(self.total_count), dtype=bool)
             taken[positions] = True
@@ -786,28 +770,33 @@ class _Rows(_Likelihood):
     def count_sum(self, order: int, alpha: np.ndarray) -> np.ndarray:
         """``_Workspace.count_sum`` for each row."""
         sums = np.empty(alpha.size)
-        for start, stop, offsets, weights, runs in self.slabs:
-            terms = _rise_terms(order, weights, alpha[start:stop, None] + offsets)
-            for lo, hi, k in runs:
-                sums[start + lo:start + hi] = _row_sum(terms[lo:hi, :k], axis=-1)
+        terms = _rise_terms(order, self.rise_weights, alpha[:, None] + self.rise_offsets)
+        for lo, hi, k in self.runs:
+            sums[lo:hi] = _row_sum(terms[lo:hi, :k], axis=-1)
         if self.beyond_rows.size:
             sums[self.beyond_rows] += _beyond_sum(order, alpha[self.beyond_at], self.beyond_values,
                                                   self.beyond_mult, self.beyond_starts)
         return sums
 
 
-def _slab_bounds(rises: list) -> list:
-    """Cut rows of ``rises`` rise terms each into slabs of consecutive
-    rows, each padded to its widest row and holding at most
-    ``_RISE_ELEMENTS`` terms: (start, stop, width) for each."""
-    bounds, start, width = [], 0, 0
-    for row, k in enumerate(rises):
-        if (row + 1 - start) * max(width, k, 1) > _RISE_ELEMENTS:
-            bounds.append((start, row, width))
-            start, width = row, 0
-        width = max(width, k)
-    bounds.append((start, len(rises), width))
-    return bounds
+def _runs(rises: list) -> list:
+    """The runs of consecutive rows sharing their number of rises k in
+    ``rises``, as (lo, hi, k)."""
+    runs, lo = [], 0
+    for hi, k in enumerate(rises):
+        if k != rises[lo]:
+            runs.append((lo, hi, rises[lo]))
+            lo = hi
+    if rises:
+        runs.append((lo, len(rises), rises[lo]))
+    return runs
+
+
+def block_rows(centres: int) -> int:
+    """The most trials of ``centres`` centres that one batch takes: its
+    arrays hold at most 2^16 values, a row's centres or its at most 2^8
+    rise weights, but a batch always takes one trial."""
+    return max(1, _BLOCK_ELEMENTS // max(centres, _EXACT_RISE_TERMS))
 
 
 def _newton(ws: _Workspace, start, ascent, objective) -> tuple[tuple[float, ...], int]:
@@ -1098,23 +1087,28 @@ def fit_rows(data: TrialData) -> RowFits:
     """``fit_mle`` for each row of a batch, bit for bit.
 
     The rows are grouped by whether their open centres share one
-    exposure and by their number of open centres.  A group of at least
+    exposure and by their number of open centres C.  A group of at least
     10 rows (``_MIN_GROUP_ROWS``) with at most 700 open centres
-    (``_MAX_GROUP_CENTRES``) runs one damped-Newton pass over its rows,
+    (``_MAX_GROUP_CENTRES``) runs damped-Newton passes over its rows,
     along the ray where the exposures are equal and in the plane where
     not, dropping each row where ``fit_mle``'s loop would stop it; each
-    row keeps its own line search.  Any other group, where one pass was
+    row keeps its own line search.  Sorted by their largest count, its
+    rows are cut into the fewest near-equal passes of at most
+    ``block_rows(C)`` rows, so a batch's memory is that of one pass;
+    ``block_rows(C)`` is at least 93 for C up to 700, so no pass of such
+    a group falls below 10 rows.  Any other group, where a pass was
     measured slower than its rows' single fits, is fitted by
-    ``fit_mle(data[row])`` row by row.  Against those single fits, a
-    pass of 10 rows cost 0.72-0.80 times as much at 150 and 600 centres,
-    and 1.07-1.11 times at 20, where one of 12 rows cost 0.92-0.95
-    times.  In groups of min(64, 2^16 // C) rows it was faster up to
-    1,300 centres in the plane and 2,000 along the ray, and slower past
-    a crossover that moved between runs: between 1,300 and 1,600 centres
-    in the plane, and between 2,000 and 3,000 along the ray, up to 1.9
-    and 1.6 times at 6,553.
+    ``fit_mle(data[row])`` row by row.  These bounds were measured in
+    passes of min(64, 2^16 // C) rows.  Against the single fits, a pass
+    of 10 rows cost 0.72-0.80 times as much at 150 and 600 centres, and
+    1.07-1.11 times at 20, where one of 12 rows cost 0.92-0.95 times.
+    Passes of min(64, 2^16 // C) rows were faster up to 1,300 centres in
+    the plane and 2,000 along the ray, and slower past a crossover that
+    moved between runs: between 1,300 and 1,600 centres in the plane, and
+    between 2,000 and 3,000 along the ray, up to 1.9 and 1.6 times at
+    6,553.
 
-    A group keeps at most 2^8 rise weights a row; counts past that
+    A pass keeps at most 2^8 rise weights a row; counts past that
     exact-sum head go on by Stirling's series, as in ``fit_mle``.
     """
     if data.exposures.ndim != 2:
@@ -1141,11 +1135,12 @@ def fit_rows(data: TrialData) -> RowFits:
                     field[row] = value
             continue
         rows = rows[np.argsort(largest[rows], kind="stable")]
-        group = (exposures[rows], counts[rows])
-        if centres < exposures.shape[1]:
-            group = tuple(x[opened[rows]].reshape(-1, centres) for x in group)
-        for field, values in zip(fields, _fit_group(*group, ray)):
-            field[rows] = values
+        for part in np.array_split(rows, math.ceil(rows.size / block_rows(centres))):
+            group = (exposures[part], counts[part])
+            if centres < exposures.shape[1]:
+                group = tuple(x[opened[part]].reshape(-1, centres) for x in group)
+            for field, values in zip(fields, _fit_group(*group, ray)):
+                field[part] = values
     return RowFits(kind, alpha_hat, beta_hat, log_lik, steps, equal)
 
 

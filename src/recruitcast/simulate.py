@@ -7,12 +7,12 @@ rates (Poisson for counts, gamma for times).
 
 The replications run in chunks, one per worker process, and a chunk
 runs in two phases.  First it draws and fits its replications in the
-fewest near-equal blocks of at most max(1, min(64, 2^16 // C))
-replications for trials of C centres (``_BLOCK`` and
-``_BLOCK_ELEMENTS``), so each of a block's arrays holds at most 2^16
-values, or one trial's C where C is larger, whatever the number of
-replications, and no short last block falls below the row bound of a
-batched fit.  Each block runs in two steps.  It seeds the
+fewest near-equal blocks of at most ``model.block_rows(C)``
+replications for trials of C centres, max(1, 2^16 // max(C, 2^8)), the
+rule that also bounds ``fit_rows``' passes, so each of a block's arrays
+holds at most 2^16 values, or one trial's C where C is larger, whatever
+the number of replications, and no short last block falls below the row
+bound of a batched fit.  Each block runs in two steps.  It seeds the
 streams of its replications in one pass, ``replication_rngs``, each of
 them bit for bit ``np.random.default_rng([config.seed, i])`` for
 replication i, and draws one trial from each stream, stacked into one
@@ -66,6 +66,7 @@ from .distributions import (
 from .model import (
     DegenerateLikelihood,
     TrialData,
+    block_rows,
     fit_rows,
     summed_rate_moments,
 )
@@ -125,6 +126,11 @@ class SingleGamma:
     def __post_init__(self) -> None:
         _require_positive_finite(alpha=self.alpha, beta=self.beta)
 
+    @property
+    def largest_mean_rate(self) -> float:
+        """The mean rate of a centre, alpha / beta."""
+        return self.alpha / self.beta
+
     def sample_rates(self, rng: np.random.Generator, count: int) -> np.ndarray:
         return rng.gamma(self.alpha, 1.0 / self.beta, count)
 
@@ -139,6 +145,11 @@ class GammaMixture:
 
     def __post_init__(self) -> None:
         _require_positive_finite(alpha=self.alpha, beta1=self.beta1, beta2=self.beta2)
+
+    @property
+    def largest_mean_rate(self) -> float:
+        """The mean rate of the larger component, alpha / min(beta1, beta2)."""
+        return self.alpha / min(self.beta1, self.beta2)
 
     def sample_rates(self, rng: np.random.Generator, count: int) -> np.ndarray:
         second = rng.random(count) < 0.5
@@ -234,6 +245,15 @@ class SimConfig:
             raise ValueError("seed must be non-negative")
         if isinstance(self.schedule, Explicit):
             self.schedule.check(self.centres, self.census_time)
+        # NumPy's Poisson sampler refuses a mean past its own limit; asked
+        # for no draw, it checks the largest mean count a centre has over
+        # the census against that limit without touching any stream
+        mean = self.prior.largest_mean_rate * self.census_time
+        try:
+            Generator(PCG64(0)).poisson(mean, size=0)
+        except ValueError:
+            raise ValueError(f"prior mean count per centre over the census, {mean:g}, is "
+                             "past what numpy's Poisson sampler accepts") from None
 
 
 @dataclass(frozen=True)
@@ -443,13 +463,6 @@ def _boundary_intervals(config: SimConfig, request: PredictionRequest,
     return equal_tailed_interval(quantile, request, x, math.inf, exposure_sum / config.centres)
 
 
-# Replications are drawn and fitted in near-equal blocks of at most this
-# many: a block's trials are drawn, checked and fitted as one batch.  A
-# block also holds at most _BLOCK_ELEMENTS centres over its rows, but
-# never less than one trial, which bounds the memory of a chunk's draws
-# whatever its length and whatever the number of centres.
-_BLOCK = 64
-_BLOCK_ELEMENTS = 1 << 16
 # What a replication's fit leaves for scoring, one column each: the kind
 # of outcome, the summed true rate, the summed exposure and the total
 # count, then for an interior fit its estimates and the posterior mean
@@ -473,10 +486,12 @@ def _fit_chunk(config: SimConfig, bounds: tuple[int, int]) -> dict[str, np.ndarr
     """
     first, stop = bounds
     fits = {name: np.full(stop - first, math.nan) for name in _FIT_COLUMNS}
-    rows = max(1, min(_BLOCK, _BLOCK_ELEMENTS // config.centres))
-    # near-equal blocks, so that no short last block falls below the row
-    # bound of fit_rows' batched pass
-    blocks = math.ceil((stop - first) / rows)
+    # a block's trials are drawn, checked and fitted as one batch, in
+    # near-equal blocks of at most block_rows, which bounds the memory of
+    # a chunk's draws whatever its length and whatever the number of
+    # centres, and lets no short last block fall below the row bound of
+    # fit_rows' batched pass
+    blocks = math.ceil((stop - first) / block_rows(config.centres))
     for index in range(blocks):
         start = first + index * (stop - first) // blocks
         end = first + (index + 1) * (stop - first) // blocks

@@ -66,12 +66,19 @@ def test_every_pinned_chunk_is_bit_identical():
         assert flags == {(0.0).hex(), (1.0).hex(), "nan"}
 
 
+def _blocks_of(monkeypatch, block: int) -> None:
+    """The one batch rule, model.block_rows, at ``block`` rows: the
+    harness's blocks and fit_rows' passes both take at most that many."""
+    for module in (simulate, model):
+        monkeypatch.setattr(module, "block_rows", lambda centres: block)
+
+
 @pytest.mark.parametrize("block", [1, 7, BOUNDS[1] + 1])
 def test_no_block_size_moves_a_bit(monkeypatch, block):
     # each trial of a block comes from its own stream and is fitted alone,
     # and the block's sums run along its rows, so where blocks end moves
     # nothing
-    monkeypatch.setattr(simulate, "_BLOCK", block)
+    _blocks_of(monkeypatch, block)
     with open(CHUNK_BITS) as fh:
         assert chunk_records() == json.load(fh)
 
@@ -81,7 +88,7 @@ def test_no_block_size_moves_a_bit_with_every_group_batched(monkeypatch, block):
     # as run, a block of fewer rows than model._MIN_GROUP_ROWS fits one
     # trial at a time; here every group runs the batched pass instead
     monkeypatch.setattr(model, "_MIN_GROUP_ROWS", 1)
-    monkeypatch.setattr(simulate, "_BLOCK", block)
+    _blocks_of(monkeypatch, block)
     with open(CHUNK_BITS) as fh:
         assert chunk_records() == json.load(fh)
 

@@ -894,7 +894,27 @@ def test_config_priors_must_be_finite_before_any_trial_is_drawn(tmp_path, monkey
     assert f"{field} must be positive and finite" in err
 
 
-_CELL = {"prior": {"alpha": 2.0, "beta": 150.0}, "centres": 20, "census_time": 100.0,
+@pytest.mark.parametrize("prior", [
+    {"alpha": 2.0, "beta": 1e-300},
+    {"alpha": 1e300, "beta": 1.0},
+    {"alpha": 2.0, "beta1": 1.0, "beta2": 1e-300},
+], ids=["tiny beta", "huge alpha", "mixture"])
+def test_a_prior_past_the_poisson_range_fails_before_any_trial_is_drawn(tmp_path, monkeypatch,
+                                                                        capsys, prior):
+    # such a prior once exited 4 with numpy's bare "lam value too large",
+    # after drawing had begun
+    trials = []
+    monkeypatch.setattr(simulate, "generate_trial", lambda *args: trials.append(args))
+    raw = {"prior": prior, "centres": 5, "census_time": 1.0,
+           "objective": "count", "horizon": 0.5, "replications": 3, "seed": 4}
+    config = tmp_path / "cell.json"
+    config.write_text(json.dumps(raw))
+    code, out, err = run(capsys, "simulate", "--config", str(config))
+    assert code == 4 and out == "" and trials == []
+    assert err.count("\n") == 1 and "prior" in err and "Traceback" not in err
+
+
+_CELL ={"prior": {"alpha": 2.0, "beta": 150.0}, "centres": 20, "census_time": 100.0,
          "objective": "count", "horizon": 100.0, "replications": 3, "seed": 4}
 
 

@@ -390,10 +390,10 @@ def test_a_block_of_huge_counts_sums_within_the_element_budget():
                                                              for row in range(0, 64, 9)]
 
 
-def test_a_count_sum_takes_its_rise_terms_once_a_slab(monkeypatch):
-    # a block of 64 table-3 rows is one slab of rise weights: each count
-    # sum takes the slab's rise terms in one call and sums each run of
-    # rows that share their number of rises k from them
+def test_a_count_sum_takes_its_rise_terms_in_one_call(monkeypatch):
+    # a pass keeps its rows' rise weights in one array: each count sum
+    # takes their rise terms in one call and sums each run of rows that
+    # share their number of rises k from them
     config = reproduction_table("3").rows[0][1]
     _, data = generate_trial(config, replication_rngs(config.seed, 0, 64))
     terms, seen = [], []
@@ -406,15 +406,15 @@ def test_a_count_sum_takes_its_rise_terms_once_a_slab(monkeypatch):
     def counted_sum(self, order, alpha):
         terms.clear()
         sums = count_sum(self, order, alpha)
-        seen.append((len(terms), len(self.slabs), sum(len(runs) for *_, runs in self.slabs)))
+        seen.append((len(terms), len(self.runs)))
         return sums
 
     monkeypatch.setattr(model, "_rise_terms", counted_terms)
     monkeypatch.setattr(_Rows, "count_sum", counted_sum)
     fits = fit_rows(data)
     assert (fits.kind == "ok").sum() > 50 and not fits.equal_exposures.any()
-    assert len(seen) > 20 and {(calls, slabs) for calls, slabs, _ in seen} == {(1, 1)}
-    assert max(runs for *_, runs in seen) >= 5
+    assert len(seen) > 20 and {calls for calls, _ in seen} == {1}
+    assert max(runs for _, runs in seen) >= 5
 
 
 def _wide_block(equal: bool) -> TrialData:
@@ -429,25 +429,55 @@ def _wide_block(equal: bool) -> TrialData:
 
 
 @pytest.mark.parametrize("equal", [False, True], ids=["plane", "ray"])
-def test_a_block_of_several_slabs_fits_as_its_rows_fit_alone(engine, monkeypatch, equal):
+def test_a_wide_block_fits_in_passes_as_its_rows_fit_alone(engine, monkeypatch, equal):
     data = _wide_block(equal)
-    assert len(data.counts) * _EXACT_RISE_TERMS > model._RISE_ELEMENTS
-    slabs = []
-    count_sum = _Rows.count_sum
+    rows = model.block_rows(5)
+    # one array of the whole block's rise weights would pass the budget
+    assert len(data.counts) * _EXACT_RISE_TERMS > model._BLOCK_ELEMENTS
+    passes = []
+    init = _Rows.__init__
 
-    def counted_sum(self, order, alpha):
-        slabs.append([weights.size for *_, weights, _ in self.slabs])
-        return count_sum(self, order, alpha)
+    def recorded(self, *args):
+        init(self, *args)
+        passes.append((len(self.total_count), self.rise_weights.size))
 
-    monkeypatch.setattr(_Rows, "count_sum", counted_sum)
+    monkeypatch.setattr(_Rows, "__init__", recorded)
     fits = fit_rows(data)
-    # the group's first count sum runs over two slabs, and no slab holds
-    # more than the element budget
-    assert len(slabs[0]) == 2
-    assert max(size for sizes in slabs for size in sizes) <= model._RISE_ELEMENTS
+    # the fewest near-equal passes of at most block_rows rows, none of
+    # whose rise weights pass the element budget
+    sizes = [size for size, _ in passes]
+    assert sum(sizes) == len(data.counts) and max(sizes) <= rows
+    assert len(sizes) == math.ceil(len(data.counts) / rows)
+    assert max(sizes) - min(sizes) <= 1
+    assert max(weights for _, weights in passes) <= model._BLOCK_ELEMENTS
     want = [_single(data[row]) for row in range(len(data.counts))]
     assert [_row(fits, row) for row in range(len(want))] == want
     assert collections.Counter(w[0] for w in want)["ok"] > 200
+
+
+def test_a_large_batch_fits_within_the_memory_of_one_pass():
+    # 2,048 table-3 trials of 150 centres make one group, fitted in passes
+    # of at most block_rows(150) = 256 rows, each of whose arrays holds at
+    # most 2^16 values, 512 KB as floats.  A pass holds its exposures,
+    # counts and rise weights, copied again for its rows still stepping
+    # and for the rows of a line search, and the likelihood's temporaries
+    # over them.  The bound allows 16 such arrays, 8 MB, where the
+    # group's counts as floats alone take 2.5 MB and one pass over every
+    # row would hold each of its arrays eight times over.
+    config = reproduction_table("3").rows[0][1]
+    _, data = generate_trial(config, replication_rngs(config.seed, 0, 2048))
+    assert model.block_rows(config.centres) == 256
+    bound = 16 * model._BLOCK_ELEMENTS * 8
+    tracemalloc.start()
+    try:
+        fits = fit_rows(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound
+    assert (fits.kind == "ok").sum() > 1500 and not fits.equal_exposures.any()
+    assert [_row(fits, row) for row in range(0, 2048, 97)] == [_single(data[row])
+                                                                for row in range(0, 2048, 97)]
 
 
 def test_the_plane_pass_takes_no_more_log1p_terms_than_the_loop(monkeypatch):

@@ -304,9 +304,9 @@ def test_a_row_draws_and_checks_its_trials_a_block_at_a_time(monkeypatch, schedu
                         classmethod(spy("from_arrays", TrialData.from_arrays.__func__)))
     monkeypatch.setattr(TrialData, "__post_init__",
                         spy("__post_init__", TrialData.__post_init__))
-    coverage_study(_config(centres=20, replications=150, schedule=schedule))
-    blocks = math.ceil(150 / simulate._BLOCK)
-    assert blocks > 1 and 150 % simulate._BLOCK >= model._MIN_GROUP_ROWS
+    coverage_study(_config(centres=20, replications=600, schedule=schedule))
+    blocks = math.ceil(600 / model.block_rows(20))
+    assert blocks > 1 and 600 // blocks >= model._MIN_GROUP_ROWS
     # one seeding pass, one batch checked and one fitter call per block,
     # never a trial on its own: no block is small enough for single fits,
     # and no stream is seeded one at a time
@@ -316,7 +316,7 @@ def test_a_row_draws_and_checks_its_trials_a_block_at_a_time(monkeypatch, schedu
 
 
 @pytest.mark.parametrize("centres, replications", [
-    (150, 200),  # four blocks of 50, where blocks of 64 left a tail of 8
+    (150, 200),  # 2^16 // 2^8 = 256 trials a block at most: one of 200
     (5000, 30),  # 2^16 // 5000 = 13 trials a block at most: three of 10
     (70000, 2),  # one trial's centres pass the budget on their own
 ])
@@ -332,16 +332,17 @@ def test_a_large_row_draws_blocks_within_the_element_budget(monkeypatch, centres
     simulate._fit_chunk(_config(centres=centres, replications=replications),
                         (0, replications))
     # the fewest blocks within the budget, as near equal as they can be
-    rows = max(1, min(simulate._BLOCK, simulate._BLOCK_ELEMENTS // centres))
+    rows = model.block_rows(centres)
+    assert rows == max(1, model._BLOCK_ELEMENTS // max(centres, model._EXACT_RISE_TERMS))
     assert sum(sizes) == replications and max(sizes) <= rows
     assert len(sizes) == math.ceil(replications / rows)
     assert max(sizes) - min(sizes) <= 1
 
 
 def test_a_row_of_200_replications_fits_no_trial_on_its_own(monkeypatch):
-    # 200 replications at 150 centres make four blocks of 50, each fitted
-    # in one batched pass; blocks of 64 left a tail of 8, below the row
-    # bound, that went through fit_mle one trial at a time
+    # 200 replications at 150 centres make one block, fitted in one
+    # batched pass; blocks of 64 left a tail of 8, below the row bound,
+    # that went through fit_mle one trial at a time
     calls = []
     fit_mle = model.fit_mle
 
@@ -363,7 +364,7 @@ def test_a_row_of_many_centres_keeps_its_memory_to_a_few_blocks():
     # fewer than as many again.  The bound allows 16 per row of the block,
     # 48 trial arrays or 7.7 MB, where a block of 64 rows would need 1,024.
     centres = 20000
-    rows = simulate._BLOCK_ELEMENTS // centres
+    rows = model.block_rows(centres)
     assert rows == 3
     bound = 16 * rows * centres * 8
     config = _config(centres=centres, replications=64, schedule=UniformOnCensus())
