@@ -34,6 +34,10 @@ def floor(x):
     return np.floor(x) if isinstance(x, _ARRAY) else math.floor(x)
 
 
+def ceil(x):
+    return np.ceil(x) if isinstance(x, _ARRAY) else math.ceil(x)
+
+
 def where(condition, yes, no):
     """``yes`` where ``condition`` holds, else ``no``; both already computed."""
     if isinstance(condition, _ARRAY) or isinstance(yes, _ARRAY) or isinstance(no, _ARRAY):

@@ -616,10 +616,8 @@ def _cmd_diagnose_qq(args) -> int:
         return _refuse_stalled_fit(fit)
     law = NegBinParams(size=fit.alpha_hat,
                        prob=args.window / (fit.beta_hat + args.window))
-    rows = []
-    for i, observed in enumerate(window_counts, start=1):
-        theoretical = nb_quantile((i - 0.5) / m, law)
-        rows.append([_fmt(theoretical), _fmt(observed)])
+    theoretical = nb_quantile((np.arange(1, m + 1) - 0.5) / m, law)
+    rows = [[_fmt(k), _fmt(observed)] for k, observed in zip(theoretical.tolist(), window_counts)]
     manifest = _manifest("diagnose qq", {
         "input": args.input, "census": args.census, "window": args.window,
         "fit": {"alpha_hat": fit.alpha_hat, "beta_hat": fit.beta_hat},

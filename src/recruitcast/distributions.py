@@ -11,7 +11,11 @@ that a typical quantile reads the CDF twice.
 Every kernel works elementwise: a law's fields, the points and the
 levels may be arrays, which broadcast together.  With scalars throughout
 the same lines run on Python floats and give a Python scalar back, so a
-batch of laws gets exactly the numbers that one call per law would.
+batch of laws gets exactly the numbers that one call per law would.  A
+discrete quantile's search keeps its state the same way: Python ints for
+one law, exact at any size, and int64 arrays for a batch, stepped by the
+same lines through the `_elementwise` primitives; a batch refuses a
+quantile whose search would reach 2^62.
 """
 
 from __future__ import annotations
@@ -22,7 +26,8 @@ from dataclasses import dataclass, fields, is_dataclass
 import numpy as np
 from scipy import special
 
-from ._elementwise import every, floor, is_batch, negate, plain, some, sqrt, where
+from ._elementwise import (ceil, every, floor, is_batch, larger, negate, plain, smaller, some,
+                           sqrt, where)
 
 __all__ = [
     "GammaParams",
@@ -83,7 +88,7 @@ def _flat(*values) -> tuple[tuple[int, ...], list]:
                    for a in arrays]
 
 
-def _take(values, kept: list[int]):
+def _take(values, kept: np.ndarray):
     """Entries ``kept`` of a flat array, or of a law whose fields are flat
     arrays; scalars broadcast, so they stay as they are."""
     if is_dataclass(values):
@@ -232,12 +237,7 @@ def nb_quantile(q, params: NegBinParams):
     return _discrete_quantile(nb_cdf, laws, shape, q, mean, sd, skewness)
 
 
-def _entries(column, count: int) -> list[float]:
-    """The ``count`` entries of a flat array, or a scalar repeated."""
-    return column.tolist() if is_batch(column) else [float(column)] * count
-
-
-def _starts(count: int, q, mean, sd, skewness) -> list[int]:
+def _starts(q, mean, sd, skewness):
     """Where each law's search for its level-q quantile starts.
 
     The Cornish-Fisher quantile with a continuity correction,
@@ -247,14 +247,30 @@ def _starts(count: int, q, mean, sd, skewness) -> list[int]:
     tables' laws the start is the answer or next to it, so two reads of
     the cdf settle most quantiles.
     """
-    points = []
-    for z, mean, sd, skewness in zip(*(_entries(column, count) for column in (
-            special.ndtri(q), mean, sd, skewness))):
-        bend = (z * z - 1.0) / 6.0
-        # a zero bend keeps an infinite skewness from turning the start into NaN
-        shift = min(max(skewness * bend, -1.0), 1.0) if bend else 0.0
-        points.append(max(0, math.ceil(mean + sd * (z + shift) - 0.5)))
-    return points
+    z = plain(special.ndtri(q))
+    bend = (z * z - 1.0) / 6.0
+    # a zero bend keeps an infinite skewness from turning the start into NaN
+    shift = smaller(larger(where(bend == 0.0, 0.0, skewness) * bend, -1.0), 1.0)
+    return larger(ceil(mean + sd * (z + shift) - 0.5), 0)
+
+
+# A batch searches at int64 points below 2^62.  A step out from a point
+# is at most one more than the point, so the next one stays below 2^63,
+# where it is refused rather than wrapped.
+_INT64_REACH = 2**62
+
+
+def _search_points(points, q, mean):
+    """A batch's ``points`` as int64, refused where one reaches 2^62 (or is
+    NaN); one law's point is a Python int, and stays one at any size."""
+    if not is_batch(points):
+        return points
+    beyond = ~(points < _INT64_REACH)
+    if beyond.any():
+        level, mean = (np.broadcast_to(v, points.shape)[beyond][0] for v in (q, mean))
+        raise ValueError(f"the level-{level:g} quantile of a count of mean {mean:g} "
+                         "is past 2^62; choose a smaller horizon")
+    return points.astype(np.int64, copy=False)
 
 
 def _discrete_quantile(cdf, laws, shape: tuple[int, ...], q, mean, sd, skewness):
@@ -265,57 +281,49 @@ def _discrete_quantile(cdf, laws, shape: tuple[int, ...], q, mean, sd, skewness)
     with ``q``, ``mean``, ``sd`` and ``skewness`` alike; ``cdf(k, laws)``
     reads their non-decreasing cdfs at the points ``k``.
 
-    Each law first reads at its start (``_starts``).  From there it brackets the
-    answer: it steps down while the cdf reaches q and up while it does
+    Each law first reads at its start (``_starts``).  From there it brackets
+    the answer: it steps down while the cdf reaches q and up while it does
     not, by steps of 1 that double after each move, and a step below 0
-    closes the bracket at -1, where the cdf is 0.  Then it bisects.  All
-    laws search in lockstep: each round reads the cdf once, at one point
-    for every law still searching, so each law reads exactly the points
-    it would read alone.  A scalar batch reads at a Python int and gives
-    one back; any other batch reads at an array of points and gives an
-    array of the batch's shape.
+    closes the bracket at -1, where the cdf is 0.  Then it bisects.  The
+    state of a search is its next point, the two ends of its bracket and
+    its step: Python ints for one law (shape ``()``), which gives its
+    answer back as an exact Python int at any size, and int64 arrays for a
+    batch, which refuses with ValueError a law whose start or bracket
+    would reach 2^62.  The same lines step both.  All laws of a batch
+    search in lockstep: each round reads the cdf once, at one point for
+    every law still searching, and narrows the batch to the laws not yet
+    done, so each law reads exactly the points it would read alone.  A
+    batch's answers come back as an int64 array of its shape.
     """
-    count = math.prod(shape)
     _require_level(q)
-    levels = _entries(q, count)
-    points = _starts(count, q, mean, sd, skewness)
-    # per law: the ends of the bracket lo < answer <= hi found so far,
-    # None until found, and the size of its next step out
-    lo, hi, step = [None] * count, [None] * count, [1] * count
-    searching = list(range(count))
-    while searching:
-        if shape:
-            values = cdf(np.array([points[i] for i in searching], dtype=float), laws).tolist()
-        else:
-            values = [cdf(points[0], laws)]
-        still, kept = [], []
-        for position, (i, value) in enumerate(zip(searching, values)):
-            if value >= levels[i]:
-                hi[i] = points[i]
-            else:
-                lo[i] = points[i]
-            if lo[i] is None:
-                if hi[i] < step[i]:
-                    lo[i] = -1
-                else:
-                    points[i] = hi[i] - step[i]
-                    step[i] *= 2
-            elif hi[i] is None:
-                points[i] = lo[i] + step[i]
-                step[i] *= 2
-            if lo[i] is not None and hi[i] is not None:
-                if hi[i] - lo[i] <= 1:
-                    continue
-                points[i] = (lo[i] + hi[i]) // 2
-            still.append(i)
-            kept.append(position)
-        if still and len(still) < len(searching):
-            laws = _take(laws, kept)
-        searching = still
+    point = _search_points(_starts(q, mean, sd, skewness), q, mean)
+    # a batch's answers, and where each law still searching puts its own
+    answers = np.empty(math.prod(shape), dtype=np.int64)
+    at = np.arange(answers.size)
+    # the ends of the bracket lo < answer <= hi, -2 and -1 until found
+    lo, hi, step = -2, -1, 1
+    while True:
+        reached = cdf(point, laws) >= q
+        hi = where(reached, point, hi)
+        lo = where(reached, lo, point)
+        # a step down past 0 closes the bracket at -1, where the cdf is 0
+        lo = where((lo < -1) & (hi < step), -1, lo)
+        bracketing = (lo < -1) | (hi < 0)
+        done = negate(bracketing) & (hi - lo <= 1)
+        if every(done):
+            break
+        if some(done):
+            kept = np.flatnonzero(~done)
+            answers[at[done]] = hi[done]
+            at, lo, hi, step, bracketing, q, mean, laws = (
+                _take(values, kept) for values in (at, lo, hi, step, bracketing, q, mean, laws))
+        point = _search_points(where(bracketing, where(hi < 0, lo + step, hi - step),
+                                     (lo + hi) // 2), q, mean)
+        step = where(bracketing, 2 * step, step)
     if not shape:
-        return hi[0]
-    # the answers stay Python ints until here, exact even past the int64 range
-    return np.array(hi, dtype=np.int64 if count == 0 else None).reshape(shape)
+        return hi
+    answers[at] = hi
+    return answers.reshape(shape)
 
 
 def pearson6_cdf(x, params: Pearson6Params):

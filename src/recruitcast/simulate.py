@@ -405,7 +405,13 @@ def generate_trial(config: SimConfig, rngs: Sequence[np.random.Generator]
         openings = config.schedule.sample_openings(rng, config.centres, config.census_time)
         exposures[row] = config.census_time - openings
         rates[row] = config.prior.sample_rates(rng, config.centres)
-        counts[row] = rng.poisson(rates[row] * exposures[row])
+        try:
+            counts[row] = rng.poisson(rates[row] * exposures[row])
+        except ValueError:
+            # a heavy-tailed prior can draw a rate far past its mean
+            raise ValueError(
+                f"prior {config.prior} drew a centre rate whose mean count over the census "
+                f"{config.census_time:g} is past what numpy's Poisson sampler accepts") from None
     return rates, TrialData.from_arrays(config.census_time, exposures, counts)
 
 

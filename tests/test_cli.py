@@ -914,6 +914,19 @@ def test_a_prior_past_the_poisson_range_fails_before_any_trial_is_drawn(tmp_path
     assert err.count("\n") == 1 and "prior" in err and "Traceback" not in err
 
 
+def test_a_heavy_tailed_prior_that_draws_past_the_poisson_range_is_named(tmp_path, capsys):
+    # the prior's mean count per centre, 1e18, is inside numpy's Poisson
+    # range, but one of 50 centres draws a rate past it: this once exited
+    # 4 with numpy's bare "lam value too large"
+    raw = {"prior": {"alpha": 0.01, "beta": 1e-20}, "centres": 50, "census_time": 1.0,
+           "objective": "count", "horizon": 0.5, "replications": 3, "seed": 4}
+    config = tmp_path / "cell.json"
+    config.write_text(json.dumps(raw))
+    code, out, err = run(capsys, "simulate", "--config", str(config))
+    assert code == 4 and out == ""
+    assert err.count("\n") == 1 and "prior" in err and "Traceback" not in err
+
+
 _CELL ={"prior": {"alpha": 2.0, "beta": 150.0}, "centres": 20, "census_time": 100.0,
          "objective": "count", "horizon": 100.0, "replications": 3, "seed": 4}
 

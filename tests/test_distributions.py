@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy import special
 
 import oracles
-from recruitcast import distributions, predict
+from recruitcast import distributions, predict, simulate
 from recruitcast.reproduce import reproduction_table
 from recruitcast.simulate import coverage_study
 from recruitcast import (
@@ -285,18 +285,48 @@ def test_nb_quantile_equals_the_exponential_bracket_search(case):
 _BATCH = settings(max_examples=120, deadline=None, derandomize=True, database=None)
 
 
+def _read_in_lockstep(cdf_name, quantile, levels, laws, cases):
+    """``quantile(levels, laws)``, checking through a spy on the module's
+    ``cdf_name`` that the batch reads in lockstep: its r-th cdf read holds
+    the r-th point that each law of ``cases``, one (q, law) per element,
+    reads when searched alone, for every law that reads that often, in
+    batch order.  So each law reads exactly its own points."""
+    cdf = getattr(distributions, cdf_name)
+    reads = []
+
+    def spy(points, law):
+        fields = (law.size, law.prob) if isinstance(law, NegBinParams) else (law,)
+        reads.append([(tuple(map(float, values)), int(point))
+                      for *values, point in np.broadcast(*fields, points)])
+        return cdf(points, law)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(distributions, cdf_name, spy)
+        got = quantile(levels, laws)
+        batch = list(reads)
+        alone = []
+        for q, law in cases:
+            reads.clear()
+            assert quantile(q, law) == got.flat[len(alone)]
+            alone.append([read for (read,) in reads])
+    assert batch == [[own[r] for own in alone if len(own) > r]
+                     for r in range(max(map(len, alone)))]
+    return got
+
+
 @_BATCH
-@given(cases=st.lists(_NB_CASES, min_size=1, max_size=12))
+@given(cases=st.lists(_NB_CASES, min_size=1, max_size=64))
 @example(cases=[(0.95, NegBinParams(302.0, 0.36))])
 @example(cases=[(1e-9, NegBinParams(5e-4, 0.6)), (0.5, NegBinParams(302.0, 0.36)),
                 (1.0 - 1e-12, NegBinParams(2e-4, 0.999)), (0.999, NegBinParams(40.0, 1e-5))])
 def test_batched_nb_quantiles_equal_the_exponential_bracket_search(cases):
     # one batch mixes both cdf branches and both ends of (0, 1); each of
-    # its laws must get the answer a search of that law alone finds
+    # its laws must get the answer a search of that law alone finds, by
+    # reading the points that search reads
     levels = np.array([q for q, _ in cases])
     laws = NegBinParams(np.array([law.size for _, law in cases]),
                         np.array([law.prob for _, law in cases]))
-    got = nb_quantile(levels, laws)
+    got = _read_in_lockstep("nb_cdf", nb_quantile, levels, laws, cases)
     assert got.shape == levels.shape
     for k, (q, law) in zip(got.tolist(), cases):
         assert k == oracles.exponential_bracket_quantile(
@@ -304,14 +334,56 @@ def test_batched_nb_quantiles_equal_the_exponential_bracket_search(cases):
 
 
 @_BATCH
-@given(cases=st.lists(st.tuples(_LEVELS, _log_uniform(1e-6, 1e4)), min_size=1, max_size=12))
+@given(cases=st.lists(st.tuples(_LEVELS, _log_uniform(1e-6, 1e4)), min_size=1, max_size=64))
 def test_batched_poisson_quantiles_equal_the_exponential_bracket_search(cases):
     levels, means = (np.array(column) for column in zip(*cases))
-    got = poisson_quantile(levels, means)
+    got = _read_in_lockstep("poisson_cdf", poisson_quantile, levels, means, cases)
     assert got.shape == levels.shape
     for k, (q, mean) in zip(got.tolist(), cases):
         assert k == oracles.exponential_bracket_quantile(
             lambda j: poisson_cdf(j, mean), q, mean)
+
+
+def test_a_table_chunk_reads_each_law_as_it_reads_alone(monkeypatch):
+    # the plug-in and adjusted intervals of a 200-replication table-2
+    # chunk read their ends in two batches of about 400 laws each
+    batches = []
+
+    def recorded(q, params):
+        batches.append((q, params))
+        return quantile(q, params)
+
+    quantile = predict.nb_quantile
+    monkeypatch.setattr(predict, "nb_quantile", recorded)
+    _, config = reproduction_table("2", replications=200, base_seed=29).rows[0]
+    simulate._coverage_chunk(config, (0, 200))
+    monkeypatch.undo()
+    assert len(batches) == 2
+    for q, params in batches:
+        levels, sizes, probs = (a.ravel() for a in np.broadcast_arrays(q, params.size,
+                                                                         params.prob))
+        assert levels.size >= 350
+        cases = [(level, NegBinParams(size, prob))
+                 for level, size, prob in zip(levels.tolist(), sizes.tolist(), probs.tolist())]
+        _read_in_lockstep("nb_cdf", nb_quantile, q, params, cases)
+
+
+def test_a_batch_past_the_int64_search_is_refused_by_name(monkeypatch):
+    # one law searches on Python ints and is exact at any size; a batch
+    # searches on int64 and refuses a start, or a bracket, at 2^62 by
+    # name, where it once gave floats or objects back
+    assert poisson_quantile(0.5, 1e19) == 10000000000000001025
+    for mean in (1e19, 1e25):
+        with pytest.raises(ValueError) as refusal:
+            poisson_quantile(np.array([0.5, 0.5]), np.array([mean, 1.0]))
+        assert all(part in str(refusal.value)
+                   for part in ("level-0.5 ", f"mean {mean:g} ", "smaller horizon"))
+    # a cdf that never reaches the level brackets upwards until it is
+    # refused; here the first law's is 1 throughout, and its search ends at 0
+    monkeypatch.setattr(distributions, "poisson_cdf", lambda points, mean: (mean < 3.5) * 1.0)
+    with pytest.raises(ValueError) as refusal:
+        poisson_quantile(np.array([0.5, 0.9]), np.array([3.0, 4.0]))
+    assert all(part in str(refusal.value) for part in ("level-0.9 ", "mean 4 ", "2^62"))
 
 
 @_SEARCH
