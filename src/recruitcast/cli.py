@@ -14,12 +14,14 @@ Exit codes: 0 success, 2 data error, 3 degenerate fit, 4 config error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
+import gc
 import io
+import itertools
 import json
 import math
-import operator
 import sys
 from dataclasses import fields, is_dataclass, replace
 from datetime import datetime, timezone
@@ -93,28 +95,35 @@ class DataError(Exception):
     """Input data cannot be used."""
 
 
-class MalformedRow(DataError):
+class _RowError(DataError):
+    """A fault in one row of a centre CSV, at file line ``line``.  The
+    checks raise it with the row's position among the non-empty rows,
+    which ``_read_columns`` turns into the line before it leaves."""
+
     def __init__(self, line: int, detail: str):
-        super().__init__(f"line {line}: {detail}")
-        self.line = line
+        self.line, self.detail = line, detail
+
+    def __str__(self) -> str:
+        return f"line {self.line}: {self.detail}"
 
 
-class EventBeforeOpening(DataError):
+class MalformedRow(_RowError):
+    """A row whose fields cannot be read or do not fit together."""
+
+
+class EventBeforeOpening(_RowError):
     def __init__(self, line: int, centre: str):
-        super().__init__(f"line {line}: event precedes centre {centre!r} opening")
-        self.line = line
+        super().__init__(line, f"event precedes centre {centre!r} opening")
 
 
-class EventAfterCensus(DataError):
+class EventAfterCensus(_RowError):
     def __init__(self, line: int, centre: str):
-        super().__init__(f"line {line}: event after census for centre {centre!r}")
-        self.line = line
+        super().__init__(line, f"event after census for centre {centre!r}")
 
 
-class OpeningAfterCensus(DataError):
+class OpeningAfterCensus(_RowError):
     def __init__(self, line: int, centre: str):
-        super().__init__(f"line {line}: centre {centre!r} opens after census")
-        self.line = line
+        super().__init__(line, f"centre {centre!r} opens after census")
 
 
 class ConfigError(Exception):
@@ -155,92 +164,163 @@ def _opening(line: int, centre: str | None, raw_open: str | None,
     return centre, open_time
 
 
-def _read_rows(path: str, columns: tuple[str, ...]):
-    """Yield (line number, fields) for each row of a UTF-8 centre CSV,
-    with ``fields`` the row's values of ``columns`` in that order.
+def _read_columns(path: str, columns: tuple[str, ...], check, *args):
+    """``check(*values, *args)`` for a UTF-8 centre CSV, where ``values``
+    holds one tuple per name in ``columns``: that column's field in each
+    non-empty row, in file order.
 
-    The header's last mention of a column wins; other columns, extra
-    fields and empty lines are ignored.  A field past the end of a short
-    row reads as None.  Undecodable bytes and rows csv cannot split are
-    data errors.
+    A leading byte-order mark is dropped.  The header's last mention of a
+    column wins; other columns, extra fields and empty lines are ignored.
+    A field past the end of a short row reads as None.  ``check`` raises
+    a row's fault with the row's index in the tuples as its line, and
+    the fault leaves here naming the row's line in the file.  Undecodable
+    bytes and rows csv cannot split are data errors, raised once
+    ``check`` has passed the rows before them.
     """
     try:
-        handle = open(path, newline="", encoding="utf-8")
+        handle = open(path, newline="", encoding="utf-8-sig")
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from None
-    with handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader, None)
-            if header is None:
-                raise DataError(f"{path} is empty")
-            position = {name: i for i, name in enumerate(header)}
-            missing = [c for c in columns if c not in position]
-            if missing:
-                raise DataError(f"{path} lacks columns: {', '.join(missing)}")
-            indexes = [position[c] for c in columns]
-            select = operator.itemgetter(*indexes)
-            width = max(indexes) + 1
-            for row in reader:
-                if len(row) < width:
-                    if not row:
-                        continue
-                    row += [None] * (width - len(row))
-                yield reader.line_num, select(row)
-        except csv.Error as exc:
-            raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
-        except UnicodeDecodeError as exc:
-            raise DataError(f"{path}: {exc}") from None
+    header, rows, failure = None, [], None
+    # every row stays alive until it is in a column, so a collection while
+    # they are read would scan them all and free none
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        with handle:
+            reader = csv.reader(handle)
+            try:
+                header = next(reader, None)
+                rows.extend(filter(None, reader))  # keeps the rows read before a failure
+            except csv.Error as exc:
+                failure = DataError(f"{path}: line {reader.line_num}: {exc}")
+            except UnicodeDecodeError as exc:
+                failure = DataError(f"{path}: {exc}")
+        if header is None:
+            raise failure or DataError(f"{path} is empty")
+        position = {name: i for i, name in enumerate(header)}
+        missing = [c for c in columns if c not in position]
+        if missing:
+            raise DataError(f"{path} lacks columns: {', '.join(missing)}")
+        if not rows:
+            raise failure or DataError(f"{path} holds no centres")
+        indexes = [position[c] for c in columns]
+        rows[0] += [None] * (max(indexes) + 1 - len(rows[0]))  # zip_longest pads the rest
+        table = list(itertools.islice(itertools.zip_longest(*rows), max(indexes) + 1))
+        rows.clear()
+    finally:
+        if collecting:
+            gc.enable()
+    try:
+        result = check(*map(table.__getitem__, indexes), *args)
+    except _RowError as fault:
+        with open(path, newline="", encoding="utf-8-sig") as handle:
+            reader = csv.reader(handle)
+            next(itertools.islice(filter(None, reader), fault.line + 1, None))
+            fault.line = reader.line_num
+        raise
+    if failure is not None:
+        raise failure
+    return result
 
 
-def _read_events(path: str, census_time: float) -> dict[str, tuple[float, list[float]]]:
-    """Events CSV -> {centre: (open_time, sorted event offsets from opening)}.
+def _read_events(path: str, census_time: float):
+    """Events CSV -> (ids, openings, centre, offsets), read as columns.
 
-    A row with a blank or missing event_time registers the centre without
-    adding an event, which is how centres that never recruited appear in
-    a log.
+    ``ids`` names the centres in the order they first appear and
+    ``openings`` holds their opening times.  ``centre`` and ``offsets``
+    hold one entry per event, in file order: the index of its centre in
+    ``ids`` and its time from that centre's opening.  A row with a blank
+    or missing event_time registers the centre without adding an event,
+    which is how centres that never recruited appear in a log.  Nothing
+    is grouped or sorted by centre.
     """
-    centres: dict[str, tuple[float, list[float]]] = {}
+    return _read_columns(path, ("centre_id", "open_time", "event_time"), _event_columns,
+                         census_time)
+
+
+def _event_columns(raw_centres, raw_opens, raw_events, census_time: float):
+    """``_read_events`` on the log's three columns of raw fields, checked
+    in array passes; the first faulty row in file order is then checked
+    alone, in the order a row's checks run, to name its fault."""
     # a log repeats its centre's fields on every event row, so each distinct
-    # pair of centre_id and open_time fields is checked once
-    checked: dict[tuple, tuple[str, float, list[float]]] = {}
-    for line, (raw_centre, raw_open, raw_event) in _read_rows(
-            path, ("centre_id", "open_time", "event_time")):
-        known = checked.get((raw_centre, raw_open))
-        if known is None:
-            centre, open_time = _opening(line, raw_centre, raw_open, census_time)
-            entry = centres.setdefault(centre, (open_time, []))
-            if entry[0] != open_time:
-                raise MalformedRow(
-                    line, f"centre {centre!r} open_time changed from "
-                    f"{entry[0]} to {open_time}")
-            known = checked[raw_centre, raw_open] = centre, open_time, entry[1]
-        centre, open_time, offsets = known
-        raw_event = (raw_event or "").strip()
-        if raw_event == "":
-            continue
-        event_time = _parse_float(line, raw_event, "event_time")
-        if event_time < open_time:
-            raise EventBeforeOpening(line, centre)
-        if event_time > census_time:
-            raise EventAfterCensus(line, centre)
-        if open_time == census_time:
+    # pair of centre_id and open_time fields is checked once, at its first
+    # row; ids maps each centre to its index and opening time
+    first, ids, fault, end = {}, {}, None, len(raw_centres)
+    first_row = np.array(list(map(first.setdefault, zip(raw_centres, raw_opens),
+                                  itertools.count())), np.intp)
+    centre_at = np.empty(len(raw_centres), np.intp)  # set at each pair's first row
+    for row in first.values():
+        try:
+            centre, open_time = _opening(row, raw_centres[row], raw_opens[row], census_time)
+            centre_at[row], first_open = ids.setdefault(centre, (len(ids), open_time))
+            if first_open != open_time:
+                raise MalformedRow(row, f"centre {centre!r} open_time changed from "
+                                        f"{first_open} to {open_time}")
+        except _RowError as exc:
+            fault, end = exc, row  # no later row is read, as this one is named
+            break
+    cells = raw_events[:end]
+    texts = list(map(str.strip, filter(None, cells)))  # None and "" are blank
+    events = np.array(list(itertools.compress(itertools.compress(range(end), cells), texts)),
+                      np.intp)
+    times = []
+    with contextlib.suppress(ValueError):  # then the event at len(times) does not parse
+        times.extend(map(float, filter(None, texts)))
+    times = np.array(times, float)
+    centre = centre_at[first_row[events]]
+    opens = np.array([open_time for _, open_time in ids.values()])
+    opened = opens[centre[:times.size]]
+    bad = np.flatnonzero(~np.isfinite(times) | (times < opened) | (times > census_time)
+                         | (opened == census_time))
+    stop = bad[0] if bad.size else times.size
+    if stop < events.size:  # the first faulty event comes before any faulty opening
+        row, name, open_time = int(events[stop]), list(ids)[centre[stop]], opens[centre[stop]]
+        event_time = _parse_float(row, raw_events[row].strip(), "event_time")
+        raise (EventBeforeOpening(row, name) if event_time < open_time else
+               EventAfterCensus(row, name) if event_time > census_time else
+               MalformedRow(row, f"centre {name!r} recruited at the census with zero exposure"))
+    if fault is not None:
+        raise fault
+    return tuple(ids), opens, centre, times - opened
+
+
+def _events_trial(ids: tuple[str, ...], openings, centre, census_time: float) -> TrialData:
+    """Trial snapshot from the ``ids``, ``openings`` and ``centre``
+    columns of ``_read_events``: count = events logged."""
+    return TrialData(census_time, census_time - openings,
+                     np.bincount(centre, minlength=len(ids)), ids)
+
+
+def _summary_trial(raw_centres, raw_opens, raw_counts, census_time: float) -> TrialData:
+    """Trial snapshot from a summary file's three columns of raw fields,
+    checked row by row."""
+    ids, exposures, counts, seen, total = [], [], [], set(), 0
+    for line, (centre, raw_open, raw_count) in enumerate(zip(raw_centres, raw_opens, raw_counts)):
+        centre = (centre or "").strip()
+        if centre in seen:  # a blank id never gets here twice: _opening refuses it
+            raise MalformedRow(line, f"duplicate centre {centre!r}")
+        seen.add(centre)
+        centre, open_time = _opening(line, centre, raw_open, census_time)
+        raw_count = (raw_count or "").strip()
+        try:
+            count = int(raw_count)
+        except ValueError:
+            raise MalformedRow(line, f"cannot parse count {raw_count!r}") from None
+        if count < 0:
+            raise MalformedRow(line, f"negative count {count}")
+        total += count
+        if total > _MAX_COUNT:
+            raise MalformedRow(line, f"count {count} takes the total past the "
+                               f"int64 maximum {_MAX_COUNT}")
+        exposure = census_time - open_time
+        if exposure == 0 and count > 0:
             raise MalformedRow(
-                line, f"centre {centre!r} recruited at the census with zero exposure")
-        offsets.append(event_time - open_time)
-    if not centres:
-        raise DataError(f"{path} holds no centres")
-    for open_time, offsets in centres.values():
-        offsets.sort()
-    return centres
-
-
-def _events_trial(centres: dict[str, tuple[float, list[float]]],
-                  census_time: float) -> TrialData:
-    """Trial snapshot from ``_read_events`` output: count = events logged."""
-    return TrialData(census_time,
-                     [census_time - opened for opened, _ in centres.values()],
-                     [len(offsets) for _, offsets in centres.values()], tuple(centres))
+                line, f"centre {centre!r} recruited {count} with zero exposure")
+        ids.append(centre)
+        exposures.append(exposure)
+        counts.append(count)
+    return TrialData(census_time, exposures, counts, tuple(ids))
 
 
 def parse_centre_csv(path: str, fmt: str, census_time: float) -> TrialData:
@@ -250,44 +330,18 @@ def parse_centre_csv(path: str, fmt: str, census_time: float) -> TrialData:
     Events format: one row per recruit with centre_id, open_time,
     event_time; blank event_time rows register zero-count centres.
     Exposure is census minus opening in both cases.  Either file is
-    UTF-8 with a header row; see ``_read_rows`` for how columns are found.
+    UTF-8 with a header row and is read as columns (``_read_columns``):
+    a summary's rows are checked one by one, an events log's in array
+    passes (``_read_events``).  Either way the first faulty row in file
+    order is the one named.
     """
     if not (math.isfinite(census_time) and census_time > 0):
         raise ConfigError(f"census time must be positive and finite, got {census_time}")
     if fmt == "summary":
-        ids, exposures, counts = [], [], []
-        seen = set()
-        total = 0
-        for line, (centre, raw_open, raw_count) in _read_rows(
-                path, ("centre_id", "open_time", "count")):
-            centre = (centre or "").strip()
-            if centre in seen:  # a blank id never gets here twice: _opening refuses it
-                raise MalformedRow(line, f"duplicate centre {centre!r}")
-            seen.add(centre)
-            centre, open_time = _opening(line, centre, raw_open, census_time)
-            raw_count = (raw_count or "").strip()
-            try:
-                count = int(raw_count)
-            except ValueError:
-                raise MalformedRow(line, f"cannot parse count {raw_count!r}") from None
-            if count < 0:
-                raise MalformedRow(line, f"negative count {count}")
-            total += count
-            if total > _MAX_COUNT:
-                raise MalformedRow(line, f"count {count} takes the total past the "
-                                   f"int64 maximum {_MAX_COUNT}")
-            exposure = census_time - open_time
-            if exposure == 0 and count > 0:
-                raise MalformedRow(
-                    line, f"centre {centre!r} recruited {count} with zero exposure")
-            ids.append(centre)
-            exposures.append(exposure)
-            counts.append(count)
-        if not ids:
-            raise DataError(f"{path} holds no centres")
-        return TrialData(census_time, exposures, counts, tuple(ids))
+        return _read_columns(path, ("centre_id", "open_time", "count"), _summary_trial,
+                             census_time)
     if fmt == "events":
-        return _events_trial(_read_events(path, census_time), census_time)
+        return _events_trial(*_read_events(path, census_time)[:3], census_time)
     raise ConfigError(f"unknown format {fmt!r}; expected summary or events")
 
 
@@ -603,15 +657,13 @@ def _cmd_diagnose_qq(args) -> int:
         raise ConfigError(f"window must be positive, got {args.window}")
     if args.window > args.census:
         raise ConfigError("window cannot exceed the census time")
-    centres = _read_events(args.input, args.census)
-    window_counts = sorted(
-        sum(1 for offset in offsets if offset <= args.window)
-        for cid, (opened, offsets) in centres.items()
-        if args.census - opened >= args.window)
+    ids, openings, centre, offsets = _read_events(args.input, args.census)
+    in_window = np.bincount(centre[offsets <= args.window], minlength=len(ids))
+    window_counts = np.sort(in_window[args.census - openings >= args.window]).tolist()
     m = len(window_counts)
     if m < 5:
         raise DataError(f"only {m} centres exposed for the full window; need 5")
-    fit = fit_mle(_events_trial(centres, args.census))
+    fit = fit_mle(_events_trial(ids, openings, centre, args.census))
     if not fit.converged:
         return _refuse_stalled_fit(fit)
     law = NegBinParams(size=fit.alpha_hat,

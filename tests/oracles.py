@@ -218,9 +218,10 @@ def exponential_bracket_quantile(cdf, q, mean):
 # csv.DictReader, one row dict per record.  The exception classes mirror
 # the CLI's by name and message; callers compare ``type(exc).__name__``
 # and ``str(exc)``.  Two points differ from the code as it shipped: the
-# file is opened as UTF-8 (it used the locale's encoding), and line
-# numbers come from the underlying csv.reader, because DictReader.line_num
-# names the first of a run of blank lines, not the row that follows it.
+# file is opened as UTF-8 with a leading byte-order mark dropped (it used
+# the locale's encoding), and line numbers come from the underlying
+# csv.reader, because DictReader.line_num names the first of a run of
+# blank lines, not the row that follows it.
 
 
 class DataError(Exception):
@@ -262,7 +263,7 @@ def _parse_float(line, raw, column):
 
 def _read_rows(path, columns):
     try:
-        handle = open(path, newline="", encoding="utf-8")
+        handle = open(path, newline="", encoding="utf-8-sig")
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from None
     with handle:

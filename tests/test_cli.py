@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import gc
 import io
 import json
 from dataclasses import replace
@@ -450,6 +451,53 @@ def test_unreadable_csvs_are_data_errors(tmp_path, capsys, fmt):
     assert len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("fmt", ["summary", "events"])
+def test_a_leading_byte_order_mark_is_dropped(tmp_path, capsys, fmt):
+    # spreadsheets save "CSV UTF-8" with the bytes EF BB BF in front
+    source, census = ((demo_summary_path(), DEMO_SUMMARY_CENSUS) if fmt == "summary"
+                      else (demo_events_path(), DEMO_EVENTS_CENSUS))
+    marked = tmp_path / "marked.csv"
+    marked.write_bytes(b"\xef\xbb\xbf" + source.read_bytes())
+    plain = parse_centre_csv(str(source), fmt, census)
+    trial = parse_centre_csv(str(marked), fmt, census)
+    assert trial.ids == plain.ids
+    assert trial.exposures.tobytes() == plain.exposures.tobytes()
+    assert trial.counts.tolist() == plain.counts.tolist()
+    _assert_reads_like_the_reference(str(marked), fmt)
+    code, out, _ = run(capsys, "fit", "--input", str(marked), "--format", fmt,
+                       "--census", str(census))
+    assert code == 0 and json.loads(out)["data"]["total_count"] == plain.total_count
+
+    # Latin-1 bytes are still refused, after a mark as without one
+    latin = tmp_path / "latin.csv"
+    latin.write_bytes(b"\xef\xbb\xbf" + "centre_id,open_time,count,event_time\n"
+                      "Z\xfcrich,0,1,0.5\n".encode("latin-1"))
+    code, out, err = run(capsys, "fit", "--input", str(latin), "--format", fmt,
+                         "--census", "1")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"data error: {latin}: 'utf-8' codec can't decode byte 0xfc")
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_a_read_leaves_the_garbage_collector_as_it_was(tmp_path, enabled):
+    # the reader pauses collection while it holds every row of the file
+    bad, empty = tmp_path / "bad.csv", tmp_path / "empty.csv"
+    write_events(bad, [("A", 0, 0.5), ("B", "x", 0.5)])
+    write_events(empty, [])
+    try:
+        (gc.enable if enabled else gc.disable)()
+        parse_centre_csv(str(demo_events_path()), "events", DEMO_EVENTS_CENSUS)
+        assert gc.isenabled() == enabled
+        for path in (bad, empty):
+            with pytest.raises(cli.DataError):
+                parse_centre_csv(str(path), "events", 1.0)
+            assert gc.isenabled() == enabled
+    finally:
+        gc.enable()
+
+
+_SUMMARY_HEAD = "centre_id,open_time,count\n"
+_EVENTS_HEAD = "centre_id,open_time,event_time\n"
 _CSV_PROPERTY = settings(max_examples=300, deadline=None, derandomize=True,
                          database=None)
 _CENSUS = 1.0
@@ -521,7 +569,9 @@ def _expected_trial(path, fmt):
     if fmt == "summary":
         ids, exposures, counts = oracles.read_summary_csv(path, _CENSUS)
         return TrialData(_CENSUS, exposures, counts, tuple(ids))
-    return cli._events_trial(oracles.read_events_csv(path, _CENSUS), _CENSUS)
+    centres = oracles.read_events_csv(path, _CENSUS)
+    return TrialData(_CENSUS, [_CENSUS - opened for opened, _ in centres.values()],
+                     [len(offsets) for _, offsets in centres.values()], tuple(centres))
 
 
 def _assert_same_outcome(new, old):
@@ -545,10 +595,12 @@ def _assert_reads_like_the_reference(path, fmt):
         old = _outcome(oracles.read_events_csv, path, _CENSUS)
         _assert_same_outcome(new, old)
         if new[0] == "value":
-            assert list(new[1]) == list(old[1])
-            for centre, (opened, offsets) in new[1].items():
-                assert opened == old[1][centre][0]
-                assert np.array(offsets).tobytes() == np.array(old[1][centre][1]).tobytes()
+            ids, openings, centre, offsets = new[1]
+            assert list(ids) == list(old[1])
+            assert openings.tolist() == [opened for opened, _ in old[1].values()]
+            for i, (_, expected) in enumerate(old[1].values()):
+                grouped = np.sort(offsets[centre == i])
+                assert grouped.tobytes() == np.array(expected, dtype=float).tobytes()
     return new
 
 
@@ -561,8 +613,30 @@ def test_csv_reader_matches_the_dictreader_reference(tmp_path_factory, data):
     _assert_reads_like_the_reference(str(path), fmt)
 
 
-_SUMMARY_HEAD = "centre_id,open_time,count\n"
-_EVENTS_HEAD = "centre_id,open_time,event_time\n"
+def _oracle_total(path, fmt):
+    if fmt == "summary":
+        return sum(oracles.read_summary_csv(path, _CENSUS)[2])
+    return sum(len(offsets) for _, offsets in oracles.read_events_csv(path, _CENSUS).values())
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_fit_on_any_centre_csv_exits_with_one_line(tmp_path_factory, data):
+    # the whole command in this process: whatever the file holds, fit exits
+    # with a known code, and a refusal is one line without a traceback
+    fmt = data.draw(st.sampled_from(["summary", "events"]))
+    path = tmp_path_factory.mktemp("csv") / "centres.csv"
+    path.write_text(data.draw(_centre_csv(fmt)), encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["fit", "--format", fmt, "--input", str(path), "--census", str(_CENSUS)])
+    assert code in (0, 2, 3, 4)
+    assert "Traceback" not in err.getvalue()
+    if code == 0:
+        assert err.getvalue() == ""
+        assert json.loads(out.getvalue())["data"]["total_count"] == _oracle_total(str(path), fmt)
+    else:
+        assert len(err.getvalue().splitlines()) == 1 and err.getvalue().endswith("\n")
 
 
 @pytest.mark.parametrize("fmt, text, outcome", [
@@ -601,6 +675,27 @@ _EVENTS_HEAD = "centre_id,open_time,event_time\n"
     ("events", _EVENTS_HEAD + "A,0,nan\n", "MalformedRow"),
     ("events", _EVENTS_HEAD + "A,0, y \n", "MalformedRow"),
     ("events", _EVENTS_HEAD + "\n\n", "DataError"),
+    # the fault search over an events log: centres interleaved, a quiet
+    # centre's blank row after its events, line numbers past a two-line
+    # field and blank lines, the earlier of two faults of different kinds
+    ("events", _EVENTS_HEAD + "A,0,0.5\nB,0.25,0.5\nA,0,0.75\n", "value"),
+    ("events", _EVENTS_HEAD + "A,0,0.5\nB,0.25,0.5\nA,0.5,0.75\n", "MalformedRow"),
+    ("events", _EVENTS_HEAD + "A,0,0.5\nB,0.25,\nA,0,0.75\nB,0.25,\n", "value"),
+    ("events", "centre_id,open_time,event_time,site\nA,0,0.5,\"two\nlines\"\n\n\n"
+               "B,0,1.25,x\n", "EventAfterCensus"),
+    ("events", _EVENTS_HEAD + "A,0,0.5\n\nA,0,0.75\n\nB,0.25,0.1\n", "EventBeforeOpening"),
+    ("events", _EVENTS_HEAD + "A,0.25,1.25\nA,0.25,0.1\n", "EventAfterCensus"),
+    ("events", _EVENTS_HEAD + "A,0.25,0.1\nA,0.25,1.25\n", "EventBeforeOpening"),
+    ("events", _EVENTS_HEAD + "A,0,1.25\nB,x,0.5\n", "EventAfterCensus"),
+    ("events", _EVENTS_HEAD + "B,x,0.5\nA,0,1.25\n", "MalformedRow"),
+    ("events", _EVENTS_HEAD + "A,0,0.5\nA,0,y\nA,0,1.25\n", "MalformedRow"),
+    ("events", _EVENTS_HEAD + "A,0,0.5\nA,0,1.25\nA,0,y\n", "EventAfterCensus"),
+    ("events", _EVENTS_HEAD + "A,0,0.5\nC,1,1\nA,0.25,0.5\n", "MalformedRow"),
+    ("events", _EVENTS_HEAD + "A,0,0.5\nA,0.25,\nC,1,1\n", "MalformedRow"),
+    pytest.param("events", _EVENTS_HEAD + f"A,0,1.25\nB,0,0.5\nC,0,{'1' * 131073}\n",
+                 "EventAfterCensus", id="events-fault-before-a-field-past-the-limit"),
+    pytest.param("summary", _SUMMARY_HEAD + f"A,0,-1\nB,0,1\nC,0,{'1' * 131073}\n",
+                 "MalformedRow", id="summary-fault-before-a-field-past-the-limit"),
 ])
 def test_csv_reader_matches_the_dictreader_reference_at_each_check(
         tmp_path, fmt, text, outcome):
@@ -775,6 +870,25 @@ def test_predict_demo_matches_golden_bytes(monkeypatch, capsys, objective, horiz
     stable = "".join(line for line in out.splitlines(keepends=True)
                      if '"created_utc": ' not in line)
     assert stable == (DATA / f"predict_demo_{objective}_{horizon}_adjusted.json").read_text()
+
+
+@pytest.mark.parametrize("golden, command", [
+    ("fit_demo_events.json", ("fit", "--format", "events")),
+    ("predict_demo_events_count_0.5.json", ("predict", "--format", "events",
+                                            "--objective", "count", "--horizon", "0.5")),
+    ("diagnose_qq_demo_events_window_0.25.csv", ("diagnose", "qq", "--window", "0.25")),
+    ("diagnose_qq_demo_events_window_0.5.csv", ("diagnose", "qq", "--window", "0.5")),
+], ids=["fit", "predict", "qq-0.25", "qq-0.5"])
+def test_demo_events_match_golden_bytes(monkeypatch, capsys, golden, command):
+    # the events log's reader feeds each of these; run beside the demo file
+    # as the summary goldens do, and drop the timestamp line
+    monkeypatch.chdir(demo_events_path().parent)
+    code, out, _ = run(capsys, *command, "--input", demo_events_path().name,
+                       "--census", str(DEMO_EVENTS_CENSUS))
+    assert code == 0
+    stable = "".join(line for line in out.splitlines(keepends=True)
+                     if '"created_utc": ' not in line)
+    assert stable == (DATA / golden).read_text()
 
 
 @pytest.mark.parametrize("threads", ["0", "-3", "two"])
