@@ -37,10 +37,9 @@ from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
-from scipy import special
 
 from ._elementwise import every, sqrt, where
-from .distributions import GammaParams
+from .distributions import GammaParams, special
 
 __all__ = [
     "LimitLaw",
@@ -92,7 +91,7 @@ def content_limit(p, x, beta, t):
         raise ValueError(f"beta must be non-negative, got {beta}")
     if not every((t > 0) & (x >= 0)):
         raise ValueError("exposure must be positive and the horizon non-negative")
-    z = special.ndtri(p)
+    z = special().ndtri(p)
     c = sqrt(x / t)
     d = z * sqrt(1.0 + x / (beta + t))
     # the product form of (1 + c^2) / g^2 keeps the last bit best; at
@@ -100,7 +99,7 @@ def content_limit(p, x, beta, t):
     finite = beta < math.inf
     b = where(finite, beta, 0.0)
     widening = where(finite, (b + t) * (t + x) / (t * (b + t + x)), (t + x) / t)
-    return c, d, where(beta == 0.0, p, special.ndtr(sqrt(widening) * z))
+    return c, d, where(beta == 0.0, p, special().ndtr(sqrt(widening) * z))
 
 
 def time_horizon(mean_target, alpha, beta):
@@ -130,7 +129,7 @@ def limit_prob_cdf(w, law: LimitLaw):
     w = np.asarray(w, dtype=float)
     if np.any((w < 0) | (w > 1)):
         raise ValueError("w must lie in [0, 1]")
-    out = special.ndtr((special.ndtri(w) - law.d) / law.c)
+    out = special().ndtr((special().ndtri(w) - law.d) / law.c)
     out = np.where(w <= 0, 0.0, out)
     out = np.where(w >= 1, 1.0, out)
     return float(out) if out.ndim == 0 else out
@@ -141,7 +140,7 @@ def limit_prob_density(w, law: LimitLaw):
     w = np.asarray(w, dtype=float)
     if np.any((w <= 0) | (w >= 1)):
         raise ValueError("the density lives on the open interval (0, 1)")
-    u = special.ndtri(w)
+    u = special().ndtri(w)
     z = (u - law.d) / law.c
     log_density = 0.5 * (u * u - z * z) - math.log(law.c)
     out = np.exp(log_density)
@@ -182,7 +181,7 @@ def sum_gamma_cumulant(order: int, collection: GammaCollection) -> float:
     if order <= _LOG_SPACE_ORDER:
         return float(math.factorial(order - 1) * np.sum(shapes / rates**order))
     log_terms = np.log(shapes) - order * np.log(rates)
-    return float(math.exp(special.gammaln(order) + special.logsumexp(log_terms)))
+    return float(math.exp(special().gammaln(order) + special().logsumexp(log_terms)))
 
 
 def moment_matched_gamma(mean, variance) -> GammaParams:

@@ -16,15 +16,18 @@ discrete quantile's search keeps its state the same way: Python ints for
 one law, exact at any size, and int64 arrays for a batch, stepped by the
 same lines through the `_elementwise` primitives; a batch refuses a
 quantile whose search would reach 2^62.
+
+The special functions come from ``scipy.special``, which this module
+imports at the first law evaluated (``special()``), not when it loads.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
-from scipy import special
 
 from ._elementwise import (ceil, every, floor, is_batch, larger, negate, plain, smaller, some,
                            sqrt, where)
@@ -46,6 +49,24 @@ __all__ = [
 # Below this size the betainc route loses accuracy (its first parameter is
 # nearly zero), so the CDF falls back to direct pmf summation.
 _TINY_SIZE = 1e-3
+
+
+@functools.cache
+def special():
+    """``scipy.special``, imported at the first call.
+
+    Every kernel here and in :mod:`recruitcast.asymptotics` reads SciPy
+    through this, so importing the package loads no SciPy, and a command
+    that evaluates no law (``fit``, ``--version``, a refused input) never
+    pays for SciPy's import, more than half of a cold start.  The import
+    runs under the import statement's own per-module lock, so threads
+    making their first call at once all get the fully built module; the
+    standard library's ``LazyLoader`` gives no such guarantee.  The cache
+    costs tens of ns a call, against about a microsecond for one scalar
+    kernel.
+    """
+    from scipy import special
+    return special
 
 
 def _require(condition: bool, message: str) -> None:
@@ -202,8 +223,8 @@ def _tiny_size_cdf(k: int, size: float, prob: float) -> float:
     # and a quantile search for a level above the stall never ends.
     log_zero = size * math.log1p(-prob)
     j = np.arange(1, k + 1, dtype=float)
-    logs = (special.gammaln(size + j) - special.gammaln(size)
-            - special.gammaln(j + 1.0)
+    logs = (special().gammaln(size + j) - special().gammaln(size)
+            - special().gammaln(j + 1.0)
             + j * math.log(prob)
             + log_zero)
     return float(min(1.0, 1.0 + (math.expm1(log_zero) + np.exp(logs).sum())))
@@ -216,7 +237,7 @@ def nb_cdf(k, params: NegBinParams):
     P(X <= k) = I_{1-prob}(size, k + 1), with a pmf-summation fallback for
     very small ``size`` where betainc degrades.
     """
-    values = special.betainc(params.size, _count_shape(k), 1.0 - params.prob)
+    values = special().betainc(params.size, _count_shape(k), 1.0 - params.prob)
     if some(params.size < _TINY_SIZE):
         k, size, prob, values = (np.array(a) for a in np.broadcast_arrays(
             floor(k), params.size, params.prob, values))
@@ -247,7 +268,7 @@ def _starts(q, mean, sd, skewness):
     tables' laws the start is the answer or next to it, so two reads of
     the cdf settle most quantiles.
     """
-    z = plain(special.ndtri(q))
+    z = plain(special().ndtri(q))
     bend = (z * z - 1.0) / 6.0
     # a zero bend keeps an infinite skewness from turning the start into NaN
     shift = smaller(larger(where(bend == 0.0, 0.0, skewness) * bend, -1.0), 1.0)
@@ -330,7 +351,7 @@ def pearson6_cdf(x, params: Pearson6Params):
     """P(X <= x); domain error for x < 0."""
     _require_each(negate(x < 0), "Pearson VI support is x >= 0, got {}", x)
     z = x / (x + params.scale)
-    return plain(special.betainc(params.shape_num, params.shape_den, z))
+    return plain(special().betainc(params.shape_num, params.shape_den, z))
 
 
 # Newton steps that polish a beta tail root at most; from a start off by a
@@ -349,13 +370,13 @@ def _tail_root(b, a, q, tail):
     """
     upper = q < 0.5  # the upper tail, of mass q, is the smaller
     log_level = np.log(np.where(upper, q, 1.0 - q))
-    log_norm = special.betaln(b, a)
+    log_norm = special().betaln(b, a)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(_TAIL_NEWTON_STEPS):
-            mass = np.where(upper, special.betaincc(b, a, tail), special.betainc(b, a, tail))
+            mass = np.where(upper, special().betaincc(b, a, tail), special().betainc(b, a, tail))
             gap = np.where(upper, log_level - np.log(mass), np.log(mass) - log_level)
             # w times the density, over the mass: the gap's slope in log w
-            slope = np.exp(special.xlogy(b, tail) + special.xlog1py(a - 1.0, -tail)
+            slope = np.exp(special().xlogy(b, tail) + special().xlog1py(a - 1.0, -tail)
                            - log_norm) / mass
             step = gap / slope
             step[~np.isfinite(step)] = 0.0
@@ -375,7 +396,7 @@ def pearson6_quantile(q, params: Pearson6Params):
     Raises ValueError when the quantile lies beyond the float range.
     """
     _require_level(q)
-    z = special.betaincinv(params.shape_num, params.shape_den, q)
+    z = special().betaincinv(params.shape_num, params.shape_den, q)
     near = z <= 0.75
     if every(near):
         return plain(params.scale * z / (1.0 - z))
@@ -384,7 +405,7 @@ def pearson6_quantile(q, params: Pearson6Params):
     far = ~near  # NaN included
     x = np.divide(scale * z, 1.0 - z, out=np.empty(z.shape), where=near)
     b, a, level = shape_den[far], shape_num[far], q[far]
-    tail = _tail_root(b, a, level, special.betaincinv(b, a, 1.0 - level))
+    tail = _tail_root(b, a, level, special().betaincinv(b, a, 1.0 - level))
     x[far] = np.divide(scale[far] * (1.0 - tail), tail,
                        out=np.full(tail.shape, np.inf), where=tail > 0)
     beyond = far & ~np.isfinite(x)
@@ -399,20 +420,20 @@ def pearson6_quantile(q, params: Pearson6Params):
 def gamma_cdf(x, params: GammaParams):
     """P(X <= x) for X gamma; domain error for x < 0."""
     _require_each(negate(x < 0), "gamma support is x >= 0, got {}", x)
-    return plain(special.gammainc(params.shape, params.rate * x))
+    return plain(special().gammainc(params.shape, params.rate * x))
 
 
 def gamma_quantile(q, params: GammaParams):
     """Inverse of gamma_cdf on (0, 1)."""
     _require_level(q)
-    return plain(special.gammaincinv(params.shape, q) / params.rate)
+    return plain(special().gammaincinv(params.shape, q) / params.rate)
 
 
 def poisson_cdf(k, mean):
     """P(X <= floor(k)) for X Poisson with the given mean; 0 for k < 0."""
     _require_each(_positive_finite(mean), "Poisson mean must be positive and finite, got {}",
                   mean)
-    return plain(special.gammaincc(_count_shape(k), mean))
+    return plain(special().gammaincc(_count_shape(k), mean))
 
 
 def poisson_quantile(q, mean):

@@ -45,7 +45,6 @@ from __future__ import annotations
 import math
 import operator
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from typing import Sequence, Union
@@ -62,6 +61,7 @@ from .distributions import (
     pearson6_quantile,
     poisson_cdf,
     poisson_quantile,
+    special,
 )
 from .model import (
     DegenerateLikelihood,
@@ -603,10 +603,18 @@ def _worker_plan(total: int, requested: int) -> tuple[int, list[tuple[int, int]]
 
 
 def _run_replications(chunk_fn, total: int, workers: int) -> np.ndarray:
-    """The chunks' rows for replications 0 up to ``total``, in order."""
+    """The chunks' rows for replications 0 up to ``total``, in order.
+
+    The process pool is imported only here, where one starts.  Before it
+    starts, the parent loads SciPy (``distributions.special``), so that
+    forked workers inherit it instead of each importing it again, once per
+    table row.
+    """
     workers, bounds = _worker_plan(total, workers)
     if workers == 1:
         return np.concatenate([chunk_fn(b) for b in bounds])
+    from concurrent.futures import ProcessPoolExecutor
+    special()
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return np.concatenate(list(pool.map(chunk_fn, bounds)))
 

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import oracles
 import pytest
+from fresh_process import run_python
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -639,6 +640,48 @@ def test_fit_on_any_centre_csv_exits_with_one_line(tmp_path_factory, data):
         assert len(err.getvalue().splitlines()) == 1 and err.getvalue().endswith("\n")
 
 
+# what the fuzz test below draws for an argument, beside its valid values
+_HOSTILE_ARGUMENTS = ["nan", "-NaN", "inf", "-inf", "0", "-0.0", "-1", "-1e308", "1e308",
+                      "1e400", "5e-324", "1e-300", "ten", "", "0x10", "1_0"]
+_VALID_ARGUMENTS = {"format": ["summary", "events"], "objective": ["count", "time"],
+                    "horizon": ["0.875", "300", "3"], "level": ["0.9", "0.5", "0.99"]}
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_fit_and_predict_on_any_arguments_exit_with_one_line(data):
+    # the whole command in this process, on the demo files: whatever the
+    # arguments hold, it exits with a known code, and a refusal is one
+    # line without a traceback
+    command = data.draw(st.sampled_from(["fit", "predict"]), label="command")
+    names = ["format", "census"] + (["objective", "horizon", "level"]
+                                    if command == "predict" else [])
+    hostile = data.draw(st.sets(st.sampled_from(names), max_size=2), label="hostile")
+    values = {}
+    for name in names:
+        # the demo file read is the one the format names, at its census
+        valid = (_VALID_ARGUMENTS[name] if name != "census"
+                 else [str(DEMO_EVENTS_CENSUS if values["format"] == "events"
+                           else DEMO_SUMMARY_CENSUS)])
+        values[name] = data.draw(
+            st.one_of(st.sampled_from(_HOSTILE_ARGUMENTS), st.floats().map(repr))
+            if name in hostile else st.sampled_from(valid), label=name)
+    source = demo_events_path() if values["format"] == "events" else demo_summary_path()
+    # "--name=value", so that a value such as "-inf" is not read as an option
+    argv = [command, "--input", str(source), *(f"--{n}={v}" for n, v in values.items())]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 3, 4)
+    assert "Traceback" not in err.getvalue()
+    if code == 0:
+        assert err.getvalue() == ""
+        assert json.loads(out.getvalue())["manifest"]["command"] == command
+    else:
+        assert out.getvalue() == ""
+        assert len(err.getvalue().splitlines()) == 1 and err.getvalue().endswith("\n")
+
+
 @pytest.mark.parametrize("fmt, text, outcome", [
     ("summary", _SUMMARY_HEAD + "A,0,2\n\n\"B\",\"0.5\",\"1\"\n", "value"),
     ("summary", "count,centre_id,open_time,count,site\nx,A,0,3\n", "value"),
@@ -889,6 +932,88 @@ def test_demo_events_match_golden_bytes(monkeypatch, capsys, golden, command):
     stable = "".join(line for line in out.splitlines(keepends=True)
                      if '"created_utc": ' not in line)
     assert stable == (DATA / golden).read_text()
+
+
+# Runs each argv of the JSON list in sys.argv[1] through cli.main in this
+# one fresh process, and prints, for each, the exit code, stdout and which
+# of the lazily loaded modules are loaded after it.
+_COLD_START = """
+import contextlib, io, json, sys
+import recruitcast, recruitcast.cli
+report = []
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = recruitcast.cli.main(argv)
+        except SystemExit as stop:  # --version and --help exit through argparse
+            code = stop.code
+    loaded = [m for m in ("scipy.special", "concurrent.futures.process") if m in sys.modules]
+    report.append({"code": code, "out": out.getvalue(), "loaded": loaded})
+print(json.dumps(report))
+"""
+
+
+def test_fit_and_refusals_load_neither_scipy_nor_a_process_pool():
+    # a cold `fit`, `--version`, `--help` or refusal pays for neither
+    # import; the first law a `predict` evaluates loads SciPy, and its
+    # bytes hold
+    summary, events = demo_summary_path().name, demo_events_path().name
+    calls = [["fit", "--input", summary, "--census", str(DEMO_SUMMARY_CENSUS)],
+             ["fit", "--format", "events", "--input", events,
+              "--census", str(DEMO_EVENTS_CENSUS)],
+             ["--version"],
+             ["--help"],
+             ["fit", "--input", events, "--census", str(DEMO_SUMMARY_CENSUS)],
+             ["predict", "--input", summary, "--census", str(DEMO_SUMMARY_CENSUS),
+              "--objective", "count", "--horizon", "0.875", "--adjusted"]]
+    report = json.loads(run_python(_COLD_START, json.dumps(calls),
+                                   cwd=demo_summary_path().parent))
+    assert [r["code"] for r in report] == [0, 0, 0, 0, 2, 0]
+    assert [r["loaded"] for r in report] == [[]] * 5 + [["scipy.special"]]
+    stable = "".join(line for line in report[-1]["out"].splitlines(keepends=True)
+                     if '"created_utc": ' not in line)
+    assert stable == (DATA / "predict_demo_count_0.875_adjusted.json").read_text()
+
+
+# Two threads released together each make this process's first law call,
+# switching often so that the import of SciPy is likely to interleave.
+_FIRST_CALLS = """
+import json, sys, threading
+from recruitcast import (fit_mle, nb_quantile, pearson6_quantile, pool_centres,
+                         predictive_count_law, predictive_time_law)
+from recruitcast.datasets import DEMO_SUMMARY_CENSUS, demo_summary_path
+from recruitcast.cli import parse_centre_csv
+data = parse_centre_csv(str(demo_summary_path()), "summary", DEMO_SUMMARY_CENSUS)
+pool = pool_centres(data, fit_mle(data))
+calls = {"count": lambda: nb_quantile(0.9, predictive_count_law(pool, 0.875)),
+         "time": lambda: pearson6_quantile(0.9, predictive_time_law(pool, 300))}
+assert "scipy.special" not in sys.modules
+sys.setswitchinterval(1e-6)
+start = threading.Barrier(2)
+answers, faults = {}, []
+def first(name):
+    start.wait(timeout=60)
+    try:
+        answers[name] = calls[name]()
+    except Exception as exc:
+        faults.append(repr(exc))
+threads = [threading.Thread(target=first, args=(name,)) for name in calls]
+for thread in threads:
+    thread.start()
+for thread in threads:
+    thread.join(timeout=120)
+print(json.dumps({"alive": [t.is_alive() for t in threads], "faults": faults,
+                  "first": answers, "again": {name: call() for name, call in calls.items()}}))
+"""
+
+
+def test_two_threads_making_the_first_law_call_at_once_both_get_scipy():
+    # a smoke test only: a racy loader can pass it by chance
+    report = json.loads(run_python(_FIRST_CALLS))
+    assert report["alive"] == [False, False]
+    assert report["faults"] == []
+    assert report["first"] == report["again"]
 
 
 @pytest.mark.parametrize("threads", ["0", "-3", "two"])

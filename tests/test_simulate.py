@@ -1,6 +1,7 @@
 """Trial generation, exact coverage, and the repeated-sampling studies."""
 
 import collections
+import json
 import math
 import os
 import tracemalloc
@@ -12,6 +13,7 @@ import pytest
 from scipy.integrate import trapezoid
 
 import oracles
+from fresh_process import run_python
 from recruitcast import (
     COUNT,
     TIME,
@@ -387,6 +389,46 @@ def test_worker_plan_caps_a_huge_request():
         assert [i for start, stop in bounds for i in range(start, stop)] == list(range(total))
     assert _worker_plan(2000, 1) == (1, [(0, 2000)])
     assert _worker_plan(2000, 0)[0] == 1
+
+
+# Two workers' chunks through a serial stand-in for the process pool,
+# recording whether SciPy was loaded when the pool was built, then the
+# same chunks in one process.
+_POOL_START = """
+import concurrent.futures, json, os, sys
+from functools import partial
+from recruitcast import SimConfig, SingleGamma, UniformOnCensus, simulate
+
+class SerialPool:
+    def __init__(self, max_workers):
+        built.append("scipy.special" in sys.modules)
+    def __enter__(self):
+        return self
+    def __exit__(self, *exc):
+        return False
+    def map(self, fn, chunks):
+        return map(fn, chunks)
+
+built = []
+concurrent.futures.ProcessPoolExecutor = SerialPool
+os.cpu_count = lambda: 2
+config = SimConfig(prior=SingleGamma(alpha=2.0, beta=150.0), centres=30, census_time=50.0,
+                   schedule=UniformOnCensus(), objective="count", horizon=50.0, level=0.9,
+                   replications=24, seed=106)
+chunk = partial(simulate._coverage_chunk, config)
+loaded_before = "scipy.special" in sys.modules
+two = simulate._run_replications(chunk, config.replications, 2)
+one = simulate._run_replications(chunk, config.replications, 1)
+print(json.dumps({"loaded_before": loaded_before, "built": built,
+                  "same": two.tobytes() == one.tobytes()}))
+"""
+
+
+def test_a_pool_starts_after_scipy_is_loaded():
+    # forked workers inherit the parent's SciPy instead of each importing
+    # it again; the rows are those of one worker
+    assert json.loads(run_python(_POOL_START)) == {"loaded_before": False, "built": [True],
+                                                   "same": True}
 
 
 def test_coverage_study_counts_degenerate_fits():
