@@ -28,21 +28,24 @@ sums of the count terms.  Otherwise the fit runs in two dimensions over
 (log a, log b).  One damped-Newton loop runs both searches from a
 method-of-moments guess; each supplies only its ascent, the score and
 Newton step from analytic derivatives, and the likelihood that guards
-the step.
+the step.  One outcome rule reads the fit: no recruit, the tail
+statistic, Newton, the cap on log alpha, the boundary limit and the
+certificate.
 
 ``fit_rows`` fits a batch.  Its rows are grouped by their number of
 open centres and by whether those share one exposure, and each group
 runs in passes of at most ``block_rows(C)`` rows, the bound on every
 batch array that the harness's blocks share, so that no array of a pass
-holds more than 2^16 values.  A pass runs damped Newton over its rows
-still stepping, along the ray or in the plane, with ``fit_mle``'s
-ascents and likelihood methods, written once over the last axis, so
-that each row gets the bits ``fit_mle`` gives it alone.  A pass takes
-its count sums from one array of rise terms for all of its rows, and
-sums each row over its own rises; its narrowings share one store of
-each row's last beta, so a row takes its per-centre terms once for each
-new beta, as ``fit_mle`` does.  A group of too few rows or too many
-centres to repay a pass goes through ``fit_mle`` row by row.
+holds more than 2^16 values.  A pass runs the same loop and the same
+outcome rule as ``fit_mle``, on arrays of its rows where a trial has
+floats, with the ascents and likelihood methods written once over the
+last axis, so that each row gets the bits ``fit_mle`` gives it alone.
+Where the loop would stop a trial, it drops that row from the pass.  A
+pass takes its count sums from one array of rise terms for all of its
+rows, and sums each row over its own rises; its narrowings share one
+store of each row's last beta, so a row takes its per-centre terms once
+for each new beta, as ``fit_mle`` does.  A group of too few rows or too
+many centres to repay a pass goes through ``fit_mle`` row by row.
 """
 
 from __future__ import annotations
@@ -55,7 +58,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._elementwise import column, larger, smaller, where
+from ._elementwise import column, every, larger, negate, smaller, some, where
 
 __all__ = [
     "TrialData",
@@ -143,10 +146,11 @@ class TrialData:
     centre of every trial at once: exposures finite and non-negative and
     at most the census time, counts non-negative integers, no count
     without exposure, matching shapes, at least one centre, and each
-    trial's total count within the int64 range.  An error about a batch
-    also names the trial, counted from 0 like its row, but for counts
-    that are not numbers: NumPy reads a batch holding one string as all
-    strings, so that refusal names only the dtype, as for one trial.
+    trial's total count within the int64 range and its summed exposure
+    within the float range.  An error about a batch also names the
+    trial, counted from 0 like its row, but for counts that are not
+    numbers: NumPy reads a batch holding one string as all strings, so
+    that refusal names only the dtype, as for one trial.
 
     ``data[i]`` is trial i of a batch, a one-trial ``TrialData`` whose
     arrays are read-only views of the batch's row, checked already.
@@ -214,6 +218,18 @@ class TrialData:
             if total > _INT64_MAX:
                 raise ValueError(f"{trial(row)}counts sum to {total}, "
                                  f"past the int64 maximum {_INT64_MAX}")
+        # each exposure is at most the census, so a row's sum can leave the
+        # float range only where the census times its centres nearly does:
+        # twice that product leaves room for the rounding of the sum
+        if math.isinf(2.0 * census_time * num_centres):
+            spans = exposures.reshape(-1, num_centres)
+            with np.errstate(over="ignore"):
+                sums = spans.sum(axis=1)
+            for row in np.flatnonzero(np.isinf(sums)):
+                from decimal import Context, Decimal  # the sum exactly, for the message
+                total = Context(prec=6).plus(sum(map(Decimal, spans[row].tolist())))
+                raise ValueError(f"{trial(row)}exposures sum to {total.normalize():g}, "
+                                 f"past the float maximum {np.finfo(float).max:.6g}")
         exposures.flags.writeable = False
         counts.flags.writeable = False
         object.__setattr__(self, "census_time", census_time)
@@ -443,11 +459,11 @@ def _moment_start(ws):
 
 
 def _boundary(ws):
-    """The ratio n / sum(t) and the constant-ratio limit along it: alpha
-    at the log-alpha cap, beta and the limit of the likelihood."""
+    """The constant-ratio limit along alpha / beta = n / sum(t): alpha at
+    the log-alpha cap, beta and the limit of the likelihood."""
     ratio = ws.total_count / ws.total_exposure
     alpha = math.exp(_MAX_LOG_ALPHA)
-    return ratio, alpha, alpha / ratio, ws.total_count * np.log(ratio) - ratio * ws.total_exposure
+    return alpha, alpha / ratio, ws.total_count * np.log(ratio) - ratio * ws.total_exposure
 
 
 def _log_score(alpha, beta, score):
@@ -507,7 +523,9 @@ class _Likelihood:
     one trial (``_Workspace``) or for a group of trials, one row each
     (``_Rows``).  Each supplies its sums, its count sums ``count_sum``
     and ``_terms``, its cache of b + t_c and sum_c log1p(t_c / b) at the
-    beta it was last asked for; a trial also keeps its last score.
+    beta it was last asked for; a trial also keeps its last score.  The
+    one Newton loop (``_newton``) and the one outcome rule (``_outcome``)
+    step and read either, with floats for a trial and arrays for a group.
 
     The likelihood and its score are sums of per-centre differences such
     as log(b + t) - log(b) = log1p(t / b), not differences of sums: on a
@@ -799,44 +817,94 @@ def block_rows(centres: int) -> int:
     return max(1, _BLOCK_ELEMENTS // max(centres, _EXACT_RISE_TERMS))
 
 
-def _newton(ws: _Workspace, start, ascent, objective) -> tuple[tuple[float, ...], int]:
+def _newton(ws: _Likelihood, start, ascent, objective):
     """Damped Newton uphill on ``ws`` from ``start``, whose first
-    coordinate is log alpha.
+    coordinate is log alpha: on one trial's ``_Workspace`` the point is
+    floats, on a group's ``_Rows`` arrays, one entry a row, and the same
+    lines step both.
 
     ``ascent(ws, *point)`` gives the max-norm of the score there and a
-    function that returns the capped step, called (so reading the
-    Hessian) only for a step taken; ``objective(ws, *point)`` is the
-    likelihood guarding a step.  Returns the point Newton stopped at and
-    the number of steps taken.
+    partial that returns the capped step, called (so reading the
+    curvature) only for a step taken; ``objective(ws, *point)`` is the
+    likelihood guarding a step.  A row stops where its slope is at most
+    1e-10, where ten halvings of its line search fail, or at the step
+    cap.  A trial breaks out of the loop there.  A group narrows itself
+    to the rows still stepping, so only they read their curvature, and
+    each row keeps its own line search, which reads its objective once
+    per point, on the group of the rows searching.  Returns each row's
+    point and number of steps.
     """
-    point = start
-    value = None  # objective at point, when a line search computed it
+    here = start
+    value = here[0] * math.nan  # objective at here, NaN until a line search computes it
     steps = 0
+    group = isinstance(ws, _Rows)
+    # a group's tests and bounds are the elementwise primitives; a trial's
+    # are the builtins that those reduce to on floats, which spare a fit
+    # a few dozen calls
+    some_row, every_row, low, high, fails = ((some, every, smaller, larger, negate) if group
+                                             else (bool, bool, min, max, operator.not_))
+    if group:
+        # each row's place in the group Newton started on, where it
+        # stepped to last and after how many steps
+        rows, point = np.arange(value.size), [x.copy() for x in here]
+        taken = np.zeros(rows.size, dtype=int)
+        if not rows.size:
+            return point, taken
     for _ in range(_MAX_STEPS):
-        slope, step = ascent(ws, *point)
-        if slope <= _GRADIENT_TARGET:
-            break
-        new = tuple(map(operator.add, point, step()))
-        if new[0] > _MAX_LOG_ALPHA:
-            new = (_MAX_LOG_ALPHA, *new[1:])
-        new_value = None
-        if slope > _SAFE_GRADIENT:
+        slope, step = ascent(ws, *here)
+        stopped = slope <= _GRADIENT_TARGET  # a NaN slope steps on
+        if some_row(stopped):
+            if every_row(stopped):
+                break
+            keep = (~stopped).nonzero()[0]
+            ws, rows, slope, value = ws.take(keep), rows[keep], slope[keep], value[keep]
+            here = [x[keep] for x in here]
+            step = partial(step.func, ws, *(x[keep] for x in step.args[1:]))
+        new = list(map(operator.add, here, step()))
+        new[0] = low(new[0], _MAX_LOG_ALPHA)
+        new_value = value * math.nan
+        failing = slope > _SAFE_GRADIENT
+        if some_row(failing):
             # far out, guard against overshoot; near the optimum the
             # objective moves below float resolution and the comparison
             # would reject perfectly good steps, so Newton runs unchecked
-            if value is None:
-                value = objective(ws, *point)
-            floor = value - 1e-10 * max(1.0, abs(value))
+            fresh = failing & (value != value)
+            if some_row(fresh):
+                value = _objective_on(objective, ws, fresh, here, value)
+            floor = value - 1e-10 * high(1.0, abs(value))
+            # each row's own search: halve the steps of the rows whose
+            # objective falls below their floor
             for _ in range(10):
-                new_value = objective(ws, *new)
-                if new_value >= floor:
+                new_value = _objective_on(objective, ws, failing, new, new_value)
+                failing = failing & fails(new_value >= floor)
+                if not some_row(failing):
                     break
-                new = tuple([p + 0.5 * (n - p) for p, n in zip(point, new)])
+                new = [where(failing, x + 0.5 * (n - x), n) for x, n in zip(here, new)]
             else:
-                break
-        point, value = new, new_value
+                # ten halvings failed: these rows stop where they are
+                if every_row(failing):
+                    break
+                keep = (~failing).nonzero()[0]
+                ws, rows, new_value = ws.take(keep), rows[keep], new_value[keep]
+                new = [x[keep] for x in new]
+        here, value = new, new_value
         steps += 1
-    return point, steps
+        if group:
+            for coordinate, x in zip(point, here):
+                coordinate[rows] = x
+            taken[rows] = steps
+    return (point, taken) if group else (here, steps)
+
+
+def _objective_on(objective, ws: _Likelihood, rows, point, values):
+    """``values`` with ``objective`` at ``point`` on the ``rows`` of
+    ``ws``, a mask, written in place: a group takes those rows, and a
+    trial is its only row."""
+    if not isinstance(ws, _Rows):
+        return objective(ws, *point)
+    at = rows.nonzero()[0]
+    values[at] = objective(ws.take(at), *(x[at] for x in point))
+    return values
 
 
 # Newton's ascents.  Each takes a workspace and a point, the first of its
@@ -891,17 +959,69 @@ def _estimates(ws: _Likelihood, point):
     return alpha, beta, ws.loglik(alpha, beta), norm <= _CERTIFIED_SCORE
 
 
-def _raise_degenerate(ws: _Workspace, iterations: int):
-    ratio, alpha, beta, log_lik = _boundary(ws)
-    fit = ModelFit(alpha_hat=alpha, beta_hat=float(beta), log_lik=float(log_lik),
-                   converged=False, iterations=iterations, degenerate=True,
-                   equal_exposures=ws.equal_exposures)
-    raise DegenerateLikelihood(
-        f"likelihood keeps increasing along alpha/beta = {ratio:.6g}; "
-        "counts show no over-dispersion", fit=fit)
-
-
 @np.errstate(all="ignore")
+def _outcome(likelihood: type, *data):
+    """The sums ``likelihood(*data)``, of one trial (``_Workspace``) or of
+    a group of trials (``_Rows``), and the fit of each: ``RowFits``' kind,
+    estimates, log-likelihood and steps, as floats for a trial and as
+    arrays, one entry a row, for a group.
+
+    A fit with no recruit is "insufficient", with NaN estimates and no
+    step.  Newton steps each other fit whose tail statistic is positive,
+    a group's in one pass.  A fit that Newton does not step, or leaves at
+    log alpha 29.9 or past it, is a "boundary", at the constant-ratio
+    limit.  Any other is "ok" where its score in (log alpha, log beta) is
+    at most 1e-8 at Newton's point, and "nonconverged" where it is not.
+    A trial returns where its kind is settled; a group takes only its
+    rows that step to Newton, and only those inside the cap to the
+    certificate, and writes each row's fit in its place.  The sums are
+    built and the fit run with NumPy's floating-point warnings off: past
+    the float range of the squared exposures a fit stops short, reported
+    as not converged, without a warning.
+    """
+    ws = likelihood(*data)
+    group = likelihood is _Rows
+    enough = ws.total_count > 0
+    stepping = enough & (ws.tail_statistic() > 0)
+    if not (group or stepping):
+        return ws, _settled(ws, enough, 0)
+    start, ascent, objective = _search(ws)
+    if group:
+        # every row as if Newton left it at the cap, and those that it
+        # steps, at their places at
+        fits = _settled(ws, enough, np.zeros(enough.size, dtype=int))
+        at = np.flatnonzero(stepping)
+        start = [x[at] for x in start]
+    # Newton holds the only reference to a group's rows, so that each
+    # narrowing frees the rows it drops
+    point, steps = _newton(ws.take(at) if group else ws, start, ascent, objective)
+    capped = point[0] >= _MAX_LOG_ALPHA - 0.1
+    rows = ws
+    if group:
+        fits[4][at] = steps
+        inner = np.flatnonzero(~capped)
+        point, at = [x[inner] for x in point], at[inner]
+        rows = ws.take(at)
+    elif capped:
+        return ws, _settled(ws, True, steps)
+    *found, certified = _estimates(rows, point)
+    kind = where(certified, "ok", "nonconverged")
+    if not group:
+        return ws, (kind, *found, steps)
+    for field, values in zip(fits, (kind, *found)):
+        field[at] = values
+    return ws, fits
+
+
+def _settled(ws: _Likelihood, enough, steps):
+    """The kind, estimates, log-likelihood and ``steps`` of fits that
+    Newton does not leave inside the cap: "insufficient", with NaN
+    estimates, where there is not ``enough`` to fit, and else a
+    "boundary" at the constant-ratio limit."""
+    limit = (where(enough, x, math.nan) for x in _boundary(ws))
+    return where(enough, "boundary", "insufficient"), *limit, steps
+
+
 def fit_mle(data: TrialData) -> ModelFit:
     """Maximize the marginal likelihood over (alpha, beta).
 
@@ -914,7 +1034,8 @@ def fit_mle(data: TrialData) -> ModelFit:
     axis by |slope / curvature|.  While the score is large each step is
     backtracked until the likelihood does not fall.  ``iterations`` counts
     the steps taken.  The fit is ``converged`` where the score in (log
-    alpha, log beta) at its estimates is at most 1e-8.
+    alpha, log beta) at its estimates is at most 1e-8.  ``fit_rows``
+    runs the same loop and the same outcome rule on a batch's rows.
 
     alpha does not depend on the unit of time and beta scales with it
     while the squared exposures stay in the float range, from about 1e-150
@@ -930,89 +1051,19 @@ def fit_mle(data: TrialData) -> ModelFit:
         i.e. the boundary value along the best fixed-ratio ray is not
         beaten by any interior point.
     """
-    ws = _Workspace(data)
-    if ws.num_open == 0:
-        raise InsufficientData("no centre has positive exposure")
-    if ws.total_count == 0:
-        raise InsufficientData("total recruit count is zero")
-    if ws.tail_statistic() <= 0:
-        _raise_degenerate(ws, 0)
-    point, iterations = _newton(ws, *_search(ws))
-    if point[0] >= _MAX_LOG_ALPHA - 0.1:
-        _raise_degenerate(ws, iterations)
-    alpha_hat, beta_hat, log_lik, converged = _estimates(ws, point)
-    return ModelFit(alpha_hat=float(alpha_hat), beta_hat=float(beta_hat),
-                    log_lik=float(log_lik), converged=bool(converged),
-                    iterations=iterations, equal_exposures=ws.equal_exposures)
-
-
-def _newton_rows(ws: _Rows, start, ascent, objective):
-    """``_newton`` for every row of ``ws`` at once, from the per-row
-    coordinates ``start``.
-
-    The pass narrows ``ws`` to the rows still stepping.  A row leaves
-    where ``_newton`` would stop it: its score below 1e-10, its line
-    search failed, or the step cap.  The steps of the rows going on are
-    their ascent's step narrowed, so only they read the curvature; each
-    row keeps its own line search, which reads its objective once per
-    point, on the group of the rows searching.  Returns each row's
-    coordinates and number of steps.
-    """
-    here = [np.array(coordinate, dtype=float) for coordinate in start]
-    point = [coordinate.copy() for coordinate in here]
-    rows = np.arange(here[0].size)  # the rows of ws
-    steps = np.zeros(rows.size, dtype=int)
-    # objective at each row's point, where a line search computed it
-    value = np.full(rows.size, np.nan)
-    for _ in range(_MAX_STEPS):
-        if not rows.size:
-            break
-        slope, step = ascent(ws, *here)
-        going = ~(slope <= _GRADIENT_TARGET)
-        if not going.all():
-            keep = going.nonzero()[0]
-            ws, rows, slope, value = ws.take(keep), rows[keep], slope[keep], value[keep]
-            if not rows.size:
-                break
-            here = [coordinate[keep] for coordinate in here]
-            step = partial(step.func, ws, *(x[keep] for x in step.args[1:]))
-        new = [coordinate + s for coordinate, s in zip(here, step())]
-        new[0] = np.where(new[0] > _MAX_LOG_ALPHA, _MAX_LOG_ALPHA, new[0])
-        new_value = np.full(rows.size, np.nan)
-        search = trying = (slope > _SAFE_GRADIENT).nonzero()[0]
-        if search.size:
-            # each row's own line search, as in _newton
-            fresh = search[np.isnan(value[search])]
-            if fresh.size:
-                value[fresh] = objective(ws.take(fresh),
-                                         *(coordinate[fresh] for coordinate in here))
-            floor = value[search] - 1e-10 * larger(1.0, abs(value[search]))
-            old, tries = ([coordinate[search] for coordinate in x] for x in (here, new))
-            for _ in range(10):
-                tried = objective(ws.take(trying), *tries)
-                accept = tried >= floor
-                done = trying[accept]
-                for coordinate, t in zip(new, tries):
-                    coordinate[done] = t[accept]
-                new_value[done] = tried[accept]
-                left = (~accept).nonzero()[0]
-                trying, floor = trying[left], floor[left]
-                if not trying.size:
-                    break
-                old = [o[left] for o in old]
-                tries = [o + 0.5 * (t[left] - o) for o, t in zip(old, tries)]
-        if trying.size:
-            # ten halvings failed: these rows stop where they are
-            stepping = np.ones(rows.size, dtype=bool)
-            stepping[trying] = False
-            keep = stepping.nonzero()[0]
-            ws, rows, new_value = ws.take(keep), rows[keep], new_value[keep]
-            new = [coordinate[keep] for coordinate in new]
-        for coordinate, n in zip(point, new):
-            coordinate[rows] = n
-        here, value = new, new_value
-        steps[rows] += 1
-    return point, steps
+    ws, (kind, alpha_hat, beta_hat, log_lik, steps) = _outcome(_Workspace, data)
+    if kind == "insufficient":
+        raise InsufficientData("total recruit count is zero" if ws.num_open
+                               else "no centre has positive exposure")
+    fit = ModelFit(alpha_hat=float(alpha_hat), beta_hat=float(beta_hat),
+                   log_lik=float(log_lik), converged=kind == "ok", iterations=steps,
+                   degenerate=kind == "boundary", equal_exposures=ws.equal_exposures)
+    if fit.degenerate:
+        # in Python floats, which warn of no overflow
+        ratio = ws.total_count / float(ws.total_exposure)
+        raise DegenerateLikelihood(f"likelihood keeps increasing along alpha/beta = {ratio:.6g}; "
+                                   "counts show no over-dispersion", fit=fit)
+    return fit
 
 
 @dataclass(frozen=True, eq=False)
@@ -1024,7 +1075,8 @@ class RowFits:
     raises ``DegenerateLikelihood`` and "insufficient" where it raises
     ``InsufficientData``.  The estimates, ``log_lik`` and ``steps`` (its
     ``iterations``) are those of the fit it returns or attaches, NaN and
-    0 for "insufficient"; ``equal_exposures`` is its flag.
+    0 for "insufficient"; ``equal_exposures`` is its flag.  A batched
+    pass and ``fit_mle`` read them off one outcome rule.
     """
 
     kind: np.ndarray
@@ -1033,40 +1085,6 @@ class RowFits:
     log_lik: np.ndarray
     steps: np.ndarray
     equal_exposures: np.ndarray
-
-
-@np.errstate(all="ignore")
-def _fit_group(exposures: np.ndarray, counts: np.ndarray,
-               equal_exposures: bool) -> tuple[np.ndarray, ...]:
-    """``RowFits``' kind, estimates, log-likelihood and steps for each row
-    of a group: the open centres' ``exposures`` and ``counts``, one row
-    per trial, all of them on the ray if ``equal_exposures`` and all in
-    the plane if not."""
-    ws = _Rows(exposures, counts, equal_exposures)
-    count = ws.total_count.size
-    kind = np.full(count, "insufficient", dtype=_KIND)
-    alpha_hat, beta_hat, log_lik = (np.full(count, math.nan) for _ in range(3))
-    steps = np.zeros(count, dtype=int)
-    enough = ws.total_count > 0
-    degenerate = enough & (ws.tail_statistic() <= 0)
-    active = np.flatnonzero(enough & ~degenerate)
-    start, ascent, objective = _search(ws)
-    point, steps[active] = _newton_rows(ws.take(active), [x[active] for x in start], ascent,
-                                        objective)
-    capped = point[0] >= _MAX_LOG_ALPHA - 0.1
-    degenerate[active[capped]] = True
-    inner = np.flatnonzero(~capped)
-    interior = active[inner]
-    alpha, beta, log_lik[interior], certified = _estimates(
-        ws.take(interior), [coordinate[inner] for coordinate in point])
-    kind[interior] = np.where(certified, "ok", "nonconverged")
-    alpha_hat[interior], beta_hat[interior] = alpha, beta
-    _, boundary_alpha, boundary_beta, boundary_loglik = _boundary(ws)
-    kind[degenerate] = "boundary"
-    alpha_hat[degenerate] = boundary_alpha
-    beta_hat[degenerate], log_lik[degenerate] = (boundary_beta[degenerate],
-                                                 boundary_loglik[degenerate])
-    return kind, alpha_hat, beta_hat, log_lik, steps
 
 
 def _fit_one(data: TrialData) -> tuple:
@@ -1089,10 +1107,11 @@ def fit_rows(data: TrialData) -> RowFits:
     The rows are grouped by whether their open centres share one
     exposure and by their number of open centres C.  A group of at least
     10 rows (``_MIN_GROUP_ROWS``) with at most 700 open centres
-    (``_MAX_GROUP_CENTRES``) runs damped-Newton passes over its rows,
-    along the ray where the exposures are equal and in the plane where
-    not, dropping each row where ``fit_mle``'s loop would stop it; each
-    row keeps its own line search.  Sorted by their largest count, its
+    (``_MAX_GROUP_CENTRES``) runs passes of ``fit_mle``'s damped-Newton
+    loop and outcome rule over its rows, along the ray where the
+    exposures are equal and in the plane where not; the loop drops each
+    row where it would stop the row alone, and each row keeps its own
+    line search.  Sorted by their largest count, its
     rows are cut into the fewest near-equal passes of at most
     ``block_rows(C)`` rows, so a batch's memory is that of one pass;
     ``block_rows(C)`` is at least 93 for C up to 700, so no pass of such
@@ -1139,7 +1158,7 @@ def fit_rows(data: TrialData) -> RowFits:
             group = (exposures[part], counts[part])
             if centres < exposures.shape[1]:
                 group = tuple(x[opened[part]].reshape(-1, centres) for x in group)
-            for field, values in zip(fields, _fit_group(*group, ray)):
+            for field, values in zip(fields, _outcome(_Rows, *group, ray)[1]):
                 field[part] = values
     return RowFits(kind, alpha_hat, beta_hat, log_lik, steps, equal)
 

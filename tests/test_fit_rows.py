@@ -301,7 +301,7 @@ def test_a_group_with_no_row_to_step_takes_no_ascent(engine, monkeypatch, equal)
     # the ray (K < 0, a boundary before Newton): no row steps, and the
     # pass calls no ascent
     passes, calls = [], []
-    newton_rows = model._newton_rows
+    newton = model._newton
 
     def counted_pass(*args):
         *head, ascent, objective = args
@@ -310,9 +310,9 @@ def test_a_group_with_no_row_to_step_takes_no_ascent(engine, monkeypatch, equal)
             calls.append(point)
             return ascent(*point)
         passes.append(head)
-        return newton_rows(*head, counted, objective)
+        return newton(*head, counted, objective)
 
-    monkeypatch.setattr(model, "_newton_rows", counted_pass)
+    monkeypatch.setattr(model, "_newton", counted_pass)
     rows = 12 if equal else 16
     exposures = np.full((rows, 20), 10.0) if equal else _staggered_block(rows).exposures
     counts = np.full((rows, 20), 3) if equal else np.zeros((rows, 60), dtype=int)
@@ -362,6 +362,29 @@ def test_the_fitter_warns_of_nothing_past_the_float_range(engine):
             assert _row(fits, 0) == _single(data)
             assert [_row(fits, row) for row in (1, 2)] == [_single(block[1]),
                                                            _single(block[2])]
+
+
+def test_a_row_whose_line_search_fails_stops_while_the_others_step(engine, monkeypatch):
+    # the probe at 1e160 fails all ten halvings of its first line search,
+    # in a pass whose other rows go on stepping
+    scale, probe = list(_unit_probes())[1]
+    rng = np.random.default_rng(3)
+    exposures = np.vstack([probe.exposures, rng.uniform(1.0, 10.0, (9, 3))])
+    counts = np.vstack([probe.counts, rng.poisson(rng.gamma(2.0, 0.5, (9, 3)) * exposures[1:])])
+    data = TrialData(scale, exposures, counts)
+    reads, row_of, loglik = collections.Counter(), _row_of(data), _Rows.loglik
+
+    def counted(self, alpha, beta):
+        reads.update(row_of(self))
+        return loglik(self, alpha, beta)
+
+    monkeypatch.setattr(_Rows, "loglik", counted)
+    fits = fit_rows(data)
+    # the probe reads its likelihood at its start, at its ten halvings and
+    # at its certificate
+    assert (str(fits.kind[0]), int(fits.steps[0]), reads[0]) == ("nonconverged", 0, 12)
+    assert sorted(fits.steps[fits.steps > 0].tolist()) == [4, 4, 4, 5, 5, 6]
+    assert [_row(fits, row) for row in range(10)] == [_single(data[row]) for row in range(10)]
 
 
 def test_a_block_of_huge_counts_sums_within_the_element_budget():

@@ -710,6 +710,16 @@ def test_trial_data_batch_refuses_one_row_whose_counts_sum_past_int64():
     assert [batch[i].total_count for i in range(2)] == [2**63 - 1] * 2
 
 
+def test_trial_data_batch_refuses_one_row_whose_exposures_sum_past_the_float_range():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=re.escape(
+                "trial 1, exposures sum to 2e+308, past the float maximum 1.79769e+308")):
+            TrialData(1e307, [[1.0] * 20, [1e307] * 20, [1.0] * 20], [[1] * 20] * 3)
+        # each row's sum fits, though the batch's would not
+        assert TrialData(1e307, [[1e307] * 17] * 2, [[1] * 17] * 2).num_centres == 17
+
+
 def test_trial_data_batch_rows_are_the_single_trials():
     rng = np.random.default_rng(23)
     exposures = rng.uniform(0.0, 5.0, size=(3, 12))
@@ -750,6 +760,20 @@ def test_trial_data_rejects_counts_whose_sum_passes_int64(counts):
     with pytest.raises(ValueError, match=f"sum to {2**63}"):
         TrialData(1.0, [1.0, 0.5], counts)
     assert TrialData(1.0, [1.0, 0.5], [2**62, 2**62 - 1]).total_count == 2**63 - 1
+
+
+def test_trial_data_rejects_exposures_whose_sum_passes_the_float_range():
+    # 41 exposures at a census of 1e307, as the demo summary has: their
+    # sum once overflowed with numpy's warning, and the fit wrote NaN
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^" + re.escape(
+                "exposures sum to 4.1e+308, past the float maximum 1.79769e+308") + "$"):
+            TrialData(1e307, [1e307] * 41, [1] * 41)
+        # two of them sum inside the range: the trial is taken, and its
+        # fit refused without a warning
+        with pytest.raises(DegenerateLikelihood):
+            fit_mle(TrialData(1e307, [1e307, 0.5e307], [3, 1]))
 
 
 @pytest.mark.parametrize("count", [1e20, 2.0**63, -1e20])
