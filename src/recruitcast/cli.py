@@ -378,8 +378,7 @@ def _emit_csv(header: list[str], rows: list[list[str]], manifest: dict,
     text = buffer.getvalue()
     if out:
         Path(out).write_text(text)
-        Path(out + ".manifest.json").write_text(
-            json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+        _emit_json(manifest, out + ".manifest.json")
     else:
         sys.stdout.write(text)
 
@@ -393,28 +392,24 @@ def _load_trial(args) -> TrialData:
 
 
 def _fit_payload(data: TrialData, fit) -> dict:
+    """``fit``'s fields by name, with ``equal_exposures`` moved under
+    ``ratio_check``, and the trial's sizes under ``data``."""
     open_exposures = data.exposures[data.exposures > 0]
     pooled_rate = (data.total_count / (open_exposures.size * open_exposures.mean())
                    if fit.equal_exposures else None)
-    return {
-        "alpha_hat": fit.alpha_hat,
-        "beta_hat": fit.beta_hat,
-        "log_lik": fit.log_lik,
-        "converged": fit.converged,
-        "iterations": fit.iterations,
-        "degenerate": fit.degenerate,
-        "data": {
-            "centres": data.num_centres,
-            "open_centres": int(open_exposures.size),
-            "total_count": data.total_count,
-            "census_time": data.census_time,
-        },
-        "ratio_check": {
-            "alpha_over_beta": fit.alpha_hat / fit.beta_hat,
-            "pooled_event_rate": pooled_rate,
-            "equal_exposures": fit.equal_exposures,
-        },
+    payload = dict(vars(fit))  # a copy: vars() is the frozen fit's own __dict__
+    payload["data"] = {
+        "centres": data.num_centres,
+        "open_centres": int(open_exposures.size),
+        "total_count": data.total_count,
+        "census_time": data.census_time,
     }
+    payload["ratio_check"] = {
+        "alpha_over_beta": fit.alpha_hat / fit.beta_hat,
+        "pooled_event_rate": pooled_rate,
+        "equal_exposures": payload.pop("equal_exposures"),
+    }
+    return payload
 
 
 def _cmd_fit(args) -> int:
@@ -432,15 +427,6 @@ def _refuse_stalled_fit(fit) -> int:
     return EXIT_DEGENERATE
 
 
-def _interval_payload(interval) -> dict:
-    return {
-        "lower": interval.lower,
-        "upper": interval.upper,
-        "nominal_level": interval.nominal_level,
-        "probs_used": list(interval.probs_used),
-    }
-
-
 def _cmd_predict(args) -> int:
     data = _load_trial(args)
     fit = fit_mle(data)
@@ -451,12 +437,9 @@ def _cmd_predict(args) -> int:
                                 level=args.level, adjusted=False)
     plain = prediction_interval(pool, request)
     if args.objective == COUNT:
-        law = predictive_count_law(pool, args.horizon)
-        law_payload = {"family": "negative_binomial", "size": law.size, "prob": law.prob}
+        family, law = "negative_binomial", predictive_count_law(pool, args.horizon)
     else:
-        law = predictive_time_law(pool, int(args.horizon))
-        law_payload = {"family": "pearson6", "shape_num": law.shape_num,
-                       "shape_den": law.shape_den, "scale": law.scale}
+        family, law = "pearson6", predictive_time_law(pool, int(args.horizon))
     try:
         law_mean = law.mean
     except ValueError:
@@ -468,14 +451,13 @@ def _cmd_predict(args) -> int:
         "fit": {"alpha_hat": fit.alpha_hat, "beta_hat": fit.beta_hat},
         "pooled": {"n_star": pool.n_star, "t_star": pool.t_star,
                    "shape": pool.shape, "rate": pool.rate},
-        "law": law_payload,
+        "law": {"family": family, **vars(law)},
         "mean": law_mean,
-        "unadjusted": _interval_payload(plain),
+        "unadjusted": vars(plain),
         "adjusted": None,
     }
     if args.adjusted:
-        widened = prediction_interval(pool, replace(request, adjusted=True))
-        payload["adjusted"] = _interval_payload(widened)
+        payload["adjusted"] = vars(prediction_interval(pool, replace(request, adjusted=True)))
     payload["manifest"] = _manifest("predict", {
         "input": args.input, "format": args.format, "census": args.census,
         "objective": args.objective, "horizon": args.horizon,
@@ -579,20 +561,6 @@ def _load_sim_config(path: str, args) -> SimConfig:
         raise ConfigError(f"bad simulation config: {exc}") from None
 
 
-def _report_cells(report) -> dict:
-    return {
-        "t_star": report.mean_t_star,
-        "t_star_ratio": report.t_star_ratio,
-        "n_star_ratio": report.n_star_ratio,
-        "coverage_unadjusted": report.coverage_unadjusted,
-        "width_unadjusted": report.width_unadjusted,
-        "coverage_adjusted": report.coverage_adjusted,
-        "width_adjusted": report.width_adjusted,
-        "replications": report.replications,
-        "degenerate_fits": report.degenerate_fits,
-    }
-
-
 def _cmd_simulate(args) -> int:
     if bool(args.table) == bool(args.config):
         raise ConfigError("give exactly one of --table or --config")
@@ -615,7 +583,7 @@ def _cmd_simulate(args) -> int:
     lines = []
     for labels, config in rows:
         report = coverage_study(config, workers=args.threads)
-        cells = {**labels, **_report_cells(report)}
+        cells = {**labels, **vars(report)}
         lines.append([_fmt(cells[c]) for c in columns])
     _emit_csv(list(columns), lines, manifest, args.out)
     return EXIT_OK
@@ -635,7 +603,7 @@ def _cmd_curves(args) -> int:
         empirical = kernel_density(sample.values, curve.grid)
     manifest = _manifest("curves", {
         "figure": args.figure, "p": curve.p, "sweep": curve.sweep,
-        "law": {"c": curve.law.c, "d": curve.law.d, "objective": curve.law.objective},
+        "law": vars(curve.law),
         "config": _config_payload(curve.config) if curve.config else None,
         "degenerate_fits": degenerate,
         "grid_size": args.grid},

@@ -288,8 +288,14 @@ class ModelFit:
     equal_exposures: bool = False
 
 
+@np.errstate(all="ignore")
 def log_likelihood(alpha: float, beta: float, data: TrialData) -> float:
-    """Marginal log-likelihood of (alpha, beta), up to a data-only constant."""
+    """Marginal log-likelihood of (alpha, beta), up to a data-only constant.
+
+    The sums are built and read with NumPy's floating-point warnings off,
+    as in ``fit_mle``: past the float range of the squared exposures,
+    which the likelihood does not read, they overflow silently.
+    """
     if not (alpha > 0 and math.isfinite(alpha)):
         raise ValueError(f"alpha must be positive and finite, got {alpha}")
     if not (beta > 0 and math.isfinite(beta)):
@@ -976,8 +982,8 @@ def _outcome(likelihood: type, *data):
     rows that step to Newton, and only those inside the cap to the
     certificate, and writes each row's fit in its place.  The sums are
     built and the fit run with NumPy's floating-point warnings off: past
-    the float range of the squared exposures a fit stops short, reported
-    as not converged, without a warning.
+    the float range of the squared exposures a fit goes wrong without a
+    warning, as ``fit_mle`` says.
     """
     ws = likelihood(*data)
     group = likelihood is _Rows
@@ -1039,8 +1045,18 @@ def fit_mle(data: TrialData) -> ModelFit:
 
     alpha does not depend on the unit of time and beta scales with it
     while the squared exposures stay in the float range, from about 1e-150
-    to 1e150; past that the fit may stop short, reported as not converged,
-    without a floating-point warning.
+    to 1e150.  Where their sum reads inf, from about 1e154, the
+    method-of-moments start takes its largest alpha, 1e8, without a
+    floating-point warning.  In the plane Newton may then take no step:
+    the demo events trial with its exposures scaled by 1e154 to 1e305 is
+    reported as not converged after 0 steps.  Along the ray Newton steps
+    down from there and may still converge: the demo summary at census
+    1e300 certifies in 22 steps.  But where beta at that start, 1e8
+    times the summed exposure over the total count, is past the float
+    maximum (the demo summary from census 1e301), beta reads inf, Newton
+    runs its 120 steps to the cap on log alpha, and
+    ``DegenerateLikelihood`` is raised, although the tail statistic is
+    positive.
 
     Raises
     ------
@@ -1117,15 +1133,16 @@ def fit_rows(data: TrialData) -> RowFits:
     ``block_rows(C)`` is at least 93 for C up to 700, so no pass of such
     a group falls below 10 rows.  Any other group, where a pass was
     measured slower than its rows' single fits, is fitted by
-    ``fit_mle(data[row])`` row by row.  These bounds were measured in
-    passes of min(64, 2^16 // C) rows.  Against the single fits, a pass
+    ``fit_mle(data[row])`` row by row.  Against the single fits, a pass
     of 10 rows cost 0.72-0.80 times as much at 150 and 600 centres, and
     1.07-1.11 times at 20, where one of 12 rows cost 0.92-0.95 times.
-    Passes of min(64, 2^16 // C) rows were faster up to 1,300 centres in
-    the plane and 2,000 along the ray, and slower past a crossover that
-    moved between runs: between 1,300 and 1,600 centres in the plane, and
-    between 2,000 and 3,000 along the ray, up to 1.9 and 1.6 times at
-    6,553.
+    In passes of ``block_rows(C)`` rows, the single fits cost 2.0-2.3
+    (ray) and 1.5-1.6 (plane) times the pass at 700 centres, and 3.0 and
+    1.3-1.5 times at 1,000; from 2,000 centres the plane pass was the
+    slower, at 0.74-0.75 (2,000), 0.63-0.64 (3,000) and 0.58-0.59
+    (6,553), and the ray pass moved between runs, from 1.1-1.5 at 2,000
+    to 0.84 at 6,553 (first rows of tables 2 and 3 at C centres, best
+    of 5).
 
     A pass keeps at most 2^8 rise weights a row; counts past that
     exact-sum head go on by Stirling's series, as in ``fit_mle``.

@@ -258,13 +258,14 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class CoverageReport:
-    """Replication averages for one simulation cell (coverages in percent)."""
+    """Replication averages for one simulation cell (coverages in percent),
+    each named as the table column it fills."""
 
     coverage_unadjusted: float
     coverage_adjusted: float
     width_unadjusted: float
     width_adjusted: float
-    mean_t_star: float
+    t_star: float
     t_star_ratio: float
     n_star_ratio: float
     replications: int
@@ -469,29 +470,32 @@ def _boundary_intervals(config: SimConfig, request: PredictionRequest,
     return equal_tailed_interval(quantile, request, x, math.inf, exposure_sum / config.centres)
 
 
-# What a replication's fit leaves for scoring, one column each: the kind
-# of outcome, the summed true rate, the summed exposure and the total
-# count, then for an interior fit its estimates and the posterior mean
-# and variance of the summed rate.
-_FIT_COLUMNS = ("kind", "total_rate", "exposure_sum", "total_count", "alpha", "beta",
-                "mean", "variance")
-_DROPPED, _BOUNDARY, _INTERIOR = 0.0, 1.0, 2.0
+# What a replication's fit leaves for scoring, one float column each: the
+# summed true rate, the summed exposure and the total count, then for an
+# interior fit its estimates and the posterior mean and variance of the
+# summed rate.  Beside them, "kind" holds fit_rows' kind of outcome.
+_FIT_COLUMNS = ("total_rate", "exposure_sum", "total_count", "alpha", "beta", "mean",
+                "variance")
 # the plug-in interval, then the adjusted one, for every trial of a batch
 _BOTH_KINDS = np.array([[False], [True]])
 
 
 def _fit_chunk(config: SimConfig, bounds: tuple[int, int]) -> dict[str, np.ndarray]:
     """Draw and fit replications ``bounds[0]`` up to ``bounds[1]``: each
-    column of ``_FIT_COLUMNS``, with one entry per replication in order.
+    column of ``_FIT_COLUMNS``, and ``"kind"``, with one entry per
+    replication in order.
 
-    A trial that recruits nobody is dropped.  A monotone likelihood, or
-    an interior search that stalled on the near-boundary ridge, is a
-    boundary replication: its limit laws are indistinguishable from the
-    stalled fit's.  Only an interior replication has estimates and
-    posterior moments; the other columns hold every replication's values.
+    ``kind`` is ``RowFits.kind``.  A trial that recruits nobody
+    ("insufficient") is dropped.  A monotone likelihood ("boundary"), or
+    an interior search that stalled on the near-boundary ridge
+    ("nonconverged"), is a boundary replication: its limit laws are
+    indistinguishable from the stalled fit's.  Only an interior
+    replication ("ok") has estimates and posterior moments; the other
+    columns hold every replication's values.
     """
     first, stop = bounds
     fits = {name: np.full(stop - first, math.nan) for name in _FIT_COLUMNS}
+    kinds = []
     # a block's trials are drawn, checked and fitted as one batch, in
     # near-equal blocks of at most block_rows, which bounds the memory of
     # a chunk's draws whatever its length and whatever the number of
@@ -507,16 +511,14 @@ def _fit_chunk(config: SimConfig, bounds: tuple[int, int]) -> dict[str, np.ndarr
         block["exposure_sum"][:] = data.exposures.sum(axis=1)
         block["total_count"][:] = data.counts.sum(axis=1)
         outcome = fit_rows(data)
-        kind = block["kind"]
-        kind[:] = _BOUNDARY
-        kind[outcome.kind == "insufficient"] = _DROPPED
+        kinds.append(outcome.kind)
         interior = np.flatnonzero(outcome.kind == "ok")
-        kind[interior] = _INTERIOR
         block["alpha"][interior] = outcome.alpha_hat[interior]
         block["beta"][interior] = outcome.beta_hat[interior]
         block["mean"][interior], block["variance"][interior] = summed_rate_moments(
             block["alpha"][interior, None], block["beta"][interior, None],
             data.exposures[interior], data.counts[interior])
+    fits["kind"] = np.concatenate(kinds)
     return fits
 
 
@@ -538,8 +540,8 @@ def _coverage_chunk(config: SimConfig, bounds: tuple[int, int]) -> np.ndarray:
     fits = _fit_chunk(config, bounds)
     rows = np.full((fits["kind"].size, 8), math.nan)
     mean_exposure = fits["exposure_sum"] / config.centres
-    interior = np.flatnonzero(fits["kind"] == _INTERIOR)
-    boundary = np.flatnonzero(fits["kind"] == _BOUNDARY)
+    interior = np.flatnonzero(fits["kind"] == "ok")
+    boundary = np.flatnonzero(np.isin(fits["kind"], ("boundary", "nonconverged")))
     request = PredictionRequest(config.objective, config.horizon, config.level,
                                 adjusted=_BOTH_KINDS)
     if interior.size:
@@ -573,7 +575,7 @@ def _quantile_chunk(config: SimConfig, p: float, bounds: tuple[int, int]) -> np.
     up to ``bounds[1]``, in order; NaN where the fit was not interior."""
     fits = _fit_chunk(config, bounds)
     contents = np.full(fits["kind"].size, math.nan)
-    interior = np.flatnonzero(fits["kind"] == _INTERIOR)
+    interior = np.flatnonzero(fits["kind"] == "ok")
     if interior.size == 0:
         return contents
     pool = _interior_pool(config, fits, interior)
@@ -638,7 +640,7 @@ def coverage_study(config: SimConfig, workers: int = 1) -> CoverageReport:
         coverage_adjusted=100.0 * means[2],
         width_unadjusted=means[1],
         width_adjusted=means[3],
-        mean_t_star=means[4],
+        t_star=means[4],
         t_star_ratio=means[5],
         n_star_ratio=means[6],
         replications=kept.shape[0],

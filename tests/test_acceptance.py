@@ -127,7 +127,7 @@ def _score_rows(layout, published, cov_tol, width_tol, diag_at=None):
             checks.append(("adj width", rep.width_adjusted, scores[3],
                            width_tol * scores[3]))
         if diag_at == census:
-            checks.append(("t*", rep.mean_t_star, diag[0], 2.0))
+            checks.append(("t*", rep.t_star, diag[0], 2.0))
             checks.append(("exposure ratio", rep.t_star_ratio, diag[1], 0.01))
             checks.append(("count ratio", rep.n_star_ratio, diag[2], 0.01))
         for name, got, want, tol in checks:

@@ -234,6 +234,21 @@ def test_predict_time_demo(capsys):
     assert 0 < payload["unadjusted"]["lower"] < payload["unadjusted"]["upper"]
 
 
+def test_predict_time_writes_a_null_mean_where_the_law_has_none(tmp_path, capsys):
+    # one recruit in four centres: the Pearson VI law of the time to five
+    # more has shape_den below 1, so no mean, yet an interval
+    path = tmp_path / "four.csv"
+    write_summary(path, [("A", 0.999, 0), ("B", 0.202, 0), ("C", 0.5083, 0),
+                         ("D", 0.9706, 1)])
+    code, out, err = run(capsys, "predict", "--input", str(path), "--census", "1.0",
+                         "--objective", "time", "--horizon", "5")
+    assert (code, err) == (0, "")
+    payload = _strict_json(out)
+    assert payload["law"]["family"] == "pearson6" and payload["law"]["shape_den"] < 1
+    assert payload["mean"] is None
+    assert 0 < payload["unadjusted"]["lower"] < payload["unadjusted"]["upper"] < float("inf")
+
+
 def test_predict_time_past_the_float_resolution_of_z(tmp_path, capsys):
     # an over-dispersed 5-centre trial; at a target of 1e19 recruits the
     # quantile's z = x / (x + scale) rounds to 1, at 1e300 the quantile
@@ -1320,8 +1335,8 @@ def test_a_mixture_with_explicit_openings_runs_back_through_config(tmp_path, cap
         objective="count", horizon=50.0, level=0.9, replications=2000, seed=11)
     cells = _run_config(tmp_path, capsys, config, reps=5)
     report = simulate.coverage_study(replace(config, replications=5))
-    assert {name: cells[name] for name in cli._report_cells(report)} == {
-        name: cli._fmt(value) for name, value in cli._report_cells(report).items()}
+    assert {name: cells[name] for name in vars(report)} == {
+        name: cli._fmt(value) for name, value in vars(report).items()}
 
 
 def test_config_integer_fields_take_integral_floats(tmp_path, capsys):

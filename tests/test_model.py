@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from mpmath import mp
 from scipy import special
 
 import oracles
@@ -83,6 +84,23 @@ def test_log_likelihood_matches_quadrature_oracle():
         exact = float(oracles.marginal_log_likelihood(alpha, beta,
                                                       exposures, counts))
         assert abs(log_likelihood(alpha, beta, data) - exact) < 1e-6
+
+
+def test_log_likelihood_past_the_squared_exposure_range_is_silent():
+    # exposures of 1e200 square past the float range, as fit_mle's sums do
+    # without a warning; the likelihood does not read those squares
+    exposures, counts = [1e200, 0.5e200], [3, 1]
+    alpha, beta = 1.0, 1e200
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = log_likelihood(alpha, beta, _trial(1e200, exposures, counts))
+    # the module docstring's closed form
+    with mp.workdps(50):
+        a, b = mp.mpf(alpha), mp.mpf(beta)
+        exact = (len(counts) * a * mp.log(b) - len(counts) * mp.loggamma(a)
+                 + mp.fsum(mp.loggamma(a + n) - (a + n) * mp.log(b + t)
+                           for t, n in zip(exposures, counts)))
+    assert abs(got - float(exact)) <= 1e-14 * abs(float(exact))
 
 
 def test_score_matches_its_digamma_form():

@@ -1,0 +1,94 @@
+"""Write every output of the bytes gate into one directory.
+
+    PYTHONPATH=src python tools/bytes_gate.py OUTDIR
+
+The gate holds a change that keeps bytes to the outputs of its parent:
+
+- all ten tables at ``--reps 60 --seed 11``;
+- tables 2 and 3 at ``--reps 2000``, with ``--threads 1`` and ``2``;
+- the figure curves fig1-fig4 and figD1-figD3 at
+  ``--reps 300 --seed 5 --grid 41``;
+- ``fit`` on both demo files, and ``predict`` on both for each
+  objective, plain and ``--adjusted``.
+
+Each output goes through ``recruitcast.cli.main`` with ``--out``, so the
+CSVs come with their ``.manifest.json`` sidecars.  Every ``created_utc``
+line is then dropped, sidecars included, since it is the one line a rerun
+changes.  The demo files are named without their directory, read from
+inside it, so that the manifests of two source trees agree.
+``recruitcast`` is imported from ``PYTHONPATH``, so one copy of
+this script can run against two source trees; the gate is then
+
+    PYTHONPATH=parent/src python tools/bytes_gate.py parent_out
+    PYTHONPATH=src python tools/bytes_gate.py change_out
+    diff -r parent_out change_out
+"""
+
+from __future__ import annotations
+
+import os
+import sys
+from pathlib import Path
+
+from recruitcast.cli import main
+from recruitcast.datasets import (
+    DEMO_EVENTS_CENSUS,
+    DEMO_SUMMARY_CENSUS,
+    demo_events_path,
+    demo_summary_path,
+)
+from recruitcast.reproduce import FIGURE_IDS, TABLE_IDS
+
+# the count horizon, in time units, and the time horizon, in recruits,
+# for each demo file
+_DEMO_FILES = {
+    "summary": (demo_summary_path(), DEMO_SUMMARY_CENSUS, "0.875", "300"),
+    "events": (demo_events_path(), DEMO_EVENTS_CENSUS, "0.5", "300"),
+}
+
+
+def gate_calls():
+    """(output file name, CLI arguments without ``--out``) for every output."""
+    for table in TABLE_IDS:
+        yield f"table-{table}.csv", ["simulate", "--table", table, "--reps", "60",
+                                     "--seed", "11"]
+    for table in ("2", "3"):
+        for threads in ("1", "2"):
+            yield f"table-{table}-reps2000-threads{threads}.csv", [
+                "simulate", "--table", table, "--reps", "2000", "--threads", threads]
+    for figure in FIGURE_IDS:
+        yield f"curves-{figure}.csv", ["curves", "--figure", figure, "--reps", "300",
+                                       "--seed", "5", "--grid", "41"]
+    for layout, (path, census, count_horizon, time_horizon) in _DEMO_FILES.items():
+        data = ["--input", path.name, "--format", layout, "--census", str(census)]
+        yield f"fit-{layout}.json", ["fit", *data]
+        for objective, horizon in (("count", count_horizon), ("time", time_horizon)):
+            for extra in ((), ("--adjusted",)):
+                name = f"predict-{objective}-{layout}{'-adjusted' if extra else ''}.json"
+                yield name, ["predict", *data, "--objective", objective,
+                             "--horizon", horizon, *extra]
+
+
+def drop_timestamps(path: Path) -> None:
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(line for line in lines if '"created_utc"' not in line))
+
+
+def run(outdir: Path) -> int:
+    outdir = outdir.resolve()
+    outdir.mkdir(parents=True, exist_ok=True)
+    os.chdir(demo_summary_path().parent)  # where the demo files are named
+    for name, argv in gate_calls():
+        code = main([*argv, "--out", str(outdir / name)])
+        if code != 0:
+            print(f"{name}: exit {code}", file=sys.stderr)
+            return code
+    for path in sorted(outdir.iterdir()):
+        drop_timestamps(path)
+    return 0
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 2:
+        sys.exit(__doc__)
+    sys.exit(run(Path(sys.argv[1])))
