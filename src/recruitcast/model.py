@@ -132,6 +132,16 @@ class DegenerateLikelihood(ModelError):
         self.fit = fit
 
 
+def _in_bounds(exposures: np.ndarray, counts: np.ndarray, census_time: float) -> bool:
+    """``TrialData``'s element rules as one test: every exposure in
+    [0, census_time], which a NaN fails, every count non-negative, and no
+    count at zero exposure, which only a zero shortest exposure can hold."""
+    shortest = exposures.min()
+    if not (shortest >= 0 and exposures.max() <= census_time and counts.min() >= 0):
+        return False
+    return shortest > 0 or not ((exposures == 0) & (counts != 0)).any()
+
+
 @dataclass(frozen=True, eq=False)
 class TrialData:
     """Snapshot of a multi-centre trial at its census time, or of a batch
@@ -194,22 +204,28 @@ class TrialData:
                 value = values.reshape(-1, num_centres)[row, i]
                 raise ValueError(f"{trial(row)}centre {name!r}: {rule}, got {value}")
 
-        reject(~(np.isfinite(exposures) & (exposures >= 0)),
-               "exposure must be finite and >= 0", exposures)
-        if counts.dtype.kind == "f":
-            reject(~np.isfinite(counts) | (counts != np.floor(counts)),
-                   "count must be an integer", counts)
-            # the cast below would wrap these
-            reject(np.abs(counts) >= 2.0**63, "count must lie in the int64 range", counts)
-        elif counts.dtype.kind == "u":
-            reject(counts > _INT64_MAX, "count must lie in the int64 range", counts)
-        elif counts.dtype.kind not in "bi":
-            raise ValueError(f"counts must be integers, got dtype {counts.dtype}")
-        counts = counts.astype(np.int64)
-        reject(counts < 0, "count must be non-negative", counts)
-        reject((exposures == 0) & (counts != 0), "positive count at zero exposure", counts)
-        reject(exposures > census_time, f"exposure exceeds census time {census_time}",
-               exposures)
+        # integer counts that pass one test of every element rule need no
+        # other; the rules run one by one, in order, to name a failure, and
+        # for counts that are floats or unsigned
+        if counts.dtype.kind in "bi" and _in_bounds(exposures, counts, census_time):
+            counts = counts.astype(np.int64)
+        else:
+            reject(~(np.isfinite(exposures) & (exposures >= 0)),
+                   "exposure must be finite and >= 0", exposures)
+            if counts.dtype.kind == "f":
+                reject(~np.isfinite(counts) | (counts != np.floor(counts)),
+                       "count must be an integer", counts)
+                # the cast below would wrap these
+                reject(np.abs(counts) >= 2.0**63, "count must lie in the int64 range", counts)
+            elif counts.dtype.kind == "u":
+                reject(counts > _INT64_MAX, "count must lie in the int64 range", counts)
+            elif counts.dtype.kind not in "bi":
+                raise ValueError(f"counts must be integers, got dtype {counts.dtype}")
+            counts = counts.astype(np.int64)
+            reject(counts < 0, "count must be non-negative", counts)
+            reject((exposures == 0) & (counts != 0), "positive count at zero exposure", counts)
+            reject(exposures > census_time, f"exposure exceeds census time {census_time}",
+                   exposures)
         rows = counts.reshape(-1, num_centres)
         # a row's int64 sum may wrap only where its largest count is this
         # big; only there is it worth summing exactly

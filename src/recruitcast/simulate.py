@@ -15,8 +15,12 @@ the number of replications, and no short last block falls below the row
 bound of a batched fit.  Each block runs in two steps.  It seeds the
 streams of its replications in one pass, ``replication_rngs``, each of
 them bit for bit ``np.random.default_rng([config.seed, i])`` for
-replication i, and draws one trial from each stream, stacked into one
-batched ``TrialData`` that is checked once.  Then it fits the batch's
+replication i, and draws one trial from each stream into the block's
+arrays: the schedule and the prior fill them with NumPy's raw uniform
+and standard-gamma draws, one call per stream each, the transforms run
+once over the block, and only the counts take one Poisson call per
+stream.  The block's trials are one batched ``TrialData``, checked once,
+in one test of its element rules.  Then it fits the batch's
 rows with one ``model.fit_rows`` call, which gives each row the bits
 that ``fit_mle`` gives it alone.  It groups the rows by their number of
 open centres and by whether those share one exposure, and each group
@@ -131,8 +135,13 @@ class SingleGamma:
         """The mean rate of a centre, alpha / beta."""
         return self.alpha / self.beta
 
-    def sample_rates(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        return rng.gamma(self.alpha, 1.0 / self.beta, count)
+    def sample_rates(self, rngs: Sequence[np.random.Generator], count: int) -> np.ndarray:
+        standard = np.empty((len(rngs), count))
+        for rng, row in zip(rngs, standard):
+            rng.standard_gamma(self.alpha, out=row)
+        # NumPy's gamma(alpha, 1 / beta) is its scale times the standard gamma
+        standard *= 1.0 / self.beta
+        return standard
 
 
 @dataclass(frozen=True)
@@ -151,12 +160,17 @@ class GammaMixture:
         """The mean rate of the larger component, alpha / min(beta1, beta2)."""
         return self.alpha / min(self.beta1, self.beta2)
 
-    def sample_rates(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        second = rng.random(count) < 0.5
-        standard = rng.gamma(self.alpha, 1.0, count)
-        return standard / np.where(second, self.beta2, self.beta1)
+    def sample_rates(self, rngs: Sequence[np.random.Generator], count: int) -> np.ndarray:
+        # a stream draws its centres' coins, then their standard gammas
+        coins, standard = np.empty((2, len(rngs), count))
+        for rng, coin, row in zip(rngs, coins, standard):
+            rng.random(out=coin)
+            rng.standard_gamma(self.alpha, out=row)
+        return standard / np.where(coins < 0.5, self.beta2, self.beta1)
 
 
+# a prior's sample_rates(rngs, count) gives ``count`` rates from each
+# stream, one row per stream
 RatePrior = Union[SingleGamma, GammaMixture]
 
 
@@ -164,28 +178,33 @@ RatePrior = Union[SingleGamma, GammaMixture]
 class Simultaneous:
     """Every centre open for the whole window."""
 
-    def sample_openings(self, rng: np.random.Generator, count: int,
+    def sample_openings(self, rngs: Sequence[np.random.Generator], count: int,
                         census_time: float) -> np.ndarray:
-        return np.zeros(count)
+        return np.zeros((len(rngs), count))
 
 
 @dataclass(frozen=True)
 class UniformOnCensus:
     """Opening times drawn uniformly on [0, census]."""
 
-    def sample_openings(self, rng: np.random.Generator, count: int,
+    def sample_openings(self, rngs: Sequence[np.random.Generator], count: int,
                         census_time: float) -> np.ndarray:
-        return rng.uniform(0.0, census_time, count)
+        openings = np.empty((len(rngs), count))
+        for rng, row in zip(rngs, openings):
+            rng.random(out=row)
+        # NumPy's uniform(0, census) is 0 + census times the same double
+        openings *= census_time
+        return openings
 
 
 @dataclass(frozen=True)
 class SplitHalf:
     """Half the centres open at 0, the rest exactly at census (zero exposure)."""
 
-    def sample_openings(self, rng: np.random.Generator, count: int,
+    def sample_openings(self, rngs: Sequence[np.random.Generator], count: int,
                         census_time: float) -> np.ndarray:
-        openings = np.full(count, census_time)
-        openings[: (count + 1) // 2] = 0.0
+        openings = np.full((len(rngs), count), census_time)
+        openings[:, : (count + 1) // 2] = 0.0
         return openings
 
 
@@ -209,13 +228,27 @@ class Explicit:
         if not all(0.0 <= t <= census_time for t in self.opening_times):
             raise ValueError("opening times must lie in [0, census]")
 
-    def sample_openings(self, rng: np.random.Generator, count: int,
+    def sample_openings(self, rngs: Sequence[np.random.Generator], count: int,
                         census_time: float) -> np.ndarray:
         self.check(count, census_time)
-        return np.array(self.opening_times)
+        return np.tile(self.opening_times, (len(rngs), 1))
 
 
+# a schedule's sample_openings(rngs, count, census_time) gives a new array
+# of ``count`` openings for each stream, one row per stream, which
+# generate_trial turns into exposures in place
 OpeningSchedule = Union[Simultaneous, UniformOnCensus, SplitHalf, Explicit]
+
+
+def _poisson_accepts(mean: float) -> bool:
+    """Whether NumPy's Poisson sampler accepts ``mean`` as a mean count:
+    asked for no draw, it checks the mean against its own limit without
+    touching any stream."""
+    try:
+        Generator(PCG64(0)).poisson(mean, size=0)
+    except ValueError:
+        return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -245,15 +278,10 @@ class SimConfig:
             raise ValueError("seed must be non-negative")
         if isinstance(self.schedule, Explicit):
             self.schedule.check(self.centres, self.census_time)
-        # NumPy's Poisson sampler refuses a mean past its own limit; asked
-        # for no draw, it checks the largest mean count a centre has over
-        # the census against that limit without touching any stream
         mean = self.prior.largest_mean_rate * self.census_time
-        try:
-            Generator(PCG64(0)).poisson(mean, size=0)
-        except ValueError:
+        if not _poisson_accepts(mean):
             raise ValueError(f"prior mean count per centre over the census, {mean:g}, is "
-                             "past what numpy's Poisson sampler accepts") from None
+                             "past what numpy's Poisson sampler accepts")
 
 
 @dataclass(frozen=True)
@@ -390,29 +418,36 @@ def generate_trial(config: SimConfig, rngs: Sequence[np.random.Generator]
     """Draw one trial from each generator; returns the true rates and the
     censored data, as a batch with one row per generator.
 
-    Draw order is fixed (openings, then rates, then counts) so that two
-    schedules consuming the same amount of randomness stay comparable
-    under a common seed.  Row i of the rates and ``data[i]`` are the
-    trial drawn from ``rngs[i]``, whatever the other generators; a
-    single trial is the batch of one, ``generate_trial(config, [rng])``,
-    read as row 0.  In the harness ``rngs`` are a block's streams from
-    one ``replication_rngs(config.seed, start, stop)`` call, seeded in one
-    pass, each bit for bit ``np.random.default_rng([config.seed, i])``.
+    Each generator draws its trial's openings, then its rates, then its
+    counts, so that two schedules consuming the same amount of randomness
+    stay comparable under a common seed.  Row i of the rates and
+    ``data[i]`` are the trial drawn from ``rngs[i]``, whatever the other
+    generators; a single trial is the batch of one,
+    ``generate_trial(config, [rng])``, read as row 0.  The schedule and
+    the prior each fill a whole block, every stream writing only its own
+    row, and the exposures and the Poisson means are one array operation
+    each; only the counts take one ``poisson`` call per stream.  A block
+    whose largest mean is past NumPy's Poisson range is refused before any
+    stream draws a count.  In the harness ``rngs`` are a block's streams
+    from one ``replication_rngs(config.seed, start, stop)`` call, seeded
+    in one pass, each bit for bit ``np.random.default_rng([config.seed, i])``.
     """
-    shape = (len(rngs), config.centres)
-    exposures, rates = np.empty(shape), np.empty(shape)
-    counts = np.empty(shape, dtype=np.int64)
-    for row, rng in enumerate(rngs):
-        openings = config.schedule.sample_openings(rng, config.centres, config.census_time)
-        exposures[row] = config.census_time - openings
-        rates[row] = config.prior.sample_rates(rng, config.centres)
-        try:
-            counts[row] = rng.poisson(rates[row] * exposures[row])
-        except ValueError:
-            # a heavy-tailed prior can draw a rate far past its mean
-            raise ValueError(
-                f"prior {config.prior} drew a centre rate whose mean count over the census "
-                f"{config.census_time:g} is past what numpy's Poisson sampler accepts") from None
+    openings = config.schedule.sample_openings(rngs, config.centres, config.census_time)
+    exposures = np.subtract(config.census_time, openings, out=openings)
+    rates = config.prior.sample_rates(rngs, config.centres)
+    means = rates * exposures
+    # a heavy-tailed prior can draw a rate far past its mean
+    if not _poisson_accepts(means.max(initial=0.0)):
+        raise ValueError(
+            f"prior {config.prior} drew a centre rate whose mean count over the census "
+            f"{config.census_time:g} is past what numpy's Poisson sampler accepts")
+    # each stream's counts overwrite its own row of means once its Poisson
+    # call has read it, so the block needs no counts array of its own; with
+    # one more block-sized array, the allocator handed each block fresh
+    # pages, about 140 page faults a block of 200 trials of 150 centres
+    counts = means.view(np.int64)
+    for rng, mean, row in zip(rngs, means, counts):
+        row[:] = rng.poisson(mean)
     return rates, TrialData.from_arrays(config.census_time, exposures, counts)
 
 

@@ -2,9 +2,10 @@
 
 Discrete CDFs are summed term by term, continuous CDFs are integrated by
 adaptive quadrature, everything in extended precision via mpmath.  The
-centre CSV readers at the end are the csv.DictReader ones the CLI used
-before its single csv.reader pass.  Nothing here imports the package
-under test.
+trial draw is the one stream at a time loop the harness used before it
+filled a block's arrays stream by stream.  The centre CSV readers at the
+end are the csv.DictReader ones the CLI used before its single
+csv.reader pass.  Nothing here imports the package under test.
 """
 
 import collections
@@ -12,6 +13,7 @@ import csv
 import math
 
 import mpmath as mp
+import numpy as np
 
 mp.mp.dps = 40
 
@@ -211,6 +213,54 @@ def exponential_bracket_quantile(cdf, q, mean):
         else:
             lo = mid
     return hi
+
+
+# --- the trial draw the harness used before its block fills ---
+#
+# A schedule and a prior are told apart by class name, and read by their
+# fields, so that this loop needs nothing from the package.
+
+
+def _openings(schedule, rng, count, census_time):
+    kind = type(schedule).__name__
+    if kind == "Simultaneous":
+        return np.zeros(count)
+    if kind == "UniformOnCensus":
+        return rng.uniform(0.0, census_time, count)
+    if kind == "SplitHalf":
+        openings = np.full(count, census_time)
+        openings[: (count + 1) // 2] = 0.0
+        return openings
+    if kind == "Explicit":
+        return np.array(schedule.opening_times)
+    raise TypeError(f"no opening schedule {kind}")
+
+
+def _rates(prior, rng, count):
+    kind = type(prior).__name__
+    if kind == "SingleGamma":
+        return rng.gamma(prior.alpha, 1.0 / prior.beta, count)
+    if kind == "GammaMixture":
+        second = rng.random(count) < 0.5
+        standard = rng.gamma(prior.alpha, 1.0, count)
+        return standard / np.where(second, prior.beta2, prior.beta1)
+    raise TypeError(f"no rate prior {kind}")
+
+
+def generate_trial_loop(config, rngs):
+    """The rates, exposures and counts of one trial from each generator,
+    a row each: every stream draws its openings, its rates and its
+    counts, one stream at a time, through NumPy's own ``uniform`` and
+    ``gamma``."""
+    shape = (len(rngs), config.centres)
+    exposures, rates = np.empty(shape), np.empty(shape)
+    counts = np.empty(shape, dtype=np.int64)
+    for row, rng in enumerate(rngs):
+        openings = _openings(config.schedule, rng, config.centres, config.census_time)
+        exposures[row] = config.census_time - openings
+        rates[row] = _rates(config.prior, rng, config.centres)
+        counts[row] = rng.poisson(rates[row] * exposures[row])
+    return rates, exposures, counts
 
 
 # --- the centre CSV reader the CLI used before its single csv.reader pass ---

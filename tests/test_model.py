@@ -720,6 +720,42 @@ def test_trial_data_batch_names_the_trial_and_centre_it_refuses(what, value, exp
         assert str(batch.value) == str(single.value) and what == "count"
 
 
+# one trial at census 4 with exactly one fault per element rule, and the
+# message that names it; the last two hold two faults each, the earlier
+# rule's at the later centre
+_REFUSALS = [
+    ([4.0, math.nan, 1.0], [3, 1, 0], "exposure must be finite and >= 0, got nan", 2),
+    ([4.0, -1.0, 1.0], [3, 1, 0], "exposure must be finite and >= 0, got -1.0", 2),
+    ([4.0, 4.5, 1.0], [3, 1, 0], "exposure exceeds census time 4.0, got 4.5", 2),
+    ([4.0, 2.0, 1.0], [3, -1, 0], "count must be non-negative, got -1", 2),
+    ([4.0, 2.0, 1.0], [3, 1.5, 0], "count must be an integer, got 1.5", 2),
+    ([4.0, 2.0, 1.0], np.array([3, 2**63, 0], dtype=np.uint64),
+     f"count must lie in the int64 range, got {2**63}", 2),
+    ([4.0, 2.0, 1.0], [3, 1e20, 0], "count must lie in the int64 range, got 1e+20", 2),
+    ([4.0, 0.0, 1.0], [3, 1, 0], "positive count at zero exposure, got 1", 2),
+    ([4.0, 2.0, math.nan], [-1, 1, 0], "exposure must be finite and >= 0, got nan", 3),
+    ([4.5, 2.0, 1.0], [3, 1, -1], "count must be non-negative, got -1", 3),
+]
+
+
+@pytest.mark.parametrize("exposures, counts, rule, centre", _REFUSALS, ids=[
+    "exposure not finite", "exposure negative", "exposure past census", "count negative",
+    "count not integer", "unsigned count past int64", "float count past int64",
+    "count at zero exposure", "exposure rule before count rule",
+    "count rule before census rule"])
+def test_trial_data_names_the_first_rule_a_trial_breaks(exposures, counts, rule, centre):
+    counts = np.asarray(counts)
+    message = f"centre 'centre_{centre}': {rule}"
+    with pytest.raises(ValueError) as single:
+        TrialData(4.0, exposures, counts)
+    assert str(single.value) == message
+    good_exposures, good_counts = [4.0, 2.0, 1.0], np.array([3, 1, 0], dtype=counts.dtype)
+    with pytest.raises(ValueError) as batch:
+        TrialData(4.0, [good_exposures, good_exposures, exposures],
+                  np.stack([good_counts, good_counts, counts]))
+    assert str(batch.value) == "trial 2, " + message
+
+
 def test_trial_data_batch_refuses_one_row_whose_counts_sum_past_int64():
     with pytest.raises(ValueError, match=f"^trial 1, counts sum to {2**63}, past"):
         TrialData(1.0, [[1.0, 0.5]] * 3, [[1, 2], [2**62, 2**62], [3, 4]])

@@ -4,6 +4,7 @@ import collections
 import json
 import math
 import os
+import re
 import tracemalloc
 from dataclasses import astuple
 from functools import partial
@@ -120,10 +121,72 @@ def test_generate_trial_mean_total_count():
     assert abs(mean - 400.0) < 3.0 * 30.551 / 100.0
 
 
+def _bits(array):
+    return array.dtype, array.shape, array.tobytes()
+
+
+@pytest.mark.parametrize("prior", [SingleGamma(alpha=2.0, beta=150.0),
+                                   GammaMixture(alpha=2.0, beta1=100.0, beta2=300.0)],
+                         ids=["single gamma", "gamma mixture"])
+@pytest.mark.parametrize("schedule", [
+    Simultaneous(), UniformOnCensus(), SplitHalf(),
+    Explicit((0.0, 10.0, 50.0, 100.0, 150.0, 199.5, 200.0))],
+    ids=["simultaneous", "uniform", "split half", "explicit"])
+def test_generate_trial_draws_each_stream_as_the_stream_by_stream_loop(schedule, prior):
+    # the block fills read each stream as the loop did: openings, then
+    # rates, then counts, through NumPy's own uniform and gamma
+    config = _config(prior=prior, centres=7, schedule=schedule)
+    blocks = [(replication_rngs(config.seed, 0, 1), replication_rngs(config.seed, 0, 1)),
+              (replication_rngs(config.seed, 5, 69), replication_rngs(config.seed, 5, 69)),
+              ([np.random.default_rng(808)], [np.random.default_rng(808)])]
+    for rngs, loop_rngs in blocks:
+        rates, data = generate_trial(config, rngs)
+        want_rates, want_exposures, want_counts = oracles.generate_trial_loop(config, loop_rngs)
+        assert _bits(rates) == _bits(want_rates)
+        assert _bits(data.exposures) == _bits(want_exposures)
+        assert _bits(data.counts) == _bits(want_counts)
+        # each stream is left where the loop left it
+        assert [rng.random() for rng in rngs] == [rng.random() for rng in loop_rngs]
+
+
+class _RecordingGenerator:
+    """A generator that records the name of each of its draws in ``calls``."""
+
+    def __init__(self, rng, calls):
+        self._rng, self._calls = rng, calls
+
+    def __getattr__(self, name):
+        draw = getattr(self._rng, name)
+
+        def recorded(*args, **kwargs):
+            self._calls.append(name)
+            return draw(*args, **kwargs)
+
+        return recorded
+
+
+def test_a_block_past_the_poisson_range_is_refused_before_any_count_is_drawn():
+    # the prior's mean count per centre, 1e18, is inside NumPy's Poisson
+    # range; at seed 3 trial 1 draws a rate past it, and trial 0 does not
+    config = _config(prior=SingleGamma(alpha=0.01, beta=1e-20), centres=50,
+                     census_time=1.0, seed=3)
+    calls = [[], [], []]
+    rngs = [_RecordingGenerator(rng, log)
+            for rng, log in zip(replication_rngs(config.seed, 0, 3), calls)]
+    with pytest.raises(ValueError, match=re.escape(
+            f"prior {config.prior} drew a centre rate whose mean count over the census 1 "
+            "is past what numpy's Poisson sampler accepts")):
+        generate_trial(config, rngs)
+    assert calls == [["standard_gamma"]] * 3
+    # trial 0 alone draws its counts
+    generate_trial(config, rngs[:1])
+    assert calls[0] == ["standard_gamma", "standard_gamma", "poisson"]
+
+
 def test_mixture_prior_moments():
     prior = GammaMixture(alpha=2.0, beta1=1.0, beta2=4.0)
     rng = np.random.default_rng(61)
-    draws = prior.sample_rates(rng, 100_000)
+    draws = prior.sample_rates([rng], 100_000)[0]
     assert np.all(draws > 0)
     # mean 1.25, variance 1.625
     assert abs(draws.mean() - 1.25) < 3.0 * math.sqrt(1.625 / 100_000)
@@ -553,9 +616,9 @@ def test_schedule_and_prior_validation():
                 prior()
     rng = np.random.default_rng(64)
     with pytest.raises(ValueError):
-        Explicit((0.0, 10.0)).sample_openings(rng, 3, 50.0)
+        Explicit((0.0, 10.0)).sample_openings([rng], 3, 50.0)
     with pytest.raises(ValueError):
-        Explicit((0.0, 60.0)).sample_openings(rng, 2, 50.0)
+        Explicit((0.0, 60.0)).sample_openings([rng], 2, 50.0)
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError, match="finite"):
             Explicit((0.0, bad))

@@ -9,7 +9,11 @@ The gate holds a change that keeps bytes to the outputs of its parent:
 - the figure curves fig1-fig4 and figD1-figD3 at
   ``--reps 300 --seed 5 --grid 41``;
 - ``fit`` on both demo files, and ``predict`` on both for each
-  objective, plain and ``--adjusted``.
+  objective, plain and ``--adjusted``;
+- ``simulate --config`` on two cells that no table holds, each written
+  into OUTDIR as ``config-<name>.json``: explicit openings under the
+  gamma-mixture prior with a count objective, and the split-half
+  schedule with a time objective.
 
 Each output goes through ``recruitcast.cli.main`` with ``--out``, so the
 CSVs come with their ``.manifest.json`` sidecars.  Every ``created_utc``
@@ -26,6 +30,7 @@ this script can run against two source trees; the gate is then
 
 from __future__ import annotations
 
+import json
 import os
 import sys
 from pathlib import Path
@@ -46,9 +51,23 @@ _DEMO_FILES = {
     "events": (demo_events_path(), DEMO_EVENTS_CENSUS, "0.5", "300"),
 }
 
+# the cells beside the tables, in the JSON that ``simulate --config`` reads
+_CONFIGS = {
+    "explicit-mixture-count": {
+        "prior": {"kind": "gamma_mixture", "alpha": 2.0, "beta1": 50.0, "beta2": 150.0},
+        "centres": 20, "census_time": 100.0,
+        "schedule": {"kind": "explicit", "opening_times": [5.0 * i for i in range(20)]},
+        "objective": "count", "horizon": 300.0, "replications": 300, "seed": 13},
+    "split-half-time": {
+        "prior": {"kind": "gamma", "alpha": 2.0, "beta": 150.0},
+        "centres": 150, "census_time": 200.0, "schedule": "split_half",
+        "objective": "time", "horizon": 200, "replications": 300, "seed": 17},
+}
 
-def gate_calls():
-    """(output file name, CLI arguments without ``--out``) for every output."""
+
+def gate_calls(outdir: Path):
+    """(output file name, CLI arguments without ``--out``) for every
+    output; a ``--config`` call reads its config from ``outdir``."""
     for table in TABLE_IDS:
         yield f"table-{table}.csv", ["simulate", "--table", table, "--reps", "60",
                                      "--seed", "11"]
@@ -67,6 +86,9 @@ def gate_calls():
                 name = f"predict-{objective}-{layout}{'-adjusted' if extra else ''}.json"
                 yield name, ["predict", *data, "--objective", objective,
                              "--horizon", horizon, *extra]
+    for name in _CONFIGS:
+        yield f"simulate-{name}.csv", ["simulate", "--config",
+                                       str(outdir / f"config-{name}.json")]
 
 
 def drop_timestamps(path: Path) -> None:
@@ -77,8 +99,10 @@ def drop_timestamps(path: Path) -> None:
 def run(outdir: Path) -> int:
     outdir = outdir.resolve()
     outdir.mkdir(parents=True, exist_ok=True)
+    for name, config in _CONFIGS.items():
+        (outdir / f"config-{name}.json").write_text(json.dumps(config, indent=2) + "\n")
     os.chdir(demo_summary_path().parent)  # where the demo files are named
-    for name, argv in gate_calls():
+    for name, argv in gate_calls(outdir):
         code = main([*argv, "--out", str(outdir / name)])
         if code != 0:
             print(f"{name}: exit {code}", file=sys.stderr)
