@@ -38,7 +38,6 @@ from .model import (
     InsufficientData,
     ModelError,
     ModelFit,
-    RowFits,
     TrialData,
     fit_mle,
     fit_rows,

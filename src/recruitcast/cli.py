@@ -393,11 +393,14 @@ def _load_trial(args) -> TrialData:
 
 def _fit_payload(data: TrialData, fit) -> dict:
     """``fit``'s fields by name, with ``equal_exposures`` moved under
-    ``ratio_check``, and the trial's sizes under ``data``."""
+    ``ratio_check``, its ``kind`` written as the flags ``converged`` and
+    ``degenerate``, and the trial's sizes under ``data``."""
     open_exposures = data.exposures[data.exposures > 0]
     pooled_rate = (data.total_count / (open_exposures.size * open_exposures.mean())
                    if fit.equal_exposures else None)
     payload = dict(vars(fit))  # a copy: vars() is the frozen fit's own __dict__
+    kind = payload.pop("kind")
+    payload["converged"], payload["degenerate"] = kind == "ok", kind == "boundary"
     payload["data"] = {
         "centres": data.num_centres,
         "open_centres": int(open_exposures.size),

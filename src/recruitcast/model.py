@@ -30,22 +30,26 @@ method-of-moments guess; each supplies only its ascent, the score and
 Newton step from analytic derivatives, and the likelihood that guards
 the step.  One outcome rule reads the fit: no recruit, the tail
 statistic, Newton, the cap on log alpha, the boundary limit and the
-certificate.
+certificate.  It names one of four kinds, which ``ModelFit`` carries:
+"ok" for an interior maximum, "nonconverged" for a search that stalled,
+"boundary" for the monotone-likelihood limit and "insufficient" where
+there is nothing to fit.
 
-``fit_rows`` fits a batch.  Its rows are grouped by their number of
-open centres and by whether those share one exposure, and each group
-runs in passes of at most ``block_rows(C)`` rows, the bound on every
-batch array that the harness's blocks share, so that no array of a pass
-holds more than 2^16 values.  A pass runs the same loop and the same
-outcome rule as ``fit_mle``, on arrays of its rows where a trial has
-floats, with the ascents and likelihood methods written once over the
-last axis, so that each row gets the bits ``fit_mle`` gives it alone.
-Where the loop would stop a trial, it drops that row from the pass.  A
-pass takes its count sums from one array of rise terms for all of its
-rows, and sums each row over its own rises; its narrowings share one
-store of each row's last beta, so a row takes its per-centre terms once
-for each new beta, as ``fit_mle`` does.  A group of too few rows or too
-many centres to repay a pass goes through ``fit_mle`` row by row.
+``fit_rows`` fits a batch into one ``ModelFit`` of arrays.  Its rows are
+grouped by their number of open centres and by whether those share one
+exposure, and each group runs in passes of at most ``block_rows(C)``
+rows, the bound on every batch array that the harness's blocks share, so
+that no array of a pass holds more than 2^16 values.  A pass runs the
+same loop and the same outcome rule as ``fit_mle``, on arrays of its
+rows where a trial has floats, with the ascents and likelihood methods
+written once over the last axis, so that each row gets the bits
+``fit_mle`` gives it alone.  Where the loop would stop a trial, it drops
+that row from the pass.  A pass takes its count sums from one array of
+rise terms for all of its rows, and sums each row over its own rises;
+its narrowings share one store of each row's last beta, so a row takes
+its per-centre terms once for each new beta, as ``fit_mle`` does.  A
+group of too few rows or too many centres to repay a pass goes through
+``fit_mle`` row by row.
 """
 
 from __future__ import annotations
@@ -69,7 +73,6 @@ __all__ = [
     "log_likelihood",
     "fit_mle",
     "fit_rows",
-    "RowFits",
     "posterior_rate_moments",
 ]
 
@@ -123,8 +126,8 @@ class DegenerateLikelihood(ModelError):
 
     The marginal likelihood increases without bound as (alpha, beta) grow
     with their ratio fixed, which happens when the counts are no more
-    dispersed than a common-rate Poisson sample.  The boundary fit is
-    attached as ``fit`` for diagnostics.
+    dispersed than a common-rate Poisson sample.  The boundary fit, of
+    kind "boundary", is attached as ``fit`` for diagnostics.
     """
 
     def __init__(self, message: str, fit: "ModelFit | None" = None):
@@ -288,20 +291,30 @@ def _one_trial(data: TrialData) -> TrialData:
 
 @dataclass(frozen=True)
 class ModelFit:
-    """Fitted shape/rate pair with optimizer diagnostics.
+    """Fitted shape/rate pair with its outcome and optimizer diagnostics,
+    for one trial, or for each row of a batch as arrays, one entry a row.
 
-    ``iterations`` counts Newton steps; ``equal_exposures`` records that
-    the open centres shared one exposure, so the fit ran along the ray
-    alpha/beta = n/(C t).
+    ``kind`` is the outcome: "ok" for an interior maximum that the score
+    certifies, "nonconverged" for a search that stalled short of it,
+    "boundary" for the constant-ratio limit of a monotone likelihood, and
+    "insufficient" where there is nothing to fit, a kind that only a row
+    of ``fit_rows`` takes, with NaN estimates and log-likelihood and no
+    step.  ``iterations`` counts Newton steps; ``equal_exposures`` records
+    that the open centres shared one exposure, so the fit ran along the
+    ray alpha/beta = n/(C t).
     """
 
     alpha_hat: float
     beta_hat: float
     log_lik: float
-    converged: bool
+    kind: str
     iterations: int
-    degenerate: bool = False
     equal_exposures: bool = False
+
+    @property
+    def converged(self):
+        """Whether the fit is an interior maximum: its kind is "ok"."""
+        return self.kind == "ok"
 
 
 @np.errstate(all="ignore")
@@ -984,9 +997,9 @@ def _estimates(ws: _Likelihood, point):
 @np.errstate(all="ignore")
 def _outcome(likelihood: type, *data):
     """The sums ``likelihood(*data)``, of one trial (``_Workspace``) or of
-    a group of trials (``_Rows``), and the fit of each: ``RowFits``' kind,
-    estimates, log-likelihood and steps, as floats for a trial and as
-    arrays, one entry a row, for a group.
+    a group of trials (``_Rows``), and the fit of each: ``ModelFit``'s
+    kind, estimates, log-likelihood and steps, as floats for a trial and
+    as arrays, one entry a row, for a group.
 
     A fit with no recruit is "insufficient", with NaN estimates and no
     step.  Newton steps each other fit whose tail statistic is positive,
@@ -1055,9 +1068,10 @@ def fit_mle(data: TrialData) -> ModelFit:
     concave the step goes uphill instead, in the plane along each curvature
     axis by |slope / curvature|.  While the score is large each step is
     backtracked until the likelihood does not fall.  ``iterations`` counts
-    the steps taken.  The fit is ``converged`` where the score in (log
-    alpha, log beta) at its estimates is at most 1e-8.  ``fit_rows``
-    runs the same loop and the same outcome rule on a batch's rows.
+    the steps taken.  The fit's ``kind`` is "ok" where the score in (log
+    alpha, log beta) at its estimates is at most 1e-8, and "nonconverged"
+    where it is not.  ``fit_rows`` runs the same loop and the same
+    outcome rule on a batch's rows.
 
     alpha does not depend on the unit of time and beta scales with it
     while the squared exposures stay in the float range, from about 1e-150
@@ -1074,6 +1088,8 @@ def fit_mle(data: TrialData) -> ModelFit:
     ``DegenerateLikelihood`` is raised, although the tail statistic is
     positive.
 
+    A returned fit is "ok" or "nonconverged"; the other two kinds raise.
+
     Raises
     ------
     InsufficientData
@@ -1081,16 +1097,17 @@ def fit_mle(data: TrialData) -> ModelFit:
     DegenerateLikelihood
         If the likelihood is still rising at log alpha = 30,
         i.e. the boundary value along the best fixed-ratio ray is not
-        beaten by any interior point.
+        beaten by any interior point.  Its ``fit`` is that limit, of
+        kind "boundary".
     """
     ws, (kind, alpha_hat, beta_hat, log_lik, steps) = _outcome(_Workspace, data)
     if kind == "insufficient":
         raise InsufficientData("total recruit count is zero" if ws.num_open
                                else "no centre has positive exposure")
     fit = ModelFit(alpha_hat=float(alpha_hat), beta_hat=float(beta_hat),
-                   log_lik=float(log_lik), converged=kind == "ok", iterations=steps,
-                   degenerate=kind == "boundary", equal_exposures=ws.equal_exposures)
-    if fit.degenerate:
+                   log_lik=float(log_lik), kind=kind, iterations=steps,
+                   equal_exposures=ws.equal_exposures)
+    if kind == "boundary":
         # in Python floats, which warn of no overflow
         ratio = ws.total_count / float(ws.total_exposure)
         raise DegenerateLikelihood(f"likelihood keeps increasing along alpha/beta = {ratio:.6g}; "
@@ -1098,43 +1115,26 @@ def fit_mle(data: TrialData) -> ModelFit:
     return fit
 
 
-@dataclass(frozen=True, eq=False)
-class RowFits:
-    """What ``fit_rows`` found for each row of a batch, as arrays.
-
-    ``kind`` is "ok" for a fit that ``fit_mle`` returns converged,
-    "nonconverged" for one it returns unconverged, "boundary" where it
-    raises ``DegenerateLikelihood`` and "insufficient" where it raises
-    ``InsufficientData``.  The estimates, ``log_lik`` and ``steps`` (its
-    ``iterations``) are those of the fit it returns or attaches, NaN and
-    0 for "insufficient"; ``equal_exposures`` is its flag.  A batched
-    pass and ``fit_mle`` read them off one outcome rule.
-    """
-
-    kind: np.ndarray
-    alpha_hat: np.ndarray
-    beta_hat: np.ndarray
-    log_lik: np.ndarray
-    steps: np.ndarray
-    equal_exposures: np.ndarray
-
-
 def _fit_one(data: TrialData) -> tuple:
-    """``RowFits``' kind, estimates, log-likelihood and steps for one
-    trial, from ``fit_mle``."""
+    """The kind, estimates, log-likelihood and steps of one trial's fit,
+    from ``fit_mle``."""
     try:
         fit = fit_mle(data)
     except InsufficientData:
         return "insufficient", math.nan, math.nan, math.nan, 0
     except DegenerateLikelihood as exc:
-        fit, kind = exc.fit, "boundary"
-    else:
-        kind = "ok" if fit.converged else "nonconverged"
-    return kind, fit.alpha_hat, fit.beta_hat, fit.log_lik, fit.iterations
+        fit = exc.fit
+    return fit.kind, fit.alpha_hat, fit.beta_hat, fit.log_lik, fit.iterations
 
 
-def fit_rows(data: TrialData) -> RowFits:
-    """``fit_mle`` for each row of a batch, bit for bit.
+def fit_rows(data: TrialData) -> ModelFit:
+    """``fit_mle`` for each row of a batch, bit for bit, as one
+    ``ModelFit`` whose fields are arrays with one entry a row.
+
+    A row's ``kind`` is that of the fit ``fit_mle`` returns, or attaches
+    to ``DegenerateLikelihood`` ("boundary"), or "insufficient" where it
+    raises ``InsufficientData``, with NaN estimates and log-likelihood
+    and 0 ``iterations``; its other fields are that fit's.
 
     The rows are grouped by whether their open centres share one
     exposure and by their number of open centres C.  A group of at least
@@ -1174,8 +1174,8 @@ def fit_rows(data: TrialData) -> RowFits:
         exposures.max(axis=1), exposures.min(axis=1, initial=np.inf, where=opened))
     kind = np.full(count, "insufficient", dtype=_KIND)
     alpha_hat, beta_hat, log_lik = (np.full(count, math.nan) for _ in range(3))
-    steps = np.zeros(count, dtype=int)
-    fields = (kind, alpha_hat, beta_hat, log_lik, steps)
+    iterations = np.zeros(count, dtype=int)
+    fields = (kind, alpha_hat, beta_hat, log_lik, iterations)
     # sorted by their largest count, the rows of a group run in order of
     # their number of rises
     largest = counts.max(axis=1)
@@ -1193,7 +1193,8 @@ def fit_rows(data: TrialData) -> RowFits:
                 group = tuple(x[opened[part]].reshape(-1, centres) for x in group)
             for field, values in zip(fields, _outcome(_Rows, *group, ray)[1]):
                 field[part] = values
-    return RowFits(kind, alpha_hat, beta_hat, log_lik, steps, equal)
+    return ModelFit(alpha_hat=alpha_hat, beta_hat=beta_hat, log_lik=log_lik, kind=kind,
+                    iterations=iterations, equal_exposures=equal)
 
 
 def posterior_rate_moments(data: TrialData, fit: ModelFit) -> tuple[float, float]:

@@ -520,7 +520,8 @@ def _fit_chunk(config: SimConfig, bounds: tuple[int, int]) -> dict[str, np.ndarr
     column of ``_FIT_COLUMNS``, and ``"kind"``, with one entry per
     replication in order.
 
-    ``kind`` is ``RowFits.kind``.  A trial that recruits nobody
+    ``kind`` is each row's outcome kind in the ``ModelFit`` that
+    ``fit_rows`` returns.  A trial that recruits nobody
     ("insufficient") is dropped.  A monotone likelihood ("boundary"), or
     an interior search that stalled on the near-boundary ridge
     ("nonconverged"), is a boundary replication: its limit laws are

@@ -5,6 +5,7 @@ import csv
 import gc
 import io
 import json
+import math
 from dataclasses import replace
 from pathlib import Path
 
@@ -314,7 +315,7 @@ def test_predict_names_an_adjusted_level_past_the_float_resolution(tmp_path, mon
     # at estimates (1, 8) and one centre open for the one time unit, the
     # adjusted upper level of a time interval to 30 recruits rounds to 1
     monkeypatch.setattr(cli, "fit_mle", lambda data: ModelFit(
-        alpha_hat=1.0, beta_hat=8.0, log_lik=0.0, converged=True, iterations=1))
+        alpha_hat=1.0, beta_hat=8.0, log_lik=0.0, kind="ok", iterations=1))
     summary = tmp_path / "summary.csv"
     write_summary(summary, [("a", 0.0, 0), ("b", 1.0, 0)])
     args = ("predict", "--input", str(summary), "--census", "1", "--objective", "time",
@@ -350,7 +351,7 @@ def test_exit_codes_for_data_problems(tmp_path, capsys):
 
 def test_predict_refuses_a_fit_that_did_not_converge(monkeypatch, capsys):
     stalled = ModelFit(alpha_hat=2.0, beta_hat=0.1, log_lik=0.0,
-                       converged=False, iterations=120)
+                       kind="nonconverged", iterations=120)
     monkeypatch.setattr(cli, "fit_mle", lambda data: stalled)
     code, out, err = run(capsys, "predict", "--input", str(demo_summary_path()),
                          "--census", str(DEMO_SUMMARY_CENSUS),
@@ -362,7 +363,7 @@ def test_predict_refuses_a_fit_that_did_not_converge(monkeypatch, capsys):
 
 def test_diagnose_qq_refuses_a_fit_that_did_not_converge(monkeypatch, capsys):
     stalled = ModelFit(alpha_hat=2.0, beta_hat=0.1, log_lik=0.0,
-                       converged=False, iterations=120)
+                       kind="nonconverged", iterations=120)
     monkeypatch.setattr(cli, "fit_mle", lambda data: stalled)
     code, out, err = run(capsys, "diagnose", "qq", "--input", str(demo_events_path()),
                          "--census", str(DEMO_EVENTS_CENSUS), "--window", "0.5")
@@ -1297,6 +1298,58 @@ def test_a_mistyped_config_fails_before_any_trial(tmp_path_factory, raw):
     assert err.getvalue().count("\n") == 1 and "Traceback" not in err.getvalue()
     assert err.getvalue().startswith("config error: bad simulation config: ")
     assert trials == []
+
+
+# a number no law may take: not a number, past the float range or at its
+# ends, negative or zero, or an integer past int64
+_HOSTILE_NUMBERS = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, 1.7e308, 1e300, 1e17, 5e-324, 1e-300,
+                     -1.0, -1e300, 0.0, 0]),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.integers(-2**70, 2**70))
+
+
+@st.composite
+def _hostile_configs(draw):
+    """A small cell with one to three of its numbers made hostile: at
+    most 12 centres and, run at two replications, no large array."""
+    centres = draw(st.integers(1, 12))
+    raw = {"prior": draw(st.sampled_from([
+               {"kind": "gamma", "alpha": 2.0, "beta": 150.0},
+               {"kind": "gamma_mixture", "alpha": 2.0, "beta1": 150.0, "beta2": 450.0}])),
+           "centres": centres, "census_time": 100.0,
+           "schedule": draw(st.sampled_from(["simultaneous", "uniform", "split_half",
+                                             "explicit"])),
+           "objective": draw(st.sampled_from(["count", "time"])),
+           "horizon": 100.0, "level": 0.9, "replications": 2, "seed": 4}
+    numbers = [("census_time",), ("horizon",), ("level",), ("replications",), ("seed",)]
+    numbers += [("prior", key) for key in raw["prior"] if key != "kind"]
+    if raw["schedule"] == "explicit":
+        raw["schedule"] = {"kind": "explicit", "opening_times": [5.0 * i for i in range(centres)]}
+        numbers += [("schedule", "opening_times", i) for i in range(centres)]
+    for path in draw(st.lists(st.sampled_from(numbers), min_size=1, max_size=3, unique=True)):
+        target = raw
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = draw(_HOSTILE_NUMBERS)
+    return raw
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(raw=_hostile_configs())
+def test_hostile_config_values_exit_cleanly(tmp_path_factory, raw):
+    # a refusal may still come after a block is drawn, so only the exit
+    # and its one line are checked; NumPy's floating-point warnings go to
+    # pytest's own capture, not to err
+    config = tmp_path_factory.mktemp("config") / "cell.json"
+    config.write_text(json.dumps(raw))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["simulate", "--config", str(config), "--reps", "2", "--threads", "1"])
+    assert code in (0, 2, 3, 4)
+    if code:
+        assert out.getvalue() == ""
+        assert err.getvalue().count("\n") == 1 and "Traceback" not in err.getvalue()
 
 
 def _run_config(tmp_path, capsys, config, reps):

@@ -29,7 +29,6 @@ the median and maximum score max-norm before and after.
 import json
 import statistics
 import sys
-from dataclasses import fields
 from pathlib import Path
 from unittest import mock
 
@@ -52,9 +51,19 @@ FIT_BITS = Path(__file__).parent / "data" / "fit_bits.json"
 REPLICATIONS_PER_ROW = 5
 
 
+def _pinned_kind(kind: str) -> str:
+    """A fit's kind as the pinned records spell it."""
+    return "non-converged" if kind == "nonconverged" else kind
+
+
 def _fit_fields(fit: ModelFit) -> dict:
-    values = {f.name: getattr(fit, f.name) for f in fields(fit)}
-    return {name: v.hex() if isinstance(v, float) else v for name, v in values.items()}
+    """A fit as the pinned records hold it: floats as ``float.hex``, and
+    its kind as the flags ``converged`` and ``degenerate``, in the order
+    of the pinned file's keys."""
+    return {"alpha_hat": fit.alpha_hat.hex(), "beta_hat": fit.beta_hat.hex(),
+            "log_lik": fit.log_lik.hex(), "converged": fit.converged,
+            "iterations": fit.iterations, "degenerate": fit.kind == "boundary",
+            "equal_exposures": fit.equal_exposures}
 
 
 def _table_rows():
@@ -77,14 +86,13 @@ def fit_records() -> list[dict]:
     for record, data in pinned_trials():
         try:
             fit = fit_mle(data)
-            record["kind"] = "ok" if fit.converged else "non-converged"
         except InsufficientData:
             fit = None
             record["kind"] = "insufficient"
         except DegenerateLikelihood as exc:
             fit = exc.fit
-            record["kind"] = "boundary"
         if fit is not None:
+            record["kind"] = _pinned_kind(fit.kind)
             record["fit"] = _fit_fields(fit)
         records.append(record)
     return records
@@ -103,13 +111,12 @@ def row_fit_records(block: int = REPLICATIONS_PER_ROW) -> list[dict]:
                 fits = model.fit_rows(data)
             for i in range(min(block, REPLICATIONS_PER_ROW - first)):
                 kind = str(fits.kind[i])
-                record = {**where, "replication": first + i,
-                          "kind": "non-converged" if kind == "nonconverged" else kind}
+                record = {**where, "replication": first + i, "kind": _pinned_kind(kind)}
                 if kind != "insufficient":
                     record["fit"] = _fit_fields(ModelFit(
                         alpha_hat=float(fits.alpha_hat[i]), beta_hat=float(fits.beta_hat[i]),
-                        log_lik=float(fits.log_lik[i]), converged=kind == "ok",
-                        iterations=int(fits.steps[i]), degenerate=kind == "boundary",
+                        log_lik=float(fits.log_lik[i]), kind=kind,
+                        iterations=int(fits.iterations[i]),
                         equal_exposures=bool(fits.equal_exposures[i])))
                 records.append(record)
     return records

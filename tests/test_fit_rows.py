@@ -34,15 +34,14 @@ def engine(monkeypatch):
 
 
 def _single(data: TrialData) -> tuple:
-    """``fit_mle``'s outcome as ``_row`` reads a ``RowFits`` entry."""
+    """``fit_mle``'s outcome as ``_row`` reads an entry of ``fit_rows``."""
     try:
         fit = fit_mle(data)
-        kind = "ok" if fit.converged else "nonconverged"
     except InsufficientData:
         return ("insufficient",)
     except DegenerateLikelihood as exc:
-        fit, kind = exc.fit, "boundary"
-    return (kind, fit.alpha_hat.hex(), fit.beta_hat.hex(), fit.log_lik.hex(), fit.iterations,
+        fit = exc.fit
+    return (fit.kind, fit.alpha_hat.hex(), fit.beta_hat.hex(), fit.log_lik.hex(), fit.iterations,
             fit.equal_exposures)
 
 
@@ -51,7 +50,7 @@ def _row(fits, i: int) -> tuple:
     if kind == "insufficient":
         return (kind,)
     return (kind, float(fits.alpha_hat[i]).hex(), float(fits.beta_hat[i]).hex(),
-            float(fits.log_lik[i]).hex(), int(fits.steps[i]), bool(fits.equal_exposures[i]))
+            float(fits.log_lik[i]).hex(), int(fits.iterations[i]), bool(fits.equal_exposures[i]))
 
 
 def _mixed_block() -> TrialData:
@@ -196,7 +195,7 @@ def test_permuting_a_block_permutes_its_fits(engine):
     assert fits.equal_exposures.sum() > 64 and (~fits.equal_exposures).sum() > 15
     order = np.random.default_rng(5).permutation(len(data.exposures))
     shuffled = fit_rows(TrialData(data.census_time, data.exposures[order], data.counts[order]))
-    for name in ("kind", "alpha_hat", "beta_hat", "log_lik", "steps", "equal_exposures"):
+    for name in ("kind", "alpha_hat", "beta_hat", "log_lik", "iterations", "equal_exposures"):
         got, want = getattr(shuffled, name), getattr(fits, name)[order]
         assert got.tobytes() == want.tobytes(), name
 
@@ -271,8 +270,8 @@ def test_newton_reads_the_curvature_only_for_rows_that_step(engine, monkeypatch,
     else:
         monkeypatch.setattr(_Rows, "hessian", counted_hessian)
     fits = fit_rows(data)
-    assert fits.steps.min() > 0 and fits.equal_exposures.all() == equal
-    assert [reads[row] for row in range(len(data.counts))] == fits.steps.tolist()
+    assert fits.iterations.min() > 0 and fits.equal_exposures.all() == equal
+    assert [reads[row] for row in range(len(data.counts))] == fits.iterations.tolist()
 
 
 @pytest.mark.parametrize("equal", [False, True], ids=["plane", "ray"])
@@ -382,8 +381,8 @@ def test_a_row_whose_line_search_fails_stops_while_the_others_step(engine, monke
     fits = fit_rows(data)
     # the probe reads its likelihood at its start, at its ten halvings and
     # at its certificate
-    assert (str(fits.kind[0]), int(fits.steps[0]), reads[0]) == ("nonconverged", 0, 12)
-    assert sorted(fits.steps[fits.steps > 0].tolist()) == [4, 4, 4, 5, 5, 6]
+    assert (str(fits.kind[0]), int(fits.iterations[0]), reads[0]) == ("nonconverged", 0, 12)
+    assert sorted(fits.iterations[fits.iterations > 0].tolist()) == [4, 4, 4, 5, 5, 6]
     assert [_row(fits, row) for row in range(10)] == [_single(data[row]) for row in range(10)]
 
 
@@ -629,4 +628,5 @@ def test_any_block_fits_as_its_rows_fit_alone(data):
         insufficient = fits.kind == "insufficient"
         assert np.isnan(fits.alpha_hat[insufficient]).all()
         assert np.isnan(fits.beta_hat[insufficient]).all()
-        assert np.isnan(fits.log_lik[insufficient]).all() and not fits.steps[insufficient].any()
+        assert np.isnan(fits.log_lik[insufficient]).all()
+        assert not fits.iterations[insufficient].any()

@@ -268,7 +268,7 @@ def test_under_dispersed_counts_degenerate():
         fit_mle(data)
     fit = info.value.fit
     assert fit is not None
-    assert fit.degenerate
+    assert fit.kind == "boundary"
     assert not fit.converged
     ratio = 3.0 / 4.0
     assert abs(fit.alpha_hat / fit.beta_hat - ratio) < 1e-9 * ratio
@@ -325,7 +325,7 @@ def test_fit_consistency_at_defaults():
 
 
 def test_posterior_rate_moments():
-    fit = ModelFit(alpha_hat=1.0, beta_hat=1.0, log_lik=0.0, converged=True,
+    fit = ModelFit(alpha_hat=1.0, beta_hat=1.0, log_lik=0.0, kind="ok",
                    iterations=1)
     data = _trial(3.0, [1.0, 3.0], [2, 0])
     mean, variance = posterior_rate_moments(data, fit)
@@ -333,7 +333,7 @@ def test_posterior_rate_moments():
     assert abs(variance - 0.8125) < 1e-12
 
     prior_only = TrialData.from_arrays(1.0, [0.0], [0], ["a"])
-    fit = ModelFit(alpha_hat=1.3, beta_hat=0.9, log_lik=0.0, converged=True,
+    fit = ModelFit(alpha_hat=1.3, beta_hat=0.9, log_lik=0.0, kind="ok",
                    iterations=1)
     mean, variance = posterior_rate_moments(prior_only, fit)
     assert abs(mean - 1.3 / 0.9) < 1e-12
@@ -353,7 +353,7 @@ def test_posterior_moments_equal_exposure_form():
 
 
 def test_posterior_moments_require_convergence():
-    fit = ModelFit(alpha_hat=1.0, beta_hat=1.0, log_lik=0.0, converged=False,
+    fit = ModelFit(alpha_hat=1.0, beta_hat=1.0, log_lik=0.0, kind="nonconverged",
                    iterations=1)
     with pytest.raises(ValueError):
         posterior_rate_moments(_trial(1.0, [1.0], [1]), fit)
@@ -799,7 +799,7 @@ def test_trial_data_batch_rows_are_the_single_trials():
 
 def test_fitting_functions_refuse_a_batch_naming_its_shape():
     batch = _trial(4.0, [[4.0, 2.0, 1.0]] * 2, [[3, 1, 0]] * 2)
-    fit = ModelFit(alpha_hat=1.0, beta_hat=1.0, log_lik=0.0, converged=True,
+    fit = ModelFit(alpha_hat=1.0, beta_hat=1.0, log_lik=0.0, kind="ok",
                    iterations=1)
     for refused in (partial(fit_mle, batch), partial(log_likelihood, 1.0, 1.0, batch),
                     partial(posterior_rate_moments, batch, fit),
@@ -925,5 +925,5 @@ def test_exactly_zero_tail_statistic_is_degenerate(exposures, counts):
 def test_over_dispersed_pair_stays_interior(exposures, counts):
     fit = fit_mle(_trial(10.0, exposures, counts))
     assert fit.converged
-    assert not fit.degenerate
+    assert fit.kind == "ok"
     assert fit.alpha_hat < 1e3

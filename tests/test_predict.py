@@ -28,7 +28,7 @@ from recruitcast.distributions import nb_cdf
 
 def _fit(alpha, beta):
     return ModelFit(alpha_hat=alpha, beta_hat=beta, log_lik=0.0,
-                    converged=True, iterations=1)
+                    kind="ok", iterations=1)
 
 
 def test_pool_centres_hand_example():

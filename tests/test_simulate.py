@@ -531,7 +531,7 @@ def test_boundary_replication_matches_limiting_interior_fit():
         fit_mle(data)
     big = 1e8
     ray = ModelFit(alpha_hat=big * data.total_count / float(data.exposures.sum()),
-                   beta_hat=big, log_lik=0.0, converged=True, iterations=0)
+                   beta_hat=big, log_lik=0.0, kind="ok", iterations=0)
     pool = pool_centres(data, ray)
     for objective, horizon in ((COUNT, 4.0), (TIME, 3.0)):
         report = coverage_study(SimConfig(**base, objective=objective,

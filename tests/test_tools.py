@@ -1,0 +1,74 @@
+"""The scripts under ``tools/``: the bytes gate's reach and the code-line count."""
+
+import argparse
+import importlib.util
+from pathlib import Path
+
+from recruitcast import cli
+
+TOOLS = Path(__file__).resolve().parents[1] / "tools"
+
+
+def _tool(name: str):
+    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _commands(parser: argparse.ArgumentParser, prefix: tuple = ()):
+    """The words of each command that ``parser`` runs, a subcommand's
+    words after its parent's."""
+    if parser.get_default("func") is not None:
+        yield prefix
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from _commands(sub, prefix + (name,))
+
+
+def test_the_bytes_gate_runs_every_command(tmp_path):
+    commands = set(_commands(cli.build_parser()))
+    assert commands == {("fit",), ("predict",), ("simulate",), ("curves",), ("diagnose", "qq")}
+    # the words of a call before its first option; gate_calls only yields
+    # the calls, so nothing runs and tmp_path stays empty
+    reached = set()
+    for _, argv in _tool("bytes_gate").gate_calls(tmp_path):
+        words = argv[:next(i for i, word in enumerate(argv) if word.startswith("--"))]
+        reached.add(tuple(words))
+    assert reached == commands
+    assert not any(tmp_path.iterdir())
+
+
+_SNIPPET = '''"""A module docstring,
+over two lines."""
+
+# a comment line
+import math  # a comment after code
+
+
+def f(x):
+    """A function's docstring."""
+
+    text = """a string that is no docstring,
+over two lines"""
+    return math.sqrt(x), text
+
+
+class A:
+    """A class's docstring."""
+
+    y = 1
+'''
+
+
+def test_code_lines_leave_out_blanks_comments_and_docstrings():
+    # import, def, the two lines of text, return, class and y = 1
+    assert _tool("code_lines").code_lines(_SNIPPET) == 7
+
+
+def test_code_lines_totals_the_modules_of_a_package(tmp_path, capsys):
+    (tmp_path / "one.py").write_text(_SNIPPET)
+    (tmp_path / "two.py").write_text("x = 1\n\ny = 2\n")
+    assert _tool("code_lines").main([str(tmp_path)]) == 0
+    assert capsys.readouterr().out.split() == ["one.py", "7", "two.py", "2", "total", "9"]

@@ -10,6 +10,7 @@ The gate holds a change that keeps bytes to the outputs of its parent:
   ``--reps 300 --seed 5 --grid 41``;
 - ``fit`` on both demo files, and ``predict`` on both for each
   objective, plain and ``--adjusted``;
+- ``diagnose qq`` on the demo events file at windows 0.25 and 0.5;
 - ``simulate --config`` on two cells that no table holds, each written
   into OUTDIR as ``config-<name>.json``: explicit openings under the
   gamma-mixture prior with a count objective, and the split-half
@@ -51,6 +52,9 @@ _DEMO_FILES = {
     "events": (demo_events_path(), DEMO_EVENTS_CENSUS, "0.5", "300"),
 }
 
+# the early windows that ``diagnose qq`` reads off the demo events file
+_QQ_WINDOWS = ("0.25", "0.5")
+
 # the cells beside the tables, in the JSON that ``simulate --config`` reads
 _CONFIGS = {
     "explicit-mixture-count": {
@@ -86,6 +90,10 @@ def gate_calls(outdir: Path):
                 name = f"predict-{objective}-{layout}{'-adjusted' if extra else ''}.json"
                 yield name, ["predict", *data, "--objective", objective,
                              "--horizon", horizon, *extra]
+    path, census = _DEMO_FILES["events"][:2]
+    for window in _QQ_WINDOWS:
+        yield f"diagnose-qq-events-{window}.csv", [
+            "diagnose", "qq", "--input", path.name, "--census", str(census), "--window", window]
     for name in _CONFIGS:
         yield f"simulate-{name}.csv", ["simulate", "--config",
                                        str(outdir / f"config-{name}.json")]
