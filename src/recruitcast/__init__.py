@@ -35,7 +35,6 @@ from .distributions import (
 )
 from .model import (
     DegenerateLikelihood,
-    InsufficientData,
     ModelError,
     ModelFit,
     TrialData,

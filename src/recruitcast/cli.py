@@ -9,6 +9,12 @@ run manifest: JSON output embeds it, CSV output starts with a
 and ``--out`` additionally writes a timestamped sidecar.
 
 Exit codes: 0 success, 2 data error, 3 degenerate fit, 4 config error.
+``fit``, ``predict`` and ``diagnose qq`` take their fit from ``_fit``,
+which turns a kind of fit that the command cannot use into its code:
+"insufficient" (no recruit, or no open centre) into 2, "boundary" (a
+monotone likelihood) into 3, and "nonconverged" into 3 for ``predict``
+and ``diagnose qq``.  ``fit`` writes a non-converged fit, with
+``"converged": false``, and exits 0.
 """
 
 from __future__ import annotations
@@ -34,7 +40,7 @@ from . import __version__
 from .distributions import NegBinParams, nb_quantile
 from .model import (
     DegenerateLikelihood,
-    InsufficientData,
+    ModelFit,
     TrialData,
     fit_mle,
 )
@@ -415,9 +421,34 @@ def _fit_payload(data: TrialData, fit) -> dict:
     return payload
 
 
+def _fit(data: TrialData, usable: tuple[str, ...] = ("ok",)) -> tuple[ModelFit, int]:
+    """``fit_mle(data)`` and the command's exit code for it: 0 where the
+    fit's kind is ``usable``, and else the code of its kind, with that
+    kind's line on stderr."""
+    fit = fit_mle(data)
+    if fit.kind in usable:
+        return fit, EXIT_OK
+    opened = data.exposures[data.exposures > 0]
+    if fit.kind == "insufficient":
+        code, line = EXIT_DATA, ("data error: total recruit count is zero" if opened.size
+                                 else "data error: no centre has positive exposure")
+    elif fit.kind == "boundary":
+        # n / sum(t) as fit_mle takes it: summed over the open centres,
+        # divided in Python floats
+        ratio = data.total_count / float(opened.sum())
+        code, line = EXIT_DEGENERATE, ("degenerate fit: likelihood keeps increasing along "
+                                       f"alpha/beta = {ratio:.6g}; counts show no over-dispersion")
+    else:
+        code, line = EXIT_DEGENERATE, f"fit did not converge after {fit.iterations} steps"
+    print(line, file=sys.stderr)
+    return fit, code
+
+
 def _cmd_fit(args) -> int:
     data = _load_trial(args)
-    fit = fit_mle(data)
+    fit, code = _fit(data, usable=("ok", "nonconverged"))
+    if code:
+        return code
     payload = _fit_payload(data, fit)
     payload["manifest"] = _manifest("fit", {
         "input": args.input, "format": args.format, "census": args.census}, None)
@@ -425,16 +456,11 @@ def _cmd_fit(args) -> int:
     return EXIT_OK
 
 
-def _refuse_stalled_fit(fit) -> int:
-    print(f"fit did not converge after {fit.iterations} steps", file=sys.stderr)
-    return EXIT_DEGENERATE
-
-
 def _cmd_predict(args) -> int:
     data = _load_trial(args)
-    fit = fit_mle(data)
-    if not fit.converged:
-        return _refuse_stalled_fit(fit)
+    fit, code = _fit(data)
+    if code:
+        return code
     pool = pool_centres(data, fit)
     request = PredictionRequest(objective=args.objective, horizon=args.horizon,
                                 level=args.level, adjusted=False)
@@ -634,9 +660,9 @@ def _cmd_diagnose_qq(args) -> int:
     m = len(window_counts)
     if m < 5:
         raise DataError(f"only {m} centres exposed for the full window; need 5")
-    fit = fit_mle(_events_trial(ids, openings, centre, args.census))
-    if not fit.converged:
-        return _refuse_stalled_fit(fit)
+    fit, code = _fit(_events_trial(ids, openings, centre, args.census))
+    if code:
+        return code
     law = NegBinParams(size=fit.alpha_hat,
                        prob=args.window / (fit.beta_hat + args.window))
     theoretical = nb_quantile((np.arange(1, m + 1) - 0.5) / m, law)
@@ -768,10 +794,10 @@ def main(argv=None) -> int:
     except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (DataError, InsufficientData) as exc:
+    except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except DegenerateLikelihood as exc:
+    except DegenerateLikelihood as exc:  # a study that no replication could score
         print(f"degenerate fit: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
 

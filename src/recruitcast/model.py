@@ -33,7 +33,8 @@ statistic, Newton, the cap on log alpha, the boundary limit and the
 certificate.  It names one of four kinds, which ``ModelFit`` carries:
 "ok" for an interior maximum, "nonconverged" for a search that stalled,
 "boundary" for the monotone-likelihood limit and "insufficient" where
-there is nothing to fit.
+there is nothing to fit.  Each kind is an outcome, not an error:
+``fit_mle`` returns a fit of any of them, and raises only for misuse.
 
 ``fit_rows`` fits a batch into one ``ModelFit`` of arrays.  Its rows are
 grouped by their number of open centres and by whether those share one
@@ -68,7 +69,6 @@ __all__ = [
     "TrialData",
     "ModelFit",
     "ModelError",
-    "InsufficientData",
     "DegenerateLikelihood",
     "log_likelihood",
     "fit_mle",
@@ -117,22 +117,14 @@ class ModelError(Exception):
     """Base class for fitting errors."""
 
 
-class InsufficientData(ModelError):
-    """No usable information: zero total count or no positive exposure."""
-
-
 class DegenerateLikelihood(ModelError):
-    """Monotone-likelihood failure.
+    """A study with no fit to score: ``coverage_study`` raises it where no
+    replication produced usable data.
 
-    The marginal likelihood increases without bound as (alpha, beta) grow
-    with their ratio fixed, which happens when the counts are no more
-    dispersed than a common-rate Poisson sample.  The boundary fit, of
-    kind "boundary", is attached as ``fit`` for diagnostics.
+    A single trial's monotone likelihood, which increases without bound
+    as (alpha, beta) grow with their ratio fixed, is no error: ``fit_mle``
+    returns its limit as a fit of kind "boundary".
     """
-
-    def __init__(self, message: str, fit: "ModelFit | None" = None):
-        super().__init__(message)
-        self.fit = fit
 
 
 def _in_bounds(exposures: np.ndarray, counts: np.ndarray, census_time: float) -> bool:
@@ -297,11 +289,10 @@ class ModelFit:
     ``kind`` is the outcome: "ok" for an interior maximum that the score
     certifies, "nonconverged" for a search that stalled short of it,
     "boundary" for the constant-ratio limit of a monotone likelihood, and
-    "insufficient" where there is nothing to fit, a kind that only a row
-    of ``fit_rows`` takes, with NaN estimates and log-likelihood and no
-    step.  ``iterations`` counts Newton steps; ``equal_exposures`` records
-    that the open centres shared one exposure, so the fit ran along the
-    ray alpha/beta = n/(C t).
+    "insufficient" where there is nothing to fit, with NaN estimates and
+    log-likelihood and no step.  ``iterations`` counts Newton steps;
+    ``equal_exposures`` records that the open centres shared one
+    exposure, so the fit ran along the ray alpha/beta = n/(C t).
     """
 
     alpha_hat: float
@@ -1084,57 +1075,30 @@ def fit_mle(data: TrialData) -> ModelFit:
     1e300 certifies in 22 steps.  But where beta at that start, 1e8
     times the summed exposure over the total count, is past the float
     maximum (the demo summary from census 1e301), beta reads inf, Newton
-    runs its 120 steps to the cap on log alpha, and
-    ``DegenerateLikelihood`` is raised, although the tail statistic is
-    positive.
+    runs its 120 steps to the cap on log alpha, and the fit is of kind
+    "boundary", although the tail statistic is positive.
 
-    A returned fit is "ok" or "nonconverged"; the other two kinds raise.
-
-    Raises
-    ------
-    InsufficientData
-        If no centre has positive exposure or the total count is zero.
-    DegenerateLikelihood
-        If the likelihood is still rising at log alpha = 30,
-        i.e. the boundary value along the best fixed-ratio ray is not
-        beaten by any interior point.  Its ``fit`` is that limit, of
-        kind "boundary".
+    Every kind is returned.  A trial with no recruit, or with no open
+    centre, is "insufficient", with NaN estimates and log-likelihood and
+    0 ``iterations``.  Where the likelihood is still rising at log alpha
+    = 30, so that no interior point beats the boundary value along the
+    fixed-ratio ray alpha/beta = n / sum(t), the fit is that limit, of
+    kind "boundary": alpha = e^30 and the limit of the likelihood.  A
+    batch is refused with ValueError; fit it with ``fit_rows``.
     """
     ws, (kind, alpha_hat, beta_hat, log_lik, steps) = _outcome(_Workspace, data)
-    if kind == "insufficient":
-        raise InsufficientData("total recruit count is zero" if ws.num_open
-                               else "no centre has positive exposure")
-    fit = ModelFit(alpha_hat=float(alpha_hat), beta_hat=float(beta_hat),
-                   log_lik=float(log_lik), kind=kind, iterations=steps,
-                   equal_exposures=ws.equal_exposures)
-    if kind == "boundary":
-        # in Python floats, which warn of no overflow
-        ratio = ws.total_count / float(ws.total_exposure)
-        raise DegenerateLikelihood(f"likelihood keeps increasing along alpha/beta = {ratio:.6g}; "
-                                   "counts show no over-dispersion", fit=fit)
-    return fit
-
-
-def _fit_one(data: TrialData) -> tuple:
-    """The kind, estimates, log-likelihood and steps of one trial's fit,
-    from ``fit_mle``."""
-    try:
-        fit = fit_mle(data)
-    except InsufficientData:
-        return "insufficient", math.nan, math.nan, math.nan, 0
-    except DegenerateLikelihood as exc:
-        fit = exc.fit
-    return fit.kind, fit.alpha_hat, fit.beta_hat, fit.log_lik, fit.iterations
+    return ModelFit(alpha_hat=float(alpha_hat), beta_hat=float(beta_hat),
+                    log_lik=float(log_lik), kind=kind, iterations=steps,
+                    equal_exposures=ws.equal_exposures)
 
 
 def fit_rows(data: TrialData) -> ModelFit:
     """``fit_mle`` for each row of a batch, bit for bit, as one
     ``ModelFit`` whose fields are arrays with one entry a row.
 
-    A row's ``kind`` is that of the fit ``fit_mle`` returns, or attaches
-    to ``DegenerateLikelihood`` ("boundary"), or "insufficient" where it
-    raises ``InsufficientData``, with NaN estimates and log-likelihood
-    and 0 ``iterations``; its other fields are that fit's.
+    Each row's fields are those of the fit ``fit_mle`` returns for it,
+    of any kind: an "insufficient" row has NaN estimates and
+    log-likelihood and 0 ``iterations``.
 
     The rows are grouped by whether their open centres share one
     exposure and by their number of open centres C.  A group of at least
@@ -1172,10 +1136,10 @@ def fit_rows(data: TrialData) -> ModelFit:
     fitted = num_open > 0
     equal = fitted & _one_exposure(
         exposures.max(axis=1), exposures.min(axis=1, initial=np.inf, where=opened))
-    kind = np.full(count, "insufficient", dtype=_KIND)
-    alpha_hat, beta_hat, log_lik = (np.full(count, math.nan) for _ in range(3))
-    iterations = np.zeros(count, dtype=int)
-    fields = (kind, alpha_hat, beta_hat, log_lik, iterations)
+    # ModelFit's fields in the order that _outcome gives them
+    fields = dict(kind=np.full(count, "insufficient", dtype=_KIND),
+                  alpha_hat=np.full(count, math.nan), beta_hat=np.full(count, math.nan),
+                  log_lik=np.full(count, math.nan), iterations=np.zeros(count, dtype=int))
     # sorted by their largest count, the rows of a group run in order of
     # their number of rises
     largest = counts.max(axis=1)
@@ -1183,18 +1147,18 @@ def fit_rows(data: TrialData) -> ModelFit:
         rows = np.flatnonzero(fitted & (equal == ray) & (num_open == centres))
         if rows.size < _MIN_GROUP_ROWS or centres > _MAX_GROUP_CENTRES:
             for row in rows.tolist():
-                for field, value in zip(fields, _fit_one(data[row])):
-                    field[row] = value
+                fit = fit_mle(data[row])
+                for name, field in fields.items():
+                    field[row] = getattr(fit, name)
             continue
         rows = rows[np.argsort(largest[rows], kind="stable")]
         for part in np.array_split(rows, math.ceil(rows.size / block_rows(centres))):
             group = (exposures[part], counts[part])
             if centres < exposures.shape[1]:
                 group = tuple(x[opened[part]].reshape(-1, centres) for x in group)
-            for field, values in zip(fields, _outcome(_Rows, *group, ray)[1]):
+            for field, values in zip(fields.values(), _outcome(_Rows, *group, ray)[1]):
                 field[part] = values
-    return ModelFit(alpha_hat=alpha_hat, beta_hat=beta_hat, log_lik=log_lik, kind=kind,
-                    iterations=iterations, equal_exposures=equal)
+    return ModelFit(**fields, equal_exposures=equal)
 
 
 def posterior_rate_moments(data: TrialData, fit: ModelFit) -> tuple[float, float]:

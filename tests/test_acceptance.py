@@ -17,10 +17,8 @@ from scipy import special
 import oracles
 from recruitcast import (
     COUNT,
-    DegenerateLikelihood,
     GammaCollection,
     GammaParams,
-    InsufficientData,
     NegBinParams,
     Pearson6Params,
     SimConfig,
@@ -150,9 +148,8 @@ def test_criterion_01_equal_exposure_ratio_identity(report):
         if counts.sum() == 0:
             continue
         data = TrialData.from_arrays(exposure, np.full(centres, exposure), counts)
-        try:
-            fit = fit_mle(data)
-        except DegenerateLikelihood:
+        fit = fit_mle(data)
+        if fit.kind == "boundary":
             continue
         pinned = data.total_count / (centres * exposure)
         worst = max(worst, abs(fit.alpha_hat / fit.beta_hat - pinned) / pinned)
@@ -273,9 +270,8 @@ def test_criterion_07_pooled_posterior_fidelity(report):
     usable = 0
     for rng in replication_rngs(config.seed, 0, config.replications):
         data_i = generate_trial(config, [rng])[1][0]
-        try:
-            fit_i = fit_mle(data_i)
-        except (DegenerateLikelihood, InsufficientData):
+        fit_i = fit_mle(data_i)
+        if fit_i.kind in ("boundary", "insufficient"):
             continue
         usable += 1
         pool_i = pool_centres(data_i, fit_i)

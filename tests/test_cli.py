@@ -338,27 +338,45 @@ def test_exit_codes_for_data_problems(tmp_path, capsys):
     code, _, err = run(capsys, "fit", "--input", str(empty), "--census", "1")
     assert code == 2 and "no centres" in err
 
-    silent = tmp_path / "silent.csv"
-    write_summary(silent, [("A", 0, 0), ("B", 0, 0)])
-    code, _, err = run(capsys, "fit", "--input", str(silent), "--census", "1")
-    assert code == 2
+    # each fit that fit and predict refuse, by its exit code and its line:
+    # no recruit, no open centre, and a monotone likelihood at equal and
+    # at unequal exposures, whose limit ratio is n / sum(t) = 6 / 2.3
+    def boundary(ratio):
+        return (f"degenerate fit: likelihood keeps increasing along alpha/beta = {ratio}; "
+                "counts show no over-dispersion\n")
 
-    degenerate = tmp_path / "flat.csv"
-    write_summary(degenerate, [("A", 0, 3), ("B", 0, 3), ("C", 0, 3)])
-    code, _, err = run(capsys, "fit", "--input", str(degenerate), "--census", "1")
-    assert code == 3 and "degenerate" in err
+    refusals = {
+        "silent": ([("A", 0, 0), ("B", 0, 0)], 2, "data error: total recruit count is zero\n"),
+        "closed": ([("A", 1, 0), ("B", 1, 0)], 2,
+                   "data error: no centre has positive exposure\n"),
+        "flat": ([("A", 0, 3), ("B", 0, 3), ("C", 0, 3)], 3, boundary("3")),
+        "staggered": ([("A", 0, 3), ("B", 0.5, 1), ("C", 0.2, 2)], 3, boundary("2.6087")),
+    }
+    for name, (rows, want_code, want_err) in refusals.items():
+        summary = tmp_path / f"{name}.csv"
+        write_summary(summary, rows)
+        for command in (("fit",), ("predict", "--objective", "count", "--horizon", "0.5")):
+            got = run(capsys, *command, "--input", str(summary), "--census", "1")
+            assert got == (want_code, "", want_err), (name, command)
+
+    # six centres recruiting at the same two times: equal counts
+    events = tmp_path / "flat-events.csv"
+    write_events(events, [(centre, 0, time) for centre in "ABCDEF" for time in (0.1, 0.6)])
+    assert run(capsys, "diagnose", "qq", "--input", str(events), "--census", "1",
+               "--window", "0.5") == (3, "", boundary("2"))
 
 
 def test_predict_refuses_a_fit_that_did_not_converge(monkeypatch, capsys):
     stalled = ModelFit(alpha_hat=2.0, beta_hat=0.1, log_lik=0.0,
                        kind="nonconverged", iterations=120)
     monkeypatch.setattr(cli, "fit_mle", lambda data: stalled)
-    code, out, err = run(capsys, "predict", "--input", str(demo_summary_path()),
-                         "--census", str(DEMO_SUMMARY_CENSUS),
-                         "--objective", "count", "--horizon", "0.5")
-    assert code == 3
-    assert "fit did not converge" in err
-    assert out == ""
+    data = ("--input", str(demo_summary_path()), "--census", str(DEMO_SUMMARY_CENSUS))
+    code, out, err = run(capsys, "predict", *data, "--objective", "count", "--horizon", "0.5")
+    assert (code, out, err) == (3, "", "fit did not converge after 120 steps\n")
+    # fit writes the same fit, flagged, and exits 0
+    code, out, err = run(capsys, "fit", *data)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["converged"] is False
 
 
 def test_diagnose_qq_refuses_a_fit_that_did_not_converge(monkeypatch, capsys):
@@ -367,9 +385,7 @@ def test_diagnose_qq_refuses_a_fit_that_did_not_converge(monkeypatch, capsys):
     monkeypatch.setattr(cli, "fit_mle", lambda data: stalled)
     code, out, err = run(capsys, "diagnose", "qq", "--input", str(demo_events_path()),
                          "--census", str(DEMO_EVENTS_CENSUS), "--window", "0.5")
-    assert code == 3
-    assert "fit did not converge" in err
-    assert out == ""
+    assert (code, out, err) == (3, "", "fit did not converge after 120 steps\n")
 
 
 def test_summary_validation_points_at_lines(tmp_path, capsys):

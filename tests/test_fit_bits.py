@@ -37,8 +37,6 @@ import pytest
 import oracles
 from pinned_bits import report_moves
 from recruitcast import (
-    DegenerateLikelihood,
-    InsufficientData,
     ModelFit,
     fit_mle,
     generate_trial,
@@ -80,22 +78,23 @@ def pinned_trials():
             yield {**where, "replication": index}, data
 
 
+def _record(record: dict, fit: ModelFit) -> dict:
+    """``record`` with ``fit``'s kind and, unless it is "insufficient",
+    its fields, as the pinned file holds them."""
+    record["kind"] = _pinned_kind(fit.kind)
+    if fit.kind != "insufficient":
+        record["fit"] = _fit_fields(fit)
+    return record
+
+
 def fit_records() -> list[dict]:
     """Outcome and fit of each pinned replication, in table order."""
-    records = []
-    for record, data in pinned_trials():
-        try:
-            fit = fit_mle(data)
-        except InsufficientData:
-            fit = None
-            record["kind"] = "insufficient"
-        except DegenerateLikelihood as exc:
-            fit = exc.fit
-        if fit is not None:
-            record["kind"] = _pinned_kind(fit.kind)
-            record["fit"] = _fit_fields(fit)
-        records.append(record)
-    return records
+    return [_record(record, fit_mle(data)) for record, data in pinned_trials()]
+
+
+def records_text(records: list[dict]) -> str:
+    """``records`` as the pinned file's text, one record a line."""
+    return "[\n" + ",\n".join(json.dumps(r) for r in records) + "\n]\n"
 
 
 def row_fit_records(block: int = REPLICATIONS_PER_ROW) -> list[dict]:
@@ -110,15 +109,11 @@ def row_fit_records(block: int = REPLICATIONS_PER_ROW) -> list[dict]:
             with mock.patch.object(model, "_MIN_GROUP_ROWS", 1):
                 fits = model.fit_rows(data)
             for i in range(min(block, REPLICATIONS_PER_ROW - first)):
-                kind = str(fits.kind[i])
-                record = {**where, "replication": first + i, "kind": _pinned_kind(kind)}
-                if kind != "insufficient":
-                    record["fit"] = _fit_fields(ModelFit(
-                        alpha_hat=float(fits.alpha_hat[i]), beta_hat=float(fits.beta_hat[i]),
-                        log_lik=float(fits.log_lik[i]), kind=kind,
-                        iterations=int(fits.iterations[i]),
-                        equal_exposures=bool(fits.equal_exposures[i])))
-                records.append(record)
+                records.append(_record({**where, "replication": first + i}, ModelFit(
+                    alpha_hat=float(fits.alpha_hat[i]), beta_hat=float(fits.beta_hat[i]),
+                    log_lik=float(fits.log_lik[i]), kind=str(fits.kind[i]),
+                    iterations=int(fits.iterations[i]),
+                    equal_exposures=bool(fits.equal_exposures[i]))))
     return records
 
 
@@ -126,8 +121,11 @@ def test_every_pinned_fit_is_bit_identical():
     with open(FIT_BITS) as fh:
         pinned = json.load(fh)
     assert len(pinned) == len(TABLE_IDS) * 7 * REPLICATIONS_PER_ROW
-    for got, want in zip(fit_records(), pinned, strict=True):
+    records = fit_records()
+    for got, want in zip(records, pinned, strict=True):
         assert got == want
+    # and the text that regenerating the file would write is the file's
+    assert records_text(records) == FIT_BITS.read_text()
     # both Newton paths and the boundary are pinned
     assert {(r["kind"], r["fit"]["equal_exposures"]) for r in pinned if "fit" in r} >= {
         ("ok", True), ("ok", False), ("boundary", True), ("boundary", False)}
@@ -180,4 +178,4 @@ if __name__ == "__main__":
     report_moves(FIT_BITS.name, pinned, records, _outcome)
     report_score_norms(pinned, records)
     with open(FIT_BITS, "w") as fh:
-        fh.write("[\n" + ",\n".join(json.dumps(r) for r in records) + "\n]\n")
+        fh.write(records_text(records))

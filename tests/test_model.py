@@ -17,8 +17,6 @@ from scipy import special
 
 import oracles
 from recruitcast import (
-    DegenerateLikelihood,
-    InsufficientData,
     ModelFit,
     TrialData,
     fit_mle,
@@ -251,9 +249,8 @@ def test_equal_exposure_ratio_identity():
         if counts.sum() == 0:
             continue
         data = _trial(t, np.full(c, t), counts)
-        try:
-            fit = fit_mle(data)
-        except DegenerateLikelihood:
+        fit = fit_mle(data)
+        if fit.kind == "boundary":
             continue
         fitted += 1
         pooled = counts.sum() / (c * t)
@@ -264,10 +261,7 @@ def test_equal_exposure_ratio_identity():
 
 def test_under_dispersed_counts_degenerate():
     data = _trial(4.0, np.full(30, 4.0), np.full(30, 3))
-    with pytest.raises(DegenerateLikelihood) as info:
-        fit_mle(data)
-    fit = info.value.fit
-    assert fit is not None
+    fit = fit_mle(data)
     assert fit.kind == "boundary"
     assert not fit.converged
     ratio = 3.0 / 4.0
@@ -276,16 +270,17 @@ def test_under_dispersed_counts_degenerate():
 
 def test_degenerate_fit_sits_on_the_requested_bound():
     data = _trial(4.0, np.full(30, 4.0), np.full(30, 3))
-    with pytest.raises(DegenerateLikelihood) as info:
-        fit_mle(data)
-    assert info.value.fit.alpha_hat == math.exp(30.0)
+    fit = fit_mle(data)
+    assert fit.kind == "boundary" and fit.alpha_hat == math.exp(30.0)
 
 
 def test_insufficient_data():
-    with pytest.raises(InsufficientData):
-        fit_mle(_trial(2.0, [2.0, 2.0], [0, 0]))
-    with pytest.raises(InsufficientData):
-        fit_mle(_trial(2.0, [0.0, 0.0], [0, 0]))
+    # no recruit, and no open centre: NaN estimates and log-likelihood
+    # after no step, as a row of fit_rows has
+    for exposures, equal in (([2.0, 2.0], True), ([0.0, 0.0], False)):
+        fit = fit_mle(_trial(2.0, exposures, [0, 0]))
+        assert (fit.kind, fit.iterations, fit.equal_exposures) == ("insufficient", 0, equal)
+        assert all(map(math.isnan, (fit.alpha_hat, fit.beta_hat, fit.log_lik)))
 
 
 def test_fit_is_stationary():
@@ -353,10 +348,16 @@ def test_posterior_moments_equal_exposure_form():
 
 
 def test_posterior_moments_require_convergence():
-    fit = ModelFit(alpha_hat=1.0, beta_hat=1.0, log_lik=0.0, kind="nonconverged",
-                   iterations=1)
-    with pytest.raises(ValueError):
-        posterior_rate_moments(_trial(1.0, [1.0], [1]), fit)
+    stalled = ModelFit(alpha_hat=1.0, beta_hat=1.0, log_lik=0.0, kind="nonconverged",
+                       iterations=1)
+    # and the boundary and the insufficient fit, as fit_mle returns them
+    flat, silent = _trial(4.0, np.full(30, 4.0), np.full(30, 3)), _trial(2.0, [2.0, 2.0], [0, 0])
+    cases = [(_trial(1.0, [1.0], [1]), stalled), (flat, fit_mle(flat)), (silent, fit_mle(silent))]
+    assert [fit.kind for _, fit in cases] == ["nonconverged", "boundary", "insufficient"]
+    for data, fit in cases:
+        for moments in (posterior_rate_moments, pool_centres):
+            with pytest.raises(ValueError, match="^posterior moments require a converged fit$"):
+                moments(data, fit)
 
 
 def test_closed_centres_do_not_move_the_fit():
@@ -453,9 +454,8 @@ def _replications(table_id, per_row):
 def test_interior_fits_take_few_newton_steps(table_id, equal):
     interior = 0
     for data in _replications(table_id, 30):
-        try:
-            fit = fit_mle(data)
-        except DegenerateLikelihood:
+        fit = fit_mle(data)
+        if fit.kind == "boundary":
             continue
         assert fit.equal_exposures is equal
         assert fit.converged
@@ -469,9 +469,8 @@ def test_per_centre_score_certifies_every_equal_exposure_optimum():
     # score must still read the optimum as stationary
     fits = 0
     for data in itertools.islice(_replications("2", 43), 300):
-        try:
-            fit = fit_mle(data)
-        except DegenerateLikelihood:
+        fit = fit_mle(data)
+        if fit.kind == "boundary":
             continue
         assert fit.equal_exposures
         assert _score(data, fit.alpha_hat, fit.beta_hat) <= 1e-8
@@ -616,10 +615,8 @@ def _drawn_trial(seed, centres, equal):
 
 
 def _fit_or_none(census, exposures, counts):
-    try:
-        return fit_mle(_trial(census, exposures, counts))
-    except DegenerateLikelihood:
-        return None
+    fit = fit_mle(_trial(census, exposures, counts))
+    return None if fit.kind == "boundary" else fit
 
 
 _PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -669,10 +666,8 @@ def test_closed_centres_leave_the_fit_bit_identical(equal, seed, centres, closed
     padded_counts = np.insert(counts, slots, 0)
 
     def outcome(e, n):
-        try:
-            return fit_mle(_trial(10.0, e, n))
-        except (DegenerateLikelihood, InsufficientData) as exc:
-            return type(exc), getattr(exc, "fit", None)
+        # every field, NaN included, by repr
+        return repr(fit_mle(_trial(10.0, e, n)))
 
     assert outcome(padded_exposures, padded_counts) == outcome(exposures, counts)
 
@@ -825,9 +820,8 @@ def test_trial_data_rejects_exposures_whose_sum_passes_the_float_range():
                 "exposures sum to 4.1e+308, past the float maximum 1.79769e+308") + "$"):
             TrialData(1e307, [1e307] * 41, [1] * 41)
         # two of them sum inside the range: the trial is taken, and its
-        # fit refused without a warning
-        with pytest.raises(DegenerateLikelihood):
-            fit_mle(TrialData(1e307, [1e307, 0.5e307], [3, 1]))
+        # fit a boundary without a warning
+        assert fit_mle(TrialData(1e307, [1e307, 0.5e307], [3, 1])).kind == "boundary"
 
 
 @pytest.mark.parametrize("count", [1e20, 2.0**63, -1e20])
@@ -914,8 +908,7 @@ def test_equal_exposure_tail_statistic_is_exact():
     ([2.5, 10.0, 10.0], [5, 5, 8]),
 ])
 def test_exactly_zero_tail_statistic_is_degenerate(exposures, counts):
-    with pytest.raises(DegenerateLikelihood):
-        fit_mle(_trial(10.0, exposures, counts))
+    assert fit_mle(_trial(10.0, exposures, counts)).kind == "boundary"
 
 
 @pytest.mark.parametrize("exposures, counts", [

@@ -27,16 +27,21 @@ def _commands(parser: argparse.ArgumentParser, prefix: tuple = ()):
                 yield from _commands(sub, prefix + (name,))
 
 
+def _words(argv: list) -> tuple:
+    """The words of a call before its first option."""
+    return tuple(argv[:next(i for i, word in enumerate(argv) if word.startswith("--"))])
+
+
 def test_the_bytes_gate_runs_every_command(tmp_path):
     commands = set(_commands(cli.build_parser()))
     assert commands == {("fit",), ("predict",), ("simulate",), ("curves",), ("diagnose", "qq")}
-    # the words of a call before its first option; gate_calls only yields
-    # the calls, so nothing runs and tmp_path stays empty
-    reached = set()
-    for _, argv in _tool("bytes_gate").gate_calls(tmp_path):
-        words = argv[:next(i for i, word in enumerate(argv) if word.startswith("--"))]
-        reached.add(tuple(words))
-    assert reached == commands
+    # gate_calls and refusal_calls only yield the calls, so nothing runs
+    # and tmp_path stays empty
+    gate = _tool("bytes_gate")
+    assert {_words(argv) for _, argv in gate.gate_calls(tmp_path)} == commands
+    # and its refusals reach every command that fits a trial
+    assert {_words(argv) for argv in gate.refusal_calls()} == {
+        ("fit",), ("predict",), ("diagnose", "qq")}
     assert not any(tmp_path.iterdir())
 
 

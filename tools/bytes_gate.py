@@ -14,7 +14,15 @@ The gate holds a change that keeps bytes to the outputs of its parent:
 - ``simulate --config`` on two cells that no table holds, each written
   into OUTDIR as ``config-<name>.json``: explicit openings under the
   gamma-mixture prior with a count objective, and the split-half
-  schedule with a time objective.
+  schedule with a time objective;
+- the refusals of ``fit``, ``predict`` and ``diagnose qq``: ``fit`` and
+  ``predict`` on summaries with no recruit, with every centre opening
+  at the census, and with counts that show no over-dispersion at equal
+  and at unequal exposures; ``diagnose qq`` on an under-dispersed events
+  log; and all three on the demo events log with its times scaled by
+  1e200, whose fit does not converge, which ``fit`` writes with exit 0.
+  Their input CSVs are written into OUTDIR, and each call's arguments,
+  exit code, stdout and stderr into ``refusals.json`` there.
 
 Each output goes through ``recruitcast.cli.main`` with ``--out``, so the
 CSVs come with their ``.manifest.json`` sidecars.  Every ``created_utc``
@@ -31,6 +39,9 @@ this script can run against two source trees; the gate is then
 
 from __future__ import annotations
 
+import contextlib
+import csv
+import io
 import json
 import os
 import sys
@@ -68,6 +79,21 @@ _CONFIGS = {
         "objective": "time", "horizon": 200, "replications": 300, "seed": 17},
 }
 
+# the inputs that the refusals read, each written into OUTDIR: summary
+# rows (centre_id, open_time, count) at census 1
+_REFUSED_SUMMARIES = {
+    "zero-counts": [("A", 0, 0), ("B", 0, 0), ("C", 0.5, 0)],
+    "closed-centres": [("A", 1, 0), ("B", 1, 0)],
+    "equal-boundary": [("A", 0, 3), ("B", 0, 3), ("C", 0, 3)],
+    "unequal-boundary": [("A", 0, 3), ("B", 0.5, 1), ("C", 0.2, 2)],
+}
+# six centres open from 0, each recruiting at 0.1 and 0.6: at census 1
+# their counts are equal, and the likelihood keeps rising to its boundary
+_FLAT_EVENTS = [(centre, 0, time) for centre in "ABCDEF" for time in (0.1, 0.6)]
+# the unit of time of the demo events log's scaled copy, whose squared
+# exposures pass the float range
+_STALLED_SCALE = 1e200
+
 
 def gate_calls(outdir: Path):
     """(output file name, CLI arguments without ``--out``) for every
@@ -99,6 +125,56 @@ def gate_calls(outdir: Path):
                                        str(outdir / f"config-{name}.json")]
 
 
+def refusal_calls():
+    """CLI arguments of every refusal, and of ``fit`` on the stalled log;
+    each input is named as a file in OUTDIR."""
+    for name in _REFUSED_SUMMARIES:
+        data = ["--input", f"refuse-{name}.csv", "--census", "1"]
+        yield ["fit", *data]
+        yield ["predict", *data, "--objective", "count", "--horizon", "0.5"]
+    yield ["diagnose", "qq", "--input", "refuse-flat-events.csv", "--census", "1",
+           "--window", "0.5"]
+    census, window = repr(_STALLED_SCALE), repr(0.5 * _STALLED_SCALE)
+    data = ["--input", "refuse-stalled-events.csv", "--format", "events", "--census", census]
+    yield ["fit", *data, "--out", "fit-stalled-events.json"]
+    yield ["predict", *data, "--objective", "count", "--horizon", window]
+    yield ["diagnose", "qq", *data, "--window", window]
+
+
+def _write_csv(path: Path, header: list[str], rows) -> None:
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_refusal_inputs(outdir: Path) -> None:
+    for name, rows in _REFUSED_SUMMARIES.items():
+        _write_csv(outdir / f"refuse-{name}.csv", ["centre_id", "open_time", "count"], rows)
+    events = ["centre_id", "open_time", "event_time"]
+    _write_csv(outdir / "refuse-flat-events.csv", events, _FLAT_EVENTS)
+    with open(demo_events_path(), newline="") as handle:
+        demo = list(csv.reader(handle))[1:]
+    _write_csv(outdir / "refuse-stalled-events.csv", events,
+               [(centre, repr(float(opened) * _STALLED_SCALE),
+                 repr(float(time) * _STALLED_SCALE) if time else "")
+                for centre, opened, time in demo])
+
+
+def record_refusals(outdir: Path) -> None:
+    """Run every refusal call from inside ``outdir`` and write each
+    call's arguments, exit code, stdout and stderr to refusals.json."""
+    records = []
+    os.chdir(outdir)
+    for argv in refusal_calls():
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        records.append({"argv": argv, "exit": code, "stdout": out.getvalue(),
+                        "stderr": err.getvalue()})
+    (outdir / "refusals.json").write_text(json.dumps(records, indent=2) + "\n")
+
+
 def drop_timestamps(path: Path) -> None:
     lines = path.read_text().splitlines(keepends=True)
     path.write_text("".join(line for line in lines if '"created_utc"' not in line))
@@ -109,6 +185,8 @@ def run(outdir: Path) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     for name, config in _CONFIGS.items():
         (outdir / f"config-{name}.json").write_text(json.dumps(config, indent=2) + "\n")
+    write_refusal_inputs(outdir)
+    record_refusals(outdir)
     os.chdir(demo_summary_path().parent)  # where the demo files are named
     for name, argv in gate_calls(outdir):
         code = main([*argv, "--out", str(outdir / name)])
