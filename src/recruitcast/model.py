@@ -48,9 +48,15 @@ written once over the last axis, so that each row gets the bits
 that row from the pass.  A pass takes its count sums from one array of
 rise terms for all of its rows, and sums each row over its own rises;
 its narrowings share one store of each row's last beta, so a row takes
-its per-centre terms once for each new beta, as ``fit_mle`` does.  A
-group of too few rows or too many centres to repay a pass goes through
-``fit_mle`` row by row.
+its per-centre terms once for each new beta, as ``fit_mle`` does.  They
+also share the pass's scratch: two arrays of ``block_rows(C)`` rows of
+C values, allocated once, into which every per-centre temporary of a
+Newton step is written, so that a step asks the allocator for no
+block-sized memory.  Fresh block-sized arrays on every step had cost a
+table-3 pass about 5-6.5 minor page faults a replication; with the
+scratch it takes 0.09-0.52 (``tools/faults.py``).  A group of too few
+rows or too many centres to repay a pass goes through ``fit_mle`` row
+by row.
 """
 
 from __future__ import annotations
@@ -106,7 +112,7 @@ _BLOCK_ELEMENTS = 1 << 16
 # fit_mle: the pass shares its fixed cost per step among its rows, but
 # costs more per centre than a single fit (see fit_rows)
 _MIN_GROUP_ROWS = 10
-_MAX_GROUP_CENTRES = 700
+_MAX_GROUP_CENTRES = 2000
 _EPS = float(np.finfo(float).eps)
 _KIND = "<U12"
 _NO_VALUES = np.empty(0)
@@ -328,7 +334,10 @@ def log_likelihood(alpha: float, beta: float, data: TrialData) -> float:
 # trials stacks its per-centre arrays as rows, one value per row.  Sums
 # run along each row's own length and the rest is ufuncs, whose bits do
 # not depend on the layout, so a trial fits to the same bits alone and in
-# a group.
+# a group.  A group restates only the likelihood, its score and its
+# Hessian, with the same operations in the same order written into its
+# pass's scratch (``_Rows``); a ufunc's ``out`` changes where its values
+# go, not what they are.
 #
 # Sums along that axis call _row_sum, the reduction inside ndarray.sum,
 # without the Python layer around it: the fit takes a few dozen of them,
@@ -397,9 +406,10 @@ def _shifted(exposures: np.ndarray, b):
     return b + exposures
 
 
-def _log1p_sum(exposures: np.ndarray, b):
-    """sum_c log1p(t_c / b)."""
-    return _row_sum(np.log1p(exposures / b), axis=-1)
+def _log1p_sum(exposures: np.ndarray, b, out=None):
+    """sum_c log1p(t_c / b), its terms written into ``out`` if given,
+    which may be ``exposures`` itself."""
+    return _row_sum(np.log1p(np.divide(exposures, b, out=out), out=out), axis=-1)
 
 
 # Stirling's series past its leading terms (DLMF 5.11.1) is
@@ -549,7 +559,8 @@ class _Likelihood:
     one trial (``_Workspace``) or for a group of trials, one row each
     (``_Rows``).  Each supplies its sums, its count sums ``count_sum``
     and ``_terms``, its cache of b + t_c and sum_c log1p(t_c / b) at the
-    beta it was last asked for; a trial also keeps its last score.  The
+    beta it was last asked for; a trial also keeps its last score, and a
+    group writes its per-centre terms into its pass's scratch.  The
     one Newton loop (``_newton``) and the one outcome rule (``_outcome``)
     step and read either, with floats for a trial and arrays for a group.
 
@@ -714,6 +725,20 @@ class _Rows(_Likelihood):
     k terms; rows sorted by k make the fewest runs.  A narrowed group
     keeps its rows' weights, cut to its widest row.  A row's counts past
     the head add Stirling's series, as one trial's do.
+
+    A pass owns a ``_Scratch`` and every group taken from it shares it:
+    b + t_c and the per-centre terms of the likelihood, the score, the
+    Hessian and sum_c log1p(t_c / b) are written into its two arrays.
+    The array of b + t_c belongs to the group that wrote it last, and a
+    group reads it again only while it is still its own, so a line
+    search's group may write it between the score and the likelihood of
+    the group it was taken from.  Before it the pass took a fresh array
+    for each of these temporaries, at every step; glibc handed such
+    arrays newly mapped pages and trimmed them back, 5.0-6.5 minor faults
+    a replication on table 3 and 2.2-2.3 on table 2, which the scratch,
+    with the integer counts read only while the sums are built, brings to
+    0.09-0.52 and 0.04-0.36 (``tools/faults.py``, a 200-replication block
+    of each row, eight and six processes a side).
     """
 
     # what take narrows: the values and arrays that hold one row per trial
@@ -721,7 +746,15 @@ class _Rows(_Likelihood):
                           "total_count", "common_exposure", "ratio", "exact_tail",
                           "total_count_sq", "same_centre_pairs", "rises", "store_at"})
 
-    def __init__(self, exposures: np.ndarray, counts: np.ndarray, equal_exposures: bool):
+    def __init__(self, exposures: np.ndarray, counts: np.ndarray, part: np.ndarray,
+                 equal_exposures: bool):
+        # the open centres of the batch rows ``part``, taken here so that
+        # their integer counts, which only these sums read, die with this
+        # call rather than live through the pass
+        exposures, counts = exposures[part], counts[part]
+        opened = exposures > 0
+        if not opened.all():
+            exposures, counts = (x[opened].reshape(len(part), -1) for x in (exposures, counts))
         clipped = np.minimum(counts, _EXACT_RISE_TERMS + 1)  # squares far inside int64
         largest = clipped.max(axis=1).tolist()
         totals, sums_sq = (sums.tolist() for sums in _sums(self, exposures, counts, clipped))
@@ -757,12 +790,13 @@ class _Rows(_Likelihood):
         self.stored_beta = np.full(len(largest), np.nan)
         self.stored_log1p = np.empty(len(largest))
         self.store_at = np.arange(len(largest))
-        self._beta = None
+        self.scratch = _Scratch(self.num_open)
+        self._beta = self._beta_values = None
 
     def take(self, positions: np.ndarray) -> "_Rows":
         """The group of the rows ``positions``, ascending, of this one,
-        with a cache of b + t_c of its own and the beta store of this one;
-        taking every row shares its arrays."""
+        with a cache of b + t_c of its own, and the beta store and the
+        scratch of this one; taking every row shares its arrays."""
         ws = object.__new__(_Rows)
         ws.__dict__ = values = vars(self).copy()
         ws._beta = ws._beta_values = None
@@ -799,17 +833,52 @@ class _Rows(_Likelihood):
     def _terms(self, alpha: np.ndarray, beta: np.ndarray):
         """alpha and beta as columns, b + t_c per centre and sum_c
         log1p(t_c / b)."""
-        if beta is not self._beta:
+        scratch = self.scratch
+        if beta is not self._beta or scratch.shifted_for is not self._beta_values:
             b = beta[:, None]
             at = self.store_at
             stale = np.flatnonzero(self.stored_beta[at] != beta)
             if stale.size:
-                rows = slice(None) if stale.size == at.size else stale
-                self.stored_log1p[at[rows]] = _log1p_sum(self.exposures[rows], b[rows])
+                rows, exposures = slice(None), self.exposures
+                terms = scratch.terms[:stale.size]
+                if stale.size < at.size:
+                    # "clip": the default mode copies through a fresh buffer
+                    rows = stale
+                    exposures = np.take(exposures, stale, axis=0, out=terms, mode="clip")
+                self.stored_log1p[at[rows]] = _log1p_sum(exposures, b[rows], terms)
                 self.stored_beta[at[rows]] = beta[rows]
-            self._beta_values = b, _shifted(self.exposures, b), self.stored_log1p[at]
+            shifted = np.add(b, self.exposures, out=scratch.shifted[:at.size])
+            self._beta_values = scratch.shifted_for = b, shifted, self.stored_log1p[at]
             self._beta = beta
         return (alpha[:, None],) + self._beta_values
+
+    # The likelihood, the score and the Hessian as _Likelihood writes
+    # them, each operation with the same operands in the same order, but
+    # with every per-centre array written into the pass's scratch.
+
+    def loglik(self, alpha, beta):
+        _, _, shifted, log_ratio = self._terms(alpha, beta)
+        logs = np.log(shifted, out=self.scratch.terms[:len(shifted)])
+        return (self.count_sum(0, alpha) - alpha * log_ratio
+                - _row_sum(np.multiply(self.counts, logs, out=logs), axis=-1))
+
+    def score(self, alpha, beta):
+        a, b, shifted, log_ratio = self._terms(alpha, beta)
+        terms = np.multiply(a, self.exposures, out=self.scratch.terms[:len(b)])
+        np.subtract(np.divide(terms, b, out=terms), self.counts, out=terms)
+        return (self.count_sum(1, alpha) - log_ratio,
+                _row_sum(np.divide(terms, shifted, out=terms), axis=-1))
+
+    def hessian(self, alpha, beta):
+        a, _, shifted, _ = self._terms(alpha, beta)
+        # 1 / (b + t_c) over b + t_c, which then holds no group's terms
+        self.scratch.shifted_for = None
+        inv = np.divide(1.0, shifted, out=shifted)
+        h_ab = self.num_open / beta - _row_sum(inv, axis=-1)
+        products = np.add(a, self.counts, out=self.scratch.terms[:len(a)])
+        np.multiply(np.multiply(products, inv, out=products), inv, out=products)
+        h_bb = -self.num_open * alpha / (beta * beta) + _row_sum(products, axis=-1)
+        return self.count_sum(2, alpha), h_ab, h_bb
 
     def count_sum(self, order: int, alpha: np.ndarray) -> np.ndarray:
         """``_Workspace.count_sum`` for each row."""
@@ -821,6 +890,26 @@ class _Rows(_Likelihood):
             sums[self.beyond_rows] += _beyond_sum(order, alpha[self.beyond_at], self.beyond_values,
                                                   self.beyond_mult, self.beyond_starts)
         return sums
+
+
+class _Scratch:
+    """The two per-centre arrays that one pass writes its block-sized
+    temporaries into, allocated by the pass's ``_Rows`` and shared by
+    every group taken from it; a group of n rows writes the first n rows
+    of each.  They have the ``block_rows(C)`` rows of the largest pass of
+    C centres, so that every such pass asks for the same memory.
+
+    ``shifted`` holds b + t_c, and ``shifted_for`` the cached terms that
+    it belongs to, which only the group that wrote it holds: a group
+    reads its cached b + t_c again only while the slot is still its own,
+    so no group reads what a group taken from it wrote there.  ``terms``
+    holds a method's per-centre terms, read only within the call that
+    writes them.
+    """
+
+    def __init__(self, centres: int):
+        self.shifted, self.terms = np.empty((2, block_rows(centres), centres))
+        self.shifted_for = None
 
 
 def _runs(rises: list) -> list:
@@ -1102,7 +1191,7 @@ def fit_rows(data: TrialData) -> ModelFit:
 
     The rows are grouped by whether their open centres share one
     exposure and by their number of open centres C.  A group of at least
-    10 rows (``_MIN_GROUP_ROWS``) with at most 700 open centres
+    10 rows (``_MIN_GROUP_ROWS``) with at most 2,000 open centres
     (``_MAX_GROUP_CENTRES``) runs passes of ``fit_mle``'s damped-Newton
     loop and outcome rule over its rows, along the ray where the
     exposures are equal and in the plane where not; the loop drops each
@@ -1110,19 +1199,23 @@ def fit_rows(data: TrialData) -> ModelFit:
     line search.  Sorted by their largest count, its
     rows are cut into the fewest near-equal passes of at most
     ``block_rows(C)`` rows, so a batch's memory is that of one pass;
-    ``block_rows(C)`` is at least 93 for C up to 700, so no pass of such
-    a group falls below 10 rows.  Any other group, where a pass was
-    measured slower than its rows' single fits, is fitted by
-    ``fit_mle(data[row])`` row by row.  Against the single fits, a pass
-    of 10 rows cost 0.72-0.80 times as much at 150 and 600 centres, and
-    1.07-1.11 times at 20, where one of 12 rows cost 0.92-0.95 times.
-    In passes of ``block_rows(C)`` rows, the single fits cost 2.0-2.3
-    (ray) and 1.5-1.6 (plane) times the pass at 700 centres, and 3.0 and
-    1.3-1.5 times at 1,000; from 2,000 centres the plane pass was the
-    slower, at 0.74-0.75 (2,000), 0.63-0.64 (3,000) and 0.58-0.59
-    (6,553), and the ray pass moved between runs, from 1.1-1.5 at 2,000
-    to 0.84 at 6,553 (first rows of tables 2 and 3 at C centres, best
-    of 5).
+    ``block_rows(C)`` is at least 32 for C up to 2,000, so no pass of such
+    a group falls below 10 rows.  Any other group is fitted by
+    ``fit_mle(data[row])`` row by row.  The bounds were measured as the
+    time of the single fits over that of the pass, on the first rows of
+    tables 2 (ray) and 3 (plane) at C centres, in 5 alternating pairs of
+    best-of-3 timings a run, over six runs.  At 20 centres, over six
+    blocks, it was 1.20-1.29 (ray) and 0.73-1.15 (plane) for blocks of 10
+    rows, where the plane pass won only 3 of 5 pairs in one run, and
+    1.30-1.70 and 0.95-1.35 for blocks of 12.  In passes of
+    ``block_rows(C)`` rows it was 2.6-3.3 and 2.7-3.2 at 700 centres,
+    2.2-3.6 and 1.6-3.2 at 1,000, and 0.85-2.0 and 1.2-2.2 at 2,000, where
+    the pass won at least 4 of 5 pairs on both in each run.  From 3,000
+    to 6,553 centres it moved between 0.64 and 1.6 from run to run; the
+    ray pass at 3,000 won 5 of 5 pairs in one run and 0 of 5 in the next
+    two, so that neither side won there in every run.  Before the pass
+    kept its pages (see ``_Rows``) the plane pass lost from 2,000 centres,
+    at 0.75-0.80, and at 3,000 and 4,000 both passes lost, at 0.61-1.08.
 
     A pass keeps at most 2^8 rise weights a row; counts past that
     exact-sum head go on by Stirling's series, as in ``fit_mle``.
@@ -1153,10 +1246,8 @@ def fit_rows(data: TrialData) -> ModelFit:
             continue
         rows = rows[np.argsort(largest[rows], kind="stable")]
         for part in np.array_split(rows, math.ceil(rows.size / block_rows(centres))):
-            group = (exposures[part], counts[part])
-            if centres < exposures.shape[1]:
-                group = tuple(x[opened[part]].reshape(-1, centres) for x in group)
-            for field, values in zip(fields.values(), _outcome(_Rows, *group, ray)[1]):
+            for field, values in zip(fields.values(),
+                                     _outcome(_Rows, exposures, counts, part, ray)[1]):
                 field[part] = values
     return ModelFit(**fields, equal_exposures=equal)
 

@@ -272,11 +272,11 @@ def test_a_workspace_takes_each_beta_terms_once(engine, monkeypatch, equal):
     seen, workspaces = collections.Counter(), []
     log1p_sum = model._log1p_sum
 
-    def counted(exposures, b):
+    def counted(exposures, b, *out):
         ws = sys._getframe(1).f_locals["self"]
         workspaces.append(ws)  # held, so no two workspaces share an id
         seen.update((id(ws), row, beta) for row, beta in enumerate(np.ravel(b).tolist()))
-        return log1p_sum(exposures, b)
+        return log1p_sum(exposures, b, *out)
 
     monkeypatch.setattr(model, "_log1p_sum", counted)
     fits = fit_rows(_staggered_block(equal=equal))
@@ -313,6 +313,46 @@ def test_a_group_with_no_row_to_step_takes_no_ascent(engine, monkeypatch, equal)
     assert {w[0] for w in want} == {"boundary" if equal else "insufficient"}
 
 
+def _bits(values) -> list:
+    return [np.asarray(x).tobytes() for x in values]
+
+
+def test_a_group_reads_its_own_terms_after_a_group_taken_from_it_writes_the_scratch():
+    # a group and the groups taken from it share one pass's scratch: a
+    # line search's group writes b + t_c at its own beta into the slot
+    # that holds the group's, and the group then reads its terms again
+    data = _staggered_block(rows=12)
+    rows = np.arange(12)
+    alpha, beta = np.linspace(0.5, 4.0, 12), np.linspace(0.2, 3.0, 12)
+
+    def at_point(ws):
+        return _bits([*ws.score(alpha, beta), *ws.hessian(alpha, beta), ws.loglik(alpha, beta)])
+
+    want = at_point(_Rows(data.exposures, data.counts, rows, False))
+    group = _Rows(data.exposures, data.counts, rows, False)
+    assert at_point(group) == want
+    group.score(alpha, beta)  # b + t_c at beta, cached by the group
+    taken = group.take(np.array([1, 4, 5, 9]))
+    taken.loglik(alpha[[1, 4, 5, 9]] * 2.0, beta[[1, 4, 5, 9]] * 3.0)
+    taken.score(alpha[[1, 4, 5, 9]], beta[[1, 4, 5, 9]] + 1.0)
+    assert at_point(group) == want
+    # and in the other order: the likelihood first, then the score
+    group.loglik(alpha, beta)
+    taken.hessian(alpha[[1, 4, 5, 9]], beta[[1, 4, 5, 9]] * 0.5)
+    assert _bits([group.loglik(alpha, beta), *group.score(alpha, beta)]) == [want[5], *want[:2]]
+
+
+def test_back_to_back_batches_fit_as_their_rows_fit_alone(engine):
+    # the scratch dies with its pass, so a batch fitted after another of
+    # the same centres, whose pass asks for the same memory, fits as its
+    # rows fit alone
+    first, second = _staggered_block(rows=24, seed=3), _staggered_block(rows=13, seed=8)
+    for data in (first, second, first):
+        fits = fit_rows(data)
+        assert [_row(fits, row) for row in range(len(data.counts))] == [
+            _single(data[row]) for row in range(len(data.counts))]
+
+
 def test_a_row_block_squares_beta_as_a_single_trial_does():
     # a NumPy float's ** 2 goes through pow, which on some inputs differs
     # from the array square in the last bit; both paths write beta * beta
@@ -322,7 +362,7 @@ def test_a_row_block_squares_beta_as_a_single_trial_does():
     assert odd
     data = TrialData(10.0, [2.0, 5.0, 9.5], [3, 0, 11])
     single = _Workspace(data)
-    block = _Rows(np.array([[2.0, 5.0, 9.5]]), np.array([[3, 0, 11]]), False)
+    block = _Rows(np.array([[2.0, 5.0, 9.5]]), np.array([[3, 0, 11]]), np.arange(1), False)
     for beta in odd[:50]:
         alpha = np.float64(1.7)
         got = block.hessian(np.array([alpha]), np.array([beta]))
@@ -501,9 +541,9 @@ def test_the_plane_pass_takes_no_more_log1p_terms_than_the_loop(monkeypatch):
     path = ["pass"]
     log1p_sum = model._log1p_sum
 
-    def counted(exposures, b):
+    def counted(exposures, b, *out):
         centre_rows[path[0]] += exposures.size // exposures.shape[-1]
-        return log1p_sum(exposures, b)
+        return log1p_sum(exposures, b, *out)
 
     monkeypatch.setattr(model, "_log1p_sum", counted)
     fitted = 0

@@ -1,9 +1,12 @@
-"""The scripts under ``tools/``: the bytes gate's reach and the code-line count."""
+"""The scripts under ``tools/``: the bytes gate's reach, the code-line
+count and the fault probe."""
 
 import argparse
 import importlib.util
+import math
 from pathlib import Path
 
+import recruitcast
 from recruitcast import cli
 
 TOOLS = Path(__file__).resolve().parents[1] / "tools"
@@ -77,3 +80,14 @@ def test_code_lines_totals_the_modules_of_a_package(tmp_path, capsys):
     (tmp_path / "two.py").write_text("x = 1\n\ny = 2\n")
     assert _tool("code_lines").main([str(tmp_path)]) == 0
     assert capsys.readouterr().out.split() == ["one.py", "7", "two.py", "2", "total", "9"]
+
+
+def test_the_fault_probe_prints_a_time_and_a_fault_count_for_each_row(capsys):
+    src = str(Path(recruitcast.__file__).resolve().parents[1])
+    assert _tool("faults").main([src, "--table", "3", "--reps", "12"]) == 0
+    header, *rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert header == ["row", "us_per_rep", "faults_per_rep"]
+    assert [row[0] for row in rows] == ["1", "2", "3", "4", "5", "6", "7", "total"]
+    for _, micros, faults in rows:
+        assert float(micros) > 0 and math.isfinite(float(micros))
+        assert float(faults) >= 0 and math.isfinite(float(faults))
