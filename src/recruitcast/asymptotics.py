@@ -76,6 +76,7 @@ class LimitLaw:
             raise ValueError(f"shift d must be finite, got {self.d}")
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def content_limit(p, x, beta, t):
     """(c, d, p*): the p-quantile's content limit Phi(c Z + d) and the
     adjusted level p*, as in the module docstring.
@@ -83,7 +84,9 @@ def content_limit(p, x, beta, t):
     ``x`` is the horizon in time units, ``beta`` the rate parameter (inf
     at the boundary) and ``t`` the effective exposure; d = g invPhi(p).
     At beta = 0 the adjustment is the identity and p* is p itself.
-    Elementwise over arrays.
+    Elementwise over arrays.  A horizon past the float range gives a NaN
+    p* without a NumPy warning, as one trial's floats do; an interval
+    refuses that level by name (``predict.equal_tailed_interval``).
     """
     if not every((0.0 < p) & (p < 1.0)):
         raise ValueError(f"probability must lie in (0, 1), got {p}")
@@ -102,9 +105,11 @@ def content_limit(p, x, beta, t):
     return c, d, where(beta == 0.0, p, special().ndtr(sqrt(widening) * z))
 
 
+@np.errstate(over="ignore")
 def time_horizon(mean_target, alpha, beta):
     """x for the time to ``mean_target`` more recruits per centre:
-    mean_target beta / alpha.  Elementwise over arrays."""
+    mean_target beta / alpha.  Elementwise over arrays; past the float
+    range it is inf, without a NumPy warning."""
     if not every((alpha > 0) & (mean_target > 0)):
         raise ValueError("alpha and the mean target must be positive")
     return mean_target * beta / alpha

@@ -46,9 +46,13 @@ rows where a trial has floats, with the ascents and likelihood methods
 written once over the last axis, so that each row gets the bits
 ``fit_mle`` gives it alone.  Where the loop would stop a trial, it drops
 that row from the pass.  A pass takes its count sums from one array of
-rise terms for all of its rows, and sums each row over its own rises;
-its narrowings share one store of each row's last beta, so a row takes
-its per-centre terms once for each new beta, as ``fit_mle`` does.  They
+rise terms for all of its rows, and sums the rows of each class of rise
+counts in one reduction: a row's rise terms padded with zeros within
+their 8-wide block of NumPy's pairwise sum add to the bits of its own
+terms alone (``_runs``), so that a count sum on the tables' blocks makes
+1-4 reductions rather than one for each distinct rise count.  A pass's
+narrowings share one store of each row's last beta, so a row takes its
+per-centre terms once for each new beta, as ``fit_mle`` does.  They
 also share the pass's scratch: two arrays of ``block_rows(C)`` rows of
 C values, allocated once, into which every per-centre temporary of a
 Newton step is written, so that a step asks the allocator for no
@@ -99,6 +103,14 @@ _SAFE_GRADIENT = 1e-4
 # series takes a count on from a + 2^8, where six of its terms hold it to
 # rounding.
 _EXACT_RISE_TERMS = 1 << 8
+# NumPy's pairwise block: np.add.reduce adds a row of at most this many
+# floats in eight accumulators, term i into accumulator i % 8, and then
+# its last n % 8 terms one by one, so zeros padded after a row's k terms
+# up to width k | 7 below this are among those last terms and leave its
+# bits as they are.  A longer row is split in halves at a multiple of 8
+# set by its width, and is summed at its own width.  It is NumPy's, not
+# an option: test_fit_rows checks it for every k.
+_PAIRWISE_BLOCK = 128
 # A Newton fit counts as converged where its score in (log alpha, log
 # beta) is at most this.
 _CERTIFIED_SCORE = 1e-8
@@ -720,10 +732,11 @@ class _Rows(_Likelihood):
     once and at most 2^8 a row, lie in one array zero padded to the
     widest row, which a group of at most ``block_rows(C)`` rows keeps
     within 2^16 weights.  A count sum takes the rise terms with one
-    array pass, and then sums each run of consecutive rows sharing their
-    number of rises k over its first k columns, so each row sums its own
-    k terms; rows sorted by k make the fewest runs.  A narrowed group
-    keeps its rows' weights, cut to its widest row.  A row's counts past
+    array pass, and then sums each run of consecutive rows in one class
+    of rise counts k in one reduction (``_runs``), so each row sums its
+    own k terms and the zeros after them, which add nothing to its bits;
+    rows sorted by k make the fewest runs.  A narrowed group keeps its
+    rows' weights, cut to its widest row.  A row's counts past
     the head add Stirling's series, as one trial's do.
 
     A pass owns a ``_Scratch`` and every group taken from it shares it:
@@ -783,7 +796,7 @@ class _Rows(_Likelihood):
         width = int(self.rises.max())
         self.rise_offsets = np.arange(width, dtype=float)
         self.rise_weights = _rise_weights(_tally(counts, width), self.num_open, width)
-        self.runs = _runs(self.rises.tolist())
+        self.runs = _runs(self.rises)
         # the beta store that this group and every group taken from it
         # share: each row's last beta and its sum_c log1p(t_c / b), and
         # where in it each row of the group lies
@@ -807,7 +820,7 @@ class _Rows(_Likelihood):
         width = ws.rises.max(initial=0)
         ws.rise_offsets = self.rise_offsets[:width]
         ws.rise_weights = self.rise_weights[positions, :width]
-        ws.runs = _runs(ws.rises.tolist())
+        ws.runs = _runs(ws.rises)
         if self.beyond_rows.size:
             taken = np.zeros(len(self.total_count), dtype=bool)
             taken[positions] = True
@@ -881,11 +894,14 @@ class _Rows(_Likelihood):
         return self.count_sum(2, alpha), h_ab, h_bb
 
     def count_sum(self, order: int, alpha: np.ndarray) -> np.ndarray:
-        """``_Workspace.count_sum`` for each row."""
+        """``_Workspace.count_sum`` for each row, with one reduction for
+        each run of ``runs``: a row of k rises sums the first ``width``
+        columns of its rise terms, its k terms and zero weights' terms
+        after them."""
         sums = np.empty(alpha.size)
         terms = _rise_terms(order, self.rise_weights, alpha[:, None] + self.rise_offsets)
-        for lo, hi, k in self.runs:
-            sums[lo:hi] = _row_sum(terms[lo:hi, :k], axis=-1)
+        for lo, hi, width in self.runs:
+            sums[lo:hi] = _row_sum(terms[lo:hi, :width], axis=-1)
         if self.beyond_rows.size:
             sums[self.beyond_rows] += _beyond_sum(order, alpha[self.beyond_at], self.beyond_values,
                                                   self.beyond_mult, self.beyond_starts)
@@ -912,17 +928,27 @@ class _Scratch:
         self.shifted_for = None
 
 
-def _runs(rises: list) -> list:
-    """The runs of consecutive rows sharing their number of rises k in
-    ``rises``, as (lo, hi, k)."""
-    runs, lo = [], 0
-    for hi, k in enumerate(rises):
-        if k != rises[lo]:
-            runs.append((lo, hi, rises[lo]))
-            lo = hi
-    if rises:
-        runs.append((lo, len(rises), rises[lo]))
-    return runs
+def _sum_widths(rises: np.ndarray) -> np.ndarray:
+    """How many columns of rise terms a row of k ``rises`` sums: its
+    class's k | 7, the last of the 8-wide block of the pairwise sum that
+    holds k, cut to the widest row, where that stays within NumPy's
+    pairwise block, and else k itself.  Either way the sum has the bits
+    of the row's k terms alone."""
+    classes = rises | 7
+    return np.where(classes < _PAIRWISE_BLOCK, np.minimum(classes, rises.max(initial=0)), rises)
+
+
+def _runs(rises: np.ndarray) -> list:
+    """The runs of consecutive rows of ``rises`` that share their class
+    of rise counts, and so the width they sum at, as (lo, hi, width):
+    rows with k in [8m, 8m + 7] make one class while k | 7 stays below
+    the pairwise block, and each longer k one of its own."""
+    if not rises.size:
+        return []
+    widths = _sum_widths(rises)
+    ends = [*(np.flatnonzero(widths[1:] != widths[:-1]) + 1).tolist(), widths.size]
+    starts = [0, *ends[:-1]]
+    return list(zip(starts, ends, widths[starts].tolist()))
 
 
 def block_rows(centres: int) -> int:

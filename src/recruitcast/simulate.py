@@ -57,6 +57,8 @@ import numpy as np
 from numpy.random import PCG64, Generator
 from numpy.random.bit_generator import ISeedSequence
 
+from ._elementwise import plain
+from .asymptotics import time_horizon
 from .distributions import (
     GammaParams,
     gamma_cdf,
@@ -470,12 +472,16 @@ def exact_coverage(rates: np.ndarray, interval: PredictionInterval,
     ``rates`` runs over centres along its last axis.  Leading axes, with
     an interval whose bounds have their shape, score a batch of trials;
     since only the summed rate matters, a batch may pass each trial's
-    summed rate as a one-centre row.
+    summed rate as a one-centre row.  One cdf call reads both ends of
+    the interval, stacked.
     """
-    cdf = _target_cdf(objective, horizon, np.sum(rates, axis=-1))
+    total_rate = np.sum(rates, axis=-1)
+    cdf = _target_cdf(objective, horizon, total_rate)
     # a count interval [lower, upper) traps lower <= N <= upper - 1
     below = 1 if objective == COUNT else 0
-    return cdf(np.subtract(interval.upper, below)) - cdf(np.subtract(interval.lower, below))
+    ends = np.stack(np.broadcast_arrays(interval.upper, interval.lower, total_rate)[:2])
+    upper, lower = cdf(np.subtract(ends, below))
+    return plain(upper - lower)
 
 
 def _boundary_intervals(config: SimConfig, request: PredictionRequest,
@@ -500,8 +506,8 @@ def _boundary_intervals(config: SimConfig, request: PredictionRequest,
     else:
         quantile = partial(gamma_quantile,
                            params=GammaParams(shape=float(config.horizon), rate=pooled_rate))
-        # for times x = m beta / alpha, and beta / alpha tends to 1 / rate
-        x = config.horizon / config.centres / rate
+        # for times x = m beta / alpha, and alpha / beta tends to rate
+        x = time_horizon(config.horizon / config.centres, rate, 1.0)
     return equal_tailed_interval(quantile, request, x, math.inf, exposure_sum / config.centres)
 
 

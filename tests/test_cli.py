@@ -6,6 +6,7 @@ import gc
 import io
 import json
 import math
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -1366,6 +1367,28 @@ def test_hostile_config_values_exit_cleanly(tmp_path_factory, raw):
     if code:
         assert out.getvalue() == ""
         assert err.getvalue().count("\n") == 1 and "Traceback" not in err.getvalue()
+
+
+@pytest.mark.parametrize("objective, line", [
+    ("time", "config error: adjusted time interval at level 0.9 to target count 1.7e+308: "
+             "the adjusted tail is past float resolution (its quantile level rounds to 0 or 1)\n"),
+    ("count", "config error: horizon 1.7e+308 is too long for the pooled posterior: "
+              "horizon / (rate + horizon) rounds to 1\n"),
+], ids=["time", "count"])
+def test_a_horizon_past_the_float_range_is_refused_by_name_without_a_warning(
+        tmp_path, capsys, objective, line):
+    # a time horizon of 1.7e308 sends x = m beta / alpha past the float
+    # range, and the adjusted level to NaN, which is refused as past
+    # float resolution, naming the target count, with no NumPy warning
+    config = tmp_path / "cell.json"
+    config.write_text(json.dumps({
+        "prior": {"kind": "gamma", "alpha": 2.0, "beta": 150.0}, "centres": 3,
+        "census_time": 100.0, "schedule": "simultaneous", "objective": objective,
+        "horizon": 1.7e308, "replications": 2, "seed": 1}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "simulate", "--config", str(config), "--reps", "2")
+    assert (code, out, err) == (4, "", line)
 
 
 def _run_config(tmp_path, capsys, config, reps):

@@ -444,29 +444,73 @@ def test_a_block_of_huge_counts_sums_within_the_element_budget():
 
 def test_a_count_sum_takes_its_rise_terms_in_one_call(monkeypatch):
     # a pass keeps its rows' rise weights in one array: each count sum
-    # takes their rise terms in one call and sums each run of rows that
-    # share their number of rises k from them
-    config = reproduction_table("3").rows[0][1]
+    # takes their rise terms in one call, and sums the rows of each
+    # summation class of rise counts k, [8m, 8m + 7] while k | 7 < 128
+    # and k alone past it, in one reduction
+    config = reproduction_table("3").rows[-1][1]
     _, data = generate_trial(config, replication_rngs(config.seed, 0, 64))
-    terms, seen = [], []
-    rise_terms, count_sum = model._rise_terms, _Rows.count_sum
+    terms, reductions, seen = [], [], []
+    rise_terms, row_sum, count_sum = model._rise_terms, model._row_sum, _Rows.count_sum
 
     def counted_terms(*args):
         terms.append(args)
         return rise_terms(*args)
 
+    def counted_reductions(*args, **kwargs):
+        reductions.append(args)
+        return row_sum(*args, **kwargs)
+
     def counted_sum(self, order, alpha):
         terms.clear()
-        sums = count_sum(self, order, alpha)
-        seen.append((len(terms), len(self.runs)))
+        reductions.clear()
+        with mock.patch.object(model, "_row_sum", counted_reductions):
+            sums = count_sum(self, order, alpha)
+        rises = set(self.rises.tolist())
+        classes = {k // 8 if k | 7 < 128 else k for k in rises}
+        seen.append((len(terms), len(reductions), len(classes), len(rises),
+                     self.beyond_rows.size))
         return sums
 
     monkeypatch.setattr(model, "_rise_terms", counted_terms)
     monkeypatch.setattr(_Rows, "count_sum", counted_sum)
     fits = fit_rows(data)
     assert (fits.kind == "ok").sum() > 50 and not fits.equal_exposures.any()
-    assert len(seen) > 20 and {calls for calls, _ in seen} == {1}
-    assert max(runs for _, runs in seen) >= 5
+    assert len(seen) > 15 and {calls for calls, *_ in seen} == {1}
+    assert {beyond for *_, beyond in seen} == {0}
+    assert all(calls == classes for _, calls, classes, _, _ in seen)
+    assert max(rises for *_, rises, _ in seen) >= 5
+    assert max(classes for _, _, classes, _, _ in seen) >= 3
+
+
+# Each pattern of a count sum's terms and of the zeros after them: order
+# 0's w_j log(a + j), of either sign, order 1's positive w_j / (a + j),
+# both padded with 0.0, and order 2's negative -w_j / (a + j)^2, padded
+# with -0.0 -- and the other sign of zero after each, for good measure.
+@pytest.mark.parametrize("signs, pad", [("+", 0.0), ("-", -0.0), ("+-", 0.0), ("+", -0.0),
+                                        ("-", 0.0)],
+                         ids=["positive", "negative", "mixed", "positive-neg-zero",
+                              "negative-pos-zero"])
+def test_a_row_summed_at_its_class_width_keeps_the_bits_of_its_own_terms(signs, pad):
+    # NumPy's pairwise sum gives a row of k terms padded with zeros to
+    # the width _Rows sums it at the bits of its k terms alone, for every
+    # k a pass holds and every widest row W of its group; a NumPy whose
+    # pairwise sum takes other blocks fails here
+    rng = np.random.default_rng(23)
+    rows = 8
+    pairs = {(k, width) for widest in range(1, _EXACT_RISE_TERMS + 1)
+             for k, width in zip(range(1, widest + 1),
+                                 model._sum_widths(np.arange(1, widest + 1)).tolist())}
+    assert {k for k, _ in pairs} == set(range(1, _EXACT_RISE_TERMS + 1))
+    for k, width in sorted(pairs):
+        assert k <= width <= max(k, 127)
+        values = rng.uniform(0.5, 2.0, (rows, width)) * 10.0 ** rng.integers(-6, 7, (rows, 1))
+        if signs == "-":
+            values = -values
+        elif signs == "+-":
+            values[:, rng.random(width) < 0.5] *= -1.0
+        values[:, k:] = pad
+        alone = np.array([np.add.reduce(row[:k].copy()) for row in values])
+        assert np.add.reduce(values, axis=-1).tobytes() == alone.tobytes(), (k, width)
 
 
 def _wide_block(equal: bool) -> TrialData:

@@ -1,5 +1,5 @@
 """The scripts under ``tools/``: the bytes gate's reach, the code-line
-count and the fault probe."""
+count, the fault probe and the stage probe."""
 
 import argparse
 import importlib.util
@@ -91,3 +91,15 @@ def test_the_fault_probe_prints_a_time_and_a_fault_count_for_each_row(capsys):
     for _, micros, faults in rows:
         assert float(micros) > 0 and math.isfinite(float(micros))
         assert float(faults) >= 0 and math.isfinite(float(faults))
+
+
+def test_the_stage_probe_prints_five_stage_times_for_each_row(capsys):
+    src = str(Path(recruitcast.__file__).resolve().parents[1])
+    stages = _tool("stages")
+    assert stages.main([src, "--table", "2", "--reps", "12"]) == 0
+    header, *rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert header == ["row", "seeding", "drawing", "fit_rows", "moments", "scoring"]
+    assert [row[0] for row in rows] == ["1", "2", "3", "4", "5", "6", "7", "total"]
+    for _, *micros in rows:
+        assert len(micros) == 5
+        assert all(float(m) > 0 and math.isfinite(float(m)) for m in micros)
