@@ -53,14 +53,19 @@ terms alone (``_runs``), so that a count sum on the tables' blocks makes
 1-4 reductions rather than one for each distinct rise count.  A pass's
 narrowings share one store of each row's last beta, so a row takes its
 per-centre terms once for each new beta, as ``fit_mle`` does.  They
-also share the pass's scratch: two arrays of ``block_rows(C)`` rows of
-C values, allocated once, into which every per-centre temporary of a
-Newton step is written, so that a step asks the allocator for no
-block-sized memory.  Fresh block-sized arrays on every step had cost a
-table-3 pass about 5-6.5 minor page faults a replication; with the
-scratch it takes 0.09-0.52 (``tools/faults.py``).  A group of too few
-rows or too many centres to repay a pass goes through ``fit_mle`` row
-by row.
+also share the pass's scratch (``_Scratch``): two arrays of
+``block_rows(C)`` rows of C values, allocated once, into which every
+per-centre temporary of a Newton step is written, so that a step asks
+the allocator for no block-sized memory.  Fresh block-sized arrays on
+every step had cost a table-3 pass about 5-6.5 minor page faults a
+replication, fitting one drawn block again and again; with the scratch
+it takes 0.09-0.52.  Read around each block's fit as the harness runs
+it, after its draw (the ``faults`` column of ``tools/stages.py``), a
+pass took 4.3-4.7 before the scratch and takes 0.01-1.2 with it.  The
+likelihood, its score and its Hessian are written once
+(``_Likelihood``), into a scratch that a single fit owns too, of one row
+of C values.  A group of too few rows or too many centres to repay a
+pass goes through ``fit_mle`` row by row.
 """
 
 from __future__ import annotations
@@ -346,10 +351,10 @@ def log_likelihood(alpha: float, beta: float, data: TrialData) -> float:
 # trials stacks its per-centre arrays as rows, one value per row.  Sums
 # run along each row's own length and the rest is ufuncs, whose bits do
 # not depend on the layout, so a trial fits to the same bits alone and in
-# a group.  A group restates only the likelihood, its score and its
-# Hessian, with the same operations in the same order written into its
-# pass's scratch (``_Rows``); a ufunc's ``out`` changes where its values
-# go, not what they are.
+# a group.  The likelihood, its score and its Hessian write their
+# per-centre terms into a scratch (``_Scratch``), of one row for a trial
+# and of a pass's rows for a group; a ufunc's ``out`` changes where its
+# values go, not what they are.
 #
 # Sums along that axis call _row_sum, the reduction inside ndarray.sum,
 # without the Python layer around it: the fit takes a few dozen of them,
@@ -413,14 +418,9 @@ def _count_squares(total: int, sum_sq: int) -> tuple[float, float]:
 # Where a per-trial value meets the centres, ``a`` and ``b`` stand for
 # alpha and beta as one trial's scalars or as a group's columns.
 
-def _shifted(exposures: np.ndarray, b):
-    """b + t_c per centre."""
-    return b + exposures
-
-
-def _log1p_sum(exposures: np.ndarray, b, out=None):
-    """sum_c log1p(t_c / b), its terms written into ``out`` if given,
-    which may be ``exposures`` itself."""
+def _log1p_sum(exposures: np.ndarray, b, out: np.ndarray):
+    """sum_c log1p(t_c / b), its terms written into ``out``, which may be
+    ``exposures`` itself."""
     return _row_sum(np.log1p(np.divide(exposures, b, out=out), out=out), axis=-1)
 
 
@@ -569,12 +569,14 @@ def _ray_step(ws: _Likelihood, alpha, beta, d1):
 class _Likelihood:
     """The likelihood, its derivatives and its profile along the ray, for
     one trial (``_Workspace``) or for a group of trials, one row each
-    (``_Rows``).  Each supplies its sums, its count sums ``count_sum``
-    and ``_terms``, its cache of b + t_c and sum_c log1p(t_c / b) at the
-    beta it was last asked for; a trial also keeps its last score, and a
-    group writes its per-centre terms into its pass's scratch.  The
-    one Newton loop (``_newton``) and the one outcome rule (``_outcome``)
-    step and read either, with floats for a trial and arrays for a group.
+    (``_Rows``).  Each supplies its sums, its count sums ``count_sum``, a
+    ``_Scratch`` and ``_terms``: alpha and beta, b + t_c in the scratch's
+    slot, sum_c log1p(t_c / b), cached at the beta it was last asked for,
+    and the scratch's buffer for a method's per-centre terms.  A trial
+    also keeps its last score.  The one Newton loop (``_newton``) and the
+    one outcome rule (``_outcome``) step and read either, with floats for
+    a trial and arrays for a group, and the likelihood, the score and the
+    Hessian below are written once for both.
 
     The likelihood and its score are sums of per-centre differences such
     as log(b + t) - log(b) = log1p(t / b), not differences of sums: on a
@@ -585,24 +587,28 @@ class _Likelihood:
     """
 
     def loglik(self, alpha, beta):
-        _, _, shifted, log_ratio = self._terms(alpha, beta)
+        _, _, shifted, log_ratio, terms = self._terms(alpha, beta)
+        logs = np.log(shifted, out=terms)
         return (self.count_sum(0, alpha) - alpha * log_ratio
-                - _row_sum(self.counts * np.log(shifted), axis=-1))
+                - _row_sum(np.multiply(self.counts, logs, out=logs), axis=-1))
 
     def score(self, alpha, beta):
         """(d_alpha, d_beta), summed centre by centre."""
-        a, b, shifted, log_ratio = self._terms(alpha, beta)
+        a, b, shifted, log_ratio, terms = self._terms(alpha, beta)
+        np.multiply(a, self.exposures, out=terms)
+        np.subtract(np.divide(terms, b, out=terms), self.counts, out=terms)
         return (self.count_sum(1, alpha) - log_ratio,
-                _row_sum((a * self.exposures / b - self.counts) / shifted, axis=-1))
+                _row_sum(np.divide(terms, shifted, out=terms), axis=-1))
 
     def hessian(self, alpha, beta):
         """(h_aa, h_ab, h_bb) in natural (alpha, beta) coordinates, each
-        summed centre by centre from one pass over the inverse of b + t_c."""
-        a, _, shifted, _ = self._terms(alpha, beta)
-        inv = 1.0 / shifted
+        summed centre by centre from one pass over the inverse of b + t_c,
+        written over b + t_c."""
+        a, _, shifted, _, terms = self._terms(alpha, beta)
+        inv = self.scratch.invert(shifted)
         h_ab = self.num_open / beta - _row_sum(inv, axis=-1)
-        h_bb = (-self.num_open * alpha / (beta * beta)
-                + _row_sum((a + self.counts) * inv * inv, axis=-1))
+        np.multiply(np.multiply(np.add(a, self.counts, out=terms), inv, out=terms), inv, out=terms)
+        h_bb = -self.num_open * alpha / (beta * beta) + _row_sum(terms, axis=-1)
         return self.count_sum(2, alpha), h_ab, h_bb
 
     def profile_loglik(self, log_alpha):
@@ -651,6 +657,10 @@ class _Workspace(_Likelihood):
     exact-sum head, j < 2^8; the counts past it, distinct with their
     multiplicities, go on from a + 2^8 by Stirling's series
     (``_beyond_sum``).
+
+    It owns a ``_Scratch`` of one row of C values, into which its
+    likelihood, score and Hessian write their per-centre terms as a
+    pass's do, so that they take no fresh per-centre array at a step.
     """
 
     def __init__(self, data: TrialData):
@@ -680,25 +690,27 @@ class _Workspace(_Likelihood):
             self.common_exposure = self.total_exposure / self.num_open
             self.ratio = self.total_count / (self.num_open * self.common_exposure)
             self.exact_tail = _ray_tail(self.num_open, self.total_count, self.sum_count_sq)
-        # the argument each one-point cache below last saw, and its values
+        self.scratch = _Scratch((self.num_open,))
+        # the argument each one-point cache below last saw; its values are
+        # set with it
         self._beta = self._alpha = self._point = None
-        self._beta_values = self._count_values = self._rise = self._score = None
 
     # Each point's values are computed once.  A Newton line search takes
     # the likelihood at the point that the next step differentiates, and
     # fit_mle certifies the point that Newton stopped at, so the terms of
     # beta, the count sums of alpha and the score keep the values of the
-    # last argument they were asked for.  A count sum is computed only
-    # when read: a line search reads only the logGamma sum.
+    # last argument they were asked for; b + t_c only while the scratch
+    # still holds it.  A count sum is computed only when read: a line
+    # search reads only the logGamma sum.
 
     def _terms(self, alpha: float, beta: float):
-        """alpha, beta, b + t_c per centre and sum_c log1p(t_c / b)."""
+        """alpha, beta, b + t_c per centre, sum_c log1p(t_c / b) and the
+        buffer for a method's per-centre terms."""
         if beta != self._beta:
-            self._beta_values = (_shifted(self.exposures, beta),
-                                 _log1p_sum(self.exposures, beta))
-            self._beta = beta
-        shifted, log_ratio = self._beta_values
-        return alpha, beta, shifted, log_ratio
+            self._log_ratio = _log1p_sum(self.exposures, beta, self.scratch.terms)
+            self._beta, self._shift = beta, None
+        self._shift = shifted, terms = self.scratch.shift(self._shift, beta, self.exposures)
+        return alpha, beta, shifted, self._log_ratio, terms
 
     def count_sum(self, order: int, alpha: float) -> float:
         """sum_c logGamma(a + n_c) - logGamma(a) for ``order`` 0, and the
@@ -739,19 +751,20 @@ class _Rows(_Likelihood):
     rows' weights, cut to its widest row.  A row's counts past
     the head add Stirling's series, as one trial's do.
 
-    A pass owns a ``_Scratch`` and every group taken from it shares it:
-    b + t_c and the per-centre terms of the likelihood, the score, the
-    Hessian and sum_c log1p(t_c / b) are written into its two arrays.
-    The array of b + t_c belongs to the group that wrote it last, and a
-    group reads it again only while it is still its own, so a line
-    search's group may write it between the score and the likelihood of
-    the group it was taken from.  Before it the pass took a fresh array
-    for each of these temporaries, at every step; glibc handed such
-    arrays newly mapped pages and trimmed them back, 5.0-6.5 minor faults
-    a replication on table 3 and 2.2-2.3 on table 2, which the scratch,
-    with the integer counts read only while the sums are built, brings to
-    0.09-0.52 and 0.04-0.36 (``tools/faults.py``, a 200-replication block
-    of each row, eight and six processes a side).
+    A pass owns a ``_Scratch`` of ``block_rows(C)`` rows, and every
+    group taken from it shares it: b + t_c and the per-centre terms of
+    the likelihood, the score, the Hessian and sum_c log1p(t_c / b) are
+    written into its two arrays, and a line search's group may write the
+    slot of b + t_c between the score and the likelihood of the group it
+    was taken from (``_Scratch`` keeps the rule).  Before it the pass
+    took a fresh array for each of these temporaries, at every step;
+    glibc handed such arrays newly mapped pages and trimmed them back,
+    5.0-6.5 minor faults a replication on table 3 and 2.2-2.3 on table 2,
+    which the scratch, with the integer counts read only while the sums
+    are built, brings to 0.09-0.52 and 0.04-0.36 (a 200-replication
+    block of each row fitted again and again, eight and six processes a
+    side, by ``getrusage``'s minor-fault count, which the ``faults``
+    column of ``tools/stages.py`` reads around each block's fit).
     """
 
     # what take narrows: the values and arrays that hold one row per trial
@@ -803,16 +816,16 @@ class _Rows(_Likelihood):
         self.stored_beta = np.full(len(largest), np.nan)
         self.stored_log1p = np.empty(len(largest))
         self.store_at = np.arange(len(largest))
-        self.scratch = _Scratch(self.num_open)
-        self._beta = self._beta_values = None
+        self.scratch = _Scratch((block_rows(self.num_open), self.num_open))
+        self._beta = None
 
     def take(self, positions: np.ndarray) -> "_Rows":
         """The group of the rows ``positions``, ascending, of this one,
-        with a cache of b + t_c of its own, and the beta store and the
+        with a cache of beta of its own, and the beta store and the
         scratch of this one; taking every row shares its arrays."""
         ws = object.__new__(_Rows)
         ws.__dict__ = values = vars(self).copy()
-        ws._beta = ws._beta_values = None
+        ws._beta = None
         if len(positions) == len(self.total_count):
             return ws
         for name in self._per_row.intersection(values):
@@ -844,54 +857,25 @@ class _Rows(_Likelihood):
     # the certificate read the terms of the last beta a row was asked for.
 
     def _terms(self, alpha: np.ndarray, beta: np.ndarray):
-        """alpha and beta as columns, b + t_c per centre and sum_c
-        log1p(t_c / b)."""
-        scratch = self.scratch
-        if beta is not self._beta or scratch.shifted_for is not self._beta_values:
+        """alpha and beta as columns, b + t_c per centre, sum_c log1p(t_c
+        / b) and the buffer for a method's per-centre terms."""
+        if beta is not self._beta:
             b = beta[:, None]
             at = self.store_at
             stale = np.flatnonzero(self.stored_beta[at] != beta)
             if stale.size:
                 rows, exposures = slice(None), self.exposures
-                terms = scratch.terms[:stale.size]
+                terms = self.scratch.terms[:stale.size]
                 if stale.size < at.size:
                     # "clip": the default mode copies through a fresh buffer
                     rows = stale
                     exposures = np.take(exposures, stale, axis=0, out=terms, mode="clip")
                 self.stored_log1p[at[rows]] = _log1p_sum(exposures, b[rows], terms)
                 self.stored_beta[at[rows]] = beta[rows]
-            shifted = np.add(b, self.exposures, out=scratch.shifted[:at.size])
-            self._beta_values = scratch.shifted_for = b, shifted, self.stored_log1p[at]
-            self._beta = beta
-        return (alpha[:, None],) + self._beta_values
-
-    # The likelihood, the score and the Hessian as _Likelihood writes
-    # them, each operation with the same operands in the same order, but
-    # with every per-centre array written into the pass's scratch.
-
-    def loglik(self, alpha, beta):
-        _, _, shifted, log_ratio = self._terms(alpha, beta)
-        logs = np.log(shifted, out=self.scratch.terms[:len(shifted)])
-        return (self.count_sum(0, alpha) - alpha * log_ratio
-                - _row_sum(np.multiply(self.counts, logs, out=logs), axis=-1))
-
-    def score(self, alpha, beta):
-        a, b, shifted, log_ratio = self._terms(alpha, beta)
-        terms = np.multiply(a, self.exposures, out=self.scratch.terms[:len(b)])
-        np.subtract(np.divide(terms, b, out=terms), self.counts, out=terms)
-        return (self.count_sum(1, alpha) - log_ratio,
-                _row_sum(np.divide(terms, shifted, out=terms), axis=-1))
-
-    def hessian(self, alpha, beta):
-        a, _, shifted, _ = self._terms(alpha, beta)
-        # 1 / (b + t_c) over b + t_c, which then holds no group's terms
-        self.scratch.shifted_for = None
-        inv = np.divide(1.0, shifted, out=shifted)
-        h_ab = self.num_open / beta - _row_sum(inv, axis=-1)
-        products = np.add(a, self.counts, out=self.scratch.terms[:len(a)])
-        np.multiply(np.multiply(products, inv, out=products), inv, out=products)
-        h_bb = -self.num_open * alpha / (beta * beta) + _row_sum(products, axis=-1)
-        return self.count_sum(2, alpha), h_ab, h_bb
+            self._beta, self._b, self._shift = beta, b, None
+            self._log_ratio = self.stored_log1p[at]
+        self._shift = shifted, terms = self.scratch.shift(self._shift, self._b, self.exposures)
+        return alpha[:, None], self._b, shifted, self._log_ratio, terms
 
     def count_sum(self, order: int, alpha: np.ndarray) -> np.ndarray:
         """``_Workspace.count_sum`` for each row, with one reduction for
@@ -909,23 +893,41 @@ class _Rows(_Likelihood):
 
 
 class _Scratch:
-    """The two per-centre arrays that one pass writes its block-sized
-    temporaries into, allocated by the pass's ``_Rows`` and shared by
-    every group taken from it; a group of n rows writes the first n rows
-    of each.  They have the ``block_rows(C)`` rows of the largest pass of
-    C centres, so that every such pass asks for the same memory.
+    """The two per-centre arrays that a likelihood writes its temporaries
+    into: one row of C values for a trial's ``_Workspace``, and the
+    ``block_rows(C)`` rows of the largest pass of C centres for a pass's
+    ``_Rows``, shared by every group taken from it, so that every such
+    pass asks for the same memory; a group of n rows writes the first n
+    rows of each.
 
-    ``shifted`` holds b + t_c, and ``shifted_for`` the cached terms that
-    it belongs to, which only the group that wrote it holds: a group
-    reads its cached b + t_c again only while the slot is still its own,
-    so no group reads what a group taken from it wrote there.  ``terms``
-    holds a method's per-centre terms, read only within the call that
-    writes them.
+    ``shifted`` is the slot of b + t_c, and the rule for it lives here.
+    ``shift`` writes b + t_c into it and gives it with the ``terms``
+    buffer of as many rows, a pair that owns the slot until another pair
+    is written there or ``invert`` writes 1 / (b + t_c) over it.  Whoever
+    holds a pair gets it back from ``shift`` while it still owns the
+    slot, and else b + t_c written anew, so that no one reads what
+    another wrote there: not a trial after its own Hessian, nor a group
+    after a group taken from it.  ``terms`` holds a method's per-centre
+    terms, read only within the call that writes them.
     """
 
-    def __init__(self, centres: int):
-        self.shifted, self.terms = np.empty((2, block_rows(centres), centres))
-        self.shifted_for = None
+    def __init__(self, shape: tuple[int, ...]):
+        self.shifted, self.terms = np.empty((2, *shape))
+        self._owner = None
+
+    def shift(self, held, b, exposures: np.ndarray):
+        """``held``, a pair that ``shift`` gave, while it owns the slot,
+        and else b + ``exposures`` in the slot with the terms buffer."""
+        if held is None or held is not self._owner:
+            rows = len(exposures)
+            held = self._owner = (np.add(b, exposures, out=self.shifted[:rows]),
+                                  self.terms[:rows])
+        return held
+
+    def invert(self, shifted: np.ndarray) -> np.ndarray:
+        """1 / (b + t_c), written over b + t_c, which then has no owner."""
+        self._owner = None
+        return np.divide(1.0, shifted, out=shifted)
 
 
 def _sum_widths(rises: np.ndarray) -> np.ndarray:

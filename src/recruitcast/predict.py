@@ -206,7 +206,8 @@ def equal_tailed_interval(quantile, request: PredictionRequest, x, beta,
                       for p in (p_lo, p_hi))
         past = negate((p_lo > 0.0) & (p_hi < 1.0))  # NaN included
         if some(past):
-            raise ValueError(_past_resolution(request, np.max(np.where(past, x / exposure, 0.0))))
+            raise ValueError(_past_resolution(request, np.max(np.where(past, x / exposure, 0.0)),
+                                              np.isnan(p_lo + p_hi).any()))
     if is_batch(p_lo) or is_batch(beta) or is_batch(exposure):
         lower, upper = quantile(np.stack(np.broadcast_arrays(p_lo, p_hi, beta, exposure)[:2]))
     else:
@@ -215,14 +216,18 @@ def equal_tailed_interval(quantile, request: PredictionRequest, x, beta,
                               nominal_level=level, probs_used=(plain(p_lo), plain(p_hi)))
 
 
-def _past_resolution(request: PredictionRequest, reach) -> str:
-    """Why an adjusted interval is refused.  A count horizon is named by
-    ``reach``, its multiple of the effective exposure, which is what sends
-    the level to 0 or 1 and which no change of time unit moves."""
+def _past_resolution(request: PredictionRequest, reach, lost) -> str:
+    """Why an adjusted interval is refused: its level rounds to 0 or 1,
+    or is NaN (``lost``) because its horizon in time units is past the
+    float range.  A count horizon is named by ``reach``, its multiple of
+    the effective exposure, which is what sends the level to 0 or 1 and
+    which no change of time unit moves."""
     span = (f"to target count {request.horizon:g}" if request.objective == TIME
             else f"over a horizon {reach:.4g} times the effective exposure")
-    return (f"adjusted {request.objective} interval at level {request.level:g} {span}: "
-            "the adjusted tail is past float resolution (its quantile level rounds to 0 or 1)")
+    reason = ("its horizon in time units is past the float range (its quantile level is NaN)"
+              if lost else
+              "the adjusted tail is past float resolution (its quantile level rounds to 0 or 1)")
+    return f"adjusted {request.objective} interval at level {request.level:g} {span}: {reason}"
 
 
 def prediction_interval(pool: PooledPosterior, request: PredictionRequest) -> PredictionInterval:

@@ -532,8 +532,10 @@ def _fit_chunk(config: SimConfig, bounds: tuple[int, int]) -> dict[str, np.ndarr
     an interior search that stalled on the near-boundary ridge
     ("nonconverged"), is a boundary replication: its limit laws are
     indistinguishable from the stalled fit's.  Only an interior
-    replication ("ok") has estimates and posterior moments; the other
-    columns hold every replication's values.
+    replication ("ok") has estimates and posterior moments, and a block
+    whose moments leave the float range is refused by name, before any
+    law is pooled from them; the other columns hold every replication's
+    values.
     """
     first, stop = bounds
     fits = {name: np.full(stop - first, math.nan) for name in _FIT_COLUMNS}
@@ -557,9 +559,15 @@ def _fit_chunk(config: SimConfig, bounds: tuple[int, int]) -> dict[str, np.ndarr
         interior = np.flatnonzero(outcome.kind == "ok")
         block["alpha"][interior] = outcome.alpha_hat[interior]
         block["beta"][interior] = outcome.beta_hat[interior]
-        block["mean"][interior], block["variance"][interior] = summed_rate_moments(
-            block["alpha"][interior, None], block["beta"][interior, None],
-            data.exposures[interior], data.counts[interior])
+        with np.errstate(all="ignore"):
+            mean, variance = summed_rate_moments(
+                block["alpha"][interior, None], block["beta"][interior, None],
+                data.exposures[interior], data.counts[interior])
+        # past the float range b + t_c, or its square, reads 0 or inf
+        if not (np.isfinite(mean).all() and ((variance > 0) & (variance < math.inf)).all()):
+            raise ValueError(f"the posterior rate moments of an interior fit at census "
+                             f"{config.census_time:g} left the float range")
+        block["mean"][interior], block["variance"][interior] = mean, variance
     fits["kind"] = np.concatenate(kinds)
     return fits
 

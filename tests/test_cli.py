@@ -1369,25 +1369,39 @@ def test_hostile_config_values_exit_cleanly(tmp_path_factory, raw):
         assert err.getvalue().count("\n") == 1 and "Traceback" not in err.getvalue()
 
 
-@pytest.mark.parametrize("objective, line", [
-    ("time", "config error: adjusted time interval at level 0.9 to target count 1.7e+308: "
-             "the adjusted tail is past float resolution (its quantile level rounds to 0 or 1)\n"),
-    ("count", "config error: horizon 1.7e+308 is too long for the pooled posterior: "
-              "horizon / (rate + horizon) rounds to 1\n"),
-], ids=["time", "count"])
+@pytest.mark.parametrize("cell, line", [
+    ({"objective": "time"},
+     "config error: adjusted time interval at level 0.9 to target count 1.7e+308: "
+     "its horizon in time units is past the float range (its quantile level is NaN)\n"),
+    ({"objective": "count"},
+     "config error: horizon 1.7e+308 is too long for the pooled posterior: "
+     "horizon / (rate + horizon) rounds to 1\n"),
+    ({"prior": {"kind": "gamma", "alpha": 2.0, "beta": 1e-300}, "centres": 12,
+      "census_time": 1e-300, "horizon": 11},
+     "config error: the posterior rate moments of an interior fit at census 1e-300 left "
+     "the float range\n"),
+    ({"prior": {"kind": "gamma", "alpha": 2.0, "beta": 3e238}, "centres": 12,
+      "census_time": 3e238, "horizon": 11},
+     "config error: the posterior rate moments of an interior fit at census 3e+238 left "
+     "the float range\n"),
+], ids=["time", "count", "moments-1e-300", "moments-3e238"])
 def test_a_horizon_past_the_float_range_is_refused_by_name_without_a_warning(
-        tmp_path, capsys, objective, line):
+        tmp_path, capsys, cell, line):
     # a time horizon of 1.7e308 sends x = m beta / alpha past the float
-    # range, and the adjusted level to NaN, which is refused as past
-    # float resolution, naming the target count, with no NumPy warning
+    # range, and the adjusted level to NaN, which is refused by that
+    # reason, naming the target count, with no NumPy warning; so are
+    # posterior moments past it, where beta and the census both sit at
+    # 1e-300 or 3e238 and (b + t_c)^2 reads 0 or inf, before any law is
+    # pooled from them
     config = tmp_path / "cell.json"
     config.write_text(json.dumps({
         "prior": {"kind": "gamma", "alpha": 2.0, "beta": 150.0}, "centres": 3,
-        "census_time": 100.0, "schedule": "simultaneous", "objective": objective,
-        "horizon": 1.7e308, "replications": 2, "seed": 1}))
+        "census_time": 100.0, "schedule": "simultaneous", "objective": "count",
+        "horizon": 1.7e308, "replications": 2, "seed": 1, **cell}))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        code, out, err = run(capsys, "simulate", "--config", str(config), "--reps", "2")
+        code, out, err = run(capsys, "simulate", "--config", str(config), "--reps", "2",
+                             "--threads", "1")
     assert (code, out, err) == (4, "", line)
 
 

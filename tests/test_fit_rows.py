@@ -342,6 +342,29 @@ def test_a_group_reads_its_own_terms_after_a_group_taken_from_it_writes_the_scra
     assert _bits([group.loglik(alpha, beta), *group.score(alpha, beta)]) == [want[5], *want[:2]]
 
 
+def test_a_trial_reads_its_own_terms_after_its_hessian_writes_the_slot():
+    # a single fit's workspace owns a scratch of one row: its Hessian
+    # writes 1 / (b + t_c) over the slot of b + t_c, and the likelihood
+    # and the score at the same beta then read b + t_c again; each value
+    # is checked against a fresh workspace asked for it alone
+    data = _staggered_block(rows=1)[0]
+    alpha, beta, other = np.float64(1.3), np.float64(0.7), np.float64(2.9)
+
+    def fresh(method, a=alpha):
+        return _bits(np.atleast_1d(getattr(_Workspace(data), method)(a, beta)))
+
+    trial = _Workspace(data)
+    got = [*trial.score(alpha, beta), *trial.hessian(alpha, beta), trial.loglik(alpha, beta)]
+    assert _bits(got) == fresh("score") + fresh("hessian") + fresh("loglik")
+    trial.hessian(alpha, beta)
+    assert _bits([trial.loglik(alpha, beta), *trial.score(alpha, beta)]) == (
+        fresh("loglik") + fresh("score"))
+    # the score at another alpha of the same beta, which its one-point
+    # cache does not hold, reads the slot too
+    trial.hessian(alpha, beta)
+    assert _bits(trial.score(other, beta)) == fresh("score", other)
+
+
 def test_back_to_back_batches_fit_as_their_rows_fit_alone(engine):
     # the scratch dies with its pass, so a batch fitted after another of
     # the same centres, whose pass asks for the same memory, fits as its

@@ -1,10 +1,12 @@
 """The scripts under ``tools/``: the bytes gate's reach, the code-line
-count, the fault probe and the stage probe."""
+count and the stage probe."""
 
 import argparse
 import importlib.util
 import math
 from pathlib import Path
+
+import pytest
 
 import recruitcast
 from recruitcast import cli
@@ -82,24 +84,16 @@ def test_code_lines_totals_the_modules_of_a_package(tmp_path, capsys):
     assert capsys.readouterr().out.split() == ["one.py", "7", "two.py", "2", "total", "9"]
 
 
-def test_the_fault_probe_prints_a_time_and_a_fault_count_for_each_row(capsys):
-    src = str(Path(recruitcast.__file__).resolve().parents[1])
-    assert _tool("faults").main([src, "--table", "3", "--reps", "12"]) == 0
-    header, *rows = [line.split() for line in capsys.readouterr().out.splitlines()]
-    assert header == ["row", "us_per_rep", "faults_per_rep"]
-    assert [row[0] for row in rows] == ["1", "2", "3", "4", "5", "6", "7", "total"]
-    for _, micros, faults in rows:
-        assert float(micros) > 0 and math.isfinite(float(micros))
-        assert float(faults) >= 0 and math.isfinite(float(faults))
-
-
-def test_the_stage_probe_prints_five_stage_times_for_each_row(capsys):
+@pytest.mark.parametrize("table", ["2", "3"])
+def test_the_stage_probe_prints_five_stage_times_and_the_fit_faults_for_each_row(
+        capsys, table):
     src = str(Path(recruitcast.__file__).resolve().parents[1])
     stages = _tool("stages")
-    assert stages.main([src, "--table", "2", "--reps", "12"]) == 0
+    assert stages.main([src, "--table", table, "--reps", "12"]) == 0
     header, *rows = [line.split() for line in capsys.readouterr().out.splitlines()]
-    assert header == ["row", "seeding", "drawing", "fit_rows", "moments", "scoring"]
+    assert header == ["row", "seeding", "drawing", "fit_rows", "moments", "scoring", "faults"]
     assert [row[0] for row in rows] == ["1", "2", "3", "4", "5", "6", "7", "total"]
-    for _, *micros in rows:
+    for _, *micros, faults in rows:
         assert len(micros) == 5
         assert all(float(m) > 0 and math.isfinite(float(m)) for m in micros)
+        assert float(faults) >= 0 and math.isfinite(float(faults))

@@ -1,4 +1,5 @@
-"""Time the five stages of a replication block on a published table's rows.
+"""Time the five stages of a replication block on a published table's
+rows, and count the minor page faults of its fit.
 
     python tools/stages.py SRC_DIR [--table 2|3] [--reps N]
 
@@ -12,15 +13,22 @@ intervals of every interior and boundary fit with their
 ``exact_coverage``.  Each row runs two warm-up rounds, then five measured
 ones.  For each row it prints the median over the measured rounds of
 each stage's microseconds a replication, and in total the mean of the
-rows' medians.
+rows' medians.  Its last column, ``faults``, is the minor page faults a
+replication of the ``fit_rows`` stage, read by
+``getrusage(RUSAGE_SELF).ru_minflt`` around each call: every measured
+fault over every measured replication of the row, and in total the mean
+of the rows'.
 
 ``recruitcast`` is imported from SRC_DIR, so one copy of this script
-measures two source trees, each in a process of its own.
+measures two source trees, each in a process of its own.  It sets no
+allocator option: the faults are those that the library takes as it
+runs.
 """
 
 from __future__ import annotations
 
 import argparse
+import resource
 import statistics
 import sys
 import time
@@ -30,9 +38,14 @@ MEASURED_ROUNDS = 5
 STAGES = ("seeding", "drawing", "fit_rows", "moments", "scoring")
 
 
-def _block(config, reps: int) -> list[float]:
+def _faults() -> int:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
+def _block(config, reps: int) -> tuple[list[float], int]:
     """The seconds of each stage of one block of ``reps`` replications
-    of ``config``, as ``simulate.coverage_study`` runs it."""
+    of ``config``, as ``simulate.coverage_study`` runs it, and the minor
+    faults of its ``fit_rows`` stage."""
     import numpy as np
 
     from recruitcast.model import fit_rows, summed_rate_moments
@@ -49,9 +62,11 @@ def _block(config, reps: int) -> list[float]:
     rngs = replication_rngs(config.seed, 0, reps)
     marks.append(time.perf_counter())
     rates, data = generate_trial(config, rngs)
+    before = _faults()
     marks.append(time.perf_counter())
     fits = fit_rows(data)
     marks.append(time.perf_counter())
+    faults = _faults() - before
     interior = np.flatnonzero(fits.kind == "ok")
     alpha, beta = fits.alpha_hat[interior], fits.beta_hat[interior]
     mean, variance = summed_rate_moments(alpha[:, None], beta[:, None],
@@ -70,24 +85,28 @@ def _block(config, reps: int) -> list[float]:
                                    data.exposures[boundary].sum(axis=1))
         exact_coverage(total_rate[boundary, None], both, config.objective, config.horizon)
     marks.append(time.perf_counter())
-    return [after - before for before, after in zip(marks, marks[1:])]
+    return [after - before for before, after in zip(marks, marks[1:])], faults
 
 
 def measure(table: str, reps: int) -> list[list[float]]:
     """Per row of ``table``: each stage's median microseconds a
-    replication of a ``reps``-replication block."""
+    replication of a ``reps``-replication block, and the mean minor
+    faults a replication of its ``fit_rows`` stage."""
     from recruitcast.reproduce import reproduction_table
 
     configs = [config for _, config in reproduction_table(table).rows]
     times = [[[] for _ in STAGES] for _ in configs]
+    faults = [0] * len(configs)
     for round_ in range(WARMUP_ROUNDS + MEASURED_ROUNDS):
         for row, config in enumerate(configs):
-            seconds = _block(config, reps)
+            seconds, taken = _block(config, reps)
             if round_ >= WARMUP_ROUNDS:
                 for stage, elapsed in zip(times[row], seconds):
                     stage.append(elapsed)
+                faults[row] += taken
     per_rep = 1e6 / reps
-    return [[statistics.median(stage) * per_rep for stage in row] for row in times]
+    return [[statistics.median(stage) * per_rep for stage in row] + [f / (MEASURED_ROUNDS * reps)]
+            for row, f in zip(times, faults)]
 
 
 def main(argv: list[str]) -> int:
@@ -100,11 +119,10 @@ def main(argv: list[str]) -> int:
         parser.error("--reps must be at least 1")
     sys.path.insert(0, args.src_dir)
     rows = measure(args.table, args.reps)
-    print(f"{'row':<6}" + "".join(f" {stage:>9}" for stage in STAGES))
-    for row, micros in enumerate(rows, start=1):
-        print(f"{row:<6}" + "".join(f" {m:>9.2f}" for m in micros))
-    total = [statistics.fmean(stage) for stage in zip(*rows)]
-    print(f"{'total':<6}" + "".join(f" {m:>9.2f}" for m in total))
+    print(f"{'row':<6}" + "".join(f" {column:>9}" for column in (*STAGES, "faults")))
+    total = [statistics.fmean(column) for column in zip(*rows)]
+    for label, (*micros, faults) in [*enumerate(rows, start=1), ("total", total)]:
+        print(f"{label:<6}" + "".join(f" {m:>9.2f}" for m in micros) + f" {faults:>9.3f}")
     return 0
 
 
