@@ -367,22 +367,32 @@ def _tail_root(b, a, q, tail):
     smaller tail of beta(b, a).  For a >= 1 the law of log w is
     log-concave, and so is each tail's mass, so Newton converges from
     either side of the root.
+
+    Each law steps on its own: it takes its last step, of at most 1e-15,
+    and then leaves the batch, so that its root has the bits it has
+    alone, whatever laws share its batch.
     """
     upper = q < 0.5  # the upper tail, of mass q, is the smaller
     log_level = np.log(np.where(upper, q, 1.0 - q))
     log_norm = special().betaln(b, a)
+    laws = np.arange(tail.size)  # the laws still stepping
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(_TAIL_NEWTON_STEPS):
-            mass = np.where(upper, special().betaincc(b, a, tail), special().betainc(b, a, tail))
+            w = tail[laws]
+            mass = np.where(upper, special().betaincc(b, a, w), special().betainc(b, a, w))
             gap = np.where(upper, log_level - np.log(mass), np.log(mass) - log_level)
             # w times the density, over the mass: the gap's slope in log w
-            slope = np.exp(special().xlogy(b, tail) + special().xlog1py(a - 1.0, -tail)
+            slope = np.exp(special().xlogy(b, w) + special().xlog1py(a - 1.0, -w)
                            - log_norm) / mass
             step = gap / slope
             step[~np.isfinite(step)] = 0.0
-            tail = tail * np.exp(-step)
-            if not (np.abs(step) > 1e-15).any():
+            tail[laws] = w * np.exp(-step)
+            going = np.abs(step) > 1e-15
+            if not going.any():
                 break
+            laws = laws[going]
+            b, a, upper, log_level, log_norm = (x[going] for x in (b, a, upper, log_level,
+                                                                   log_norm))
     return tail
 
 

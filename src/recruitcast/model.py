@@ -64,8 +64,10 @@ it, after its draw (the ``faults`` column of ``tools/stages.py``), a
 pass took 4.3-4.7 before the scratch and takes 0.01-1.2 with it.  The
 likelihood, its score and its Hessian are written once
 (``_Likelihood``), into a scratch that a single fit owns too, of one row
-of C values.  A group of too few rows or too many centres to repay a
-pass goes through ``fit_mle`` row by row.
+of C values.  A pass of fewer than 10 rows (``_MIN_GROUP_ROWS``) is too
+short to repay its fixed cost and goes through ``fit_mle`` row by row:
+a short group, or any pass of trials with more than 6,553 open centres,
+where ``block_rows(C)`` holds fewer rows than that.
 """
 
 from __future__ import annotations
@@ -124,12 +126,11 @@ _CERTIFIED_SCORE = 1e-8
 # centres and whose rise weights each fit it, so a batch's memory does
 # not grow with its number of trials.
 _BLOCK_ELEMENTS = 1 << 16
-# fit_rows fits a group in one batched pass only with at least this many
-# rows and at most this many open centres, and else one row at a time with
-# fit_mle: the pass shares its fixed cost per step among its rows, but
-# costs more per centre than a single fit (see fit_rows)
+# fit_rows fits a pass of its rows in one batch only with at least this
+# many rows, and else one row at a time with fit_mle: the pass shares its
+# fixed cost per step among its rows, but costs more per centre than a
+# single fit (see fit_rows)
 _MIN_GROUP_ROWS = 10
-_MAX_GROUP_CENTRES = 2000
 _EPS = float(np.finfo(float).eps)
 _KIND = "<U12"
 _NO_VALUES = np.empty(0)
@@ -1218,32 +1219,42 @@ def fit_rows(data: TrialData) -> ModelFit:
     log-likelihood and 0 ``iterations``.
 
     The rows are grouped by whether their open centres share one
-    exposure and by their number of open centres C.  A group of at least
-    10 rows (``_MIN_GROUP_ROWS``) with at most 2,000 open centres
-    (``_MAX_GROUP_CENTRES``) runs passes of ``fit_mle``'s damped-Newton
-    loop and outcome rule over its rows, along the ray where the
-    exposures are equal and in the plane where not; the loop drops each
-    row where it would stop the row alone, and each row keeps its own
-    line search.  Sorted by their largest count, its
-    rows are cut into the fewest near-equal passes of at most
-    ``block_rows(C)`` rows, so a batch's memory is that of one pass;
-    ``block_rows(C)`` is at least 32 for C up to 2,000, so no pass of such
-    a group falls below 10 rows.  Any other group is fitted by
-    ``fit_mle(data[row])`` row by row.  The bounds were measured as the
-    time of the single fits over that of the pass, on the first rows of
-    tables 2 (ray) and 3 (plane) at C centres, in 5 alternating pairs of
-    best-of-3 timings a run, over six runs.  At 20 centres, over six
-    blocks, it was 1.20-1.29 (ray) and 0.73-1.15 (plane) for blocks of 10
-    rows, where the plane pass won only 3 of 5 pairs in one run, and
-    1.30-1.70 and 0.95-1.35 for blocks of 12.  In passes of
-    ``block_rows(C)`` rows it was 2.6-3.3 and 2.7-3.2 at 700 centres,
-    2.2-3.6 and 1.6-3.2 at 1,000, and 0.85-2.0 and 1.2-2.2 at 2,000, where
-    the pass won at least 4 of 5 pairs on both in each run.  From 3,000
-    to 6,553 centres it moved between 0.64 and 1.6 from run to run; the
-    ray pass at 3,000 won 5 of 5 pairs in one run and 0 of 5 in the next
-    two, so that neither side won there in every run.  Before the pass
-    kept its pages (see ``_Rows``) the plane pass lost from 2,000 centres,
-    at 0.75-0.80, and at 3,000 and 4,000 both passes lost, at 0.61-1.08.
+    exposure and by their number of open centres C.  Sorted by their
+    largest count, a group's rows are cut into the fewest near-equal
+    passes of at most ``block_rows(C)`` rows, so a batch's memory is that
+    of one pass.  One rule then reads each pass: a pass of at least 10
+    rows (``_MIN_GROUP_ROWS``) runs ``fit_mle``'s damped-Newton loop and
+    outcome rule over its rows, along the ray where the exposures are
+    equal and in the plane where not; the loop drops each row where it
+    would stop the row alone, and each row keeps its own line search.  A
+    shorter pass is fitted by ``fit_mle(data[row])`` row by row.  As
+    ``block_rows(C)`` is 2^16 // C, below 10 past 6,553 centres, the one
+    bound covers both a short group and trials too wide for a pass to
+    repay.
+
+    The bound was measured as the time of the single fits over that of
+    one pass of ``block_rows(C)`` rows, on rows 0 and 6 of tables 2 (ray)
+    and 3 (plane) at C centres, in 5 alternating pairs of best-of-3
+    timings, in processes that ran the counts in rising order from 2,000
+    centres.  Over three such runs it read 1.34-2.31 (ray) and 1.28-1.86
+    (plane) at 2,000 centres (32 rows), 1.17-1.70 and 1.23-1.43 at
+    3,000 (21), 1.23-1.45 and 1.19-1.32 at 4,500 (14), and 1.10-1.25 and
+    0.83-1.12 at 6,553 (10), where the pass won every pair but in one
+    plane run, which lost its first two pairs and won 3 of 5.  Past it
+    the pass no longer wins every run: 0.72-1.16 and 0.80-1.05 at 8,000
+    centres (8 rows), 0.83-0.93 and 0.82-1.07 at 13,107 (5) and
+    0.63-0.81 at 32,768 (2).  Near the bound the winner depends on the
+    heap: in a process whose first pass is of 4,500 or 6,553 ray rows,
+    that pass faults in the pages of its temporaries again on every call
+    (735 minor faults at 6,553 centres), and the ray pass read 0.78-1.05
+    at 4,500 and 0.68-0.90 at 6,553 centres, while the plane pass still
+    won.  Run as ``simulate`` runs it, 3,000 replications of a cell
+    drawn, fitted and scored in one process, the passes took 3-6 % less
+    time end to end than single fits at 4,500 and 6,553 centres, on both
+    paths, in 5 alternating pairs each.  At 20 centres,
+    before the scratch (see ``_Rows``), blocks of 10 rows read 1.20-1.29
+    (ray) and 0.73-1.15 (plane) and blocks of 12 read 1.30-1.70 and
+    0.95-1.35.
 
     A pass keeps at most 2^8 rise weights a row; counts past that
     exact-sum head go on by Stirling's series, as in ``fit_mle``.
@@ -1261,21 +1272,18 @@ def fit_rows(data: TrialData) -> ModelFit:
     fields = dict(kind=np.full(count, "insufficient", dtype=_KIND),
                   alpha_hat=np.full(count, math.nan), beta_hat=np.full(count, math.nan),
                   log_lik=np.full(count, math.nan), iterations=np.zeros(count, dtype=int))
+    fields_of = operator.attrgetter(*fields)
     # sorted by their largest count, the rows of a group run in order of
     # their number of rises
     largest = counts.max(axis=1)
     for ray, centres in sorted(set(zip(equal[fitted].tolist(), num_open[fitted].tolist()))):
         rows = np.flatnonzero(fitted & (equal == ray) & (num_open == centres))
-        if rows.size < _MIN_GROUP_ROWS or centres > _MAX_GROUP_CENTRES:
-            for row in rows.tolist():
-                fit = fit_mle(data[row])
-                for name, field in fields.items():
-                    field[row] = getattr(fit, name)
-            continue
         rows = rows[np.argsort(largest[rows], kind="stable")]
         for part in np.array_split(rows, math.ceil(rows.size / block_rows(centres))):
-            for field, values in zip(fields.values(),
-                                     _outcome(_Rows, exposures, counts, part, ray)[1]):
+            fits = (zip(*(fields_of(fit_mle(data[row])) for row in part.tolist()))
+                    if part.size < _MIN_GROUP_ROWS
+                    else _outcome(_Rows, exposures, counts, part, ray)[1])
+            for field, values in zip(fields.values(), fits):
                 field[part] = values
     return ModelFit(**fields, equal_exposures=equal)
 
@@ -1291,15 +1299,28 @@ def posterior_rate_moments(data: TrialData, fit: ModelFit) -> tuple[float, float
     if not fit.converged:
         raise ValueError("posterior moments require a converged fit")
     mean, variance = summed_rate_moments(fit.alpha_hat, fit.beta_hat, data.exposures,
-                                         data.counts)
+                                         data.counts, data.census_time)
     return float(mean), float(variance)
 
 
-def summed_rate_moments(alpha, beta, exposures: np.ndarray, counts: np.ndarray):
+def summed_rate_moments(alpha, beta, exposures: np.ndarray, counts: np.ndarray,
+                        census_time: float):
     """``posterior_rate_moments`` as arrays: the sums run over the last
     axis of ``exposures`` and ``counts``, and the estimates broadcast
     against them, so rows of trials with their estimates as a column
-    give one mean and one variance per trial."""
-    shape = alpha + counts
-    rate = beta + exposures
-    return (shape / rate).sum(axis=-1), (shape / rate**2).sum(axis=-1)
+    give one mean and one variance per trial.
+
+    Moments past the float range are refused with ValueError, naming the
+    trials' ``census_time``, before any law is pooled from them, and
+    without a floating-point warning: there b + t_c, or its square, reads
+    0 or inf, and a mean is not finite or a variance not positive and
+    finite.
+    """
+    with np.errstate(all="ignore"):
+        shape = alpha + counts
+        rate = beta + exposures
+        mean, variance = (shape / rate).sum(axis=-1), (shape / rate**2).sum(axis=-1)
+    if not (np.isfinite(mean) & (variance > 0) & (variance < math.inf)).all():
+        raise ValueError(f"the posterior rate moments of an interior fit at census "
+                         f"{census_time:g} left the float range")
+    return mean, variance

@@ -25,8 +25,8 @@ rows with one ``model.fit_rows`` call, which gives each row the bits
 that ``fit_mle`` gives it alone.  It groups the rows by their number of
 open centres and by whether those share one exposure, and each group
 runs one damped-Newton pass, along the ray or in the plane, or goes
-through ``fit_mle`` row by row where the rule in ``fit_rows`` says one
-pass would not pay.  It keeps only the few numbers scoring reads: the
+through ``fit_mle`` row by row where the pass would hold fewer than
+``fit_rows``' bound of 10 rows.  It keeps only the few numbers scoring reads: the
 outcome, the summed true rate, the summed exposure, the total count,
 the estimates and the posterior moments of the summed rate, the sums
 each one array pass over the block.  Then it scores all of its
@@ -559,15 +559,9 @@ def _fit_chunk(config: SimConfig, bounds: tuple[int, int]) -> dict[str, np.ndarr
         interior = np.flatnonzero(outcome.kind == "ok")
         block["alpha"][interior] = outcome.alpha_hat[interior]
         block["beta"][interior] = outcome.beta_hat[interior]
-        with np.errstate(all="ignore"):
-            mean, variance = summed_rate_moments(
-                block["alpha"][interior, None], block["beta"][interior, None],
-                data.exposures[interior], data.counts[interior])
-        # past the float range b + t_c, or its square, reads 0 or inf
-        if not (np.isfinite(mean).all() and ((variance > 0) & (variance < math.inf)).all()):
-            raise ValueError(f"the posterior rate moments of an interior fit at census "
-                             f"{config.census_time:g} left the float range")
-        block["mean"][interior], block["variance"][interior] = mean, variance
+        block["mean"][interior], block["variance"][interior] = summed_rate_moments(
+            block["alpha"][interior, None], block["beta"][interior, None],
+            data.exposures[interior], data.counts[interior], config.census_time)
     fits["kind"] = np.concatenate(kinds)
     return fits
 

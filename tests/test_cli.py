@@ -1405,6 +1405,22 @@ def test_a_horizon_past_the_float_range_is_refused_by_name_without_a_warning(
     assert (code, out, err) == (4, "", line)
 
 
+@pytest.mark.parametrize("census, horizon", [("1e300", "1e300"), ("3e238", "11")])
+def test_a_prediction_whose_posterior_moments_leave_the_float_range_is_refused_by_name(
+        capsys, census, horizon):
+    # the demo summary's fit at such a census is interior, but b + t_c or
+    # its square reads 0 or inf; predict refuses the moments with the
+    # line that simulate prints for them, with no NumPy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "predict", "--input", str(demo_summary_path()),
+                             "--census", census, "--objective", "count",
+                             "--horizon", horizon)
+    assert (code, out, err) == (4, "", f"config error: the posterior rate moments of an "
+                                       f"interior fit at census {float(census):g} left "
+                                       f"the float range\n")
+
+
 def _run_config(tmp_path, capsys, config, reps):
     """Write ``config`` in the manifest's schema, check that the file
     loads back to ``config`` itself, and return the cells that

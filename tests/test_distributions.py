@@ -1,6 +1,7 @@
 """Distribution kernels against closed forms and extended-precision oracles."""
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from scipy import special
 
 import oracles
-from recruitcast import distributions, predict, simulate
+from recruitcast import distributions, model, predict, simulate
 from recruitcast.reproduce import reproduction_table
 from recruitcast.simulate import coverage_study
 from recruitcast import (
@@ -366,6 +367,112 @@ def test_a_table_chunk_reads_each_law_as_it_reads_alone(monkeypatch):
         cases = [(level, NegBinParams(size, prob))
                  for level, size, prob in zip(levels.tolist(), sizes.tolist(), probs.tolist())]
         _read_in_lockstep("nb_cdf", nb_quantile, q, params, cases)
+
+
+def _case(*parts):
+    """One law's case as a flat tuple: the values drawn from ``parts``,
+    each a value or a tuple of them."""
+    return st.tuples(*parts).map(
+        lambda values: sum((v if isinstance(v, tuple) else (v,) for v in values), ()))
+
+
+def _columns(cases):
+    return [np.array(column) for column in zip(*cases)]
+
+
+def _interval(quantile, law, objective, horizon):
+    """``equal_tailed_interval`` on (adjusted, x, beta, exposure) and the
+    fields of ``law``, a column each: its bounds and the levels it read."""
+    def call(adjusted, x, beta, exposure, *fields):
+        request = predict.PredictionRequest(objective, horizon, 0.9, adjusted=adjusted)
+        interval = predict.equal_tailed_interval(partial(quantile, params=law(*fields)),
+                                                 request, x, beta, exposure)
+        return interval.lower, interval.upper, *interval.probs_used
+    return call
+
+
+def _coverage(objective, horizon):
+    """``exact_coverage`` of [lower, upper) at each summed rate."""
+    def call(lower, upper, total_rate):
+        interval = predict.PredictionInterval(lower, upper, 0.9, (0.05, 0.95))
+        return simulate.exact_coverage(total_rate[:, None], interval, objective, horizon)
+    return call
+
+
+def _moments(alpha, beta, exposures, counts):
+    return model.summed_rate_moments(alpha[:, None], beta[:, None], exposures, counts, 100.0)
+
+
+def _trial(centres):
+    row = partial(st.lists, min_size=centres, max_size=centres)
+    return st.tuples(_log_uniform(1e-3, 1e3), _log_uniform(1e-3, 1e3),
+                     row(st.floats(0.0, 100.0)), row(st.integers(0, 1000)))
+
+
+_batches = partial(st.lists, min_size=1, max_size=64)
+_POSITIVE = _log_uniform(1e-2, 1e3)
+_NB_LAW = _BETAINC_LAWS.map(lambda law: (law.size, law.prob))
+# a Pearson VI law of many recruits over a thin tail, at a level near 1,
+# takes the far branch, z > 0.75, whose roots _tail_root polishes
+_P6_CASES = st.one_of(
+    _case(_LEVELS, _POSITIVE, _log_uniform(1.0, 1e3), _POSITIVE),
+    _case(st.floats(0.9, 0.999999), st.floats(1.0, 500.0), st.floats(1.5, 5.0), _POSITIVE))
+_ADJUSTABLE = _case(st.booleans(), st.floats(0.1, 10.0), st.floats(0.1, 100.0),
+                    st.floats(1.0, 1000.0))
+# each batched public routine: batches of 1-64 laws, one case a law, and
+# the routine on a batch's cases as columns
+_BATCHED = {
+    "nb_quantile": (_batches(_NB_CASES.map(lambda case: (case[0], case[1].size, case[1].prob))),
+                    lambda q, size, prob: nb_quantile(q, NegBinParams(size, prob))),
+    "nb_cdf": (_batches(_case(st.one_of(st.integers(-2, 10_000), st.floats(-2.0, 1e4)),
+                              st.one_of(_NB_LAW,
+                                        _PMF_SUM_LAWS.map(lambda law: (law.size, law.prob))))),
+               lambda k, size, prob: nb_cdf(k, NegBinParams(size, prob))),
+    "pearson6_quantile": (_batches(_P6_CASES),
+                          lambda q, *law: pearson6_quantile(q, Pearson6Params(*law))),
+    "pearson6_cdf": (_batches(_case(_log_uniform(1e-6, 1e6), _POSITIVE, _POSITIVE, _POSITIVE)),
+                     lambda x, *law: pearson6_cdf(x, Pearson6Params(*law))),
+    "gamma_quantile": (_batches(_case(_LEVELS, _POSITIVE, _POSITIVE)),
+                       lambda q, *law: gamma_quantile(q, GammaParams(*law))),
+    "gamma_cdf": (_batches(_case(_log_uniform(1e-6, 1e6), _POSITIVE, _POSITIVE)),
+                  lambda x, *law: gamma_cdf(x, GammaParams(*law))),
+    "poisson_quantile": (_batches(_case(_LEVELS, _log_uniform(1e-6, 1e4))), poisson_quantile),
+    "poisson_cdf": (_batches(_case(st.integers(-2, 10_000), _log_uniform(1e-6, 1e4))),
+                    poisson_cdf),
+    "equal_tailed_interval-count": (_batches(_case(_ADJUSTABLE, _NB_LAW)),
+                                    _interval(nb_quantile, NegBinParams, "count", 5.0)),
+    "equal_tailed_interval-time": (_batches(_case(_ADJUSTABLE,
+                                                  _P6_CASES.map(lambda case: case[1:]))),
+                                   _interval(pearson6_quantile, Pearson6Params, "time", 12)),
+    "exact_coverage-count": (_batches(_case(st.tuples(st.integers(0, 200), st.integers(0, 200))
+                                            .map(lambda ends: tuple(sorted(ends))), _POSITIVE)),
+                             _coverage("count", 5.0)),
+    "exact_coverage-time": (_batches(_case(st.tuples(st.floats(0.0, 100.0), st.floats(0.0, 100.0))
+                                           .map(lambda ends: tuple(sorted(ends))), _POSITIVE)),
+                            _coverage("time", 12)),
+    # the trials of a batch share their number of centres
+    "summed_rate_moments": (st.integers(1, 8).flatmap(lambda centres: _batches(_trial(centres))),
+                            _moments),
+}
+
+
+@pytest.mark.parametrize("name", list(_BATCHED))
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_each_law_of_a_batch_gets_the_bits_it_gets_alone(name, data):
+    # a law's answer must not depend on which laws share its batch: each
+    # of 1-64 laws reads, bit for bit, what it reads as a batch of one
+    batches, routine = _BATCHED[name]
+    cases = data.draw(batches)
+
+    def bits(batch):
+        outputs = routine(*_columns(batch))
+        outputs = [np.broadcast_to(out, (len(batch),))
+                   for out in (outputs if isinstance(outputs, tuple) else (outputs,))]
+        return [[(out.dtype.str, out[i].tobytes()) for out in outputs]
+                for i in range(len(batch))]
+
+    assert bits(cases) == [bits([law])[0] for law in cases]
 
 
 def test_a_batch_past_the_int64_search_is_refused_by_name(monkeypatch):

@@ -639,11 +639,16 @@ def test_a_group_outside_the_measured_range_is_fitted_one_trial_at_a_time(monkey
         return fit_mle_alone(trial)
 
     monkeypatch.setattr(model, "fit_mle", counted)
-    least, most = model._MIN_GROUP_ROWS, model._MAX_GROUP_CENTRES
+    least = model._MIN_GROUP_ROWS
+    # the most centres whose passes of block_rows(C) rows hold that many
+    most = model._BLOCK_ELEMENTS // least
     config = reproduction_table(table_id).rows[0][1]
-    # (rows, centres): one row short of the pass, and one centre past it
+    # (rows, centres, single fits): a group one row short of a pass; one
+    # centre past ``most``, where block_rows cuts its rows into passes
+    # short of one; and a group cut into a full pass and a short one
     for rows, centres, singles in ((least - 1, 150, least - 1), (least, 150, 0),
-                                   (least, most + 1, least), (least, most, 0)):
+                                   (least, most, 0), (least, most + 1, least),
+                                   (2 * least - 1, most, least - 1)):
         cell = replace(config, centres=centres)
         _, block = generate_trial(cell, replication_rngs(cell.seed, 0, rows))
         calls.clear()

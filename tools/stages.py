@@ -70,7 +70,8 @@ def _block(config, reps: int) -> tuple[list[float], int]:
     interior = np.flatnonzero(fits.kind == "ok")
     alpha, beta = fits.alpha_hat[interior], fits.beta_hat[interior]
     mean, variance = summed_rate_moments(alpha[:, None], beta[:, None],
-                                         data.exposures[interior], data.counts[interior])
+                                         data.exposures[interior], data.counts[interior],
+                                         config.census_time)
     marks.append(time.perf_counter())
     request = PredictionRequest(config.objective, config.horizon, config.level,
                                 adjusted=_BOTH_KINDS)
